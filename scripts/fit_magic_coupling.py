@@ -9,39 +9,19 @@ row (c0, c1, c2, c3, c4) of lambda*(eta) ~ sum_k c_k eta^(2k):
 3. choose c1..c4 minimizing the worst |Delta_p| at the fitted coupling,
    linearized about each root (a linear program in the coefficients);
 4. round c1..c4 to six significant digits and report the worst |Delta_p|
-   of the rounded fit, evaluated through ``spinberry.delta_p`` on the grid.
-
-Steps 1 and 3 label the m = 0 level by its rank in the even parity block
-(levels of one block never cross), which is fast enough for a dense grid;
-step 4 reports how far that evaluation is from ``delta_p``.
+   of the rounded fit on the grid.
 
     python scripts/fit_magic_coupling.py
 """
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
-from spinberry import (delta_p, magic_lambda, parity_blocks,
-                       reduced_hamiltonian, spin_matrices)
-from spinberry.nonadiabatic import MAGIC_LAMBDA_FIT_COEFFS, _MAGIC_BRACKETS
+from spinberry import delta_p, magic_lambda, spin_matrices
+from spinberry.nonadiabatic import MAGIC_LAMBDA_FIT_COEFFS
 
 N_COEFFS = 5
 N_ETA = 201  # eta step 0.0025: the acceptance grid plus points between
-
-
-def _m0_level(rep, lam):
-    """(energy, polarization) of the m = 0 level by rank in its block."""
-    even, _ = parity_blocks(reduced_hamiltonian(rep, lam))
-    w, v = np.linalg.eigh(even.matrix)
-    # eigh sorts ascending; levels are labeled by descending m
-    j = even.m_values.size - 1 - int(np.flatnonzero(even.m_values == 0)[0])
-    return w[j], float(np.sum(even.m_values * v[:, j] ** 2))
-
-
-def _delta_p_m0(rep, lam, eta):
-    plus = (1.0 + eta) * _m0_level(rep, lam / (1.0 + eta))[0]
-    minus = (1.0 - eta) * _m0_level(rep, lam / (1.0 - eta))[0]
-    return (plus - minus) / (2.0 * eta) - _m0_level(rep, lam)[1]
 
 
 def _round6(x):
@@ -50,13 +30,11 @@ def _round6(x):
 
 def fit_row(rep, etas):
     """Rounded coefficients and the (linearized) worst |Delta_p| before rounding."""
-    lo, hi = _MAGIC_BRACKETS[rep.two_s // 2]
     c0 = _round6(magic_lambda(rep, 0.0))
     eta = etas[etas > 0.0]  # Delta_p vanishes identically at eta = 0
-    roots = np.array([brentq(lambda x: _delta_p_m0(rep, x, e) / e**2, lo, hi,
-                             xtol=1e-14, rtol=8.9e-16) for e in eta])
+    roots = np.array([magic_lambda(rep, e) for e in eta])
     h = 1e-6
-    slopes = np.array([(_delta_p_m0(rep, r + h, e) - _delta_p_m0(rep, r - h, e))
+    slopes = np.array([(delta_p(rep, 0.0, r + h, e) - delta_p(rep, 0.0, r - h, e))
                        / (2 * h) for r, e in zip(roots, eta)])
 
     # |slope * (c0 - root + sum_k c_k eta^2k)| <= t, with the columns and
@@ -90,17 +68,11 @@ def main():
     for spin in sorted(MAGIC_LAMBDA_FIT_COEFFS):
         rep = spin_matrices(2 * spin)
         coeffs, minimax = fit_row(rep, etas)
-        worst = drift = 0.0
-        for eta in etas:
-            lam = polynomial(coeffs, eta)
-            dp = delta_p(rep, 0.0, lam, eta)
-            worst = max(worst, abs(dp))
-            if eta > 0.0:
-                drift = max(drift, abs(dp - _delta_p_m0(rep, lam, eta)))
+        worst = max(abs(delta_p(rep, 0.0, polynomial(coeffs, eta), eta))
+                    for eta in etas)
         print(f"{spin}: ({', '.join(repr(c) for c in coeffs)}),")
         print(f"   worst |Delta_p| over {etas.size} eta points: {worst:.2e} "
-              f"(unrounded minimax {minimax:.2e}; rank-labelled vs delta_p "
-              f"{drift:.1e})")
+              f"(unrounded minimax {minimax:.2e})")
 
 
 if __name__ == "__main__":

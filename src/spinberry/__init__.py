@@ -4,7 +4,7 @@ Core functionality:
 
 - exact spin operators and rotation unitaries (:mod:`spinberry.spin_algebra`)
 - the reduced Hamiltonian Sigma_z + lambda Sigma_x^2, its parity blocks and
-  label-tracked spectrum (:mod:`spinberry.hamiltonian`)
+  rank-labeled spectrum (:mod:`spinberry.hamiltonian`)
 - geometric phases as loop integrals over cycle schedules
   (:mod:`spinberry.berry`, :mod:`spinberry.schedules`)
 - rotating-frame non-adiabatic corrections and magic couplings
@@ -26,8 +26,7 @@ from .entangle import (DeltaBeta, EntangleResult, FourSpinState,
                        collective_hamiltonian, entangling_cycle,
                        lambda_max_solve, symmetric_basis_m1,
                        tune_stage_stretch)
-from .hamiltonian import (ContinuationError, LabeledSpectrum, ParityBlock,
-                          ReducedHamiltonian, SpectrumTracker,
+from .hamiltonian import (LabeledSpectrum, ParityBlock, ReducedHamiltonian,
                           characteristic_polynomial, energy_derivative,
                           labeled_spectrum, parity_blocks,
                           perturbative_polarization_m0, polarization,

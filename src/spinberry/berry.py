@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .hamiltonian import SpectrumTracker, polarization
+from .hamiltonian import _label_index, _spectra, polarization
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -64,20 +64,11 @@ def _quad_grid(duration: float, quad_points: int):
     return np.linspace(0.0, duration, n)
 
 
-def _polarizations(rep: SpinRep, m: float, lams: np.ndarray,
-                   grid_step: float = 0.01) -> np.ndarray:
-    """p(m, lambda(t)) along a continuous lambda path, label-tracked."""
-    tracker = SpectrumTracker(rep, grid_step=grid_step)
-    out = np.empty(lams.size)
-    last_lam = None
-    last_p = None
-    for i, lam in enumerate(lams):
-        if last_lam is not None and lam == last_lam:
-            out[i] = last_p
-            continue
-        out[i] = tracker.advance(lam).polarization(m)
-        last_lam, last_p = lam, out[i]
-    return out
+def _polarizations(rep: SpinRep, m: float, lams) -> np.ndarray:
+    """p(m, lambda) at every lambda of ``lams``."""
+    _, vectors = _spectra(rep, lams)
+    v = vectors[..., _label_index(rep, m)]
+    return np.sum(rep.m_values * v * v, axis=-1)
 
 
 def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -85,7 +76,7 @@ def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
     """Geometric phase of the cycle for the level labeled m.
 
     Composite Simpson quadrature on a uniform time grid; the polarization
-    is re-solved at every node with labels continued along the path.
+    is re-solved at every node.
     """
     schedule.validate()
     ts = _quad_grid(schedule.duration, quad_points)
@@ -101,15 +92,13 @@ def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
                             winding_phase=winding, quad_points=ts.size)
 
 
-def gauge_field(rep: SpinRep, m: float, lam: float, theta: float,
-                grid_step: float = 0.01) -> GaugeField:
+def gauge_field(rep: SpinRep, m: float, lam: float, theta: float) -> GaugeField:
     """Gauge-field components at the parameter point (lambda, theta, m)."""
-    p = polarization(rep, m, lam, grid_step)
+    p = polarization(rep, m, lam)
     return GaugeField(a_phi=-m + p * np.cos(theta), a_alpha=-m + p)
 
 
-def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde: float,
-                       grid_step: float = 0.01) -> float:
+def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde: float) -> float:
     """A_alpha on the spherical section lambda = -2 cot(theta_tilde).
 
     The map sends the open interval 0 < theta_tilde < pi onto the whole
@@ -118,7 +107,7 @@ def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde: float,
     if not 0.0 < theta_tilde < np.pi:
         raise ValueError("theta_tilde must lie strictly inside (0, pi)")
     lam = -2.0 / np.tan(theta_tilde)
-    return gauge_field(rep, m, lam, theta=0.0, grid_step=grid_step).a_alpha
+    return gauge_field(rep, m, lam, theta=0.0).a_alpha
 
 
 def gauge_invariance_check(rep: SpinRep, m: float, schedule: CycleSchedule,

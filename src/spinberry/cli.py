@@ -18,7 +18,7 @@ from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
 from .dynamics import mirror_phase_difference, ramp_fidelity
 from .entangle import entangling_cycle, tune_stage_stretch
-from .hamiltonian import labeled_spectrum
+from .hamiltonian import _spectra
 from .nonadiabatic import delta_p, magic_lambda, magic_lambda_fit, \
     p2_coefficient, cxy_coefficient
 from .schedules import ScheduleError, from_file
@@ -98,11 +98,9 @@ def cmd_spectrum(args) -> int:
     mlabels = rep.m_values
     columns = (["lambda"] + [f"E_m{_label(m)}" for m in mlabels]
                + [f"p_m{_label(m)}" for m in mlabels])
-    rows = []
-    for lam in lams:
-        spec = labeled_spectrum(rep, lam)
-        rows.append([lam] + [spec.energy(m) for m in mlabels]
-                    + [spec.polarization(m) for m in mlabels])
+    energies, vectors = _spectra(rep, lams)
+    pols = np.sum(mlabels[:, None] * vectors * vectors, axis=-2)
+    rows = [[lam, *e, *p] for lam, e, p in zip(lams, energies, pols)]
     _write_table(args, "spectrum", columns, rows,
                  meta=[("spin", _fmt(rep.s)), ("n_points", args.n_points)])
     return 0
@@ -298,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScheduleError, ValueError) as exc:
+    except (ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .hamiltonian import SpectrumTracker, labeled_spectrum
+from .hamiltonian import _label_index, _spectra, labeled_spectrum
 from .pulses import PulseShape, blackman  # noqa: F401  (blackman is public API)
 from .schedules import CycleSchedule
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary
@@ -25,7 +25,7 @@ class CycleResult:
     """Outcome of one integrated run against its adiabatic reference.
 
     ``total_phase`` is the accumulated (un-wrapped) argument of the overlap
-    with the continuation-tracked instantaneous eigenstate;
+    with the tracked instantaneous eigenstate;
     ``dynamical_phase`` is -int E dt along the same level, and
     ``geometric_phase`` their difference.  ``leakage`` is the final
     population outside the tracked eigenstate.
@@ -176,10 +176,10 @@ def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
 
 
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
-              steps: int | None = None, grid_step: float = 0.01) -> CycleResult:
+              steps: int | None = None) -> CycleResult:
     """Integrate one closed cycle starting from the instantaneous eigenstate m.
 
-    The phase is accumulated un-wrapped against the label-tracked
+    The phase is accumulated un-wrapped against the labeled
     instantaneous eigenstate Psi(m, t) = U(R(t)) psi_hat(m, lambda(t)) and
     then referred back to the *initial* eigenstate by adding the winding
     phase -m (2 n_phi + n_alpha) pi that the moving reference carries, so
@@ -189,32 +189,34 @@ def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
     if steps is None:
         steps = max(2, int(round(200 * schedule.duration)))
     dt = schedule.duration / steps
-    tracker = SpectrumTracker(rep, grid_step=grid_step)
-    spec = tracker.advance(schedule.lam(0.0))
-    vec = spec.vector(m)
+    i = _label_index(rep, m)
+    ends = dt * np.arange(steps + 1)
+    mids = dt * (np.arange(steps) + 0.5)
+    energies = _spectra(rep, [schedule.lam(t) for t in mids])[0][:, i]
+    refs = _spectra(rep, [schedule.lam(t) for t in ends])[1][:, :, i]
+    # the phase needs a continuous reference, and the per-lambda sign
+    # convention flips where the parent component passes through zero
+    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
+    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
 
     def frame(t):
         return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
                                                  phi=schedule.phi(t),
                                                  alpha=schedule.alpha(t)))
 
-    psi = frame(0.0) @ vec.astype(complex)
+    psi = frame(0.0) @ refs[0].astype(complex)
     overlap = 1.0 + 0.0j
     total_phase = 0.0
     dynamical = 0.0
     norm0 = np.linalg.norm(psi)
     drift = 0.0
     for k in range(steps):
-        tmid = (k + 0.5) * dt
-        h = lab_hamiltonian(rep, schedule, tmid)
+        h = lab_hamiltonian(rep, schedule, mids[k])
         w, u = np.linalg.eigh(h)
         psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
         drift = max(drift, abs(np.linalg.norm(psi) - norm0))
-        spec_mid = tracker.advance(schedule.lam(tmid))
-        dynamical += -schedule.b(tmid) * spec_mid.energy(m) * dt
-        t_next = (k + 1) * dt
-        spec_next = tracker.advance(schedule.lam(t_next))
-        target = frame(t_next) @ spec_next.vector(m).astype(complex)
+        dynamical += -schedule.b(mids[k]) * energies[k] * dt
+        target = frame(ends[k + 1]) @ refs[k + 1].astype(complex)
         new_overlap = np.vdot(target, psi)
         total_phase += float(np.angle(new_overlap / overlap))
         overlap = new_overlap
@@ -239,17 +241,15 @@ class MirrorResult:
 
 
 def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
-                            steps: int | None = None,
-                            grid_step: float = 0.01) -> MirrorResult:
+                            steps: int | None = None) -> MirrorResult:
     """Half the difference of the total phases of a cycle and its image.
 
     The dynamical phase and all even-in-rotation-rate corrections cancel
     in the subtraction; what survives is the geometric phase plus the
     odd-order non-adiabatic corrections.
     """
-    forward = run_cycle(rep, m, schedule, steps=steps, grid_step=grid_step)
-    mirrored = run_cycle(rep, m, schedule.mirror(), steps=steps,
-                         grid_step=grid_step)
+    forward = run_cycle(rep, m, schedule, steps=steps)
+    mirrored = run_cycle(rep, m, schedule.mirror(), steps=steps)
     for name, res in (("forward", forward), ("mirrored", mirrored)):
         if res.leakage > 0.01:
             warnings.warn(
@@ -300,8 +300,7 @@ class RampResult:
 
 
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
-                  shape: str = "blackman", steps: int | None = None,
-                  grid_step: float = 0.01) -> RampResult:
+                  shape: str = "blackman", steps: int | None = None) -> RampResult:
     """Ramp the coupling 0 -> lambda0 with fixed field axes and compare
     the final <Sigma_z> with the adiabatic polarization p(m, lambda0)."""
     pulse = PulseShape(shape)
@@ -318,23 +317,21 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     psi0[labeled_spectrum(rep, 0.0).index_of(m)] = 1.0
     _, psi, _ = propagate(h, psi0, duration, steps)
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
-    sz_adiabatic = labeled_spectrum(rep, lambda0, grid_step).polarization(m)
+    sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
                       deviation=sz_final - sz_adiabatic, final_state=psi)
 
 
 def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
                               duration: float, shape: str = "blackman",
-                              quad_points: int = 4097,
-                              grid_step: float = 0.01) -> float:
+                              quad_points: int = 4097) -> float:
     """-int E(m, lambda(t)) dt along a coupling ramp (adiabatic reference)."""
     pulse = PulseShape(shape)
     ts = np.linspace(0.0, duration,
                      quad_points + 1 if quad_points % 2 == 0 else quad_points)
-    tracker = SpectrumTracker(rep, grid_step=grid_step)
-    energies = np.array([tracker.advance(lambda0 * pulse.fraction(t / duration)).energy(m)
-                         for t in ts])
-    return float(simpson(-energies, x=ts))
+    fractions = np.array([pulse.fraction(t / duration) for t in ts])
+    energies, _ = _spectra(rep, lambda0 * fractions)
+    return float(simpson(-energies[:, _label_index(rep, m)], x=ts))
 
 
 def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
@@ -353,11 +350,10 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
     return evolve(h, psi0, duration, steps, sz=rep.sigma_z)
 
 
-def rotating_basis_transform(rep: SpinRep, lam: float,
-                             grid_step: float = 0.01) -> np.ndarray:
+def rotating_basis_transform(rep: SpinRep, lam: float) -> np.ndarray:
     """Real orthogonal matrix whose columns are the labeled eigenvectors.
 
     V diagonalizes the reduced Hamiltonian: V^T H(lambda) V has the labeled
     energies on the diagonal in descending-m order.
     """
-    return labeled_spectrum(rep, lam, grid_step).vectors.copy()
+    return labeled_spectrum(rep, lam).vectors.copy()

@@ -231,7 +231,8 @@ class _StageProfile:
 
     def alpha_dot(self, t):
         if self.t1 < t <= self.t1 + self.t2:
-            return self.dalpha * self.pulse.rate((t - self.t1) / self.t2) / self.t2
+            s = min((t - self.t1) / self.t2, 1.0)
+            return self.dalpha * self.pulse.rate(s) / self.t2
         return 0.0
 
 

@@ -2,8 +2,11 @@
 
 The Hamiltonian conserves the parity (-1)^(S-m), so it splits into two
 blocks that never mix.  Eigenvalues are labeled by the magnetic number m
-of the basis state they connect to as lambda -> 0; labels are propagated
-along a lambda grid by eigenvector-overlap continuation.
+of the basis state they connect to as lambda -> 0.  Sigma_x**2 couples m
+only to m +- 2, so for lambda != 0 each block is an unreduced tridiagonal
+(Jacobi) matrix: its eigenvalues are simple and never cross.  The level
+labeled m is therefore, for every real lambda, the eigenvalue of the same
+rank within its block, and one eigensolve per block labels a spectrum.
 """
 
 from __future__ import annotations
@@ -12,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import jacobi_eigh, monic_characteristic_coefficients
+from .linalg import monic_characteristic_coefficients
 from .spin_algebra import SpinRep
-
-
-class ContinuationError(RuntimeError):
-    """Eigenvector continuation could not assign labels unambiguously."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,14 @@ def characteristic_polynomial(block) -> np.ndarray:
     return monic_characteristic_coefficients(matrix)
 
 
+def _label_index(rep: SpinRep, m: float) -> int:
+    """Column of the level labeled m (labels in descending-m basis order)."""
+    i = int(round(rep.s - m))
+    if not 0 <= i < rep.dim or abs(rep.m_values[i] - m) > 1e-12:
+        raise ValueError(f"no level labeled m={m}")
+    return i
+
+
 @dataclass(frozen=True)
 class LabeledSpectrum:
     """Labeled eigensystem of the reduced Hamiltonian at one lambda.
@@ -87,7 +94,7 @@ class LabeledSpectrum:
     Columns of ``vectors`` are real eigenvectors aligned with ``m_labels``
     (descending m).  Each eigenvector has support only on basis states of
     its own parity, and its sign is fixed by a positive overlap with the
-    parent basis state whenever that overlap is resolvable.
+    parent basis state whenever that overlap exceeds 1e-12.
     """
 
     rep: SpinRep
@@ -97,10 +104,7 @@ class LabeledSpectrum:
     vectors: np.ndarray
 
     def index_of(self, m: float) -> int:
-        i = int(round(self.rep.s - m))
-        if not 0 <= i < self.rep.dim or abs(self.m_labels[i] - m) > 1e-12:
-            raise ValueError(f"no level labeled m={m}")
-        return i
+        return _label_index(self.rep, m)
 
     def energy(self, m: float) -> float:
         return float(self.energies[self.index_of(m)])
@@ -113,102 +117,53 @@ class LabeledSpectrum:
         return float(np.sum(self.rep.m_values * v * v))
 
 
-class SpectrumTracker:
-    """Follows the labeled eigensystem continuously along a lambda path.
+def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Labeled energies and eigenvectors at every lambda of ``lams``.
 
-    Starting from the trivial spectrum at lambda = 0, each move is cut into
-    sub-steps no longer than ``grid_step``; at every sub-step the new block
-    eigenvectors are matched to the previous ones by maximal overlap.  A
-    match whose two best overlaps differ by less than ``ambiguity_gap`` is
-    rejected as unresolvable (the grid is too coarse for a near-crossing).
+    Returns arrays of shape ``shape(lams) + (dim,)`` and
+    ``shape(lams) + (dim, dim)``, labels in basis (descending-m) order.
+    Each parity block is diagonalized for all lambdas in one stacked
+    ``eigh``; its k-th lowest eigenvalue belongs to its k-th lowest m.
     """
-
-    def __init__(self, rep: SpinRep, grid_step: float = 0.01,
-                 ambiguity_gap: float = 1e-3):
-        if grid_step <= 0:
-            raise ValueError("grid_step must be positive")
-        self.rep = rep
-        self.grid_step = float(grid_step)
-        self.ambiguity_gap = float(ambiguity_gap)
-        mask = _even_block_mask(rep.two_s)
-        self._masks = (mask, ~mask)
-        self._lam = 0.0
-        self._vectors = np.eye(rep.dim)
-        self._energies = rep.m_values.astype(float).copy()
-
-    @property
-    def lam(self) -> float:
-        return self._lam
-
-    def advance(self, lam: float) -> LabeledSpectrum:
-        lam = float(lam)
-        delta = lam - self._lam
-        if delta == 0.0:
-            return self.snapshot()
-        start = self._lam
-        nsub = max(1, int(np.ceil(abs(delta) / self.grid_step)))
-        for k in range(1, nsub + 1):
-            self._step(start + delta * k / nsub if k < nsub else lam)
-        return self.snapshot()
-
-    def _step(self, lam: float):
-        rep = self.rep
-        h = rep.sigma_z + lam * (rep.sigma_x @ rep.sigma_x)
-        vectors = np.zeros_like(self._vectors)
-        energies = np.empty(rep.dim)
-        for mask in self._masks:
-            sel = np.flatnonzero(mask)
-            if sel.size == 0:
-                continue
-            w, v = jacobi_eigh(h[np.ix_(sel, sel)])
-            prev = self._vectors[np.ix_(sel, sel)]
-            overlaps = np.abs(prev.T @ v)
-            taken = set()
-            for row in range(sel.size):
-                order = np.argsort(overlaps[row])[::-1]
-                best = order[0]
-                if sel.size > 1:
-                    gap = overlaps[row, best] - overlaps[row, order[1]]
-                    if gap < self.ambiguity_gap:
-                        raise ContinuationError(
-                            f"ambiguous label continuation at lambda={lam:.6g} "
-                            f"(overlap gap {gap:.2e}); reduce grid_step")
-                if best in taken:
-                    raise ContinuationError(
-                        f"label collision at lambda={lam:.6g}; reduce grid_step")
-                taken.add(best)
-                col = v[:, best]
-                sign = np.sign(prev[:, row] @ col)
-                vectors[sel, sel[row]] = col * (sign if sign != 0 else 1.0)
-                energies[sel[row]] = w[best]
-        self._vectors = vectors
-        self._energies = energies
-        self._lam = lam
-
-    def snapshot(self) -> LabeledSpectrum:
-        vectors = self._vectors.copy()
-        # sign convention: positive overlap with the parent basis state,
-        # falling back to the continuity sign when that overlap vanishes
-        parent = vectors.diagonal()
-        flip = parent < -1e-12
-        vectors[:, flip] *= -1.0
-        return LabeledSpectrum(rep=self.rep, lam=self._lam,
-                               m_labels=self.rep.m_values.copy(),
-                               energies=self._energies.copy(), vectors=vectors)
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda must be finite")
+    sxsq = rep.sigma_x @ rep.sigma_x
+    energies = np.empty(lams.shape + (rep.dim,))
+    vectors = np.zeros(lams.shape + (rep.dim, rep.dim))
+    mask = _even_block_mask(rep.two_s)
+    for sel in (np.flatnonzero(mask), np.flatnonzero(~mask)):
+        if sel.size == 0:
+            continue
+        block = np.ix_(sel, sel)
+        w, v = np.linalg.eigh(rep.sigma_z[block]
+                              + lams[..., None, None] * sxsq[block])
+        ranked = sel[::-1]  # eigh sorts ascending, the basis descends in m
+        energies[..., ranked] = w
+        vectors[..., sel[:, None], ranked] = v
+    # sign: parent component positive wherever it exceeds 1e-12; it
+    # vanishes at isolated lambdas, where eigh's own sign stands
+    parent = np.diagonal(vectors, axis1=-2, axis2=-1)
+    vectors *= np.where(parent < -1e-12, -1.0, 1.0)[..., None, :]
+    return energies, vectors
 
 
-def labeled_spectrum(rep: SpinRep, lam: float, grid_step: float = 0.01) -> LabeledSpectrum:
-    """Labeled spectrum at ``lam`` by continuation from lambda = 0."""
-    return SpectrumTracker(rep, grid_step=grid_step).advance(lam)
+def labeled_spectrum(rep: SpinRep, lam: float) -> LabeledSpectrum:
+    """Labeled spectrum at ``lam``: level m is the eigenvalue of m's rank
+    within its parity block."""
+    lam = float(lam)
+    energies, vectors = _spectra(rep, lam)
+    return LabeledSpectrum(rep=rep, lam=lam, m_labels=rep.m_values.copy(),
+                           energies=energies, vectors=vectors)
 
 
-def polarization(rep: SpinRep, m: float, lam: float, grid_step: float = 0.01) -> float:
+def polarization(rep: SpinRep, m: float, lam: float) -> float:
     """<Sigma_z> in the eigenstate labeled m (exact eigenvector expectation)."""
-    return labeled_spectrum(rep, lam, grid_step).polarization(m)
+    return labeled_spectrum(rep, lam).polarization(m)
 
 
 def energy_derivative(rep: SpinRep, m: float, lam: float, order: int = 1,
-                      rel_step: float = 1e-3, grid_step: float = 0.01) -> float:
+                      rel_step: float = 1e-3) -> float:
     """d^order E(m, lambda) / d lambda^order.
 
     Central differences with step ``rel_step * max(1, |lambda|)`` and one
@@ -220,7 +175,7 @@ def energy_derivative(rep: SpinRep, m: float, lam: float, order: int = 1,
     h = rel_step * max(1.0, abs(lam))
 
     def e(x):
-        return labeled_spectrum(rep, x, grid_step).energy(m)
+        return labeled_spectrum(rep, x).energy(m)
 
     def diff(hh):
         if order == 1:
@@ -233,12 +188,10 @@ def energy_derivative(rep: SpinRep, m: float, lam: float, order: int = 1,
     return (4 * diff(h / 2) - diff(h)) / 3
 
 
-def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float,
-                                  grid_step: float = 0.01) -> float:
+def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float) -> float:
     """p = E - lambda dE/dlambda, the B-field gradient of the eigenenergy."""
-    spec = labeled_spectrum(rep, lam, grid_step)
-    return spec.energy(m) - lam * energy_derivative(rep, m, lam, order=1,
-                                                    grid_step=grid_step)
+    spec = labeled_spectrum(rep, lam)
+    return spec.energy(m) - lam * energy_derivative(rep, m, lam, order=1)
 
 
 def perturbative_polarization_m0(rep: SpinRep, lam: float) -> float:

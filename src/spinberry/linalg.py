@@ -1,84 +1,13 @@
-"""Small dense linear-algebra kernels used by the spectrum machinery.
+"""Characteristic polynomials of the small parity blocks.
 
-The matrices handled here are tiny (order <= 2S+1 with S <= a few), so a
-deterministic, dependency-free cyclic Jacobi diagonalizer is both fast
-enough and more than accurate enough.  ``numpy.linalg.eigh`` is used
-elsewhere as an independent cross-check of these kernels.
+Eigensolves use ``numpy.linalg.eigh`` directly; this module holds only
+the eigensolve-free Faddeev-LeVerrier recursion that the characteristic
+polynomial checks rely on.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi sweep limit exceeded (should not happen for sane input)."""
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Diagonalize a real symmetric matrix by cyclic Jacobi rotations.
-
-    Rotations are applied in a fixed (p, q) order until the off-diagonal
-    Frobenius norm falls below ``tol`` scaled by max(1, ||A||_F), which is
-    the best float64 can express for matrices with large entries.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvectors in
-    the columns of ``v``, matching the ``numpy.linalg.eigh`` convention.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        raise ValueError("empty matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
-    rot_skip = thresh / (4.0 * n * n)
-    others = np.arange(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= rot_skip:
-                    a[p, q] = a[q, p] = 0.0 if apq == 0.0 else apq
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                idx = others[(others != p) & (others != q)]
-                arp = a[idx, p].copy()
-                arq = a[idx, q].copy()
-                a[idx, p] = a[p, idx] = arp - s * (arq + tau * arp)
-                a[idx, q] = a[q, idx] = arq + s * (arp - tau * arq)
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    else:
-        raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def monic_characteristic_coefficients(matrix: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .hamiltonian import SpectrumTracker, labeled_spectrum, polarization
+from .berry import _polarizations
+from .hamiltonian import _label_index, _spectra, labeled_spectrum, polarization
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -88,8 +89,7 @@ class CoriolisParams:
         return cls(eta=eta, mu=mu, mu_tilde=mu / (1.0 - eta))
 
 
-def q_coefficient(rep: SpinRep, m: float, lam: float,
-                  grid_step: float = 0.01) -> float:
+def q_coefficient(rep: SpinRep, m: float, lam: float) -> float:
     """Leading even-order kernel q(m, lambda) = -(lam^3 E''' + 3 lam^2 E'')/6.
 
     Evaluated through the algebraically identical form
@@ -100,7 +100,7 @@ def q_coefficient(rep: SpinRep, m: float, lam: float,
     h = 1e-3 * max(1.0, abs(lam))
 
     def p(x):
-        return polarization(rep, m, x, grid_step)
+        return polarization(rep, m, x)
 
     def d1(hh):
         return (p(lam + hh) - p(lam - hh)) / (2 * hh)
@@ -113,8 +113,7 @@ def q_coefficient(rep: SpinRep, m: float, lam: float,
     return (lam**2 * p2 + 2 * lam * p1) / 6.0
 
 
-def delta_p(rep: SpinRep, m: float, lam: float, eta: float,
-            grid_step: float = 0.01) -> float:
+def delta_p(rep: SpinRep, m: float, lam: float, eta: float) -> float:
     """All-orders even-in-eta correction kernel Delta_p(m, lambda, eta).
 
     |eta| must be below one (the rescaled coupling lambda/(1 -+ eta) would
@@ -127,10 +126,10 @@ def delta_p(rep: SpinRep, m: float, lam: float, eta: float,
     if abs(eta) < _ETA_SERIES_THRESHOLD:
         if eta == 0.0:
             return 0.0
-        return q_coefficient(rep, m, lam, grid_step) * eta**2
-    plus = (1.0 + eta) * labeled_spectrum(rep, lam / (1.0 + eta), grid_step).energy(m)
-    minus = (1.0 - eta) * labeled_spectrum(rep, lam / (1.0 - eta), grid_step).energy(m)
-    return (plus - minus) / (2.0 * eta) - polarization(rep, m, lam, grid_step)
+        return q_coefficient(rep, m, lam) * eta**2
+    plus = (1.0 + eta) * labeled_spectrum(rep, lam / (1.0 + eta)).energy(m)
+    minus = (1.0 - eta) * labeled_spectrum(rep, lam / (1.0 - eta)).energy(m)
+    return (plus - minus) / (2.0 * eta) - polarization(rep, m, lam)
 
 
 def magic_lambda_fit(two_s: int, eta: float) -> float:
@@ -148,7 +147,7 @@ def magic_lambda_fit(two_s: int, eta: float) -> float:
     return float(sum(c * eta ** (2 * k) for k, c in enumerate(coeffs)))
 
 
-def magic_lambda(rep: SpinRep, eta: float, grid_step: float = 0.01) -> float:
+def magic_lambda(rep: SpinRep, eta: float) -> float:
     """Root lambda*(S, eta) of Delta_p(0, lambda, eta) = 0.
 
     Defined for integer spins with an m = 0 level; at eta = 0 the equation
@@ -162,10 +161,10 @@ def magic_lambda(rep: SpinRep, eta: float, grid_step: float = 0.01) -> float:
 
     if abs(eta) < _ETA_SERIES_THRESHOLD:
         def objective(lam):
-            return q_coefficient(rep, 0.0, lam, grid_step)
+            return q_coefficient(rep, 0.0, lam)
     else:
         def objective(lam):
-            return delta_p(rep, 0.0, lam, eta, grid_step) / eta**2
+            return delta_p(rep, 0.0, lam, eta) / eta**2
 
     lo, hi = _MAGIC_BRACKETS.get(rep.two_s // 2, _MAGIC_BRACKET_DEFAULT)
     flo, fhi = objective(lo), objective(hi)
@@ -177,7 +176,7 @@ def magic_lambda(rep: SpinRep, eta: float, grid_step: float = 0.01) -> float:
         raise NoRootError(
             f"no sign change of Delta_p(0, lambda, eta={eta}) in [{lo}, {hi}]")
     root = brentq(objective, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    residual = abs(delta_p(rep, 0.0, root, eta, grid_step))
+    residual = abs(delta_p(rep, 0.0, root, eta))
     if residual > 1e-10:
         raise NoRootError(f"root polish failed, |Delta_p| = {residual:.2e}")
     return float(root)
@@ -201,9 +200,9 @@ class TransverseShift:
     large_correction: bool
 
 
-def _transverse_elements(rep: SpinRep, m: float, lam: float, grid_step: float):
+def _transverse_elements(rep: SpinRep, m: float, lam: float):
     """Matrix elements and gaps entering the opposite-parity sums."""
-    spec = labeled_spectrum(rep, lam, grid_step)
+    spec = labeled_spectrum(rep, lam)
     i = spec.index_of(m)
     vi = spec.vectors[:, i]
     sy_real = (rep.sigma_y / 1j).real  # Sigma_y = i * A with A real
@@ -226,7 +225,6 @@ def _transverse_elements(rep: SpinRep, m: float, lam: float, grid_step: float):
 
 
 def transverse_second_order(rep: SpinRep, m: float, lam: float,
-                            grid_step: float = 0.01,
                             mu_probe: float = 1e-3) -> TransverseShift:
     """Second-order transverse energy shift E_perp2(m, lambda).
 
@@ -237,7 +235,7 @@ def transverse_second_order(rep: SpinRep, m: float, lam: float,
     two auxiliary shifts (the squared rotation factors average to 1/2 for
     slowly varying rotation rates).
     """
-    spec, rows, min_gap = _transverse_elements(rep, m, lam, grid_step)
+    spec, rows, min_gap = _transverse_elements(rep, m, lam)
     ex = sum(x * x / gap for gap, x, _ in rows)
     ey = sum(y * y / gap for gap, _, y in rows)
 
@@ -260,13 +258,12 @@ def transverse_second_order(rep: SpinRep, m: float, lam: float,
                            large_correction=min_gap < _GAP_WARN)
 
 
-def p2_coefficient(rep: SpinRep, m: float, lam: float,
-                   grid_step: float = 0.01) -> float:
+def p2_coefficient(rep: SpinRep, m: float, lam: float) -> float:
     """Transverse phase coefficient p2 = (1 + lambda d/dlambda) E_perp2."""
     h = 1e-3 * max(1.0, abs(lam))
 
     def e2(x):
-        return transverse_second_order(rep, m, x, grid_step).value
+        return transverse_second_order(rep, m, x).value
 
     def d1(hh):
         return (e2(lam + hh) - e2(lam - hh)) / (2 * hh)
@@ -275,8 +272,7 @@ def p2_coefficient(rep: SpinRep, m: float, lam: float,
     return e2(lam) + lam * derivative
 
 
-def cxy_coefficient(rep: SpinRep, m: float, lam: float,
-                    grid_step: float = 0.01) -> float:
+def cxy_coefficient(rep: SpinRep, m: float, lam: float) -> float:
     """Rotating-frame geometric coefficient C_xy = Im <psi_y^1 | psi_x^1>.
 
     The first-order perturbation vectors of the two auxiliary problems
@@ -284,13 +280,12 @@ def cxy_coefficient(rep: SpinRep, m: float, lam: float,
     elements are real and the y elements purely imaginary, so the overlap
     is purely imaginary and the sum below is exact.
     """
-    _, rows, _ = _transverse_elements(rep, m, lam, grid_step)
+    _, rows, _ = _transverse_elements(rep, m, lam)
     return float(sum(-x * y / gap**2 for gap, x, y in rows))
 
 
 def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
-                       eta_of_t=None, quad_points: int = 4097,
-                       grid_step: float = 0.01):
+                       eta_of_t=None, quad_points: int = 4097):
     """Rotating-frame longitudinal dynamical phase and its O(eta) part.
 
     Returns ``(full, first_order)`` where
@@ -314,16 +309,8 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
     bs = np.array([schedule.b(t) for t in ts])
     lams = np.array([schedule.lam(t) for t in ts])
 
-    tracker = SpectrumTracker(rep, grid_step=grid_step)
-    full_integrand = np.empty(ts.size)
-    for i in range(ts.size):
-        spec = tracker.advance(lams[i] / (1.0 - etas[i]))
-        full_integrand[i] = -bs[i] * (1.0 - etas[i]) * spec.energy(m)
-    full = float(simpson(full_integrand, x=ts))
-
-    tracker = SpectrumTracker(rep, grid_step=grid_step)
-    p_integrand = np.empty(ts.size)
-    for i in range(ts.size):
-        p_integrand[i] = bs[i] * etas[i] * tracker.advance(lams[i]).polarization(m)
-    first_order = float(simpson(p_integrand, x=ts))
+    energies, _ = _spectra(rep, lams / (1.0 - etas))
+    full = float(simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)],
+                         x=ts))
+    first_order = float(simpson(bs * etas * _polarizations(rep, m, lams), x=ts))
     return full, first_order

@@ -119,6 +119,18 @@ def test_gauge_field_sphere():
             gauge_field_sphere(S2, 0.0, bad)
 
 
+@pytest.mark.parametrize("rep,factor", [(S1, 1.0), (S2, 9.0)])
+def test_gauge_field_sphere_near_poles(rep, factor):
+    # the outermost points of `gauge-sphere --n 361`, where |lambda| = 230;
+    # for m = +-1, p = m / sqrt(1 + factor cot^2) in closed form
+    thetas = np.linspace(0.0, np.pi, 363)[1:-1]
+    for tt in (thetas[0], thetas[-1]):
+        assert abs(2.0 / np.tan(tt)) > 229.0
+        for m in (1.0, -1.0):
+            want = m * (-1.0 + 1.0 / np.sqrt(1.0 + factor / np.tan(tt) ** 2))
+            assert abs(gauge_field_sphere(rep, m, tt) - want) < 1e-12
+
+
 def test_gauge_field_sphere_nonmonotone_for_s2():
     # the m = 0 curve rises from 0 toward +1 and returns to 0 at the pole side
     grid = np.linspace(0.55 * np.pi, 0.98 * np.pi, 40)

@@ -243,6 +243,19 @@ def test_mirror_static_schedule():
     assert res.extracted_phase == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cycle_reference_continuous_through_parent_zero():
+    # for S = 5/2 the m = -1/2 eigenvector's parent component vanishes at
+    # lambda = -2, so its sign convention flips there; a ramp cycle through
+    # that point must not pick up the flip as a geometric phase of -2 pi
+    from spinberry.schedules import Segment, from_segments
+    sched = from_segments([Segment(kind="ramp", duration=60.0, lambda_to=-2.2),
+                           Segment(kind="ramp", duration=60.0, lambda_to=0.0)],
+                          lambda0=0.0)
+    res = run_cycle(spin_matrices(5), -0.5, sched, steps=3000)
+    assert res.leakage < 1e-3
+    assert abs(res.geometric_phase) < 0.2
+
+
 def test_mirror_solid_angle():
     sched = phi_rotation_cycle(theta0=np.pi / 3, n_phi=1, duration=480.0)
     res = mirror_phase_difference(S1, 1.0, sched, steps=48000)

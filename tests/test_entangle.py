@@ -190,6 +190,13 @@ def test_slow_cycle_keeps_sectors_clean():
     assert res.sector_leakage < 1e-6
 
 
+def test_stage_profile_rotation_end():
+    # rounding puts (t - t1) / t2 at 1 + 2e-16 at the end of the rotation
+    from spinberry.entangle import _StageProfile
+    p = _StageProfile(-0.97, 14.88410160597642, 0.52, 1, "blackman")
+    assert np.isfinite(p.alpha_dot(p.t1 + p.t2))
+
+
 def test_multiplet_vs_full_sixteen_dim():
     # the reduced multiplet evolution must match the raw 16-dim integration
     from spinberry.entangle import _StageProfile, _multiplet_run

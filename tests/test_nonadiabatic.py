@@ -162,7 +162,7 @@ def test_transverse_blowup_for_m1():
 
 def test_transverse_large_correction_flag():
     # the collapsing (m=2, m=1) doublet pushes the gap into the flag window
-    shift = transverse_second_order(S2, 1.0, 2.5, grid_step=0.02)
+    shift = transverse_second_order(S2, 1.0, 2.5)
     assert 1e-6 < shift.min_gap < 1e-2
     assert shift.large_correction
     assert np.isfinite(shift.value)
@@ -171,7 +171,7 @@ def test_transverse_large_correction_flag():
 def test_transverse_near_degeneracy_error():
     # at very large coupling the S=2 doublet (m=2, m=1) collapses
     with pytest.raises(NearDegeneracyError):
-        transverse_second_order(S2, 1.0, 60.0, grid_step=0.05)
+        transverse_second_order(S2, 1.0, 60.0)
 
 
 def test_transverse_order_of_magnitude_fig_region():

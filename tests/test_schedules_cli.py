@@ -242,6 +242,16 @@ def test_cli_cycle_rejects_bad_schedule(tmp_path):
     assert code == 1
 
 
+def test_cli_cycle_missing_schedule_file(tmp_path, capsys):
+    missing = tmp_path / "absent.sched"
+    code = main(["cycle", "--schedule", str(missing), "--spin", "2",
+                 "--m", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_entangle_short(tmp_path):
     out = tmp_path / "ent.json"
     code = main(["entangle", "--lambda0", "0.0", "--T", "2.0",
