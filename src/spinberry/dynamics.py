@@ -1,9 +1,9 @@
 """Exact time-dependent Schroedinger integration in lab and rotating frames.
 
-The integrator applies the exponential of the midpoint Hamiltonian on each
-step (second-order Magnus) through an eigendecomposition, so every step is
-exactly unitary and phases are not polluted by norm drift.  Time is in
-units of 1/(gamma_S B0) throughout.
+Every run, in either frame and in the four-spin odd blocks of
+:mod:`spinberry.entangle`, goes through one stepper, :func:`_midpoint_run`,
+whose docstring describes the scheme.  Time is in units of 1/(gamma_S B0)
+throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from scipy.integrate import simpson
 from .hamiltonian import _label_index, _spectra, labeled_spectrum
 from .pulses import PulseShape, blackman  # noqa: F401  (blackman is public API)
 from .schedules import CycleSchedule
-from .spin_algebra import EulerAngles, SpinRep, rotation_unitary
+from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
+
+# Steps diagonalized by one stacked eigh: enough to amortize the call, few
+# enough that a block's Hamiltonians and propagators stay small next to
+# the trajectory.
+_BLOCK_STEPS = 512
 
 
 @dataclass
@@ -40,65 +45,84 @@ class CycleResult:
     sz_expectation: float | None = None
     converged: bool | None = None
     convergence_error: float | None = None
-    times: np.ndarray | None = None
-    states: np.ndarray | None = None
 
 
-def _check_hermitian(h):
-    scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not Hermitian")
+def _midpoint_run(h_mid, initial, duration, steps):
+    """States at the ends of ``steps`` equal steps dt over [0, duration].
 
-
-def propagate(h_of_t, initial, duration, steps, store_trajectory=False):
-    """Midpoint-exponential propagation; returns (times, states, norm_drift).
-
-    ``states`` holds the full trajectory (including t = 0) when
-    ``store_trajectory`` is true, otherwise only the final state.
+    Each step applies exp(-i H dt) with H the Hamiltonian at the step
+    midpoint: the second-order Magnus (midpoint exponential) scheme of
+    Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), whose global
+    error falls as dt**2.  The exponential is formed from an
+    eigendecomposition, so every step is unitary to rounding and phases
+    are not polluted by norm drift.  ``h_mid(ts)`` returns the Hermitian
+    Hamiltonians at an array of midpoint times stacked along the first
+    axis; each block of ``_BLOCK_STEPS`` of them is diagonalized by one
+    stacked ``numpy.linalg.eigh`` and its steps are then applied in order.
+    Returns an array of shape (steps + 1, dim) whose row k is the state at
+    time k dt.
     """
     if steps < 2:
-        raise ValueError("steps must be at least 2")
-    psi = np.asarray(initial, dtype=complex).copy()
-    norm0 = np.linalg.norm(psi)
+        raise ValueError(f"steps must be at least 2, got {steps}")
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
     dt = duration / steps
-    times = np.linspace(0.0, duration, steps + 1)
-    states = [psi.copy()] if store_trajectory else None
-    max_drift = 0.0
-    for k in range(steps):
-        h = np.asarray(h_of_t(times[k] + 0.5 * dt))
-        _check_hermitian(h)
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
-        max_drift = max(max_drift, abs(np.linalg.norm(psi) - norm0))
-        if store_trajectory:
-            states.append(psi.copy())
-    if store_trajectory:
-        return times, np.array(states), max_drift
-    return times, psi, max_drift
+    psi = np.asarray(initial, dtype=complex)
+    states = np.empty((steps + 1, psi.size), dtype=complex)
+    states[0] = psi
+    for first in range(0, steps, _BLOCK_STEPS):
+        ts = (np.arange(first, min(first + _BLOCK_STEPS, steps)) + 0.5) * dt
+        w, u = np.linalg.eigh(h_mid(ts))
+        # whole step propagators: one matrix-vector product per step below
+        props = (u * np.exp(-1j * w * dt)[:, None, :]) @ u.conj().swapaxes(1, 2)
+        for k, prop in enumerate(props, first + 1):
+            psi = prop @ psi
+            states[k] = psi
+    return states
 
 
-def _tracked_run(h_of_t, initial, duration, steps, sz=None,
-                 store_trajectory=False):
+def _checked(h_of_t):
+    """Kernel ``h_mid`` from a caller's h(t); rejects non-Hermitian samples."""
+    def h_mid(ts):
+        h = np.array([np.asarray(h_of_t(t)) for t in ts])
+        scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+        skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        if np.any(skew > 1e-12 * scale):
+            raise ValueError("Hamiltonian is not Hermitian")
+        return h
+    return h_mid
+
+
+def _norm_drift(states):
+    """Largest deviation of the norm from its initial value along a run."""
+    norms = np.linalg.norm(states, axis=1)
+    return float(np.abs(norms - norms[0]).max())
+
+
+def _unwrapped_phase(amplitudes):
+    """Argument accumulated by a sampled amplitude, summed step by step."""
+    return float(np.cumsum(np.angle(amplitudes[1:] / amplitudes[:-1]))[-1])
+
+
+def propagate(h_of_t, initial, duration, steps):
+    """Midpoint-exponential run; returns (times, final state, norm_drift)."""
+    states = _midpoint_run(_checked(h_of_t), initial, duration, steps)
+    return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
+
+
+def _tracked_run(h_of_t, initial, duration, steps, sz=None):
     """Propagate while tracking the instantaneous eigenstate that the
     initial condition projects onto, accumulating its un-wrapped phase."""
-    psi = np.asarray(initial, dtype=complex).copy()
+    states = _midpoint_run(_checked(h_of_t), initial, duration, steps)
     dt = duration / steps
     w0, u0 = np.linalg.eigh(np.asarray(h_of_t(0.0)))
-    target = u0[:, int(np.argmax(np.abs(u0.conj().T @ psi)))]
-    overlap = np.vdot(target, psi)
+    target = u0[:, int(np.argmax(np.abs(u0.conj().T @ states[0])))]
+    overlap = np.vdot(target, states[0])
     total_phase = float(np.angle(overlap))
     dynamical = 0.0
-    norm0 = np.linalg.norm(psi)
-    drift = 0.0
-    trajectory = [psi.copy()] if store_trajectory else None
-    for k in range(steps):
-        tmid = (k + 0.5) * dt
-        h = np.asarray(h_of_t(tmid))
-        _check_hermitian(h)
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
-        drift = max(drift, abs(np.linalg.norm(psi) - norm0))
+    for k, psi in enumerate(states[1:]):
         # continue the tracked eigenstate through the midpoint and endpoint
+        w, u = np.linalg.eigh(np.asarray(h_of_t((k + 0.5) * dt)))
         j = int(np.argmax(np.abs(target.conj() @ u)))
         dynamical += -w[j] * dt
         we, ue = np.linalg.eigh(np.asarray(h_of_t((k + 1) * dt)))
@@ -111,32 +135,24 @@ def _tracked_run(h_of_t, initial, duration, steps, sz=None,
         new_overlap = np.vdot(target, psi)
         total_phase += float(np.angle(new_overlap / overlap))
         overlap = new_overlap
-        if store_trajectory:
-            trajectory.append(psi.copy())
+    psi = states[-1]
     leakage = max(0.0, 1.0 - abs(overlap) ** 2 / np.linalg.norm(psi) ** 2)
-    result = CycleResult(
+    return CycleResult(
         final_state=psi, total_phase=total_phase, dynamical_phase=dynamical,
         geometric_phase=total_phase - dynamical, leakage=float(leakage),
-        norm_drift=float(drift),
+        norm_drift=_norm_drift(states),
         sz_expectation=(float(np.real(np.vdot(psi, sz @ psi)))
                         if sz is not None else None))
-    if store_trajectory:
-        result.times = np.linspace(0.0, duration, steps + 1)
-        result.states = np.array(trajectory)
-    return result
 
 
-def evolve(h_of_t, initial, duration, steps, sz=None, convergence_tol=None,
-           store_trajectory=False):
+def evolve(h_of_t, initial, duration, steps, sz=None, convergence_tol=None):
     """Integrate i dpsi/dt = H(t) psi and compare with the tracked eigenstate.
 
-    Returns a :class:`CycleResult` (with the sampled trajectory attached
-    when ``store_trajectory`` is set).  With ``convergence_tol`` set, the
+    Returns a :class:`CycleResult`.  With ``convergence_tol`` set, the
     run is repeated at half the step size and the result carries a
     ``converged`` flag with the final-state difference.
     """
-    result = _tracked_run(h_of_t, initial, duration, steps, sz=sz,
-                          store_trajectory=store_trajectory)
+    result = _tracked_run(h_of_t, initial, duration, steps, sz=sz)
     if convergence_tol is not None:
         fine = _tracked_run(h_of_t, initial, duration, 2 * steps, sz=sz)
         err = float(np.linalg.norm(fine.final_state - result.final_state))
@@ -188,8 +204,19 @@ def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
     schedule.validate()
     if steps is None:
         steps = max(2, int(round(200 * schedule.duration)))
-    dt = schedule.duration / steps
     i = _label_index(rep, m)
+
+    def frame(t):
+        return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
+                                                 phi=schedule.phi(t),
+                                                 alpha=schedule.alpha(t)))
+
+    def h_mid(ts):
+        return np.array([lab_hamiltonian(rep, schedule, t) for t in ts])
+
+    start = frame(0.0) @ labeled_spectrum(rep, schedule.lam(0.0)).vector(m)
+    states = _midpoint_run(h_mid, start, schedule.duration, steps)
+    dt = schedule.duration / steps
     ends = dt * np.arange(steps + 1)
     mids = dt * (np.arange(steps) + 0.5)
     energies = _spectra(rep, [schedule.lam(t) for t in mids])[0][:, i]
@@ -198,36 +225,19 @@ def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
     # convention flips where the parent component passes through zero
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
     refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-
-    def frame(t):
-        return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
-                                                 phi=schedule.phi(t),
-                                                 alpha=schedule.alpha(t)))
-
-    psi = frame(0.0) @ refs[0].astype(complex)
-    overlap = 1.0 + 0.0j
-    total_phase = 0.0
-    dynamical = 0.0
-    norm0 = np.linalg.norm(psi)
-    drift = 0.0
-    for k in range(steps):
-        h = lab_hamiltonian(rep, schedule, mids[k])
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
-        drift = max(drift, abs(np.linalg.norm(psi) - norm0))
-        dynamical += -schedule.b(mids[k]) * energies[k] * dt
-        target = frame(ends[k + 1]) @ refs[k + 1].astype(complex)
-        new_overlap = np.vdot(target, psi)
-        total_phase += float(np.angle(new_overlap / overlap))
-        overlap = new_overlap
-    leakage = max(0.0, 1.0 - abs(overlap) ** 2 / np.linalg.norm(psi) ** 2)
+    tracked = np.array([np.vdot(frame(t) @ ref, psi)
+                        for t, ref, psi in zip(ends, refs, states)])
+    fields = np.array([schedule.b(t) for t in mids])
+    dynamical = float(np.cumsum(-fields * energies * dt)[-1])
+    psi = states[-1]
+    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(psi) ** 2)
     sz = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
-    total_phase += winding
+    total_phase = _unwrapped_phase(tracked) + winding
     return CycleResult(final_state=psi, total_phase=total_phase,
                        dynamical_phase=dynamical,
                        geometric_phase=total_phase - dynamical,
-                       leakage=float(leakage), norm_drift=float(drift),
+                       leakage=float(leakage), norm_drift=_norm_drift(states),
                        sz_expectation=sz)
 
 
@@ -260,33 +270,41 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
                         mirrored=mirrored)
 
 
-_PAULI_0 = np.eye(2)
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_BRANCH_TWO_S = {"S1": 2, "S2": 4}
+
+
+def _odd_doublet(two_s):
+    """Basis indices of m = (1, -1) in spin S, and Sigma_z and Sigma_x^2
+    restricted to them.  For S = 1 and 2 these two states make up the
+    whole odd parity block."""
+    rep = spin_matrices(two_s)
+    idx = [_label_index(rep, 1.0), _label_index(rep, -1.0)]
+    block = np.ix_(idx, idx)
+    return idx, rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
 
 
 def two_level_rotating_hamiltonian(s_branch: str, lam: float,
                                    lam_dot: float) -> np.ndarray:
     """Rotating-basis 2x2 Hamiltonian of an odd parity doublet under ramping.
 
-    With zeta = arctan(3 lambda / 2) for the S = 2 doublet (arctan(lambda/2)
-    for S = 1), the odd block becomes
-    offset*1 + sec(zeta) sigma_z - (zeta_dot / 2) sigma_y, where the offset
-    is (5/3) tan(zeta) for S = 2 and tan(zeta) for S = 1.
+    On the (m = 1, m = -1) doublet of spin S = 1 (``"S1"``) or S = 2
+    (``"S2"``), Sigma_z + lambda Sigma_x^2 is
+    d lambda * 1 + sigma_z + c lambda sigma_x with d = <1|Sigma_x^2|1> and
+    c = <1|Sigma_x^2|-1>, read off the spin matrices (d, c = 1/2, 1/2 for
+    S = 1 and 5/2, 3/2 for S = 2).  With tan(zeta) = c lambda, the basis
+    rotating with zeta turns it into
+    d lambda * 1 + sec(zeta) sigma_z - (zeta_dot / 2) sigma_y.
     """
-    if s_branch == "S2":
-        zeta = np.arctan(1.5 * lam)
-        zeta_dot = 6.0 * lam_dot / (9.0 * lam**2 + 4.0)
-        offset = (5.0 / 3.0) * np.tan(zeta)
-    elif s_branch == "S1":
-        zeta = np.arctan(0.5 * lam)
-        zeta_dot = 2.0 * lam_dot / (lam**2 + 4.0)
-        offset = np.tan(zeta)
-    else:
+    if s_branch not in _BRANCH_TWO_S:
         raise ValueError(f"s_branch must be 'S1' or 'S2', got {s_branch!r}")
-    return (offset * _PAULI_0 + (1.0 / np.cos(zeta)) * _PAULI_Z
-            - 0.5 * zeta_dot * _PAULI_Y)
+    _, _, sxsq = _odd_doublet(_BRANCH_TWO_S[s_branch])
+    tan_zeta = sxsq[0, 1] * lam
+    zeta = np.arctan(tan_zeta)
+    zeta_dot = sxsq[0, 1] * lam_dot / (1.0 + tan_zeta**2)
+    offset = sxsq[0, 0] * lam
+    sec_zeta = 1.0 / np.cos(zeta)
+    return np.array([[offset + sec_zeta, 0.5j * zeta_dot],
+                     [-0.5j * zeta_dot, offset - sec_zeta]])
 
 
 @dataclass(frozen=True)
@@ -306,8 +324,6 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     pulse = PulseShape(shape)
     if steps is None:
         steps = max(2, int(round(200 * duration)))
-    if duration <= 0:
-        raise ValueError("duration must be positive")
 
     def h(t):
         lam = lambda0 * pulse.fraction(t / duration)

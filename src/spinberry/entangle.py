@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .dynamics import _midpoint_run, _odd_doublet, _unwrapped_phase
 from .pulses import PulseShape
 from .spin_algebra import spin_matrices
 
@@ -236,29 +237,21 @@ class _StageProfile:
         return 0.0
 
 
-def _multiplet_run(two_s, profile, steps, sign):
-    """Rotating-frame evolution of one spin-S multiplet from its M = 1 state.
+def _odd_block_run(two_s, profile, steps, sign):
+    """Co-rotating-frame amplitudes on (M = 1, M = -1) of the spin-S
+    multiplet started in M = 1, at every step end.
 
-    Returns the final rotating-frame amplitudes and the un-wrapped phase of
-    the M = 1 amplitude along the trajectory.
+    Sigma_z + lambda Sigma_x^2 - sign alpha_dot Sigma_z conserves the
+    parity of M, so M = 1 only ever mixes with M = -1.
     """
-    rep = spin_matrices(two_s)
-    sxsq = rep.sigma_x @ rep.sigma_x
-    idx = int(round(rep.s - 1.0))
-    psi = np.zeros(rep.dim, dtype=complex)
-    psi[idx] = 1.0
-    dt = profile.total / steps
-    phase = 0.0
-    prev = psi[idx]
-    for k in range(steps):
-        t = (k + 0.5) * dt
-        h = rep.sigma_z + profile.lam(t) * sxsq - sign * profile.alpha_dot(t) * rep.sigma_z
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
-        cur = psi[idx]
-        phase += float(np.angle(cur / prev))
-        prev = cur
-    return psi, phase
+    _, sz, sxsq = _odd_doublet(two_s)
+
+    def h_mid(ts):
+        lam = np.array([profile.lam(t) for t in ts])[:, None, None]
+        eta = sign * np.array([profile.alpha_dot(t) for t in ts])[:, None, None]
+        return sz + lam * sxsq - eta * sz
+
+    return _midpoint_run(h_mid, [1.0, 0.0], profile.total, steps)
 
 
 def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
@@ -266,32 +259,34 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                      n_alpha: int = 3, shape: str = "blackman") -> EntangleResult:
     """Run the ramp / rotate / ramp cycle on the four-spin M = 1 sector.
 
-    The dynamics is integrated in the co-rotating frame within the
-    symmetry-reduced multiplets (the 5-dim S = 2 multiplet and one of the
-    three identical 3-dim S = 1 towers).  The sector phase difference is
-    extracted by the mirror-cycle subtraction, which cancels dynamical
-    phases and even-order rotation-rate corrections.  ``tune_factor``
-    stretches the two ramp stages to steer the residual dynamical-phase
-    difference (see :func:`tune_stage_stretch`).
+    The dynamics is integrated in the co-rotating frame on the M = +-1 odd
+    block of each multiplet (the S = 2 multiplet and one of the three
+    identical S = 1 towers), the only states that M = 1 ever mixes with;
+    the final amplitudes are then embedded into the 16-dim product space.
+    The sector phase difference is extracted by the mirror-cycle
+    subtraction, which cancels dynamical phases and even-order
+    rotation-rate corrections.  ``tune_factor`` stretches the two ramp
+    stages to steer the residual dynamical-phase difference (see
+    :func:`tune_stage_stretch`).
     """
-    if stage_duration <= 0:
-        raise ValueError("stage_duration must be positive")
+    if not tune_factor > 0:
+        raise ValueError(f"tune_factor must be positive, got {tune_factor}")
     profile = _StageProfile(lambda0, stage_duration, tune_factor, n_alpha, shape)
     if steps is None:
         steps = max(2, int(round(200 * profile.total)))
 
-    runs = {}
-    for sign in (+1, -1):
-        psi2, ph2 = _multiplet_run(4, profile, steps, sign)
-        psi1, ph1 = _multiplet_run(2, profile, steps, sign)
-        runs[sign] = (psi2, psi1, ph2 - ph1)
-    delta_measured = 0.5 * (runs[+1][2] - runs[-1][2])
+    runs = {sign: (_odd_block_run(4, profile, steps, sign),
+                   _odd_block_run(2, profile, steps, sign))
+            for sign in (+1, -1)}
+    differences = {sign: _unwrapped_phase(run2[:, 0]) - _unwrapped_phase(run1[:, 0])
+                   for sign, (run2, run1) in runs.items()}
+    delta_measured = 0.5 * (differences[+1] - differences[-1])
 
-    psi2, psi1, _ = runs[+1]
+    psi2, psi1 = (run[-1] for run in runs[+1])
     w2, w1 = _tower_embeddings()
-    state = w2 @ (0.5 * psi2)
+    state = w2[:, _odd_doublet(4)[0]] @ (0.5 * psi2)
     for w in w1:
-        state = state + w @ (0.5 * psi1)
+        state = state + w[:, _odd_doublet(2)[0]] @ (0.5 * psi1)
     # undo the frame rotation: each M component picks up exp(-i M alpha(T))
     _, _, sz = collective_spin()
     m_diag = np.real(np.diag(sz))
@@ -319,28 +314,14 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
 
 def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape,
                    steps_per_unit):
-    """Fidelity from the exact 2x2 odd-block dynamics (tuning workhorse).
-
-    Starting in M = 1, each multiplet stays inside its M = +-1 odd block,
-    so the overlap with the target state needs only the two 2x2 runs.
-    """
+    """Fidelity from the final M = 1 amplitudes of the two odd-block runs
+    (tuning workhorse): the target's overlap with the cycled Phi^(1) is
+    (3 a(1,1) - a(2,1)) / 4."""
     profile = _StageProfile(lambda0, stage_duration, stretch, n_alpha, shape)
     steps = max(2, int(round(steps_per_unit * profile.total)))
-    dt = profile.total / steps
-    amps = {}
-    for two_s, slope, coupling in ((4, 2.5, 1.5), (2, 0.5, 0.5)):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        for k in range(steps):
-            t = (k + 0.5) * dt
-            lam = profile.lam(t)
-            eta = profile.alpha_dot(t)
-            h = np.array([[slope * lam + 1.0 - eta, coupling * lam],
-                          [coupling * lam, slope * lam - 1.0 + eta]])
-            w, u = np.linalg.eigh(h)
-            psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
-        amps[two_s] = psi[0]
-    overlap = 0.25 * (-amps[4] + 3.0 * amps[2])
-    return abs(overlap) ** 2
+    a21, a11 = (_odd_block_run(two_s, profile, steps, +1)[-1, 0]
+                for two_s in (4, 2))
+    return abs(0.25 * (-a21 + 3.0 * a11)) ** 2
 
 
 def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,

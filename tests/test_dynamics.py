@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from spinberry import (alpha_rotation_cycle, berry_phase_adiabatic, blackman,
                        evolve, labeled_spectrum, magic_lambda,
@@ -96,6 +97,120 @@ def test_evolve_convergence_flag():
     assert res.convergence_error < 1e-5
     res_coarse = evolve(h, psi0, 5.0, steps=6, convergence_tol=1e-12)
     assert not res_coarse.converged
+
+
+def test_stepper_rejects_bad_steps_and_duration():
+    h = lambda t: HALF.sigma_z
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for steps in (1, 0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            propagate(h, psi0, 1.0, steps=steps)
+    for duration in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="duration"):
+            propagate(h, psi0, duration, steps=10)
+    with pytest.raises(ValueError, match="duration"):
+        ramp_phase(S2, -1.0, 1.0, 0.0)
+
+
+def _smooth_h(t):
+    # spin 2, complex Hermitian, with non-commuting time-dependent terms
+    return (S2.sigma_z + (0.8 + 0.5 * np.sin(t)) * (S2.sigma_x @ S2.sigma_x)
+            + 0.3 * np.cos(1.3 * t) * S2.sigma_y)
+
+
+def test_midpoint_order_of_convergence():
+    # the midpoint exponential is second order: halving the step divides
+    # the final-state error by four
+    duration = 4.0
+    psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
+    ref = solve_ivp(lambda t, y: -1j * (_smooth_h(t) @ y), (0.0, duration),
+                    psi0, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+    errors = [np.linalg.norm(propagate(_smooth_h, psi0, duration, n)[1] - ref)
+              for n in (100, 200, 400, 800)]
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios > 3.8) & (ratios < 4.2)), ratios
+
+
+# --- the stacked stepper against the per-step loop it replaced ---------------
+
+
+def _reference_trajectory(h_of_t, psi, duration, steps):
+    """One eigh and one exponential per step, applied as they come."""
+    psi = np.asarray(psi, dtype=complex)
+    dt = duration / steps
+    states = [psi]
+    for k in range(steps):
+        w, u = np.linalg.eigh(h_of_t((k + 0.5) * dt))
+        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
+        states.append(psi)
+    return states
+
+
+def _reference_cycle(rep, m, sched, steps):
+    """Final state, total and dynamical phase of run_cycle, step by step."""
+    from spinberry.hamiltonian import _label_index, _spectra
+    dt = sched.duration / steps
+    i = _label_index(rep, m)
+    ends = dt * np.arange(steps + 1)
+    mids = dt * (np.arange(steps) + 0.5)
+    energies = _spectra(rep, [sched.lam(t) for t in mids])[0][:, i]
+    refs = _spectra(rep, [sched.lam(t) for t in ends])[1][:, :, i]
+    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
+    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
+
+    def frame(t):
+        return rotation_unitary(rep, EulerAngles(sched.theta(t), sched.phi(t),
+                                                 sched.alpha(t)))
+
+    states = _reference_trajectory(lambda t: lab_hamiltonian(rep, sched, t),
+                                   frame(0.0) @ refs[0], sched.duration, steps)
+    overlap = 1.0 + 0.0j
+    total_phase = dynamical = 0.0
+    for k in range(steps):
+        dynamical += -sched.b(mids[k]) * energies[k] * dt
+        new_overlap = np.vdot(frame(ends[k + 1]) @ refs[k + 1], states[k + 1])
+        total_phase += float(np.angle(new_overlap / overlap))
+        overlap = new_overlap
+    total_phase += -m * (2 * sched.n_phi + sched.n_alpha) * np.pi
+    return states[-1], total_phase, dynamical
+
+
+@pytest.mark.parametrize("steps", [511, 513, 1537])
+def test_stepper_matches_per_step_loop(steps):
+    # step counts straddle the eigh block size, so partial blocks and block
+    # joins are both exercised
+    from spinberry.dynamics import _unwrapped_phase
+    from spinberry.entangle import _odd_block_run, _StageProfile
+    psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
+    _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
+    ref = _reference_trajectory(_smooth_h, psi0, 4.0, steps)[-1]
+    assert np.abs(psi - ref).max() < 1e-12
+
+    sched = three_stage_cycle(0.9, stage_duration=3.0)
+    res = run_cycle(S2, 1.0, sched, steps=steps)
+    ref_psi, ref_total, ref_dynamical = _reference_cycle(S2, 1.0, sched, steps)
+    assert np.abs(res.final_state - ref_psi).max() < 1e-12
+    assert abs(res.total_phase - ref_total) < 1e-12
+    assert abs(res.dynamical_phase - ref_dynamical) < 1e-12
+
+    # the odd-block run against the whole multiplet, whose M = 1 and
+    # M = -1 amplitudes it must carry
+    profile = _StageProfile(-0.97, 2.0, 0.9, 3, "blackman")
+    for two_s, rows in ((4, [1, 3]), (2, [0, 2])):
+        rep = spin_matrices(two_s)
+        for sign in (+1, -1):
+            def h(t):
+                return (rep.sigma_z + profile.lam(t) * (rep.sigma_x @ rep.sigma_x)
+                        - sign * profile.alpha_dot(t) * rep.sigma_z)
+            start = np.zeros(rep.dim, dtype=complex)
+            start[rows[0]] = 1.0
+            multiplet = np.array(_reference_trajectory(h, start, profile.total,
+                                                       steps))
+            block = _odd_block_run(two_s, profile, steps, sign)
+            assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
+            amps = multiplet[:, rows[0]]
+            ref_phase = sum(np.angle(amps[1:] / amps[:-1]))
+            assert abs(_unwrapped_phase(block[:, 0]) - ref_phase) < 1e-12
 
 
 def test_unitarity_drift_bound():

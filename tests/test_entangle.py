@@ -198,8 +198,10 @@ def test_stage_profile_rotation_end():
 
 
 def test_multiplet_vs_full_sixteen_dim():
-    # the reduced multiplet evolution must match the raw 16-dim integration
-    from spinberry.entangle import _StageProfile, _multiplet_run
+    # the odd-block runs, embedded into the multiplets, must match the raw
+    # 16-dim integration
+    from spinberry.dynamics import _odd_doublet
+    from spinberry.entangle import _odd_block_run, _StageProfile
     lam0, stage, steps = -0.8, 2.0, 3200
     profile = _StageProfile(lam0, stage, 1.0, 3, "blackman")
     sx, sy, sz = collective_spin()
@@ -214,20 +216,20 @@ def test_multiplet_vs_full_sixteen_dim():
         w, u = np.linalg.eigh(h)
         psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
     # assemble the same state from the reduced runs
-    psi2, _ = _multiplet_run(4, profile, steps, +1)
-    psi1, _ = _multiplet_run(2, profile, steps, +1)
+    psi2 = _odd_block_run(4, profile, steps, +1)[-1]
+    psi1 = _odd_block_run(2, profile, steps, +1)[-1]
     w2, w1 = _tower_embeddings()
-    rebuilt = w2 @ (0.5 * psi2)
+    rebuilt = w2[:, _odd_doublet(4)[0]] @ (0.5 * psi2)
     for w in w1:
-        rebuilt = rebuilt + w @ (0.5 * psi1)
+        rebuilt = rebuilt + w[:, _odd_doublet(2)[0]] @ (0.5 * psi1)
     assert np.abs(rebuilt - psi).max() < 1e-8
 
 
 def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
-    # amplitudes of the 5-dim multiplet run
+    # amplitudes of the S = 2 odd-block run
     from spinberry.dynamics import propagate, two_level_rotating_hamiltonian
-    from spinberry.entangle import _StageProfile, _multiplet_run
+    from spinberry.entangle import _odd_block_run, _StageProfile
     lam0, stage, steps = -0.9, 2.0, 4000
     profile = _StageProfile(lam0, stage, 1.0, 3, "blackman")
     dt = profile.total / steps
@@ -251,9 +253,9 @@ def test_two_level_block_matches_multiplet():
     zeta_end = np.arctan(1.5 * profile.lam(profile.total))
     c, s = np.cos(zeta_end / 2), np.sin(zeta_end / 2)
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
-    psi2, _ = _multiplet_run(4, profile, steps, +1)
-    assert abs(tilted_back[0] - psi2[1]) < 1e-6
-    assert abs(tilted_back[1] - psi2[3]) < 1e-6
+    psi2 = _odd_block_run(4, profile, steps, +1)[-1]
+    assert abs(tilted_back[0] - psi2[0]) < 1e-6
+    assert abs(tilted_back[1] - psi2[1]) < 1e-6
 
 
 def test_bp_target_structure():

@@ -252,6 +252,31 @@ def test_cli_cycle_missing_schedule_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--steps", "0"],
+    ["cycle", "--steps", "-3"],
+    ["entangle", "--steps", "0"],
+    ["entangle", "--steps", "-3"],
+    ["entangle", "--tune", "-1"],
+    ["entangle", "--T", "0", "--tune", "auto"],
+])
+def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
+    sched = tmp_path / "alpha.sched"
+    sched.write_text("lambda0 = 1.0\n"
+                     "segment1.kind = rotate\n"
+                     "segment1.duration = 4\n"
+                     "segment1.alpha_half_turns = 1\n")
+    required = {"cycle": ["--schedule", str(sched), "--spin", "2", "--m", "0"],
+                "entangle": ["--lambda0", "-0.97"]}[argv[0]]
+    out = tmp_path / "out.json"
+    code = main([argv[0], *required, *argv[1:], "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or out.read_text() == ""
+
+
 def test_cli_entangle_short(tmp_path):
     out = tmp_path / "ent.json"
     code = main(["entangle", "--lambda0", "0.0", "--T", "2.0",
