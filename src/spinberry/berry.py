@@ -80,12 +80,9 @@ def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
     """
     schedule.validate()
     ts = _quad_grid(schedule.duration, quad_points)
-    lams = np.array([schedule.lam(t) for t in ts])
-    p = _polarizations(rep, m, lams)
-    cos_theta = np.cos([schedule.theta(t) for t in ts])
-    phi_dot = np.array([schedule.phi_dot(t) for t in ts])
-    alpha_dot = np.array([schedule.alpha_dot(t) for t in ts])
-    integrand = -(m - p * cos_theta) * phi_dot - (m - p) * alpha_dot
+    p = _polarizations(rep, m, schedule.lam(ts))
+    integrand = (-(m - p * np.cos(schedule.theta(ts))) * schedule.phi_dot(ts)
+                 - (m - p) * schedule.alpha_dot(ts))
     value = float(simpson(integrand, x=ts))
     winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
     return BerryPhaseResult(value=value, mod_2pi=_wrap(value),
@@ -119,22 +116,15 @@ def gauge_invariance_check(rep: SpinRep, m: float, schedule: CycleSchedule,
     partial derivatives of g (taken by central differences), so only the
     added term needs to be integrated.  For admissible g (periodic in phi
     and alpha with periods 2 pi and pi) the result is quadrature noise.
+    g is called on arrays of node values; a scalar result is broadcast.
     """
     schedule.validate()
     ts = _quad_grid(schedule.duration, quad_points)
-
-    def dg_dphi(phi, theta, alpha, lam):
-        return (g(phi + fd_step, theta, alpha, lam)
-                - g(phi - fd_step, theta, alpha, lam)) / (2 * fd_step)
-
-    def dg_dalpha(phi, theta, alpha, lam):
-        return (g(phi, theta, alpha + fd_step, lam)
-                - g(phi, theta, alpha - fd_step, lam)) / (2 * fd_step)
-
-    integrand = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        args = (schedule.phi(t), schedule.theta(t), schedule.alpha(t),
-                schedule.lam(t))
-        integrand[i] = (dg_dphi(*args) * schedule.phi_dot(t)
-                        + dg_dalpha(*args) * schedule.alpha_dot(t))
-    return abs(float(simpson(integrand, x=ts)))
+    phi, theta = schedule.phi(ts), schedule.theta(ts)
+    alpha, lam = schedule.alpha(ts), schedule.lam(ts)
+    dg_dphi = (g(phi + fd_step, theta, alpha, lam)
+               - g(phi - fd_step, theta, alpha, lam)) / (2 * fd_step)
+    dg_dalpha = (g(phi, theta, alpha + fd_step, lam)
+                 - g(phi, theta, alpha - fd_step, lam)) / (2 * fd_step)
+    integrand = dg_dphi * schedule.phi_dot(ts) + dg_dalpha * schedule.alpha_dot(ts)
+    return abs(float(simpson(np.broadcast_to(integrand, ts.shape), x=ts)))

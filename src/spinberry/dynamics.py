@@ -3,7 +3,8 @@
 Every run, in either frame and in the four-spin odd blocks of
 :mod:`spinberry.entangle`, goes through one stepper, :func:`_midpoint_run`,
 whose docstring describes the scheme.  Time is in units of 1/(gamma_S B0)
-throughout.
+throughout.  Functions of time (and of angles or couplings) take scalars or
+arrays; arrays give their matrices stacked along the leading axes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.integrate import simpson
 
 from .hamiltonian import _label_index, _spectra, labeled_spectrum
 from .pulses import PulseShape, blackman  # noqa: F401  (blackman is public API)
-from .schedules import CycleSchedule
+from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
 # Steps diagonalized by one stacked eigh: enough to amortize the call, few
@@ -42,9 +43,7 @@ class CycleResult:
     geometric_phase: float
     leakage: float
     norm_drift: float
-    sz_expectation: float | None = None
-    converged: bool | None = None
-    convergence_error: float | None = None
+    sz_expectation: float
 
 
 def _midpoint_run(h_mid, initial, duration, steps):
@@ -59,8 +58,11 @@ def _midpoint_run(h_mid, initial, duration, steps):
     Hamiltonians at an array of midpoint times stacked along the first
     axis; each block of ``_BLOCK_STEPS`` of them is diagonalized by one
     stacked ``numpy.linalg.eigh`` and its steps are then applied in order.
-    Returns an array of shape (steps + 1, dim) whose row k is the state at
-    time k dt.
+    One Newton-Schulz step P (3 - P^dag P) / 2 makes each propagator
+    unitary to second order in its error: eigh's eigenvectors fall
+    slightly but systematically short of orthonormal, which would
+    otherwise build up as norm drift over thousands of steps.  Returns an
+    array of shape (steps + 1, dim) whose row k is the state at time k dt.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -70,21 +72,23 @@ def _midpoint_run(h_mid, initial, duration, steps):
     psi = np.asarray(initial, dtype=complex)
     states = np.empty((steps + 1, psi.size), dtype=complex)
     states[0] = psi
+    eye = np.eye(psi.size)
     for first in range(0, steps, _BLOCK_STEPS):
         ts = (np.arange(first, min(first + _BLOCK_STEPS, steps)) + 0.5) * dt
         w, u = np.linalg.eigh(h_mid(ts))
         # whole step propagators: one matrix-vector product per step below
         props = (u * np.exp(-1j * w * dt)[:, None, :]) @ u.conj().swapaxes(1, 2)
+        props = props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(1, 2) @ props))
         for k, prop in enumerate(props, first + 1):
             psi = prop @ psi
             states[k] = psi
     return states
 
 
-def _checked(h_of_t):
-    """Kernel ``h_mid`` from a caller's h(t); rejects non-Hermitian samples."""
+def _checked(h_of_ts):
+    """Kernel ``h_mid`` from a caller's h(ts); rejects non-Hermitian samples."""
     def h_mid(ts):
-        h = np.array([np.asarray(h_of_t(t)) for t in ts])
+        h = np.asarray(h_of_ts(ts))
         scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
         skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
         if np.any(skew > 1e-12 * scale):
@@ -104,65 +108,68 @@ def _unwrapped_phase(amplitudes):
     return float(np.cumsum(np.angle(amplitudes[1:] / amplitudes[:-1]))[-1])
 
 
-def propagate(h_of_t, initial, duration, steps):
-    """Midpoint-exponential run; returns (times, final state, norm_drift)."""
-    states = _midpoint_run(_checked(h_of_t), initial, duration, steps)
+def propagate(h_of_ts, initial, duration, steps):
+    """Midpoint-exponential run; returns (times, final state, norm_drift).
+
+    ``h_of_ts(ts)`` takes an array of times and returns the Hamiltonians
+    at those times stacked along the first axis.
+    """
+    states = _midpoint_run(_checked(h_of_ts), initial, duration, steps)
     return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
 
 
-def _tracked_run(h_of_t, initial, duration, steps, sz=None):
-    """Propagate while tracking the instantaneous eigenstate that the
-    initial condition projects onto, accumulating its un-wrapped phase."""
-    states = _midpoint_run(_checked(h_of_t), initial, duration, steps)
-    dt = duration / steps
-    w0, u0 = np.linalg.eigh(np.asarray(h_of_t(0.0)))
-    target = u0[:, int(np.argmax(np.abs(u0.conj().T @ states[0])))]
-    overlap = np.vdot(target, states[0])
-    total_phase = float(np.angle(overlap))
-    dynamical = 0.0
-    for k, psi in enumerate(states[1:]):
-        # continue the tracked eigenstate through the midpoint and endpoint
-        w, u = np.linalg.eigh(np.asarray(h_of_t((k + 0.5) * dt)))
-        j = int(np.argmax(np.abs(target.conj() @ u)))
-        dynamical += -w[j] * dt
-        we, ue = np.linalg.eigh(np.asarray(h_of_t((k + 1) * dt)))
-        je = int(np.argmax(np.abs(target.conj() @ ue)))
-        new_target = ue[:, je]
-        phase_fix = np.vdot(new_target, target)
-        if phase_fix != 0:
-            new_target = new_target * (phase_fix / abs(phase_fix))
-        target = new_target
-        new_overlap = np.vdot(target, psi)
-        total_phase += float(np.angle(new_overlap / overlap))
-        overlap = new_overlap
-    psi = states[-1]
-    leakage = max(0.0, 1.0 - abs(overlap) ** 2 / np.linalg.norm(psi) ** 2)
-    return CycleResult(
-        final_state=psi, total_phase=total_phase, dynamical_phase=dynamical,
-        geometric_phase=total_phase - dynamical, leakage=float(leakage),
-        norm_drift=_norm_drift(states),
-        sz_expectation=(float(np.real(np.vdot(psi, sz @ psi)))
-                        if sz is not None else None))
+def _tracked_result(rep: SpinRep, m: float, states, schedule: CycleSchedule,
+                    frame, winding=0.0) -> CycleResult:
+    """Phase bookkeeping of a run of the schedule against the labeled level m.
 
-
-def evolve(h_of_t, initial, duration, steps, sz=None, convergence_tol=None):
-    """Integrate i dpsi/dt = H(t) psi and compare with the tracked eigenstate.
-
-    Returns a :class:`CycleResult`.  With ``convergence_tol`` set, the
-    run is repeated at half the step size and the result carries a
-    ``converged`` flag with the final-state difference.
+    The reference at each step end is the labeled eigenvector of
+    Sigma_z + lambda Sigma_x^2 carried by the unitaries ``frame(ts)``; the
+    dynamical phase integrates b E(m, lambda) over the step midpoints.
+    ``winding`` is added to the total phase.
     """
-    result = _tracked_run(h_of_t, initial, duration, steps, sz=sz)
-    if convergence_tol is not None:
-        fine = _tracked_run(h_of_t, initial, duration, 2 * steps, sz=sz)
-        err = float(np.linalg.norm(fine.final_state - result.final_state))
-        result.converged = err < convergence_tol
-        result.convergence_error = err
-    return result
+    steps = len(states) - 1
+    dt = schedule.duration / steps
+    i = _label_index(rep, m)
+    ends = dt * np.arange(steps + 1)
+    mids = dt * (np.arange(steps) + 0.5)
+    energies = _spectra(rep, schedule.lam(mids))[0][:, i]
+    refs = _spectra(rep, schedule.lam(ends))[1][:, :, i]
+    # the phase needs a continuous reference, and the per-lambda sign
+    # convention flips where the parent component passes through zero
+    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
+    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
+    # block-wise, so the stacked frames stay small next to the trajectory
+    tracked = np.empty(steps + 1, dtype=complex)
+    for first in range(0, steps + 1, _BLOCK_STEPS):
+        block = slice(first, first + _BLOCK_STEPS)
+        vecs = (frame(ends[block]) @ refs[block, :, None])[..., 0]
+        tracked[block] = np.sum(vecs.conj() * states[block], axis=-1)
+    dynamical = float(np.cumsum(-schedule.b(mids) * energies * dt)[-1])
+    psi = states[-1]
+    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(psi) ** 2)
+    total_phase = _unwrapped_phase(tracked) + winding
+    return CycleResult(final_state=psi, total_phase=total_phase,
+                       dynamical_phase=dynamical,
+                       geometric_phase=total_phase - dynamical,
+                       leakage=float(leakage), norm_drift=_norm_drift(states),
+                       sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi))))
 
 
-def coriolis_operators(rep: SpinRep, theta: float, alpha: float):
+def _stacked(x):
+    """Scalar or array x as coefficients of (stacked) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
+    """Rotation unitaries U(R(t)) of the schedule's field axes."""
+    return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
+                                             phi=schedule.phi(t),
+                                             alpha=schedule.alpha(t)))
+
+
+def coriolis_operators(rep: SpinRep, theta, alpha):
     """Generators (D_theta, D_phi, D_alpha) of the frame rotation rates."""
+    theta, alpha = _stacked(theta), _stacked(alpha)
     d_alpha = rep.sigma_z
     d_phi = (rep.sigma_z * np.cos(theta)
              + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
@@ -171,24 +178,27 @@ def coriolis_operators(rep: SpinRep, theta: float, alpha: float):
     return d_theta, d_phi, d_alpha
 
 
-def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t: float) -> np.ndarray:
+def _reduced(rep: SpinRep, lam) -> np.ndarray:
+    """Sigma_z + lambda Sigma_x^2, stacked for array-valued lambda."""
+    return rep.sigma_z + _stacked(lam) * (rep.sigma_x @ rep.sigma_x)
+
+
+def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
     """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag."""
-    u = rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
-                                          phi=schedule.phi(t),
-                                          alpha=schedule.alpha(t)))
-    hred = rep.sigma_z + schedule.lam(t) * (rep.sigma_x @ rep.sigma_x)
-    return schedule.b(t) * (u @ hred @ u.conj().T)
+    u = _frames(rep, schedule, t)
+    return _stacked(schedule.b(t)) * (u @ _reduced(rep, schedule.lam(t))
+                                      @ u.conj().swapaxes(-1, -2))
 
 
 def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
-                               t: float) -> np.ndarray:
+                               t) -> np.ndarray:
     """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field."""
     d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t),
                                                  schedule.alpha(t))
-    hred = rep.sigma_z + schedule.lam(t) * (rep.sigma_x @ rep.sigma_x)
-    return (schedule.b(t) * hred
-            - (schedule.alpha_dot(t) * d_alpha + schedule.phi_dot(t) * d_phi
-               + schedule.theta_dot(t) * d_theta))
+    return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
+            - (_stacked(schedule.alpha_dot(t)) * d_alpha
+               + _stacked(schedule.phi_dot(t)) * d_phi
+               + _stacked(schedule.theta_dot(t)) * d_theta))
 
 
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -204,41 +214,13 @@ def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
     schedule.validate()
     if steps is None:
         steps = max(2, int(round(200 * schedule.duration)))
-    i = _label_index(rep, m)
-
-    def frame(t):
-        return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
-                                                 phi=schedule.phi(t),
-                                                 alpha=schedule.alpha(t)))
-
-    def h_mid(ts):
-        return np.array([lab_hamiltonian(rep, schedule, t) for t in ts])
-
-    start = frame(0.0) @ labeled_spectrum(rep, schedule.lam(0.0)).vector(m)
-    states = _midpoint_run(h_mid, start, schedule.duration, steps)
-    dt = schedule.duration / steps
-    ends = dt * np.arange(steps + 1)
-    mids = dt * (np.arange(steps) + 0.5)
-    energies = _spectra(rep, [schedule.lam(t) for t in mids])[0][:, i]
-    refs = _spectra(rep, [schedule.lam(t) for t in ends])[1][:, :, i]
-    # the phase needs a continuous reference, and the per-lambda sign
-    # convention flips where the parent component passes through zero
-    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
-    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-    tracked = np.array([np.vdot(frame(t) @ ref, psi)
-                        for t, ref, psi in zip(ends, refs, states)])
-    fields = np.array([schedule.b(t) for t in mids])
-    dynamical = float(np.cumsum(-fields * energies * dt)[-1])
-    psi = states[-1]
-    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(psi) ** 2)
-    sz = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
-    winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
-    total_phase = _unwrapped_phase(tracked) + winding
-    return CycleResult(final_state=psi, total_phase=total_phase,
-                       dynamical_phase=dynamical,
-                       geometric_phase=total_phase - dynamical,
-                       leakage=float(leakage), norm_drift=_norm_drift(states),
-                       sz_expectation=sz)
+    psi0 = labeled_spectrum(rep, schedule.lam(0.0)).vector(m)
+    states = _midpoint_run(lambda ts: lab_hamiltonian(rep, schedule, ts),
+                           _frames(rep, schedule, 0.0) @ psi0, schedule.duration,
+                           steps)
+    return _tracked_result(rep, m, states, schedule,
+                           lambda ts: _frames(rep, schedule, ts),
+                           winding=-m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi)
 
 
 @dataclass(frozen=True)
@@ -303,8 +285,9 @@ def two_level_rotating_hamiltonian(s_branch: str, lam: float,
     zeta_dot = sxsq[0, 1] * lam_dot / (1.0 + tan_zeta**2)
     offset = sxsq[0, 0] * lam
     sec_zeta = 1.0 / np.cos(zeta)
-    return np.array([[offset + sec_zeta, 0.5j * zeta_dot],
-                     [-0.5j * zeta_dot, offset - sec_zeta]])
+    return np.moveaxis(np.array([[offset + sec_zeta, 0.5j * zeta_dot],
+                                 [-0.5j * zeta_dot, offset - sec_zeta]]),
+                       (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -324,14 +307,10 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     pulse = PulseShape(shape)
     if steps is None:
         steps = max(2, int(round(200 * duration)))
-
-    def h(t):
-        lam = lambda0 * pulse.fraction(t / duration)
-        return rep.sigma_z + lam * (rep.sigma_x @ rep.sigma_x)
-
-    psi0 = np.zeros(rep.dim, dtype=complex)
-    psi0[labeled_spectrum(rep, 0.0).index_of(m)] = 1.0
-    _, psi, _ = propagate(h, psi0, duration, steps)
+    psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
+    _, psi, _ = propagate(
+        lambda ts: _reduced(rep, lambda0 * pulse.fraction(ts / duration)),
+        psi0, duration, steps)
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
@@ -345,25 +324,24 @@ def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
     pulse = PulseShape(shape)
     ts = np.linspace(0.0, duration,
                      quad_points + 1 if quad_points % 2 == 0 else quad_points)
-    fractions = np.array([pulse.fraction(t / duration) for t in ts])
-    energies, _ = _spectra(rep, lambda0 * fractions)
+    energies, _ = _spectra(rep, lambda0 * pulse.fraction(ts / duration))
     return float(simpson(-energies[:, _label_index(rep, m)], x=ts))
 
 
 def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
                shape: str = "blackman", steps: int | None = None) -> CycleResult:
-    """Exact phase bookkeeping of a coupling ramp (for phase-robustness checks)."""
-    pulse = PulseShape(shape)
+    """Exact phase bookkeeping of a coupling ramp (for phase-robustness checks).
+
+    The ramp is a one-segment schedule whose level labeled m is tracked as
+    in :func:`run_cycle`, with fixed field axes.
+    """
+    ramp = from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
     if steps is None:
         steps = max(2, int(round(400 * duration)))
-
-    def h(t):
-        lam = lambda0 * pulse.fraction(t / duration)
-        return rep.sigma_z + lam * (rep.sigma_x @ rep.sigma_x)
-
-    psi0 = np.zeros(rep.dim, dtype=complex)
-    psi0[labeled_spectrum(rep, 0.0).index_of(m)] = 1.0
-    return evolve(h, psi0, duration, steps, sz=rep.sigma_z)
+    psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
+    states = _midpoint_run(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
+                           steps)
+    return _tracked_result(rep, m, states, ramp, lambda ts: np.eye(rep.dim))
 
 
 def rotating_basis_transform(rep: SpinRep, lam: float) -> np.ndarray:

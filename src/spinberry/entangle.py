@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .dynamics import _midpoint_run, _odd_doublet, _unwrapped_phase
-from .pulses import PulseShape
+from .schedules import three_stage_cycle
 from .spin_algebra import spin_matrices
 
 _N_SPINS = 4
@@ -137,7 +137,7 @@ def symmetric_basis_m1() -> SymmetricBasis:
             expansion[i, j] = round(a)
     return SymmetricBasis(
         psi_21=FourSpinState(psi_21.astype(complex)),
-        psi_11=tuple(FourSpinState(t.astype(complex)) for t in towers),
+        psi_11=tuple(FourSpinState(tower.astype(complex)) for tower in towers),
         expansion=expansion)
 
 
@@ -193,7 +193,7 @@ def _tower_embeddings():
     top2[0] = 1.0  # |++++>
     w2 = lower_chain(top2, 2.0)
     basis = symmetric_basis_m1()
-    w1 = [lower_chain(t.amplitudes, 1.0) for t in basis.psi_11]
+    w1 = [lower_chain(tower.amplitudes, 1.0) for tower in basis.psi_11]
     return w2, w1
 
 
@@ -211,35 +211,10 @@ class EntangleResult:
     lambda0: float
 
 
-class _StageProfile:
-    """lambda(t) and alpha_dot(t) of the ramp / rotate / ramp sequence."""
-
-    def __init__(self, lambda0, stage_duration, stretch, n_alpha, shape):
-        self.lambda0 = lambda0
-        self.t1 = stage_duration * stretch
-        self.t2 = 2.0 * stage_duration
-        self.total = 2.0 * self.t1 + self.t2
-        self.dalpha = n_alpha * np.pi
-        self.pulse = PulseShape(shape)
-
-    def lam(self, t):
-        if t <= self.t1:
-            return self.lambda0 * self.pulse.fraction(min(t / self.t1, 1.0))
-        if t <= self.t1 + self.t2:
-            return self.lambda0
-        s = (self.total - t) / self.t1
-        return self.lambda0 * self.pulse.fraction(min(max(s, 0.0), 1.0))
-
-    def alpha_dot(self, t):
-        if self.t1 < t <= self.t1 + self.t2:
-            s = min((t - self.t1) / self.t2, 1.0)
-            return self.dalpha * self.pulse.rate(s) / self.t2
-        return 0.0
-
-
-def _odd_block_run(two_s, profile, steps, sign):
+def _odd_block_run(two_s, schedule, steps, sign):
     """Co-rotating-frame amplitudes on (M = 1, M = -1) of the spin-S
-    multiplet started in M = 1, at every step end.
+    multiplet started in M = 1, at every step end of the schedule's
+    lambda(t) and sign * alpha_dot(t).
 
     Sigma_z + lambda Sigma_x^2 - sign alpha_dot Sigma_z conserves the
     parity of M, so M = 1 only ever mixes with M = -1.
@@ -247,11 +222,11 @@ def _odd_block_run(two_s, profile, steps, sign):
     _, sz, sxsq = _odd_doublet(two_s)
 
     def h_mid(ts):
-        lam = np.array([profile.lam(t) for t in ts])[:, None, None]
-        eta = sign * np.array([profile.alpha_dot(t) for t in ts])[:, None, None]
+        lam = schedule.lam(ts)[:, None, None]
+        eta = sign * schedule.alpha_dot(ts)[:, None, None]
         return sz + lam * sxsq - eta * sz
 
-    return _midpoint_run(h_mid, [1.0, 0.0], profile.total, steps)
+    return _midpoint_run(h_mid, [1.0, 0.0], schedule.duration, steps)
 
 
 def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
@@ -269,14 +244,13 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     stages to steer the residual dynamical-phase difference (see
     :func:`tune_stage_stretch`).
     """
-    if not tune_factor > 0:
-        raise ValueError(f"tune_factor must be positive, got {tune_factor}")
-    profile = _StageProfile(lambda0, stage_duration, tune_factor, n_alpha, shape)
+    schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, tune_factor,
+                                 shape)
     if steps is None:
-        steps = max(2, int(round(200 * profile.total)))
+        steps = max(2, int(round(200 * schedule.duration)))
 
-    runs = {sign: (_odd_block_run(4, profile, steps, sign),
-                   _odd_block_run(2, profile, steps, sign))
+    runs = {sign: (_odd_block_run(4, schedule, steps, sign),
+                   _odd_block_run(2, schedule, steps, sign))
             for sign in (+1, -1)}
     differences = {sign: _unwrapped_phase(run2[:, 0]) - _unwrapped_phase(run1[:, 0])
                    for sign, (run2, run1) in runs.items()}
@@ -288,16 +262,13 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     for w in w1:
         state = state + w[:, _odd_doublet(2)[0]] @ (0.5 * psi1)
     # undo the frame rotation: each M component picks up exp(-i M alpha(T))
-    _, _, sz = collective_spin()
-    m_diag = np.real(np.diag(sz))
-    state = np.exp(-1j * m_diag * profile.dalpha) * state
-    norm = np.linalg.norm(state)
-    state = state / norm
-    final = FourSpinState(state)
+    m_diag = np.real(np.diag(collective_spin()[2]))
+    state = np.exp(-1j * m_diag * (n_alpha * np.pi)) * state
+    final = FourSpinState(state / np.linalg.norm(state))
 
     basis = symmetric_basis_m1()
     sector_pop = abs(basis.psi_21.overlap(final)) ** 2 + sum(
-        abs(t.overlap(final)) ** 2 for t in basis.psi_11)
+        abs(tower.overlap(final)) ** 2 for tower in basis.psi_11)
     leakage = max(0.0, 1.0 - sector_pop)
     if leakage > 1e-3:
         warnings.warn(f"four-spin cycle leaked {leakage:.2e} out of the "
@@ -317,9 +288,9 @@ def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape,
     """Fidelity from the final M = 1 amplitudes of the two odd-block runs
     (tuning workhorse): the target's overlap with the cycled Phi^(1) is
     (3 a(1,1) - a(2,1)) / 4."""
-    profile = _StageProfile(lambda0, stage_duration, stretch, n_alpha, shape)
-    steps = max(2, int(round(steps_per_unit * profile.total)))
-    a21, a11 = (_odd_block_run(two_s, profile, steps, +1)[-1, 0]
+    schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, stretch, shape)
+    steps = max(2, int(round(steps_per_unit * schedule.duration)))
+    a21, a11 = (_odd_block_run(two_s, schedule, steps, +1)[-1, 0]
                 for two_s in (4, 2))
     return abs(0.25 * (-a21 + 3.0 * a11)) ** 2
 

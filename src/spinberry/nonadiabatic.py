@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from .berry import _polarizations
+from .berry import _polarizations, _quad_grid
 from .hamiltonian import _label_index, _spectra, labeled_spectrum, polarization
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
@@ -296,18 +296,18 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
     The first-order part equals the geometric phase minus the winding term
     whenever ``eta_of_t`` is the rotation-rate ratio of the schedule itself
     (the default).  Supplying ``eta_of_t`` explicitly allows reversed or
-    rescaled rotation rates without rebuilding the schedule.
+    rescaled rotation rates without rebuilding the schedule.  It is
+    called on the array of quadrature nodes; a scalar result is broadcast.
     """
     schedule.validate()
     if eta_of_t is None:
         eta_of_t = schedule.eta
-    ts = np.linspace(0.0, schedule.duration,
-                     quad_points + 1 if quad_points % 2 == 0 else quad_points)
-    etas = np.array([eta_of_t(t) for t in ts])
+    ts = _quad_grid(schedule.duration, quad_points)
+    etas = np.broadcast_to(np.asarray(eta_of_t(ts), dtype=float), ts.shape)
     if np.any(np.abs(etas) >= 1.0):
         raise ValueError("|eta(t)| must stay below 1 on the whole cycle")
-    bs = np.array([schedule.b(t) for t in ts])
-    lams = np.array([schedule.lam(t) for t in ts])
+    bs = schedule.b(ts)
+    lams = schedule.lam(ts)
 
     energies, _ = _spectra(rep, lams / (1.0 - etas))
     full = float(simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)],

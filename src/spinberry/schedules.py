@@ -12,12 +12,16 @@ Time is measured in units of 1/(gamma_S B0) everywhere.
 Schedules are built from segment lists (ramp / rotate / hold), from
 tabulated samples (cubic-spline interpolated), or loaded from a flat
 key-value text file; see :func:`from_file` for the format.
+
+Every time-dependent field takes a time t or an array of times and returns
+a value of the same shape; a scalar t gives a numpy scalar.  Callers
+evaluate a whole time grid in one call.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -32,7 +36,12 @@ class ScheduleError(ValueError):
 
 def _const(value):
     v = float(value)
-    return lambda t: v
+    return lambda t: np.full(np.shape(t), v)[()]
+
+
+def _unwrapped(f):
+    """f with a 0-d array result returned as a numpy scalar."""
+    return lambda t: f(t)[()]
 
 
 @dataclass(frozen=True)
@@ -118,32 +127,35 @@ class Segment:
 class _PiecewiseParam:
     """Value/rate of one parameter across a segment list."""
 
-    def __init__(self, starts, durations, base_values, deltas, shapes):
-        self.starts = starts
-        self.durations = durations
-        self.base_values = base_values
-        self.deltas = deltas
-        self.shapes = shapes
+    def __init__(self, starts, durations, base_values, deltas, kinds):
+        self.starts = np.asarray(starts, dtype=float)
+        self.durations = np.asarray(durations, dtype=float)
+        self.base_values = np.asarray(base_values, dtype=float)
+        self.deltas = np.asarray(deltas, dtype=float)
+        self.kinds = np.array(kinds)
+        self.pulses = {kind: PulseShape(kind) for kind in kinds}
         self.total = starts[-1] + durations[-1]
 
-    def _locate(self, t):
-        t = min(max(t, 0.0), self.total)
-        i = bisect.bisect_right(self.starts, t) - 1
-        i = max(0, min(i, len(self.starts) - 1))
-        s = (t - self.starts[i]) / self.durations[i]
-        return i, min(max(s, 0.0), 1.0)
+    def _shaped(self, method, t):
+        """Segment index of each time, and the pulse ``method`` of that
+        segment at the time's fraction of it (times clamped to [0, T])."""
+        t = np.clip(t, 0.0, self.total)
+        i = np.clip(np.searchsorted(self.starts, t, side="right") - 1,
+                    0, len(self.starts) - 1)
+        s = np.clip((t - self.starts[i]) / self.durations[i], 0.0, 1.0)
+        out = np.empty(np.shape(s))
+        for kind, pulse in self.pulses.items():
+            sel = self.kinds[i] == kind
+            out[sel] = getattr(pulse, method)(s[sel])
+        return i, out
 
     def value(self, t):
-        i, s = self._locate(t)
-        if self.deltas[i] == 0.0:
-            return self.base_values[i]
-        return self.base_values[i] + self.deltas[i] * self.shapes[i].fraction(s)
+        i, fraction = self._shaped("fraction", t)
+        return (self.base_values[i] + self.deltas[i] * fraction)[()]
 
     def rate(self, t):
-        i, s = self._locate(t)
-        if self.deltas[i] == 0.0:
-            return 0.0
-        return self.deltas[i] * self.shapes[i].rate(s) / self.durations[i]
+        i, rate = self._shaped("rate", t)
+        return (self.deltas[i] * rate / self.durations[i])[()]
 
 
 def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
@@ -152,24 +164,21 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
     """Assemble a schedule from a list of :class:`Segment`."""
     if not segments:
         raise ScheduleError("need at least one segment")
-    starts, durations = [], []
-    t = 0.0
-    for seg in segments:
-        starts.append(t)
-        durations.append(seg.duration)
-        t += seg.duration
+    durations = [seg.duration for seg in segments]
+    starts = list(accumulate(durations[:-1], initial=0.0))
+    t = starts[-1] + durations[-1]
 
     def build(initial, delta_of):
         # delta_of(seg, value) -> change over the segment given the running value
-        bases, deltas, shapes = [], [], []
+        bases, deltas = [], []
         value = initial
         for seg in segments:
             d = delta_of(seg, value)
             bases.append(value)
             deltas.append(d)
-            shapes.append(PulseShape(seg.shape))
             value += d
-        return _PiecewiseParam(starts, durations, bases, deltas, shapes)
+        return _PiecewiseParam(starts, durations, bases, deltas,
+                               [seg.shape for seg in segments])
 
     lam = build(lambda0, lambda seg, v: float(seg.lambda_to) - v
                 if seg.kind == "ramp" else 0.0)
@@ -207,8 +216,8 @@ def three_stage_cycle(lambda0: float, stage_duration: float, n_alpha: int = 3,
                       stretch: float = 1.0, shape: str = "blackman") -> CycleSchedule:
     """Ramp to lambda0, rotate alpha by n_alpha * pi over twice the stage
     time, ramp back.  ``stretch`` scales the two ramp durations."""
-    if stretch <= 0:
-        raise ScheduleError("stretch must be positive")
+    if not stretch > 0:
+        raise ScheduleError(f"stretch must be positive, got {stretch}")
     segs = [
         Segment(kind="ramp", duration=stage_duration * stretch, shape=shape,
                 lambda_to=lambda0),
@@ -249,25 +258,18 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
                 f"(curvature {curv.max():.3g} > {bound:.3g})")
 
     t0 = t[0]
+    if b is not None:
+        columns["b"] = np.asarray(b, float)
     splines = {k: CubicSpline(t - t0, v, bc_type="not-a-knot")
                for k, v in columns.items()}
-    rates = {k: sp.derivative() for k, sp in splines.items()}
-    if b is None:
-        b_fun = _const(1.0)
-    else:
-        b_spline = CubicSpline(t - t0, np.asarray(b, float), bc_type="not-a-knot")
-        b_fun = lambda x: float(b_spline(x))
-
-    def as_scalar(f):
-        return lambda x: float(f(x))
-
+    value = {k: _unwrapped(sp) for k, sp in splines.items()}
+    rate = {k: _unwrapped(sp.derivative()) for k, sp in splines.items()}
     return CycleSchedule(
         duration=float(T),
-        theta=as_scalar(splines["theta"]), phi=as_scalar(splines["phi"]),
-        alpha=as_scalar(splines["alpha"]), lam=as_scalar(splines["lambda"]),
-        theta_dot=as_scalar(rates["theta"]), phi_dot=as_scalar(rates["phi"]),
-        alpha_dot=as_scalar(rates["alpha"]), lam_dot=as_scalar(rates["lambda"]),
-        n_phi=n_phi, n_alpha=n_alpha, b=b_fun)
+        theta=value["theta"], phi=value["phi"], alpha=value["alpha"],
+        lam=value["lambda"], theta_dot=rate["theta"], phi_dot=rate["phi"],
+        alpha_dot=rate["alpha"], lam_dot=rate["lambda"],
+        n_phi=n_phi, n_alpha=n_alpha, b=value.get("b", _const(1.0)))
 
 
 def from_dict(entries: dict) -> CycleSchedule:

@@ -15,14 +15,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """z-y-z Euler angles; theta restricted to [0, pi], the others may wind."""
+    """z-y-z Euler angles; theta restricted to [0, pi], the others may wind.
+    Arrays of angles (broadcast together) describe one rotation per entry."""
 
-    theta: float
-    phi: float
-    alpha: float
+    theta: float | np.ndarray
+    phi: float | np.ndarray
+    alpha: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
+        if not np.all((self.theta >= 0.0) & (self.theta <= np.pi)):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
@@ -87,13 +88,15 @@ def rotation_unitary(rep: SpinRep, angles: EulerAngles) -> np.ndarray:
 
     The two z-factors are diagonal; the y-factor comes from the cached
     eigendecomposition of Sigma_y, so the result is unitary to rounding.
+    Array-valued angles give the unitaries stacked along the leading axes.
     """
     m = rep.m_values
-    left = np.exp(-1j * m * angles.phi)
-    right = np.exp(-1j * m * angles.alpha)
+    left = np.exp(np.multiply.outer(angles.phi, -1j * m))
+    right = np.exp(np.multiply.outer(angles.alpha, -1j * m))
     w, v = rep.sy_eigensystem()
-    mid = (v * np.exp(-1j * w * angles.theta)) @ v.conj().T
-    return left[:, None] * mid * right[None, :]
+    mid = v * np.exp(np.multiply.outer(angles.theta, -1j * w))[..., None, :]
+    mid = mid @ v.conj().T
+    return left[..., :, None] * mid * right[..., None, :]
 
 
 def rotation_matrix_3d(angles: EulerAngles) -> np.ndarray:

@@ -346,9 +346,9 @@ def test_criterion_12_rotating_vs_lab():
     sched = sb.three_stage_cycle(0.5, stage_duration=2.0, n_alpha=2)
     steps = 80000
     psi0 = sb.labeled_spectrum(S1, 0.0).vector(1.0).astype(complex)
-    _, lab, _ = propagate(lambda t: lab_hamiltonian(S1, sched, t), psi0,
+    _, lab, _ = propagate(lambda ts: lab_hamiltonian(S1, sched, ts), psi0,
                           sched.duration, steps)
-    _, rot, _ = propagate(lambda t: rotating_frame_hamiltonian(S1, sched, t),
+    _, rot, _ = propagate(lambda ts: rotating_frame_hamiltonian(S1, sched, ts),
                           psi0, sched.duration, steps)
     u = rotation_unitary(S1, EulerAngles(sched.theta(sched.duration),
                                          sched.phi(sched.duration),

@@ -5,7 +5,8 @@ import pytest
 
 from spinberry import (FourSpinState, closed_form_delta_beta,
                        collective_hamiltonian, entangling_cycle,
-                       lambda_max_solve, symmetric_basis_m1)
+                       lambda_max_solve, symmetric_basis_m1,
+                       three_stage_cycle)
 from spinberry.entangle import (_one_flip_states, _tower_embeddings,
                                 bp_target_state, collective_spin,
                                 permutation_operator)
@@ -192,32 +193,31 @@ def test_slow_cycle_keeps_sectors_clean():
 
 def test_stage_profile_rotation_end():
     # rounding puts (t - t1) / t2 at 1 + 2e-16 at the end of the rotation
-    from spinberry.entangle import _StageProfile
-    p = _StageProfile(-0.97, 14.88410160597642, 0.52, 1, "blackman")
-    assert np.isfinite(p.alpha_dot(p.t1 + p.t2))
+    stage, stretch = 14.88410160597642, 0.52
+    sched = three_stage_cycle(-0.97, stage, n_alpha=1, stretch=stretch)
+    assert np.isfinite(sched.alpha_dot(stage * stretch + 2.0 * stage))
 
 
 def test_multiplet_vs_full_sixteen_dim():
     # the odd-block runs, embedded into the multiplets, must match the raw
     # 16-dim integration
     from spinberry.dynamics import _odd_doublet
-    from spinberry.entangle import _odd_block_run, _StageProfile
+    from spinberry.entangle import _odd_block_run
     lam0, stage, steps = -0.8, 2.0, 3200
-    profile = _StageProfile(lam0, stage, 1.0, 3, "blackman")
+    sched = three_stage_cycle(lam0, stage, n_alpha=3)
     sx, sy, sz = collective_spin()
     sxsq = (sx @ sx).real
-    basis = symmetric_basis_m1()
     phi1 = _one_flip_states()[0].astype(complex)
-    dt = profile.total / steps
+    dt = sched.duration / steps
+    mids = dt * (np.arange(steps) + 0.5)
     psi = phi1.copy()
-    for k in range(steps):
-        t = (k + 0.5) * dt
-        h = sz.real + profile.lam(t) * sxsq - profile.alpha_dot(t) * sz.real
+    for lam, alpha_dot in zip(sched.lam(mids), sched.alpha_dot(mids)):
+        h = sz.real + lam * sxsq - alpha_dot * sz.real
         w, u = np.linalg.eigh(h)
         psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
     # assemble the same state from the reduced runs
-    psi2 = _odd_block_run(4, profile, steps, +1)[-1]
-    psi1 = _odd_block_run(2, profile, steps, +1)[-1]
+    psi2 = _odd_block_run(4, sched, steps, +1)[-1]
+    psi1 = _odd_block_run(2, sched, steps, +1)[-1]
     w2, w1 = _tower_embeddings()
     rebuilt = w2[:, _odd_doublet(4)[0]] @ (0.5 * psi2)
     for w in w1:
@@ -229,31 +229,25 @@ def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
     # amplitudes of the S = 2 odd-block run
     from spinberry.dynamics import propagate, two_level_rotating_hamiltonian
-    from spinberry.entangle import _odd_block_run, _StageProfile
+    from spinberry.entangle import _odd_block_run
     lam0, stage, steps = -0.9, 2.0, 4000
-    profile = _StageProfile(lam0, stage, 1.0, 3, "blackman")
-    dt = profile.total / steps
+    sched = three_stage_cycle(lam0, stage, n_alpha=3)
 
-    def lam_dot(t):
-        # finite-difference rate of the stage profile (piecewise smooth)
-        h = 1e-7
-        return (profile.lam(min(t + h, profile.total))
-                - profile.lam(max(t - h, 0.0))) / (2 * h)
-
-    def h_two(t):
-        base = two_level_rotating_hamiltonian("S2", profile.lam(t), lam_dot(t))
-        zeta = np.arctan(1.5 * profile.lam(t))
-        eta = profile.alpha_dot(t)
+    def h_two(ts):
+        lam = sched.lam(ts)
+        base = two_level_rotating_hamiltonian("S2", lam, sched.lam_dot(ts))
+        zeta = np.arctan(1.5 * lam)[:, None, None]
+        eta = sched.alpha_dot(ts)[:, None, None]
         tilt = np.cos(zeta) * np.array([[1, 0], [0, -1]]) \
             - np.sin(zeta) * np.array([[0, 1], [1, 0]])
         return base - eta * tilt
 
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    _, rot, _ = propagate(h_two, psi0, profile.total, steps)
-    zeta_end = np.arctan(1.5 * profile.lam(profile.total))
+    _, rot, _ = propagate(h_two, psi0, sched.duration, steps)
+    zeta_end = np.arctan(1.5 * sched.lam(sched.duration))
     c, s = np.cos(zeta_end / 2), np.sin(zeta_end / 2)
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
-    psi2 = _odd_block_run(4, profile, steps, +1)[-1]
+    psi2 = _odd_block_run(4, sched, steps, +1)[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
     assert abs(tilted_back[1] - psi2[1]) < 1e-6
 

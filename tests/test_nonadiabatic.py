@@ -222,7 +222,7 @@ def test_cxy_frozen_oracles():
 
 def test_longitudinal_phase_eta_zero():
     sched = alpha_rotation_cycle(0.8, n_alpha=1, duration=10.0)
-    full, first = longitudinal_phase(S2, 0.0, sched, eta_of_t=lambda t: 0.0)
+    full, first = longitudinal_phase(S2, 0.0, sched, eta_of_t=lambda ts: 0.0)
     assert first == 0.0
     # full reduces to -int E dt = -E * T at constant coupling
     from spinberry import labeled_spectrum
@@ -247,7 +247,7 @@ def test_magic_cancellation_of_odd_orders():
                                  shape="linear")
     full_p, _ = longitudinal_phase(S2, 0.0, sched)
     full_m, _ = longitudinal_phase(S2, 0.0, sched,
-                                   eta_of_t=lambda t: -sched.eta(t))
+                                   eta_of_t=lambda ts: -sched.eta(ts))
     odd_part = 0.5 * (full_p - full_m)
     beta = berry_phase_adiabatic(S2, 0.0, sched)
     assert abs(odd_part - (beta.value - beta.winding_phase)) < 1e-9
@@ -260,7 +260,7 @@ def test_off_magic_residual_matches_q_eta_squared():
                                  shape="linear")
     full_p, _ = longitudinal_phase(S2, 0.0, sched)
     full_m, _ = longitudinal_phase(S2, 0.0, sched,
-                                   eta_of_t=lambda t: -sched.eta(t))
+                                   eta_of_t=lambda ts: -sched.eta(ts))
     odd_part = 0.5 * (full_p - full_m)
     beta = berry_phase_adiabatic(S2, 0.0, sched)
     residual = odd_part - (beta.value - beta.winding_phase)
@@ -271,7 +271,7 @@ def test_off_magic_residual_matches_q_eta_squared():
 def test_longitudinal_phase_rejects_unit_eta():
     sched = alpha_rotation_cycle(0.5, n_alpha=1, duration=2.0, shape="linear")
     with pytest.raises(ValueError):
-        longitudinal_phase(S2, 0.0, sched, eta_of_t=lambda t: 1.0)
+        longitudinal_phase(S2, 0.0, sched, eta_of_t=lambda ts: 1.0)
 
 
 # --- Coriolis parameter bundle ----------------------------------------------

@@ -1,3 +1,4 @@
+import bisect
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinberry.cli import main
+from spinberry.pulses import PulseShape, blackman, blackman_integral
 from spinberry.schedules import (ScheduleError, Segment, from_dict, from_file,
                                  from_segments, from_table, three_stage_cycle)
 
@@ -116,6 +118,89 @@ def test_tabulated_schedule_and_smoothness_guard():
     with pytest.raises(ScheduleError):
         from_table(t, theta=np.zeros_like(t), phi=np.zeros_like(t),
                    alpha=kinked, lam=np.zeros_like(t))
+
+
+# --- array evaluation -----------------------------------------------------------
+
+FIELDS = ("theta", "phi", "alpha", "lam", "theta_dot", "phi_dot", "alpha_dot",
+          "lam_dot", "b")
+
+
+def _bisect_eval(param, t, method):
+    """One scalar time through the bisect lookup that array evaluation replaced."""
+    starts = list(param.starts)
+    t = min(max(t, 0.0), param.total)
+    i = max(0, min(bisect.bisect_right(starts, t) - 1, len(starts) - 1))
+    s = min(max((t - starts[i]) / param.durations[i], 0.0), 1.0)
+    pulse = PulseShape(str(param.kinds[i]))
+    if method == "value":
+        if param.deltas[i] == 0.0:
+            return param.base_values[i]
+        return param.base_values[i] + param.deltas[i] * pulse.fraction(s)
+    if param.deltas[i] == 0.0:
+        return 0.0
+    return param.deltas[i] * pulse.rate(s) / param.durations[i]
+
+
+def _assert_array_matches_scalar(sched, ts):
+    for name in FIELDS:
+        field = getattr(sched, name)
+        values = field(ts)
+        assert values.shape == ts.shape, name
+        scalars = [field(t) for t in ts]
+        assert all(type(v) is np.float64 for v in scalars), name
+        assert np.array_equal(values, scalars), name
+    assert np.array_equal(sched.eta(ts), [sched.eta(t) for t in ts])
+
+
+def test_segment_schedule_array_matches_scalar_and_bisect():
+    segs = [Segment(kind="ramp", duration=3.0, shape="linear", lambda_to=0.7),
+            Segment(kind="hold", duration=1.5),
+            Segment(kind="rotate", duration=4.0, phi_turns=1, alpha_half_turns=2),
+            Segment(kind="ramp", duration=2.5, lambda_to=-0.3),
+            Segment(kind="rotate", duration=2.0, shape="linear",
+                    alpha_half_turns=-1),
+            Segment(kind="ramp", duration=1.0, shape="linear", lambda_to=0.0)]
+    sched = from_segments(segs, theta0=0.8, b=1.3)
+    joints = np.cumsum([0.0] + [seg.duration for seg in segs])
+    # exact segment boundaries, the clamped ends beyond [0, T], and a grid
+    ts = np.concatenate([joints, [-1.0, -1e-300, 14.0 + 1e-9, 20.0],
+                         np.linspace(-0.5, 14.5, 601)])
+    _assert_array_matches_scalar(sched, ts)
+    for name, method in (("lam", "value"), ("phi", "value"), ("alpha", "value"),
+                         ("lam_dot", "rate"), ("phi_dot", "rate"),
+                         ("alpha_dot", "rate")):
+        param = getattr(sched, name).__self__
+        want = [_bisect_eval(param, t, method) for t in ts]
+        assert np.array_equal(getattr(sched, name)(ts), want), name
+    mirror = sched.mirror().scaled_field(2.0)
+    _assert_array_matches_scalar(mirror, ts)
+
+
+def test_table_schedule_array_matches_scalar():
+    t = np.linspace(0.0, 10.0, 41)
+    sched = from_table(t, theta=0.4 + 0.1 * np.sin(2 * np.pi * t / 10),
+                       phi=2 * np.pi * t / 10, alpha=np.zeros_like(t),
+                       lam=0.5 * np.sin(np.pi * t / 10) ** 2,
+                       b=1.0 + 0.2 * np.cos(2 * np.pi * t / 10), n_phi=1)
+    sched.validate()
+    _assert_array_matches_scalar(sched, np.concatenate([t, np.linspace(0, 10, 97)]))
+
+
+@pytest.mark.parametrize("fn", [blackman, blackman_integral,
+                                PulseShape("linear").fraction,
+                                PulseShape("linear").rate,
+                                PulseShape("blackman").fraction,
+                                PulseShape("blackman").rate])
+def test_pulses_reject_out_of_range_anywhere(fn):
+    good = np.linspace(0.0, 1.0, 7)
+    assert fn(good).shape == good.shape
+    assert np.array_equal(fn(good), [fn(s) for s in good])
+    for bad in (1.0 + 1e-12, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="fraction"):
+            fn(np.concatenate([good, [bad], good]))
+        with pytest.raises(ValueError, match="fraction"):
+            fn(bad)
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -232,14 +317,24 @@ def test_cli_cycle(tmp_path):
     assert float(data["leakage"]) < 1e-3
 
 
-def test_cli_cycle_rejects_bad_schedule(tmp_path):
-    sched = tmp_path / "open.sched"
-    sched.write_text("segment1.kind = ramp\n"
-                     "segment1.duration = 10\n"
-                     "segment1.lambda_to = 0.5\n")
+@pytest.mark.parametrize("text", [
+    "segment1.kind = rotate\nsegment1.duration = ten\nsegment1.alpha_half_turns = 1\n",
+    "segment1.kind = rotate\nsegment1.duration = 4\nsegment1.shape = welch\n"
+    "segment1.alpha_half_turns = 1\n",
+    "segment1.kind = ramp\nsegment1.duration = 10\nsegment1.lambda_to = 0.5\n",
+    "segment1.kind = rotate\nsegment1.duration = nan\nsegment1.alpha_half_turns = 1\n",
+], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration"])
+def test_cli_cycle_rejects_bad_schedule(text, tmp_path, capsys):
+    sched = tmp_path / "bad.sched"
+    sched.write_text(text)
+    out = tmp_path / "x.json"
     code = main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0",
-                 "--out", str(tmp_path / "x.json")])
+                 "--out", str(out)])
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_cycle_missing_schedule_file(tmp_path, capsys):

@@ -156,3 +156,26 @@ def test_theta_range_enforced():
         EulerAngles(theta=-0.1, phi=0.0, alpha=0.0)
     with pytest.raises(ValueError):
         EulerAngles(theta=3.5, phi=0.0, alpha=0.0)
+    # an out-of-range entry anywhere in an array of angles is caught too
+    thetas = np.array([0.2, np.pi, np.pi + 1e-9, 1.0])
+    with pytest.raises(ValueError):
+        EulerAngles(theta=thetas, phi=0.0, alpha=0.0)
+    with pytest.raises(ValueError):
+        EulerAngles(theta=np.array([0.3, np.nan]), phi=0.0, alpha=0.0)
+
+
+@pytest.mark.parametrize("two_s", [1, 4, 5])
+def test_stacked_rotation_unitaries(two_s):
+    # array-valued angles give the stack of the one-rotation unitaries
+    rep = spin_matrices(two_s)
+    rng = np.random.default_rng(two_s)
+    theta = rng.uniform(0.0, np.pi, 9)
+    phi, alpha = rng.uniform(-7.0, 7.0, (2, 9))
+    stack = rotation_unitary(rep, EulerAngles(theta, phi, alpha))
+    assert stack.shape == (9, rep.dim, rep.dim)
+    for k in range(9):
+        one = rotation_unitary(rep, EulerAngles(theta[k], phi[k], alpha[k]))
+        assert np.abs(stack[k] - one).max() < 1e-15
+    # a scalar theta broadcasts against arrays of phi and alpha
+    fixed = rotation_unitary(rep, EulerAngles(0.7, phi, alpha))
+    assert np.abs(fixed[3] - rotation_unitary(rep, EulerAngles(0.7, phi[3], alpha[3]))).max() < 1e-15
