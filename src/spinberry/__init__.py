@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 from .berry import (BerryPhaseResult, GaugeField, berry_phase_adiabatic,
                     gauge_field, gauge_field_sphere, gauge_invariance_check)
-from .dynamics import (CycleResult, MirrorResult, RampResult,
+from .dynamics import (CycleResult, LeakageWarning, MirrorResult, RampResult,
                        mirror_phase_difference, ramp_fidelity, run_cycle,
                        rotating_basis_transform, two_level_rotating_hamiltonian)
 from .entangle import (DeltaBeta, EntangleResult, FourSpinState,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
-from .dynamics import mirror_phase_difference, ramp_fidelity
+from .dynamics import STEPS_PER_UNIT, mirror_phase_difference, ramp_fidelity
 from .entangle import entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
 from .nonadiabatic import delta_p, magic_lambda, magic_lambda_fit, \
@@ -25,6 +25,8 @@ from .schedules import ScheduleError, from_file
 from .spin_algebra import spin_matrices
 
 _HEADER_UNITS = "time in 1/(gamma_S*B0); phases in radians; energies reduced"
+_STEPS_HELP = (f"integration steps per run (default: {STEPS_PER_UNIT} per "
+              f"unit time; raise it for large spins or couplings)")
 
 
 def _fmt(x) -> str:
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=("linear", "blackman"), default="blackman")
     p.add_argument("--T", type=_float_list, required=True,
                    help="comma-separated ramp durations")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     add_common(p)
     p.set_defaults(func=cmd_ramp)
 
@@ -276,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True, help="schedule file path")
     p.add_argument("--spin", type=_parse_spin, required=True)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     add_common(p)
     p.set_defaults(func=cmd_cycle)
 
     p = sub.add_parser("entangle", help="four-spin entangling cycle")
     p.add_argument("--lambda0", type=float, required=True)
     p.add_argument("--T", type=float, default=25.0, help="stage duration")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     p.add_argument("--tune", default="1.0",
                    help="ramp-stretch factor, or 'auto' to optimize")
     add_common(p)

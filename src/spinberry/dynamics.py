@@ -1,10 +1,12 @@
 """Exact time-dependent Schroedinger integration in lab and rotating frames.
 
 Every run, in either frame and in the four-spin odd blocks of
-:mod:`spinberry.entangle`, goes through one stepper, :func:`_midpoint_run`,
-whose docstring describes the scheme.  Time is in units of 1/(gamma_S B0)
-throughout.  Functions of time (and of angles or couplings) take scalars or
-arrays; arrays give their matrices stacked along the leading axes.
+:mod:`spinberry.entangle`, goes through one fourth-order Magnus stepper,
+:func:`_magnus_run`, whose docstring describes the scheme, by default at
+``STEPS_PER_UNIT`` steps per unit time.  Time is in units of
+1/(gamma_S B0) throughout.  Functions of time (and of angles or
+couplings) take scalars or arrays; arrays give their matrices stacked
+along the leading axes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 # enough that a block's Hamiltonians and propagators stay small next to
 # the trajectory.
 _BLOCK_STEPS = 512
+
+# Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _magnus_run).
+_C_MINUS, _C_PLUS = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
+_A_MINUS, _A_PLUS = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
+
+# The one default step density of every run (steps per unit time).
+STEPS_PER_UNIT = 25
+
+
+class LeakageWarning(UserWarning):
+    """A run left ``leakage`` of its population outside the tracked level
+    (or symmetry sectors), more than the ``bound`` its result trusts."""
+
+    def __init__(self, message: str, leakage: float, bound: float):
+        super().__init__(message)
+        self.leakage = leakage
+        self.bound = bound
 
 
 @dataclass
@@ -46,23 +65,35 @@ class CycleResult:
     sz_expectation: float
 
 
-def _midpoint_run(h_mid, initial, duration, steps):
+def _magnus_run(h_of_ts, initial, duration, steps):
     """States at the ends of ``steps`` equal steps dt over [0, duration].
 
-    Each step applies exp(-i H dt) with H the Hamiltonian at the step
-    midpoint: the second-order Magnus (midpoint exponential) scheme of
-    Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), whose global
-    error falls as dt**2.  The exponential is formed from an
-    eigendecomposition, so every step is unitary to rounding and phases
-    are not polluted by norm drift.  ``h_mid(ts)`` returns the Hermitian
-    Hamiltonians at an array of midpoint times stacked along the first
-    axis; each block of ``_BLOCK_STEPS`` of them is diagonalized by one
-    stacked ``numpy.linalg.eigh`` and its steps are then applied in order.
-    One Newton-Schulz step P (3 - P^dag P) / 2 makes each propagator
-    unitary to second order in its error: eigh's eigenvectors fall
-    slightly but systematically short of orthonormal, which would
+    The scheme is the fourth-order commutator-free Magnus integrator CF4:2
+    of Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) (see also
+    Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), whose global
+    error falls as dt**4.  Step k samples the Hamiltonian at the Gauss
+    nodes t(k + c-/+) dt, c-/+ = 1/2 -/+ sqrt(3)/6, giving H- and H+, and
+    applies
+
+        exp(-i dt (a- H- + a+ H+)) exp(-i dt (a+ H- + a- H+)),
+
+    a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
+    node (the other order is only second order).  Each exponential is
+    formed from an eigendecomposition, so every step is unitary to
+    rounding and phases are not polluted by norm drift.  ``h_of_ts(ts)``
+    returns the Hermitian Hamiltonians at an array of times stacked along
+    the first axis; for each block of ``_BLOCK_STEPS`` steps the exponents
+    of both factors are diagonalized by one stacked ``numpy.linalg.eigh``
+    and the steps are then applied in order, one matrix-vector product
+    each.  One Newton-Schulz step P (3 - P^dag P) / 2 makes each step
+    propagator unitary to second order in its error: eigh's eigenvectors
+    fall slightly but systematically short of orthonormal, which would
     otherwise build up as norm drift over thousands of steps.  Returns an
     array of shape (steps + 1, dim) whose row k is the state at time k dt.
+
+    The default density of ``STEPS_PER_UNIT`` steps per unit time assumes
+    max ||H|| dt <~ 1; larger spins or couplings should pass more steps
+    (``--steps`` on the command line).
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -74,10 +105,15 @@ def _midpoint_run(h_mid, initial, duration, steps):
     states[0] = psi
     eye = np.eye(psi.size)
     for first in range(0, steps, _BLOCK_STEPS):
-        ts = (np.arange(first, min(first + _BLOCK_STEPS, steps)) + 0.5) * dt
-        w, u = np.linalg.eigh(h_mid(ts))
+        starts = np.arange(first, min(first + _BLOCK_STEPS, steps))
+        nodes = np.concatenate([starts + _C_MINUS, starts + _C_PLUS]) * dt
+        h_early, h_late = np.split(np.asarray(h_of_ts(nodes)), 2)
+        w, u = np.linalg.eigh(np.stack([_A_PLUS * h_early + _A_MINUS * h_late,
+                                        _A_MINUS * h_early + _A_PLUS * h_late]))
+        applied_first, applied_second = (
+            (u * np.exp(-1j * w * dt)[..., None, :]) @ u.conj().swapaxes(-1, -2))
         # whole step propagators: one matrix-vector product per step below
-        props = (u * np.exp(-1j * w * dt)[:, None, :]) @ u.conj().swapaxes(1, 2)
+        props = applied_second @ applied_first
         props = props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(1, 2) @ props))
         for k, prop in enumerate(props, first + 1):
             psi = prop @ psi
@@ -86,15 +122,22 @@ def _midpoint_run(h_mid, initial, duration, steps):
 
 
 def _checked(h_of_ts):
-    """Kernel ``h_mid`` from a caller's h(ts); rejects non-Hermitian samples."""
-    def h_mid(ts):
+    """A caller's h(ts) for the kernel; rejects non-Hermitian samples."""
+    def checked(ts):
         h = np.asarray(h_of_ts(ts))
         scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
         skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
         if np.any(skew > 1e-12 * scale):
             raise ValueError("Hamiltonian is not Hermitian")
         return h
-    return h_mid
+    return checked
+
+
+def _default_steps(duration, steps=None):
+    """``steps``, or ``STEPS_PER_UNIT`` per unit of ``duration`` if None."""
+    if steps is None:
+        return max(2, int(round(STEPS_PER_UNIT * duration)))
+    return steps
 
 
 def _norm_drift(states):
@@ -103,18 +146,25 @@ def _norm_drift(states):
     return float(np.abs(norms - norms[0]).max())
 
 
-def _unwrapped_phase(amplitudes):
-    """Argument accumulated by a sampled amplitude, summed step by step."""
-    return float(np.cumsum(np.angle(amplitudes[1:] / amplitudes[:-1]))[-1])
+def _unwrapped_phase(amplitudes, step_phases=0.0):
+    """Argument accumulated by a sampled amplitude, summed step by step.
+
+    Each step's increment is taken within pi of its expected value
+    ``step_phases`` (one per step, or a scalar), so a step may turn the
+    amplitude by more than pi without wrapping.
+    """
+    turns = np.angle(amplitudes[1:] / amplitudes[:-1] * np.exp(-1j * step_phases))
+    return float(np.sum(turns + step_phases))
 
 
 def propagate(h_of_ts, initial, duration, steps):
-    """Midpoint-exponential run; returns (times, final state, norm_drift).
+    """Fourth-order Magnus run (see :func:`_magnus_run`); returns
+    (times, final state, norm_drift).
 
     ``h_of_ts(ts)`` takes an array of times and returns the Hamiltonians
     at those times stacked along the first axis.
     """
-    states = _midpoint_run(_checked(h_of_ts), initial, duration, steps)
+    states = _magnus_run(_checked(h_of_ts), initial, duration, steps)
     return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
 
 
@@ -123,8 +173,11 @@ def _tracked_result(rep: SpinRep, m: float, states, schedule: CycleSchedule,
     """Phase bookkeeping of a run of the schedule against the labeled level m.
 
     The reference at each step end is the labeled eigenvector of
-    Sigma_z + lambda Sigma_x^2 carried by the unitaries ``frame(ts)``; the
-    dynamical phase integrates b E(m, lambda) over the step midpoints.
+    Sigma_z + lambda Sigma_x^2 carried by the unitaries ``frame(ts)``.
+    Each step's dynamical phase integrates -b E(m, lambda) by Simpson's
+    rule on the step ends and midpoint, and the overlap with the reference
+    is unwrapped relative to it, so neither limits the order of the
+    stepper nor wraps when a step turns the phase by more than pi.
     ``winding`` is added to the total phase.
     """
     steps = len(states) - 1
@@ -132,8 +185,11 @@ def _tracked_result(rep: SpinRep, m: float, states, schedule: CycleSchedule,
     i = _label_index(rep, m)
     ends = dt * np.arange(steps + 1)
     mids = dt * (np.arange(steps) + 0.5)
-    energies = _spectra(rep, schedule.lam(mids))[0][:, i]
-    refs = _spectra(rep, schedule.lam(ends))[1][:, :, i]
+    end_energies, end_vecs = _spectra(rep, schedule.lam(ends))
+    end_terms = schedule.b(ends) * end_energies[:, i]
+    mid_terms = schedule.b(mids) * _spectra(rep, schedule.lam(mids))[0][:, i]
+    step_phases = -dt / 6.0 * (end_terms[:-1] + 4.0 * mid_terms + end_terms[1:])
+    refs = end_vecs[:, :, i]
     # the phase needs a continuous reference, and the per-lambda sign
     # convention flips where the parent component passes through zero
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
@@ -144,10 +200,10 @@ def _tracked_result(rep: SpinRep, m: float, states, schedule: CycleSchedule,
         block = slice(first, first + _BLOCK_STEPS)
         vecs = (frame(ends[block]) @ refs[block, :, None])[..., 0]
         tracked[block] = np.sum(vecs.conj() * states[block], axis=-1)
-    dynamical = float(np.cumsum(-schedule.b(mids) * energies * dt)[-1])
+    dynamical = float(np.sum(step_phases))
     psi = states[-1]
     leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(psi) ** 2)
-    total_phase = _unwrapped_phase(tracked) + winding
+    total_phase = _unwrapped_phase(tracked, step_phases) + winding
     return CycleResult(final_state=psi, total_phase=total_phase,
                        dynamical_phase=dynamical,
                        geometric_phase=total_phase - dynamical,
@@ -212,12 +268,10 @@ def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
     ``total_phase`` is directly comparable across windings.
     """
     schedule.validate()
-    if steps is None:
-        steps = max(2, int(round(200 * schedule.duration)))
     psi0 = labeled_spectrum(rep, schedule.lam(0.0)).vector(m)
-    states = _midpoint_run(lambda ts: lab_hamiltonian(rep, schedule, ts),
-                           _frames(rep, schedule, 0.0) @ psi0, schedule.duration,
-                           steps)
+    states = _magnus_run(lambda ts: lab_hamiltonian(rep, schedule, ts),
+                         _frames(rep, schedule, 0.0) @ psi0, schedule.duration,
+                         _default_steps(schedule.duration, steps))
     return _tracked_result(rep, m, states, schedule,
                            lambda ts: _frames(rep, schedule, ts),
                            winding=-m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi)
@@ -242,11 +296,13 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     """
     forward = run_cycle(rep, m, schedule, steps=steps)
     mirrored = run_cycle(rep, m, schedule.mirror(), steps=steps)
+    bound = 0.01
     for name, res in (("forward", forward), ("mirrored", mirrored)):
-        if res.leakage > 0.01:
-            warnings.warn(
+        if res.leakage > bound:
+            warnings.warn(LeakageWarning(
                 f"{name} run leaked {res.leakage:.3f} out of the tracked "
-                f"level; extracted phase is untrusted", stacklevel=2)
+                f"level; extracted phase is untrusted", res.leakage, bound),
+                stacklevel=2)
     extracted = 0.5 * (forward.total_phase - mirrored.total_phase)
     return MirrorResult(extracted_phase=extracted, forward=forward,
                         mirrored=mirrored)
@@ -305,12 +361,10 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     """Ramp the coupling 0 -> lambda0 with fixed field axes and compare
     the final <Sigma_z> with the adiabatic polarization p(m, lambda0)."""
     pulse = PulseShape(shape)
-    if steps is None:
-        steps = max(2, int(round(200 * duration)))
     psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
     _, psi, _ = propagate(
         lambda ts: _reduced(rep, lambda0 * pulse.fraction(ts / duration)),
-        psi0, duration, steps)
+        psi0, duration, _default_steps(duration, steps))
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
@@ -336,11 +390,9 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
     in :func:`run_cycle`, with fixed field axes.
     """
     ramp = from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
-    if steps is None:
-        steps = max(2, int(round(400 * duration)))
     psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
-    states = _midpoint_run(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
-                           steps)
+    states = _magnus_run(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
+                         _default_steps(duration, steps))
     return _tracked_result(rep, m, states, ramp, lambda ts: np.eye(rep.dim))
 
 

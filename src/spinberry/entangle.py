@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .dynamics import _midpoint_run, _odd_doublet, _unwrapped_phase
+from .dynamics import (LeakageWarning, _default_steps, _magnus_run, _odd_doublet,
+                       _unwrapped_phase)
 from .schedules import three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -221,12 +222,12 @@ def _odd_block_run(two_s, schedule, steps, sign):
     """
     _, sz, sxsq = _odd_doublet(two_s)
 
-    def h_mid(ts):
+    def h_of_ts(ts):
         lam = schedule.lam(ts)[:, None, None]
         eta = sign * schedule.alpha_dot(ts)[:, None, None]
         return sz + lam * sxsq - eta * sz
 
-    return _midpoint_run(h_mid, [1.0, 0.0], schedule.duration, steps)
+    return _magnus_run(h_of_ts, [1.0, 0.0], schedule.duration, steps)
 
 
 def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
@@ -246,8 +247,7 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     """
     schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, tune_factor,
                                  shape)
-    if steps is None:
-        steps = max(2, int(round(200 * schedule.duration)))
+    steps = _default_steps(schedule.duration, steps)
 
     runs = {sign: (_odd_block_run(4, schedule, steps, sign),
                    _odd_block_run(2, schedule, steps, sign))
@@ -270,9 +270,11 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     sector_pop = abs(basis.psi_21.overlap(final)) ** 2 + sum(
         abs(tower.overlap(final)) ** 2 for tower in basis.psi_11)
     leakage = max(0.0, 1.0 - sector_pop)
-    if leakage > 1e-3:
-        warnings.warn(f"four-spin cycle leaked {leakage:.2e} out of the "
-                      f"M = 1 symmetry sectors", stacklevel=2)
+    bound = 1e-3
+    if leakage > bound:
+        warnings.warn(LeakageWarning(f"four-spin cycle leaked {leakage:.2e} out of "
+                                     f"the M = 1 symmetry sectors", leakage, bound),
+                      stacklevel=2)
     fidelity = abs(bp_target_state().overlap(final)) ** 2
     return EntangleResult(final_state=final, fidelity=float(fidelity),
                           delta_beta_measured=float(delta_measured),
@@ -283,13 +285,12 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                           lambda0=float(lambda0))
 
 
-def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape,
-                   steps_per_unit):
+def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape):
     """Fidelity from the final M = 1 amplitudes of the two odd-block runs
-    (tuning workhorse): the target's overlap with the cycled Phi^(1) is
-    (3 a(1,1) - a(2,1)) / 4."""
+    at the default step density (tuning workhorse): the target's overlap
+    with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4."""
     schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, stretch, shape)
-    steps = max(2, int(round(steps_per_unit * schedule.duration)))
+    steps = _default_steps(schedule.duration)
     a21, a11 = (_odd_block_run(two_s, schedule, steps, +1)[-1, 0]
                 for two_s in (4, 2))
     return abs(0.25 * (-a21 + 3.0 * a11)) ** 2
@@ -297,23 +298,28 @@ def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape,
 
 def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
                        n_alpha: int = 3, shape: str = "blackman",
-                       bounds: tuple[float, float] = (0.88, 1.12),
-                       steps_per_unit: int = 100) -> float:
+                       bounds: tuple[float, float] = (0.88, 1.12)) -> float:
     """Ramp-duration stretch that maximizes the entangled-state fidelity.
 
     The stretch window spans more than one full period of the relative
     dynamical phase, so a coarse scan plus a bounded polish always finds
-    the global optimum of the (near-sinusoidal) fidelity.
+    the global optimum of the (near-sinusoidal) fidelity.  The best grid
+    point may sit at a window edge on the flank of a maximum outside the
+    window, so the best interior grid maximum is polished too and the
+    fitter of the two stretches is returned.
     """
     def objective(s):
-        return -_fast_fidelity(lambda0, stage_duration, s, n_alpha, shape,
-                               steps_per_unit)
+        return -_fast_fidelity(lambda0, stage_duration, s, n_alpha, shape)
 
     grid = np.linspace(bounds[0], bounds[1], 25)
-    values = [objective(s) for s in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(len(grid) - 1, best + 1)]
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-6})
-    return float(res.x)
+    values = np.array([objective(s) for s in grid])
+    interior = [k for k in range(1, len(grid) - 1)
+                if values[k] <= min(values[k - 1], values[k + 1])]
+    starts = {int(np.argmin(values))}
+    if interior:
+        starts.add(min(interior, key=lambda k: values[k]))
+    polished = [minimize_scalar(objective, bounds=(grid[max(0, k - 1)],
+                                                   grid[min(len(grid) - 1, k + 1)]),
+                                method="bounded", options={"xatol": 1e-6})
+                for k in sorted(starts)]
+    return float(min(polished, key=lambda res: res.fun).x)

@@ -118,30 +118,48 @@ def _smooth_h(ts):
             + _stacked(0.3 * np.cos(1.3 * ts)) * S2.sigma_y)
 
 
-def test_midpoint_order_of_convergence():
-    # the midpoint exponential is second order: halving the step divides
-    # the final-state error by four
+def test_magnus_order_of_convergence():
+    # the commutator-free Magnus step is fourth order: halving the step
+    # divides the final-state error by sixteen
     duration = 4.0
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     ref = solve_ivp(lambda t, y: -1j * (_smooth_h(t) @ y), (0.0, duration),
                     psi0, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
     errors = [np.linalg.norm(propagate(_smooth_h, psi0, duration, n)[1] - ref)
-              for n in (100, 200, 400, 800)]
+              for n in (25, 50, 100, 200)]
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
-    assert np.all((ratios > 3.8) & (ratios < 4.2)), ratios
+    assert np.all((ratios > 15.5) & (ratios < 16.5)), ratios
+
+
+def _expm_step(h, dt, psi):
+    """exp(-i h dt) psi from one eigendecomposition of h."""
+    w, u = np.linalg.eigh(h)
+    return u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
+
+
+def _midpoint_final(h_of_ts, psi, duration, steps):
+    """Final state of the second-order midpoint-exponential rule."""
+    dt = duration / steps
+    for h in h_of_ts(dt * (np.arange(steps) + 0.5)):
+        psi = _expm_step(h, dt, psi)
+    return psi
 
 
 # --- the stacked stepper against the per-step loop it replaced ---------------
 
 
 def _reference_trajectory(h_of_ts, psi, duration, steps):
-    """One eigh and one exponential per step, applied as they come."""
+    """Two eigh-exponentials per step (CF4 at the Gauss nodes), applied as
+    they come: the earlier node weighs more in the factor applied first."""
     psi = np.asarray(psi, dtype=complex)
     dt = duration / steps
+    root = np.sqrt(3.0) / 6.0
+    a_minus, a_plus = 0.25 - root, 0.25 + root
     states = [psi]
-    for h in h_of_ts(dt * (np.arange(steps) + 0.5)):
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
+    for k in range(steps):
+        h_early, h_late = h_of_ts(dt * np.array([k + 0.5 - root, k + 0.5 + root]))
+        psi = _expm_step(a_plus * h_early + a_minus * h_late, dt, psi)
+        psi = _expm_step(a_minus * h_early + a_plus * h_late, dt, psi)
         states.append(psi)
     return states
 
@@ -153,19 +171,23 @@ def _reference_cycle(rep, m, sched, steps):
     i = _label_index(rep, m)
     ends = dt * np.arange(steps + 1)
     mids = dt * (np.arange(steps) + 0.5)
-    energies = _spectra(rep, sched.lam(mids))[0][:, i]
-    refs = _spectra(rep, sched.lam(ends))[1][:, :, i]
+    mid_energies = _spectra(rep, sched.lam(mids))[0][:, i]
+    end_energies, end_vecs = _spectra(rep, sched.lam(ends))
+    end_energies, refs = end_energies[:, i], end_vecs[:, :, i]
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
     refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
     frames = rotation_unitary(rep, EulerAngles(sched.theta(ends), sched.phi(ends),
                                                sched.alpha(ends)))
-    fields = sched.b(mids)
+    mid_fields, end_fields = sched.b(mids), sched.b(ends)
     states = _reference_trajectory(lambda ts: lab_hamiltonian(rep, sched, ts),
                                    frames[0] @ refs[0], sched.duration, steps)
     overlap = 1.0 + 0.0j
     total_phase = dynamical = 0.0
     for k in range(steps):
-        dynamical += -fields[k] * energies[k] * dt
+        # Simpson's rule over the step
+        dynamical += -dt / 6.0 * (end_fields[k] * end_energies[k]
+                                  + 4.0 * mid_fields[k] * mid_energies[k]
+                                  + end_fields[k + 1] * end_energies[k + 1])
         new_overlap = np.vdot(frames[k + 1] @ refs[k + 1], states[k + 1])
         total_phase += float(np.angle(new_overlap / overlap))
         overlap = new_overlap
@@ -211,12 +233,83 @@ def test_stepper_matches_per_step_loop(steps):
             assert abs(_unwrapped_phase(block[:, 0]) - ref_phase) < 1e-12
 
 
+def _bench_cycle(lambda0):
+    """The benchmark's cycle: Blackman ramp 0 -> lambda0 over 10, half-turn
+    of alpha over 20, ramp back over 10."""
+    from spinberry.schedules import Segment, from_segments
+    return from_segments([
+        Segment(kind="ramp", duration=10.0, lambda_to=lambda0),
+        Segment(kind="rotate", duration=20.0, alpha_half_turns=1),
+        Segment(kind="ramp", duration=10.0, lambda_to=0.0)])
+
+
+def _bench_cycle_rotating_rhs(rep, lambda0):
+    """Co-rotating-frame Schroedinger right-hand side of the benchmark's
+    cycle from closed-form Blackman profiles (cheap per scalar time)."""
+    sz = rep.sigma_z.real
+    sxsq = (rep.sigma_x @ rep.sigma_x).real
+
+    def fraction(s):
+        return (0.42 * s - 0.5 * np.sin(2 * np.pi * s) / (2 * np.pi)
+                + 0.08 * np.sin(4 * np.pi * s) / (4 * np.pi)) / 0.42
+
+    def rhs(t, psi):
+        if t < 10.0:
+            lam, rate = lambda0 * fraction(t / 10.0), 0.0
+        elif t < 30.0:
+            s = (t - 10.0) / 20.0
+            lam = lambda0
+            rate = (np.pi / 20.0) * (0.42 - 0.5 * np.cos(2 * np.pi * s)
+                                     + 0.08 * np.cos(4 * np.pi * s)) / 0.42
+        else:
+            lam, rate = lambda0 * (1.0 - fraction(min(t - 30.0, 10.0) / 10.0)), 0.0
+        return -1j * (((1.0 - rate) * sz + lam * sxsq) @ psi)
+
+    return rhs
+
+
+@pytest.mark.parametrize("two_s, lambda0",
+                         [(2, 1.0), (4, -1.05), (5, -2.0), (8, 2.0), (12, 2.0)])
+def test_default_density_beats_midpoint_rule(two_s, lambda0):
+    # run_cycle at its default density against the second-order midpoint
+    # rule at 200 steps per unit time, the density it replaced; both are
+    # measured against DOP853 (rtol 1e-12) in the co-rotating frame
+    rep = spin_matrices(two_s)
+    m = 1.0 if two_s % 2 == 0 else 0.5
+    sched = _bench_cycle(lambda0)
+    res = run_cycle(rep, m, sched)
+    start = labeled_spectrum(rep, 0.0).vector(m).astype(complex)
+    sol = solve_ivp(_bench_cycle_rotating_rhs(rep, lambda0), (0.0, sched.duration),
+                    start, method="DOP853", rtol=1e-12, atol=1e-12)
+    frame_end = rotation_unitary(rep, EulerAngles(0.0, 0.0, np.pi))
+    ref = frame_end @ sol.y[:, -1]
+    midpoint = _midpoint_final(lambda ts: lab_hamiltonian(rep, sched, ts), start,
+                               sched.duration, int(200 * sched.duration))
+    magnus_error = np.linalg.norm(res.final_state - ref)
+    assert 5.0 * magnus_error < np.linalg.norm(midpoint - ref), magnus_error
+
+
+@pytest.mark.parametrize("steps", [10, 40, 250])
+def test_constant_hamiltonian_phase_does_not_wrap(steps):
+    # a hold at 2S = 8, lambda = 2 turns the phase by 8.5 rad per step at 10
+    # steps; the stepper and Simpson's rule are both exact for a constant
+    # Hamiltonian, so the whole phase is dynamical
+    from spinberry.schedules import Segment, from_segments
+    rep = spin_matrices(8)
+    sched = from_segments([Segment(kind="hold", duration=10.0)], lambda0=2.0)
+    res = run_cycle(rep, 0.0, sched, steps=steps)
+    exact = -10.0 * labeled_spectrum(rep, 2.0).energy(0.0)
+    assert abs(res.geometric_phase) < 1e-9
+    assert abs(res.total_phase - res.dynamical_phase) < 1e-9
+    assert abs(res.dynamical_phase - exact) < 1e-9
+
+
 def test_norm_drift_on_long_cycle():
     # 8,000 steps of the benchmark's cycle at this coupling: eigh's
     # eigenvectors fall short of orthonormal by about 6e-17, which builds up
     # to a drift of 1.04e-12 unless each propagator gets a Newton-Schulz step
     sched = three_stage_cycle(-1.1655059345201522, stage_duration=10.0, n_alpha=1)
-    assert run_cycle(S2, 1.0, sched).norm_drift < 1e-12
+    assert run_cycle(S2, 1.0, sched, steps=8000).norm_drift < 1e-12
 
 
 def test_unitarity_drift_bound():
@@ -285,9 +378,10 @@ def _frame_agreement(rep, sched, steps):
     return np.abs(lab - frame(sched.duration) @ rot).max()
 
 
-def test_rotating_vs_lab_frame_second_order_convergence():
-    # both integrations are second order; their disagreement must fall by
-    # 16x when the step count is quadrupled (same-dt identity in the limit)
+def test_rotating_vs_lab_frame_convergence():
+    # both integrations are fourth order; their disagreement must fall by
+    # about 256x when the step count is quadrupled (same-dt identity in the
+    # limit), and by at least 12x
     sched = three_stage_cycle(0.8, stage_duration=3.0, n_alpha=2)
     coarse = _frame_agreement(S2, sched, 3000)
     fine = _frame_agreement(S2, sched, 12000)
@@ -373,15 +467,20 @@ def _argmax_tracked_phases(h_of_ts, states, duration):
     steps = len(states) - 1
     dt = duration / steps
     w_mid, u_mid = np.linalg.eigh(h_of_ts(dt * (np.arange(steps) + 0.5)))
-    _, u_end = np.linalg.eigh(h_of_ts(dt * np.arange(steps + 1)))
-    target = u_end[0][:, int(np.argmax(np.abs(u_end[0].conj().T @ states[0])))]
+    w_end, u_end = np.linalg.eigh(h_of_ts(dt * np.arange(steps + 1)))
+    j = int(np.argmax(np.abs(u_end[0].conj().T @ states[0])))
+    target = u_end[0][:, j]
     overlap = np.vdot(target, states[0])
     total = float(np.angle(overlap))
     dynamical = 0.0
     for k, psi in enumerate(states[1:]):
-        j = int(np.argmax(np.abs(target.conj() @ u_mid[k])))
-        dynamical += -w_mid[k, j] * dt
-        new_target = u_end[k + 1][:, int(np.argmax(np.abs(target.conj() @ u_end[k + 1])))]
+        j_mid = int(np.argmax(np.abs(target.conj() @ u_mid[k])))
+        j_next = int(np.argmax(np.abs(target.conj() @ u_end[k + 1])))
+        # Simpson's rule over the step
+        dynamical += -dt / 6.0 * (w_end[k, j] + 4.0 * w_mid[k, j_mid]
+                                  + w_end[k + 1, j_next])
+        j = j_next
+        new_target = u_end[k + 1][:, j]
         phase_fix = np.vdot(new_target, target)
         target = new_target * (phase_fix / abs(phase_fix))
         new_overlap = np.vdot(target, psi)
@@ -395,7 +494,7 @@ def _argmax_tracked_phases(h_of_ts, states, duration):
 def test_ramp_phase_matches_argmax_tracking(duration, shape):
     # the rank labels of ramp_phase against the argmax tracking they replaced,
     # on the criterion 10 ramps
-    from spinberry.dynamics import _midpoint_run
+    from spinberry.dynamics import STEPS_PER_UNIT, _magnus_run
     pulse = PulseShape(shape)
 
     def h(ts):
@@ -404,7 +503,7 @@ def test_ramp_phase_matches_argmax_tracking(duration, shape):
     res = ramp_phase(S2, -1.0, 1.0, duration, shape=shape)
     psi0 = np.zeros(5, dtype=complex)
     psi0[3] = 1.0
-    states = _midpoint_run(h, psi0, duration, int(round(400 * duration)))
+    states = _magnus_run(h, psi0, duration, int(round(STEPS_PER_UNIT * duration)))
     total, dynamical = _argmax_tracked_phases(h, states, duration)
     assert np.abs(res.final_state - states[-1]).max() < 1e-12
     assert abs(res.total_phase - total) < 1e-12
@@ -427,6 +526,18 @@ def test_mirror_static_schedule():
     sched = from_segments([Segment(kind="hold", duration=2.0)], lambda0=0.4)
     res = mirror_phase_difference(S2, 0.0, sched, steps=400)
     assert res.extracted_phase == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mirror_leakage_warning_carries_its_numbers():
+    from spinberry import LeakageWarning
+    sched = alpha_rotation_cycle(1.0, n_alpha=1, duration=4.0)
+    with pytest.warns(LeakageWarning) as record:
+        res = mirror_phase_difference(S2, 0.0, sched)
+    warning = record[0].message
+    assert warning.leakage == res.forward.leakage
+    assert warning.bound == 0.01
+    assert str(warning) == (f"forward run leaked {res.forward.leakage:.3f} out of "
+                            f"the tracked level; extracted phase is untrusted")
 
 
 def test_cycle_reference_continuous_through_parent_zero():

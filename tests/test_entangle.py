@@ -6,7 +6,7 @@ import pytest
 from spinberry import (FourSpinState, closed_form_delta_beta,
                        collective_hamiltonian, entangling_cycle,
                        lambda_max_solve, symmetric_basis_m1,
-                       three_stage_cycle)
+                       three_stage_cycle, tune_stage_stretch)
 from spinberry.entangle import (_one_flip_states, _tower_embeddings,
                                 bp_target_state, collective_spin,
                                 permutation_operator)
@@ -179,11 +179,35 @@ def test_trivial_cycle_returns_initial_state():
 def test_fast_cycle_triggers_adiabaticity_warning():
     # a deliberately fast cycle leaks population from M = 1 to M = -1 inside
     # each multiplet; the diagnostic must catch it and warn
-    with pytest.warns(UserWarning, match="leaked"):
+    from spinberry import LeakageWarning
+    with pytest.warns(LeakageWarning, match="leaked") as record:
         res = entangling_cycle(-0.97, stage_duration=3.0)
     assert 1e-3 < res.sector_leakage < 0.2
+    # the warning carries the numbers that triggered it
+    warning = record[0].message
+    assert warning.leakage == res.sector_leakage
+    assert warning.bound == 1e-3
+    assert str(warning) == (f"four-spin cycle leaked {res.sector_leakage:.2e} "
+                            f"out of the M = 1 symmetry sectors")
     assert np.isfinite(res.delta_beta_measured)
     assert 0.0 <= res.fidelity <= 1.0
+
+
+@pytest.mark.parametrize("stage", [15.0, 20.0, 25.0, 30.0])
+def test_tuned_stretch_is_an_interior_maximum(stage):
+    # at stage 30 the best grid point sits at the window edge, on the flank
+    # of a maximum outside the window; the tuner must return an interior one
+    from spinberry.entangle import _fast_fidelity
+    lam_max = lambda_max_solve()
+
+    def fidelity(s):
+        return _fast_fidelity(lam_max, stage, s, 3, "blackman")
+
+    stretch = tune_stage_stretch(lam_max, stage)
+    best = fidelity(stretch)
+    assert best >= 0.999
+    assert best >= fidelity(stretch - 2e-3)
+    assert best >= fidelity(stretch + 2e-3)
 
 
 def test_slow_cycle_keeps_sectors_clean():
@@ -209,12 +233,18 @@ def test_multiplet_vs_full_sixteen_dim():
     sxsq = (sx @ sx).real
     phi1 = _one_flip_states()[0].astype(complex)
     dt = sched.duration / steps
-    mids = dt * (np.arange(steps) + 0.5)
+    # CF4 at the Gauss nodes, two eigh-exponentials per step
+    root = np.sqrt(3.0) / 6.0
+    a_minus, a_plus = 0.25 - root, 0.25 + root
+    nodes = dt * (np.arange(steps)[:, None] + np.array([0.5 - root, 0.5 + root]))
+    h = (sz.real + sched.lam(nodes)[..., None, None] * sxsq
+         - sched.alpha_dot(nodes)[..., None, None] * sz.real)
     psi = phi1.copy()
-    for lam, alpha_dot in zip(sched.lam(mids), sched.alpha_dot(mids)):
-        h = sz.real + lam * sxsq - alpha_dot * sz.real
-        w, u = np.linalg.eigh(h)
-        psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
+    for h_early, h_late in h:
+        for gen in (a_plus * h_early + a_minus * h_late,
+                    a_minus * h_early + a_plus * h_late):
+            w, u = np.linalg.eigh(gen)
+            psi = u @ (np.exp(-1j * w * dt) * (u.conj().T @ psi))
     # assemble the same state from the reduced runs
     psi2 = _odd_block_run(4, sched, steps, +1)[-1]
     psi1 = _odd_block_run(2, sched, steps, +1)[-1]
