@@ -19,8 +19,8 @@ from .berry import berry_phase_adiabatic, gauge_field_sphere
 from .dynamics import STEPS_PER_UNIT, mirror_phase_difference, ramp_fidelity
 from .entangle import entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
-from .nonadiabatic import delta_p, magic_lambda, magic_lambda_fit, \
-    p2_coefficient, cxy_coefficient
+from .nonadiabatic import NearDegeneracyError, NoRootError, delta_p, \
+    magic_lambda, magic_lambda_fit, p2_coefficient, cxy_coefficient
 from .schedules import ScheduleError, from_file
 from .spin_algebra import spin_matrices
 
@@ -298,7 +298,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScheduleError, ValueError, OSError) as exc:
+    except (ScheduleError, ValueError, OSError, NearDegeneracyError,
+            NoRootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

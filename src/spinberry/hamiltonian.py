@@ -162,30 +162,36 @@ def polarization(rep: SpinRep, m: float, lam: float) -> float:
     return labeled_spectrum(rep, lam).polarization(m)
 
 
-def energy_derivative(rep: SpinRep, m: float, lam: float, order: int = 1,
-                      rel_step: float = 1e-3) -> float:
-    """d^order E(m, lambda) / d lambda^order.
+def _eigensystem(rep: SpinRep, lam: float):
+    """Labeled energies E, eigenvectors U, V = U^T Sigma_x**2 U and the mask
+    of label pairs of equal parity, at one lambda (V vanishes off it)."""
+    energies, vectors = _spectra(rep, float(lam))
+    idx = np.arange(rep.dim)
+    v = vectors.T @ rep.sigma_x @ rep.sigma_x @ vectors
+    return energies, vectors, v, (idx[:, None] - idx) % 2 == 0
 
-    Central differences with step ``rel_step * max(1, |lambda|)`` and one
-    Richardson extrapolation level.  Good to ~1e-9 for order 1, degrading
-    to ~1e-5 for order 3 (float64 roundoff divided by h^3).
+
+def energy_derivative(rep: SpinRep, m: float, lam: float,
+                      order: int = 1) -> float:
+    """d^order E(m, lambda) / d lambda^order, exact to rounding.
+
+    With V = Sigma_x**2 in the eigenbasis and D_n = E_m - E_n over the
+    other levels n of m's parity block:  E' = V_mm (Hellmann-Feynman),
+    E'' = 2 sum_n V_mn^2 / D_n and
+    E'''/6 = sum_nk V_mn V_nk V_km / (D_n D_k) - V_mm sum_n V_mn^2 / D_n^2.
+    The block is unreduced tridiagonal, so no D_n vanishes for real lambda.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    h = rel_step * max(1.0, abs(lam))
-
-    def e(x):
-        return labeled_spectrum(rep, x).energy(m)
-
-    def diff(hh):
-        if order == 1:
-            return (e(lam + hh) - e(lam - hh)) / (2 * hh)
-        if order == 2:
-            return (e(lam + hh) - 2 * e(lam) + e(lam - hh)) / hh**2
-        return (e(lam + 2 * hh) - 2 * e(lam + hh)
-                + 2 * e(lam - hh) - e(lam - 2 * hh)) / (2 * hh**3)
-
-    return (4 * diff(h / 2) - diff(h)) / 3
+    energies, _, v, same = _eigensystem(rep, lam)
+    i = _label_index(rep, m)
+    if order == 1:
+        return float(v[i, i])
+    n = same[i] & (np.arange(rep.dim) != i)
+    w = v[i, n] / (energies[i] - energies[n])
+    if order == 2:
+        return float(2 * v[i, n] @ w)
+    return float(6 * (w @ v[np.ix_(n, n)] @ w - v[i, i] * (w @ w)))
 
 
 def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float) -> float:

@@ -17,10 +17,13 @@ cancelling every odd-order correction at once.
 
 The transverse part mixes opposite-parity levels and contributes at
 second order in mu = sin(theta) phi_dot / (gamma_S B): an energy shift
-E_perp2 computed from two auxiliary problems H(lambda) - mu Sigma_{x,y},
-its phase-relevant combination p2 = (1 + lambda d/dlambda) E_perp2, and a
-rotating-frame geometric term C_xy built from the first-order
-perturbation vectors.
+E_perp2, the second-order shift of the auxiliary problems
+H(lambda) - mu Sigma_{x,y}; its phase-relevant combination
+p2 = (1 + lambda d/dlambda) E_perp2; and a rotating-frame geometric term
+C_xy built from the first-order perturbation vectors.
+
+Every derivative here is an exact perturbation sum over the eigensystem
+at lambda itself, never a finite difference.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .berry import _polarizations, _quad_grid
-from .hamiltonian import _label_index, _spectra, labeled_spectrum, polarization
+from .hamiltonian import (_eigensystem, _label_index, _spectra,
+                          energy_derivative, labeled_spectrum, polarization)
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -90,27 +94,10 @@ class CoriolisParams:
 
 
 def q_coefficient(rep: SpinRep, m: float, lam: float) -> float:
-    """Leading even-order kernel q(m, lambda) = -(lam^3 E''' + 3 lam^2 E'')/6.
-
-    Evaluated through the algebraically identical form
-    (lam^2 p'' + 2 lam p') / 6 so that only derivatives of the exactly
-    computed polarization are needed; third differences of E alone are too
-    noisy in float64 for the accuracy this quantity deserves.
-    """
-    h = 1e-3 * max(1.0, abs(lam))
-
-    def p(x):
-        return polarization(rep, m, x)
-
-    def d1(hh):
-        return (p(lam + hh) - p(lam - hh)) / (2 * hh)
-
-    def d2(hh):
-        return (p(lam + hh) - 2 * p(lam) + p(lam - hh)) / hh**2
-
-    p1 = (4 * d1(h / 2) - d1(h)) / 3
-    p2 = (4 * d2(h / 2) - d2(h)) / 3
-    return (lam**2 * p2 + 2 * lam * p1) / 6.0
+    """Leading even-order kernel q(m, lambda) = -(lam^3 E''' + 3 lam^2 E'')/6,
+    from the exact perturbation sums of ``energy_derivative``."""
+    return -(lam**3 * energy_derivative(rep, m, lam, 3)
+             + 3 * lam**2 * energy_derivative(rep, m, lam, 2)) / 6.0
 
 
 def delta_p(rep: SpinRep, m: float, lam: float, eta: float) -> float:
@@ -184,92 +171,68 @@ def magic_lambda(rep: SpinRep, eta: float) -> float:
 
 @dataclass(frozen=True)
 class TransverseShift:
-    """Second-order transverse energy shift with its cross-validation data.
-
-    ``value`` is the half-sum of the x and y auxiliary shifts from the
-    explicit sum over opposite-parity states; ``mu_interpolated`` is the
-    same quantity recovered from finite-mu auxiliary spectra extrapolated
-    to mu = 0 (an independent solver path kept for cross-checks).
-    """
+    """Second-order transverse energy shift: the half-sum ``value`` of the x
+    and y auxiliary shifts, the smallest opposite-parity gap, and whether
+    that gap lies in the warning window."""
 
     value: float
     ex: float
     ey: float
-    mu_interpolated: float
     min_gap: float
     large_correction: bool
 
 
-def _transverse_elements(rep: SpinRep, m: float, lam: float):
-    """Matrix elements and gaps entering the opposite-parity sums."""
-    spec = labeled_spectrum(rep, lam)
-    i = spec.index_of(m)
-    vi = spec.vectors[:, i]
-    sy_real = (rep.sigma_y / 1j).real  # Sigma_y = i * A with A real
-    rows = []
-    min_gap = np.inf
-    for n in range(rep.dim):
-        if n == i or (n - i) % 2 == 0:
-            continue
-        gap = spec.energies[i] - spec.energies[n]
-        min_gap = min(min_gap, abs(gap))
-        vn = spec.vectors[:, n]
-        x_nm = float(vn @ rep.sigma_x @ vi)
-        y_nm = float(vn @ sy_real @ vi)  # <n|Sigma_y|m> = i * y_nm
-        rows.append((gap, x_nm, y_nm))
+def _opposite_parity_terms(rep: SpinRep, m: float, lam: float):
+    """Gaps D_n = E_m - E_n to the opposite-parity levels n, their
+    lambda-derivatives V_mm - V_nn, ``(a, da)`` pairs of the real elements
+    x_n = <n|Sigma_x|m>, y_n = -i <n|Sigma_y|m> and their lambda-derivatives,
+    and min |D_n|.  With V = Sigma_x**2 in the eigenbasis, the eigenbasis
+    turns as dU/dlambda = U G, G_jk = V_jk / (E_k - E_j) within each parity
+    block, so A = U^T Sigma U moves as G^T A + A G.
+    """
+    energies, vectors, v, same = _eigensystem(rep, lam)
+    i = _label_index(rep, m)
+    opposite = ~same[i]
+    gap = energies[i] - energies[opposite]
+    min_gap = float(np.min(np.abs(gap), initial=np.inf))
     if min_gap < _GAP_ERROR:
         raise NearDegeneracyError(
             f"opposite-parity gap {min_gap:.2e} below {_GAP_ERROR:.0e} "
             f"at lambda={lam}")
-    return spec, rows, float(min_gap)
+    g = np.divide(v, energies - energies[:, None], out=np.zeros_like(v),
+                  where=same & ~np.eye(rep.dim, dtype=bool))
+    pairs = []
+    for op in (rep.sigma_x, (rep.sigma_y / 1j).real):  # Sigma_y = i * real
+        a = vectors.T @ op @ vectors
+        pairs.append((a[opposite, i], (g.T @ a + a @ g)[opposite, i]))
+    dgap = v[i, i] - np.diagonal(v)[opposite]
+    return gap, dgap, pairs, min_gap
 
 
-def transverse_second_order(rep: SpinRep, m: float, lam: float,
-                            mu_probe: float = 1e-3) -> TransverseShift:
+def transverse_second_order(rep: SpinRep, m: float,
+                            lam: float) -> TransverseShift:
     """Second-order transverse energy shift E_perp2(m, lambda).
 
-    Two routes are computed: the explicit sum over opposite-parity states,
-    and Richardson extrapolation of the auxiliary spectra of
-    H(lambda) - mu Sigma_{x,y} toward mu = 0.  Cross terms in Sigma_x
-    Sigma_y cancel by symmetry, so the shift is the plain half-sum of the
-    two auxiliary shifts (the squared rotation factors average to 1/2 for
-    slowly varying rotation rates).
+    The explicit sums over opposite-parity states n of the auxiliary
+    problems H(lambda) - mu Sigma_{x,y}, e.g. E_x = sum_n x_n^2 / D_n.
+    Cross terms in Sigma_x Sigma_y cancel by symmetry, so the shift is the
+    plain half-sum of the two auxiliary shifts (the squared rotation
+    factors average to 1/2 for slowly varying rotation rates).
     """
-    spec, rows, min_gap = _transverse_elements(rep, m, lam)
-    ex = sum(x * x / gap for gap, x, _ in rows)
-    ey = sum(y * y / gap for gap, _, y in rows)
-
-    i = spec.index_of(m)
-    vi = spec.vectors[:, i]
-    e0 = spec.energies[i]
-    h0 = rep.sigma_z + lam * (rep.sigma_x @ rep.sigma_x)
-    interpolated = {}
-    for name, op in (("x", rep.sigma_x), ("y", rep.sigma_y)):
-        ratios = []
-        for mu in (mu_probe, 2 * mu_probe):
-            w, v = np.linalg.eigh(h0 - mu * op)
-            j = int(np.argmax(np.abs(vi @ v)))
-            ratios.append((w[j] - e0) / mu**2)
-        interpolated[name] = (4 * ratios[0] - ratios[1]) / 3
-    return TransverseShift(value=0.5 * (ex + ey), ex=float(ex), ey=float(ey),
-                           mu_interpolated=float(0.5 * (interpolated["x"]
-                                                        + interpolated["y"])),
+    gap, _, ((x, _), (y, _)), min_gap = _opposite_parity_terms(rep, m, lam)
+    ex, ey = float(np.sum(x * x / gap)), float(np.sum(y * y / gap))
+    return TransverseShift(value=0.5 * (ex + ey), ex=ex, ey=ey,
                            min_gap=min_gap,
                            large_correction=min_gap < _GAP_WARN)
 
 
 def p2_coefficient(rep: SpinRep, m: float, lam: float) -> float:
-    """Transverse phase coefficient p2 = (1 + lambda d/dlambda) E_perp2."""
-    h = 1e-3 * max(1.0, abs(lam))
-
-    def e2(x):
-        return transverse_second_order(rep, m, x).value
-
-    def d1(hh):
-        return (e2(lam + hh) - e2(lam - hh)) / (2 * hh)
-
-    derivative = (4 * d1(h / 2) - d1(h)) / 3
-    return e2(lam) + lam * derivative
+    """Transverse phase coefficient p2 = (1 + lambda d/dlambda) E_perp2,
+    differentiated exactly on one eigensystem."""
+    gap, dgap, pairs, _ = _opposite_parity_terms(rep, m, lam)
+    e2 = sum(a @ (a / gap) for a, _ in pairs) / 2
+    de2 = sum(a @ (2 * da / gap - a * dgap / gap**2) for a, da in pairs) / 2
+    return float(e2 + lam * de2)
 
 
 def cxy_coefficient(rep: SpinRep, m: float, lam: float) -> float:
@@ -280,8 +243,8 @@ def cxy_coefficient(rep: SpinRep, m: float, lam: float) -> float:
     elements are real and the y elements purely imaginary, so the overlap
     is purely imaginary and the sum below is exact.
     """
-    _, rows, _ = _transverse_elements(rep, m, lam)
-    return float(sum(-x * y / gap**2 for gap, x, y in rows))
+    gap, _, ((x, _), (y, _)), _ = _opposite_parity_terms(rep, m, lam)
+    return float(np.sum(-x * y / gap**2))
 
 
 def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,

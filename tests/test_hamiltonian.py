@@ -244,6 +244,54 @@ def test_energy_derivative_against_closed_form():
     assert got2 == pytest.approx(want2, abs=1e-5)
 
 
+def richardson_energy_derivative(rep, m, lam, order):
+    """Central differences of the labelled energy with step
+    1e-3 * max(1, |lam|) and one Richardson level: an independent
+    reference for the exact perturbation sums."""
+    h = 1e-3 * max(1.0, abs(lam))
+
+    def e(x):
+        return labeled_spectrum(rep, x).energy(m)
+
+    def diff(hh):
+        if order == 1:
+            return (e(lam + hh) - e(lam - hh)) / (2 * hh)
+        if order == 2:
+            return (e(lam + hh) - 2 * e(lam) + e(lam - hh)) / hh**2
+        return (e(lam + 2 * hh) - 2 * e(lam + hh)
+                + 2 * e(lam - hh) - e(lam - 2 * hh)) / (2 * hh**3)
+
+    return (4 * diff(h / 2) - diff(h)) / 3
+
+
+@pytest.mark.parametrize("two_s", range(1, 13))
+def test_energy_derivative_matches_richardson(two_s):
+    # bounds sit above the differences' own error over this grid, relative
+    # to max(1, |E^(k)|): worst 1.2e-10, 1.3e-7 and 1.1e-4 for k = 1, 2, 3
+    bounds = {1: 1e-9, 2: 1e-6, 3: 1e-3}
+    rep = spin_matrices(two_s)
+    for m in rep.m_values:
+        for lam in np.linspace(-3.0, 3.0, 13):
+            for order, bound in bounds.items():
+                exact = energy_derivative(rep, m, lam, order)
+                ref = richardson_energy_derivative(rep, m, lam, order)
+                assert abs(exact - ref) <= bound * max(1.0, abs(exact)), \
+                    (m, lam, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_s=st.integers(1, 11), lam=st.floats(-1e3, 1e3))
+def test_energy_derivative_sum_rules(two_s, lam):
+    # sum_m E_m = tr H = lam tr(Sigma_x^2) = lam S(S+1)(2S+1)/3
+    rep = spin_matrices(two_s)
+    s = rep.s
+    for order, want in ((1, s * (s + 1) * (2 * s + 1) / 3), (2, 0.0),
+                        (3, 0.0)):
+        terms = [energy_derivative(rep, m, lam, order) for m in rep.m_values]
+        scale = max(1.0, max(abs(t) for t in terms))
+        assert abs(sum(terms) - want) <= 1e-12 * scale, order
+
+
 def test_perturbative_polarization_m0():
     assert perturbative_polarization_m0(S2, 0.2) == pytest.approx(0.024)
     assert perturbative_polarization_m0(S3, 0.1) == pytest.approx(0.015)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from spinberry import (CoriolisParams, NearDegeneracyError, NoRootError,
                        alpha_rotation_cycle, cxy_coefficient, delta_p,
-                       longitudinal_phase, magic_lambda, magic_lambda_fit,
-                       p2_coefficient, q_coefficient, spin_matrices,
+                       labeled_spectrum, longitudinal_phase, magic_lambda,
+                       magic_lambda_fit, p2_coefficient, polarization,
+                       q_coefficient, reduced_hamiltonian, spin_matrices,
                        transverse_second_order)
 from spinberry.berry import berry_phase_adiabatic
 
@@ -19,6 +20,82 @@ S4 = spin_matrices(8)
 def q_closed_form_s2_odd(m, lam):
     # from E = (5 lam + 2m sqrt(9 lam^2/4 + 1))/2 differentiated analytically
     return -m * 36 * lam**2 / (9 * lam**2 + 4) ** 2.5
+
+
+# --- independent references -------------------------------------------------
+# Finite-difference and finite-mu solver paths for the quantities that the
+# library sums exactly over one eigensystem.
+
+
+def richardson_q(rep, m, lam):
+    """q as (lam^2 p'' + 2 lam p') / 6 from central differences of the
+    polarization, step 1e-3 * max(1, |lam|), one Richardson level."""
+    h = 1e-3 * max(1.0, abs(lam))
+
+    def p(x):
+        return polarization(rep, m, x)
+
+    def d1(hh):
+        return (p(lam + hh) - p(lam - hh)) / (2 * hh)
+
+    def d2(hh):
+        return (p(lam + hh) - 2 * p(lam) + p(lam - hh)) / hh**2
+
+    p1 = (4 * d1(h / 2) - d1(h)) / 3
+    p2 = (4 * d2(h / 2) - d2(h)) / 3
+    return (lam**2 * p2 + 2 * lam * p1) / 6.0
+
+
+def richardson_p2(rep, m, lam):
+    """p2 = E_perp2 + lam dE_perp2/dlam by central differences of the
+    shift, step 1e-3 * max(1, |lam|), one Richardson level."""
+    h = 1e-3 * max(1.0, abs(lam))
+
+    def e2(x):
+        return transverse_second_order(rep, m, x).value
+
+    def d1(hh):
+        return (e2(lam + hh) - e2(lam - hh)) / (2 * hh)
+
+    return e2(lam) + lam * (4 * d1(h / 2) - d1(h)) / 3
+
+
+def mu_extrapolated_shift(rep, m, lam):
+    """E_perp2 as the half-sum of the shifts of the auxiliary spectra of
+    H(lam) - mu Sigma_{x,y}, divided by mu^2 at mu = 1e-3 and 2e-3 and
+    Richardson-extrapolated to mu = 0."""
+    spec = labeled_spectrum(rep, lam)
+    vi, e0 = spec.vector(m), spec.energy(m)
+    h0 = reduced_hamiltonian(rep, lam).matrix
+    shifts = []
+    for op in (rep.sigma_x, rep.sigma_y):
+        ratios = []
+        for mu in (1e-3, 2e-3):
+            w, v = np.linalg.eigh(h0 - mu * op)
+            j = int(np.argmax(np.abs(vi @ v)))
+            ratios.append((w[j] - e0) / mu**2)
+        shifts.append((4 * ratios[0] - ratios[1]) / 3)
+    return 0.5 * (shifts[0] + shifts[1])
+
+
+@pytest.mark.parametrize("two_s", range(1, 13))
+def test_q_and_p2_match_richardson(two_s):
+    # bounds sit above the differences' own error over this grid, relative
+    # to max(1, |value|): worst 2.5e-8 for q and, where the opposite-parity
+    # gap is at least 1e-3, 4.0e-9 for p2
+    rep = spin_matrices(two_s)
+    for m in rep.m_values:
+        for lam in np.linspace(-3.0, 3.0, 13):
+            q = q_coefficient(rep, m, lam)
+            assert abs(q - richardson_q(rep, m, lam)) <= 2e-7 * max(1.0, abs(q))
+            try:
+                if transverse_second_order(rep, m, lam).min_gap < 1e-3:
+                    continue
+            except NearDegeneracyError:
+                continue
+            p2 = p2_coefficient(rep, m, lam)
+            assert abs(p2 - richardson_p2(rep, m, lam)) <= \
+                4e-8 * max(1.0, abs(p2)), (m, lam)
 
 
 # --- q coefficient ----------------------------------------------------------
@@ -102,6 +179,31 @@ def test_magic_lambda_eta_zero():
     assert magic_lambda(S4, 0.0) == pytest.approx(0.509982, abs=1e-4)
 
 
+def test_magic_lambda_eta_zero_high_precision():
+    # roots of q(0, lambda) from mpmath at 40 digits: E(0, lambda) by eigsy
+    # on the m = 0 parity block, E'' and E''' by mpmath.diff, then findroot
+    assert magic_lambda(S2, 0.0) == pytest.approx(0.83821316188336616,
+                                                  abs=1e-13)
+    assert magic_lambda(S4, 0.0) == pytest.approx(0.50998242340870349,
+                                                  abs=1e-13)
+
+
+def test_magic_lambda_default_bracket():
+    # S = 3 has no bracket of its own; the default (0.05, 2.0) holds its root
+    s3 = spin_matrices(6)
+    root = magic_lambda(s3, 0.0)
+    assert root == pytest.approx(0.483125, abs=1e-6)
+    assert abs(q_coefficient(s3, 0.0, root)) <= 1e-10
+    root = magic_lambda(s3, 0.3)
+    assert root == pytest.approx(0.473533, abs=1e-6)
+    assert abs(delta_p(s3, 0.0, root, 0.3)) <= 1e-10
+    # for S = 6, q keeps one sign across the default bracket
+    s6 = spin_matrices(12)
+    assert q_coefficient(s6, 0.0, 0.05) * q_coefficient(s6, 0.0, 2.0) > 0
+    with pytest.raises(NoRootError):
+        magic_lambda(s6, 0.0)
+
+
 def test_magic_lambda_matches_fit_at_half():
     got = magic_lambda(S2, 0.5)
     assert got == pytest.approx(magic_lambda_fit(4, 0.5), abs=1e-3)
@@ -142,7 +244,8 @@ def test_transverse_zero_coupling():
             assert shift.value == pytest.approx(m / 2, abs=1e-12)
             assert shift.ex == pytest.approx(m / 2, abs=1e-12)
             assert shift.ey == pytest.approx(m / 2, abs=1e-12)
-            assert shift.mu_interpolated == pytest.approx(m / 2, abs=1e-6)
+            assert shift.value == pytest.approx(
+                mu_extrapolated_shift(rep, m, 0.0), abs=1e-6)
             assert not shift.large_correction
 
 
@@ -151,7 +254,8 @@ def test_transverse_zero_coupling():
 def test_transverse_cross_validation(m, lam):
     shift = transverse_second_order(S2, m, lam)
     assert shift.min_gap > 1e-3
-    assert shift.value == pytest.approx(shift.mu_interpolated, abs=1e-6)
+    assert shift.value == pytest.approx(mu_extrapolated_shift(S2, m, lam),
+                                        abs=1e-6)
 
 
 def test_transverse_blowup_for_m1():

@@ -347,6 +347,18 @@ def test_cli_cycle_missing_schedule_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_transverse_near_degeneracy(tmp_path, capsys):
+    # the S = 2 doublet (m = 2, m = 1) collapses below the gap threshold
+    out = tmp_path / "tv.csv"
+    code = main(["transverse", "--spin", "2", "--m", "1", "--lambda-min", "60",
+                 "--lambda-max", "60", "--n", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda=60.0" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["cycle", "--steps", "0"],
     ["cycle", "--steps", "-3"],
