@@ -19,8 +19,9 @@ from .berry import berry_phase_adiabatic, gauge_field_sphere
 from .dynamics import STEPS_PER_UNIT, mirror_phase_difference, ramp_fidelity
 from .entangle import entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
-from .nonadiabatic import NearDegeneracyError, NoRootError, delta_p, \
-    magic_lambda, magic_lambda_fit, p2_coefficient, cxy_coefficient
+from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, cxy_coefficient,
+                           delta_p, magic_lambda, magic_lambda_fit, p2_coefficient,
+                           transverse_second_order)
 from .schedules import ScheduleError, from_file
 from .spin_algebra import spin_matrices
 
@@ -155,6 +156,12 @@ def cmd_transverse(args) -> int:
     lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
     rows = [[lam, p2_coefficient(rep, args.m, lam),
              cxy_coefficient(rep, args.m, lam)] for lam in lams]
+    for lam in lams:
+        shift = transverse_second_order(rep, args.m, lam)
+        if shift.large_correction:
+            print(f"warning: opposite-parity gap {shift.min_gap:.2e} below "
+                  f"{_GAP_WARN:.0e} at lambda={lam}; outside perturbation theory",
+                  file=sys.stderr)
     _write_table(args, "transverse", ["lambda", "p2", "c_xy"], rows,
                  meta=[("spin", _fmt(rep.s)), ("m", _fmt(args.m))])
     return 0

@@ -1,12 +1,12 @@
-"""Exact time-dependent Schroedinger integration in lab and rotating frames.
+"""Exact time-dependent Schroedinger integration.
 
-Every run, in either frame and in the four-spin odd blocks of
-:mod:`spinberry.entangle`, goes through one fourth-order Magnus stepper,
-:func:`_magnus_run`, whose docstring describes the scheme, by default at
-``STEPS_PER_UNIT`` steps per unit time.  Time is in units of
-1/(gamma_S B0) throughout.  Functions of time (and of angles or
-couplings) take scalars or arrays; arrays give their matrices stacked
-along the leading axes.
+Every run goes through one fourth-order Magnus stepper, :func:`_magnus_run`,
+by default at ``STEPS_PER_UNIT`` steps per unit time.  Tracked runs, like
+the four-spin odd blocks of :mod:`spinberry.entangle`, integrate in the
+paper's co-rotating frame; :func:`lab_hamiltonian` is the laboratory-frame
+reference the tests hold them to.  Time is in units of 1/(gamma_S B0)
+throughout.  Functions of time (and of angles or couplings) take scalars
+or arrays; arrays give their matrices stacked along the leading axes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from .berry import _quad_grid
 from .hamiltonian import _label_index, _spectra, labeled_spectrum
-from .pulses import PulseShape, blackman  # noqa: F401  (blackman is public API)
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -50,10 +50,10 @@ class CycleResult:
     """Outcome of one integrated run against its adiabatic reference.
 
     ``total_phase`` is the accumulated (un-wrapped) argument of the overlap
-    with the tracked instantaneous eigenstate;
-    ``dynamical_phase`` is -int E dt along the same level, and
-    ``geometric_phase`` their difference.  ``leakage`` is the final
-    population outside the tracked eigenstate.
+    with the tracked instantaneous eigenstate; ``dynamical_phase`` is
+    -int E dt along the same level, and ``geometric_phase`` their
+    difference.  ``leakage`` is the final population outside the tracked
+    eigenstate.  ``final_state`` and ``sz_expectation`` are in the lab frame.
     """
 
     final_state: np.ndarray
@@ -95,8 +95,6 @@ def _magnus_run(h_of_ts, initial, duration, steps):
     max ||H|| dt <~ 1; larger spins or couplings should pass more steps
     (``--steps`` on the command line).
     """
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
     dt = duration / steps
@@ -134,9 +132,11 @@ def _checked(h_of_ts):
 
 
 def _default_steps(duration, steps=None):
-    """``steps``, or ``STEPS_PER_UNIT`` per unit of ``duration`` if None."""
+    """``steps`` (at least 2), or ``STEPS_PER_UNIT`` per unit ``duration`` if None."""
     if steps is None:
         return max(2, int(round(STEPS_PER_UNIT * duration)))
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     return steps
 
 
@@ -164,51 +164,9 @@ def propagate(h_of_ts, initial, duration, steps):
     ``h_of_ts(ts)`` takes an array of times and returns the Hamiltonians
     at those times stacked along the first axis.
     """
-    states = _magnus_run(_checked(h_of_ts), initial, duration, steps)
+    states = _magnus_run(_checked(h_of_ts), initial, duration,
+                         _default_steps(duration, steps))
     return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
-
-
-def _tracked_result(rep: SpinRep, m: float, states, schedule: CycleSchedule,
-                    frame, winding=0.0) -> CycleResult:
-    """Phase bookkeeping of a run of the schedule against the labeled level m.
-
-    The reference at each step end is the labeled eigenvector of
-    Sigma_z + lambda Sigma_x^2 carried by the unitaries ``frame(ts)``.
-    Each step's dynamical phase integrates -b E(m, lambda) by Simpson's
-    rule on the step ends and midpoint, and the overlap with the reference
-    is unwrapped relative to it, so neither limits the order of the
-    stepper nor wraps when a step turns the phase by more than pi.
-    ``winding`` is added to the total phase.
-    """
-    steps = len(states) - 1
-    dt = schedule.duration / steps
-    i = _label_index(rep, m)
-    ends = dt * np.arange(steps + 1)
-    mids = dt * (np.arange(steps) + 0.5)
-    end_energies, end_vecs = _spectra(rep, schedule.lam(ends))
-    end_terms = schedule.b(ends) * end_energies[:, i]
-    mid_terms = schedule.b(mids) * _spectra(rep, schedule.lam(mids))[0][:, i]
-    step_phases = -dt / 6.0 * (end_terms[:-1] + 4.0 * mid_terms + end_terms[1:])
-    refs = end_vecs[:, :, i]
-    # the phase needs a continuous reference, and the per-lambda sign
-    # convention flips where the parent component passes through zero
-    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
-    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-    # block-wise, so the stacked frames stay small next to the trajectory
-    tracked = np.empty(steps + 1, dtype=complex)
-    for first in range(0, steps + 1, _BLOCK_STEPS):
-        block = slice(first, first + _BLOCK_STEPS)
-        vecs = (frame(ends[block]) @ refs[block, :, None])[..., 0]
-        tracked[block] = np.sum(vecs.conj() * states[block], axis=-1)
-    dynamical = float(np.sum(step_phases))
-    psi = states[-1]
-    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(psi) ** 2)
-    total_phase = _unwrapped_phase(tracked, step_phases) + winding
-    return CycleResult(final_state=psi, total_phase=total_phase,
-                       dynamical_phase=dynamical,
-                       geometric_phase=total_phase - dynamical,
-                       leakage=float(leakage), norm_drift=_norm_drift(states),
-                       sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi))))
 
 
 def _stacked(x):
@@ -240,7 +198,8 @@ def _reduced(rep: SpinRep, lam) -> np.ndarray:
 
 
 def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
-    """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag."""
+    """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag
+    (the reference for the co-rotating runs)."""
     u = _frames(rep, schedule, t)
     return _stacked(schedule.b(t)) * (u @ _reduced(rep, schedule.lam(t))
                                       @ u.conj().swapaxes(-1, -2))
@@ -257,24 +216,58 @@ def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
                + _stacked(schedule.theta_dot(t)) * d_theta))
 
 
+def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
+                 steps: int | None = None, winding=0.0) -> CycleResult:
+    """Co-rotating-frame run of the schedule that starts in and tracks level m.
+
+    In this frame the reference at each step end is the labeled
+    eigenvector psi_hat(m, lambda) of Sigma_z + lambda Sigma_x^2, made
+    sign-continuous.  Each step's dynamical phase integrates -b E(m, lambda)
+    by Simpson's rule on the step ends and midpoint, and the overlap with
+    the reference is unwrapped relative to it, so neither limits the order
+    of the stepper nor wraps when a step turns the phase by more than pi.
+    ``winding`` is added to the total phase; the final state is rotated
+    back to the laboratory frame.
+    """
+    steps = _default_steps(schedule.duration, steps)
+    dt = schedule.duration / steps
+    i = _label_index(rep, m)
+    nodes = 0.5 * dt * np.arange(2 * steps + 1)  # step ends and midpoints
+    energies, vectors = _spectra(rep, schedule.lam(nodes))
+    terms = schedule.b(nodes) * energies[:, i]
+    step_phases = -dt / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
+    refs = vectors[::2, :, i]
+    # the phase needs a continuous reference, and the per-lambda sign
+    # convention flips where the parent component passes through zero
+    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
+    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
+    states = _magnus_run(lambda ts: rotating_frame_hamiltonian(rep, schedule, ts),
+                         refs[0].astype(complex), schedule.duration, steps)
+    tracked = np.sum(refs * states, axis=-1)  # the references are real
+    dynamical = float(np.sum(step_phases))
+    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
+    total_phase = _unwrapped_phase(tracked, step_phases) + winding
+    psi = _frames(rep, schedule, schedule.duration) @ states[-1]
+    return CycleResult(final_state=psi, total_phase=total_phase,
+                       dynamical_phase=dynamical,
+                       geometric_phase=total_phase - dynamical,
+                       leakage=float(leakage), norm_drift=_norm_drift(states),
+                       sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi))))
+
+
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
               steps: int | None = None) -> CycleResult:
     """Integrate one closed cycle starting from the instantaneous eigenstate m.
 
-    The phase is accumulated un-wrapped against the labeled
-    instantaneous eigenstate Psi(m, t) = U(R(t)) psi_hat(m, lambda(t)) and
-    then referred back to the *initial* eigenstate by adding the winding
-    phase -m (2 n_phi + n_alpha) pi that the moving reference carries, so
-    ``total_phase`` is directly comparable across windings.
+    The run is made in the co-rotating frame (see :func:`_tracked_run`).
+    Its phase is referred back to the *initial* eigenstate by adding the
+    winding phase -m (2 n_phi + n_alpha) pi that the laboratory eigenstate
+    U(R(t)) psi_hat(m, lambda(t)) carries, so ``total_phase`` is directly
+    comparable across windings.
     """
     schedule.validate()
-    psi0 = labeled_spectrum(rep, schedule.lam(0.0)).vector(m)
-    states = _magnus_run(lambda ts: lab_hamiltonian(rep, schedule, ts),
-                         _frames(rep, schedule, 0.0) @ psi0, schedule.duration,
-                         _default_steps(schedule.duration, steps))
-    return _tracked_result(rep, m, states, schedule,
-                           lambda ts: _frames(rep, schedule, ts),
-                           winding=-m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi)
+    return _tracked_run(rep, m, schedule, steps,
+                        winding=-m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi)
 
 
 @dataclass(frozen=True)
@@ -356,15 +349,20 @@ class RampResult:
     final_state: np.ndarray
 
 
+def _ramp(lambda0: float, duration: float, shape: str) -> CycleSchedule:
+    """The coupling ramp 0 -> lambda0 as a one-segment schedule with fixed
+    field axes."""
+    return from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
+
+
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
                   shape: str = "blackman", steps: int | None = None) -> RampResult:
     """Ramp the coupling 0 -> lambda0 with fixed field axes and compare
     the final <Sigma_z> with the adiabatic polarization p(m, lambda0)."""
-    pulse = PulseShape(shape)
+    ramp = _ramp(lambda0, duration, shape)
     psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
-    _, psi, _ = propagate(
-        lambda ts: _reduced(rep, lambda0 * pulse.fraction(ts / duration)),
-        psi0, duration, _default_steps(duration, steps))
+    _, psi, _ = propagate(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
+                          _default_steps(duration, steps))
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
@@ -375,10 +373,8 @@ def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
                               duration: float, shape: str = "blackman",
                               quad_points: int = 4097) -> float:
     """-int E(m, lambda(t)) dt along a coupling ramp (adiabatic reference)."""
-    pulse = PulseShape(shape)
-    ts = np.linspace(0.0, duration,
-                     quad_points + 1 if quad_points % 2 == 0 else quad_points)
-    energies, _ = _spectra(rep, lambda0 * pulse.fraction(ts / duration))
+    ts = _quad_grid(duration, quad_points)
+    energies, _ = _spectra(rep, _ramp(lambda0, duration, shape).lam(ts))
     return float(simpson(-energies[:, _label_index(rep, m)], x=ts))
 
 
@@ -386,14 +382,10 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
                shape: str = "blackman", steps: int | None = None) -> CycleResult:
     """Exact phase bookkeeping of a coupling ramp (for phase-robustness checks).
 
-    The ramp is a one-segment schedule whose level labeled m is tracked as
-    in :func:`run_cycle`, with fixed field axes.
+    The ramp is the one-segment schedule of :func:`ramp_fidelity`, whose
+    level labeled m is tracked as in :func:`run_cycle`.
     """
-    ramp = from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
-    psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
-    states = _magnus_run(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
-                         _default_steps(duration, steps))
-    return _tracked_result(rep, m, states, ramp, lambda ts: np.eye(rep.dim))
+    return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
 
 
 def rotating_basis_transform(rep: SpinRep, lam: float) -> np.ndarray:

@@ -165,7 +165,8 @@ def _reference_trajectory(h_of_ts, psi, duration, steps):
 
 
 def _reference_cycle(rep, m, sched, steps):
-    """Final state, total and dynamical phase of run_cycle, step by step."""
+    """Final state, total and dynamical phase of run_cycle, step by step in
+    the co-rotating frame."""
     from spinberry.hamiltonian import _label_index, _spectra
     dt = sched.duration / steps
     i = _label_index(rep, m)
@@ -176,11 +177,10 @@ def _reference_cycle(rep, m, sched, steps):
     end_energies, refs = end_energies[:, i], end_vecs[:, :, i]
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
     refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-    frames = rotation_unitary(rep, EulerAngles(sched.theta(ends), sched.phi(ends),
-                                               sched.alpha(ends)))
     mid_fields, end_fields = sched.b(mids), sched.b(ends)
-    states = _reference_trajectory(lambda ts: lab_hamiltonian(rep, sched, ts),
-                                   frames[0] @ refs[0], sched.duration, steps)
+    states = _reference_trajectory(
+        lambda ts: rotating_frame_hamiltonian(rep, sched, ts), refs[0],
+        sched.duration, steps)
     overlap = 1.0 + 0.0j
     total_phase = dynamical = 0.0
     for k in range(steps):
@@ -188,11 +188,14 @@ def _reference_cycle(rep, m, sched, steps):
         dynamical += -dt / 6.0 * (end_fields[k] * end_energies[k]
                                   + 4.0 * mid_fields[k] * mid_energies[k]
                                   + end_fields[k + 1] * end_energies[k + 1])
-        new_overlap = np.vdot(frames[k + 1] @ refs[k + 1], states[k + 1])
+        new_overlap = np.vdot(refs[k + 1], states[k + 1])
         total_phase += float(np.angle(new_overlap / overlap))
         overlap = new_overlap
     total_phase += -m * (2 * sched.n_phi + sched.n_alpha) * np.pi
-    return states[-1], total_phase, dynamical
+    frame_end = rotation_unitary(rep, EulerAngles(sched.theta(sched.duration),
+                                                  sched.phi(sched.duration),
+                                                  sched.alpha(sched.duration)))
+    return frame_end @ states[-1], total_phase, dynamical
 
 
 @pytest.mark.parametrize("steps", [511, 513, 1537])
@@ -287,6 +290,23 @@ def test_default_density_beats_midpoint_rule(two_s, lambda0):
                                sched.duration, int(200 * sched.duration))
     magnus_error = np.linalg.norm(res.final_state - ref)
     assert 5.0 * magnus_error < np.linalg.norm(midpoint - ref), magnus_error
+
+
+@pytest.mark.parametrize("two_s, lambda0",
+                         [(2, 1.0), (4, -1.05), (5, -2.0), (8, 2.0), (12, 2.0)])
+def test_default_density_final_state_accuracy(two_s, lambda0):
+    # run_cycle integrates in the co-rotating frame; at its default density
+    # its final state is 4.3e-10 (2S = 2) to 1.1e-8 (2S = 12) from DOP853
+    # (rtol 1e-12), where the laboratory-frame run was up to 5.9e-6 off
+    rep = spin_matrices(two_s)
+    m = 1.0 if two_s % 2 == 0 else 0.5
+    sched = _bench_cycle(lambda0)
+    start = labeled_spectrum(rep, 0.0).vector(m).astype(complex)
+    sol = solve_ivp(_bench_cycle_rotating_rhs(rep, lambda0), (0.0, sched.duration),
+                    start, method="DOP853", rtol=1e-12, atol=1e-12)
+    ref = rotation_unitary(rep, EulerAngles(0.0, 0.0, np.pi)) @ sol.y[:, -1]
+    error = np.linalg.norm(run_cycle(rep, m, sched).final_state - ref)
+    assert error < 5e-8, error
 
 
 @pytest.mark.parametrize("steps", [10, 40, 250])

@@ -156,6 +156,25 @@ def test_delta_p_even_in_eta(eta, lam, m):
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
+@settings(max_examples=30, deadline=None)
+@given(two_s=st.integers(1, 12), lam=st.floats(-3.0, 3.0),
+       eta=st.floats(-0.5, 0.5))
+def test_delta_p_eta_sweep(two_s, lam, eta):
+    # Delta_p is exactly even in eta on both branches; across the series
+    # threshold the direct difference and q eta^2 agree to the difference's
+    # cancellation noise (worst 3.3e-11, at 2S = 12 and |lambda| = 3)
+    from spinberry.nonadiabatic import _ETA_SERIES_THRESHOLD
+    rep = spin_matrices(two_s)
+    below = np.nextafter(_ETA_SERIES_THRESHOLD, 0.0)
+    for m in rep.m_values:
+        assert delta_p(rep, m, lam, eta) == delta_p(rep, m, lam, -eta)
+        jump = (delta_p(rep, m, lam, _ETA_SERIES_THRESHOLD)
+                - delta_p(rep, m, lam, below))
+        assert abs(jump) <= 1e-10, (m, jump)
+    if two_s in (4, 8):
+        assert magic_lambda(rep, -eta) == magic_lambda(rep, eta)
+
+
 def test_delta_p_near_paper_magic_point():
     # the quoted six-digit magic coupling roots the eta->0 kernel closely
     assert abs(q_coefficient(S2, 0.0, 0.838213)) < 3e-7

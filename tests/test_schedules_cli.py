@@ -1,7 +1,9 @@
 import bisect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,8 +417,13 @@ def test_cli_json_format(tmp_path):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the package from where this process found it
+    import spinberry
+    path = [str(Path(spinberry.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-m", "spinberry.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "spinberry" in proc.stdout
 
@@ -427,3 +434,17 @@ def test_cli_spin_parsing(tmp_path):
     assert code == 0
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert "E_m3over2" in lines[0]
+
+
+def test_cli_transverse_warns_outside_perturbation_theory(tmp_path, capsys):
+    # for S = 2, m = 1 the opposite-parity gap is 6.95e-2 at lambda = 1 but
+    # 5.19e-3 at lambda = 2.5, below the 1e-2 warning threshold: the table
+    # is still written, with one warning line for that row only
+    out = tmp_path / "tv.csv"
+    code = main(["transverse", "--spin", "2", "--m", "1", "--lambda-min", "1",
+                 "--lambda-max", "2.5", "--n", "2", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 7
+    err = capsys.readouterr().err
+    assert err == ("warning: opposite-parity gap 5.19e-03 below 1e-02 at "
+                   "lambda=2.5; outside perturbation theory\n")
