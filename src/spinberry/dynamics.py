@@ -15,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .berry import _quad_grid
+from .berry import _quad_grid, _simpson
 from .hamiltonian import _label_index, _spectra, labeled_spectrum
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
@@ -181,15 +180,21 @@ def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                              alpha=schedule.alpha(t)))
 
 
+def _d_phi(rep: SpinRep, theta, alpha) -> np.ndarray:
+    theta, alpha = _stacked(theta), _stacked(alpha)
+    return (rep.sigma_z * np.cos(theta)
+            + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
+                               + rep.sigma_y * np.sin(alpha)))
+
+
+def _d_theta(rep: SpinRep, alpha) -> np.ndarray:
+    alpha = _stacked(alpha)
+    return rep.sigma_y * np.cos(alpha) + rep.sigma_x * np.sin(alpha)
+
+
 def coriolis_operators(rep: SpinRep, theta, alpha):
     """Generators (D_theta, D_phi, D_alpha) of the frame rotation rates."""
-    theta, alpha = _stacked(theta), _stacked(alpha)
-    d_alpha = rep.sigma_z
-    d_phi = (rep.sigma_z * np.cos(theta)
-             + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
-                                + rep.sigma_y * np.sin(alpha)))
-    d_theta = rep.sigma_y * np.cos(alpha) + rep.sigma_x * np.sin(alpha)
-    return d_theta, d_phi, d_alpha
+    return _d_theta(rep, alpha), _d_phi(rep, theta, alpha), rep.sigma_z
 
 
 def _reduced(rep: SpinRep, lam) -> np.ndarray:
@@ -207,13 +212,21 @@ def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
 
 def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
                                t) -> np.ndarray:
-    """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field."""
-    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t),
-                                                 schedule.alpha(t))
+    """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field.
+
+    The D_phi and D_theta terms are built only when their rate is nonzero
+    somewhere on ``t`` (an alpha-only cycle needs neither); the result is
+    complex either way.
+    """
+    coriolis = _stacked(schedule.alpha_dot(t)) * rep.sigma_z
+    phi_dot, theta_dot = schedule.phi_dot(t), schedule.theta_dot(t)
+    if np.any(phi_dot):
+        coriolis = coriolis + _stacked(phi_dot) * _d_phi(rep, schedule.theta(t),
+                                                        schedule.alpha(t))
+    if np.any(theta_dot):
+        coriolis = coriolis + _stacked(theta_dot) * _d_theta(rep, schedule.alpha(t))
     return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
-            - (_stacked(schedule.alpha_dot(t)) * d_alpha
-               + _stacked(schedule.phi_dot(t)) * d_phi
-               + _stacked(schedule.theta_dot(t)) * d_theta))
+            - coriolis).astype(complex, copy=False)
 
 
 def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -375,7 +388,7 @@ def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
     """-int E(m, lambda(t)) dt along a coupling ramp (adiabatic reference)."""
     ts = _quad_grid(duration, quad_points)
     energies, _ = _spectra(rep, _ramp(lambda0, duration, shape).lam(ts))
-    return float(simpson(-energies[:, _label_index(rep, m)], x=ts))
+    return _simpson(-energies[:, _label_index(rep, m)], ts)
 
 
 def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,

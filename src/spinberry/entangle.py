@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .dynamics import (LeakageWarning, _default_steps, _magnus_run, _odd_doublet,
                        _unwrapped_phase)
@@ -171,6 +170,7 @@ def closed_form_delta_beta(lambda0: float) -> DeltaBeta:
 
 def lambda_max_solve() -> float:
     """Negative coupling at which the sector phase difference equals -pi."""
+    from scipy.optimize import brentq  # on demand: keeps scipy off start-up
     root = brentq(lambda lam: closed_form_delta_beta(lam).delta + np.pi,
                   -1.5, -0.5, xtol=1e-14, rtol=8.9e-16)
     return float(root)
@@ -308,6 +308,8 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
     window, so the best interior grid maximum is polished too and the
     fitter of the two stretches is returned.
     """
+    from scipy.optimize import minimize_scalar  # on demand, as in lambda_max_solve
+
     def objective(s):
         return -_fast_fidelity(lambda0, stage_duration, s, n_alpha, shape)
 

@@ -31,10 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
-from .berry import _polarizations, _quad_grid
+from .berry import _polarizations, _quad_grid, _simpson
 from .hamiltonian import (_eigensystem, _label_index, _spectra,
                           energy_derivative, labeled_spectrum, polarization)
 from .schedules import CycleSchedule
@@ -162,6 +160,7 @@ def magic_lambda(rep: SpinRep, eta: float) -> float:
     if flo * fhi > 0.0:
         raise NoRootError(
             f"no sign change of Delta_p(0, lambda, eta={eta}) in [{lo}, {hi}]")
+    from scipy.optimize import brentq  # on demand: keeps scipy off start-up
     root = brentq(objective, lo, hi, xtol=1e-13, rtol=8.9e-16)
     residual = abs(delta_p(rep, 0.0, root, eta))
     if residual > 1e-10:
@@ -273,7 +272,6 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
     lams = schedule.lam(ts)
 
     energies, _ = _spectra(rep, lams / (1.0 - etas))
-    full = float(simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)],
-                         x=ts))
-    first_order = float(simpson(bs * etas * _polarizations(rep, m, lams), x=ts))
+    full = _simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)], ts)
+    first_order = _simpson(bs * etas * _polarizations(rep, m, lams), ts)
     return full, first_order

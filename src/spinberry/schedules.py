@@ -25,7 +25,6 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .pulses import PulseShape
 
@@ -117,8 +116,9 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("ramp", "rotate", "hold"):
             raise ScheduleError(f"unknown segment kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ScheduleError("segment duration must be positive")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise ScheduleError(
+                f"segment duration must be finite and positive, got {self.duration}")
         if self.kind == "ramp" and self.lambda_to is None:
             raise ScheduleError("ramp segment needs lambda_to")
         PulseShape(self.shape)
@@ -256,6 +256,8 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
             raise ScheduleError(
                 f"{name} table fails the smoothness bound "
                 f"(curvature {curv.max():.3g} > {bound:.3g})")
+
+    from scipy.interpolate import CubicSpline  # on demand: keeps scipy off start-up
 
     t0 = t[0]
     if b is not None:

@@ -170,3 +170,20 @@ def test_gauge_dependence_detected_for_inadmissible_function():
     sched = alpha_rotation_cycle(1.0, n_alpha=1, duration=10.0)
     g = lambda phi, theta, alpha, lam: np.cos(alpha)
     assert gauge_invariance_check(S2, 0.0, sched, g) > 0.5
+
+
+# --- quadrature -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 9, 65, 4097])
+def test_simpson_matches_scipy_on_quad_grid(n):
+    from scipy.integrate import simpson
+
+    from spinberry.berry import _quad_grid, _simpson
+    rng = np.random.default_rng(n)
+    for duration in (1.0, 37.5, 100.0):
+        ts = _quad_grid(duration, n)
+        for y in (np.cos(0.3 * ts) + ts / duration, np.exp(-ts / duration),
+                  rng.uniform(0.5, 1.5, ts.size)):
+            reference = simpson(y, x=ts)
+            assert abs(_simpson(y, ts) - reference) <= 1e-14 * abs(reference)

@@ -412,6 +412,14 @@ def test_rotating_vs_lab_frame_convergence():
 def test_rotating_frame_with_phi_and_theta_terms():
     sched = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=14.0, lambda0=0.3)
     assert _frame_agreement(S1, sched, 7000) < 1e-5
+    # theta moves too, so the D_theta term is exercised
+    from spinberry.schedules import from_table
+    t = np.linspace(0.0, 10.0, 201)
+    s = 2 * np.pi * t / 10.0
+    sched = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=s, alpha=0.5 * s,
+                       lam=0.3 + 0.1 * np.sin(s), n_phi=1, n_alpha=1)
+    for rep in (S1, S2):
+        assert _frame_agreement(rep, sched, 2000) < 1e-9
 
 
 # --- two-level rotating Hamiltonian ------------------------------------------

@@ -75,6 +75,12 @@ def test_schedule_file_errors(tmp_path):
         from_dict({"mystery": "1"})
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, np.inf, np.nan])
+def test_segment_rejects_non_finite_or_non_positive_duration(duration):
+    with pytest.raises(ScheduleError, match=f"got {duration}"):
+        Segment(kind="hold", duration=duration)
+
+
 def test_mirror_and_scaled_field():
     sched = three_stage_cycle(0.5, stage_duration=2.0)
     mirror = sched.mirror()
@@ -368,6 +374,10 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["entangle", "--steps", "-3"],
     ["entangle", "--tune", "-1"],
     ["entangle", "--T", "0", "--tune", "auto"],
+    ["ramp", "--T", "inf"],
+    ["ramp", "--T", "nan"],
+    ["entangle", "--T", "inf"],
+    ["entangle", "--T", "nan", "--tune", "auto"],
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
@@ -376,7 +386,8 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
                      "segment1.duration = 4\n"
                      "segment1.alpha_half_turns = 1\n")
     required = {"cycle": ["--schedule", str(sched), "--spin", "2", "--m", "0"],
-                "entangle": ["--lambda0", "-0.97"]}[argv[0]]
+                "entangle": ["--lambda0", "-0.97"],
+                "ramp": ["--spin", "2", "--m", "0", "--lambda0", "1"]}[argv[0]]
     out = tmp_path / "out.json"
     code = main([argv[0], *required, *argv[1:], "--out", str(out)])
     assert code == 1
@@ -417,15 +428,77 @@ def test_cli_json_format(tmp_path):
 
 
 def test_cli_entry_point_runs():
-    # the child imports the package from where this process found it
+    proc = subprocess.run([sys.executable, "-m", "spinberry.cli", "--version"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert "spinberry" in proc.stdout
+
+
+def _child_env():
+    """Environment whose PYTHONPATH finds the package this process imports."""
     import spinberry
     path = [str(Path(spinberry.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "spinberry.cli", "--version"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "spinberry" in proc.stdout
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+_SCIPY_FREE_CHILD = """\
+import json, sys
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+from spinberry import cli
+after_import = scipy_modules()
+out, sched = sys.argv[1], sys.argv[2]
+codes = [cli.main(argv + ["--out", out]) for argv in (
+    ["spectrum", "--spin", "2", "--n", "5"],
+    ["gauge-sphere", "--spin", "2", "--m", "0", "--n", "9"],
+    ["transverse", "--spin", "2", "--m", "0", "--n", "3"],
+    ["ramp", "--spin", "2", "--m", "0", "--lambda0", "1", "--T", "2"],
+    ["cycle", "--schedule", sched, "--spin", "2", "--m", "0"])]
+print(json.dumps([after_import, codes, scipy_modules()]))
+"""
+
+
+def test_cli_start_up_and_scipy_free_commands_load_no_scipy(tmp_path):
+    # only magic, entangle --tune auto and table schedules import scipy
+    sched = tmp_path / "alpha.sched"
+    sched.write_text("lambda0 = 1.0\n"
+                     "segment1.kind = rotate\n"
+                     "segment1.duration = 80\n"
+                     "segment1.alpha_half_turns = 1\n")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CHILD,
+                           str(tmp_path / "out"), str(sched)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, after_commands = json.loads(proc.stdout)
+    assert after_import == []
+    assert codes == [0] * 5
+    assert after_commands == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--spin", "2", "--m", "0"],
+    ["ramp", "--spin", "2", "--m", "-1", "--lambda0", "1", "--shape", "blackman",
+     "--T", "10,25,40"],
+], ids=["cycle", "ramp"])
+def test_readme_output_unchanged_under_scipy_simpson(argv, tmp_path, monkeypatch):
+    # README commands print the same bytes with scipy's Simpson rule in
+    # place of the private one
+    from scipy.integrate import simpson
+
+    from spinberry import berry, dynamics, nonadiabatic
+    sched = tmp_path / "cycle.sched"
+    sched.write_text(SCHEDULE_TEXT)
+    if argv[0] == "cycle":
+        argv = [*argv, "--schedule", str(sched)]
+    code, private = run_cli(argv, tmp_path, "private.out")
+    assert code == 0
+    for module in (berry, dynamics, nonadiabatic):
+        monkeypatch.setattr(module, "_simpson",
+                            lambda y, ts: float(simpson(y, x=ts)))
+    code, reference = run_cli(argv, tmp_path, "scipy.out")
+    assert code == 0
+    assert private == reference
 
 
 def test_cli_spin_parsing(tmp_path):
