@@ -222,7 +222,17 @@ def cmd_entangle(args) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=_parse_spin, required=True)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=2.0)
-    p.add_argument("--n", dest="n_points", type=int, default=81)
+    p.add_argument("--n", dest="n_points", type=_count, default=81)
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gauge-sphere", help="gauge field on the spherical section")
     p.add_argument("--spin", type=_parse_spin, required=True)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--n", dest="n_points", type=int, default=181)
+    p.add_argument("--n", dest="n_points", type=_count, default=181)
     add_common(p)
     p.set_defaults(func=cmd_gauge_sphere)
 
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=_parse_spin, required=True)
     p.add_argument("--eta-min", type=float, default=0.0)
     p.add_argument("--eta-max", type=float, default=0.5)
-    p.add_argument("--n", dest="n_points", type=int, default=11)
+    p.add_argument("--n", dest="n_points", type=_count, default=11)
     add_common(p)
     p.set_defaults(func=cmd_magic)
 
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--lambda-min", type=float, default=0.7)
     p.add_argument("--lambda-max", type=float, default=1.2)
-    p.add_argument("--n", dest="n_points", type=int, default=26)
+    p.add_argument("--n", dest="n_points", type=_count, default=26)
     add_common(p)
     p.set_defaults(func=cmd_transverse)
 

@@ -1,23 +1,26 @@
 """Exact time-dependent Schroedinger integration.
 
 Every run goes through one fourth-order Magnus stepper, :func:`_magnus_run`,
-by default at ``STEPS_PER_UNIT`` steps per unit time.  Tracked runs, like
-the four-spin odd blocks of :mod:`spinberry.entangle`, integrate in the
-paper's co-rotating frame; :func:`lab_hamiltonian` is the laboratory-frame
-reference the tests hold them to.  Time is in units of 1/(gamma_S B0)
-throughout.  Functions of time (and of angles or couplings) take scalars
-or arrays; arrays give their matrices stacked along the leading axes.
+by default at ``STEPS_PER_UNIT`` steps per unit time.  Cycles, ramps and the
+four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the paper's
+co-rotating frame, on the tracked level's parity block while phi and theta
+stand still (:func:`_tracked_run`).  :func:`propagate` and
+:func:`lab_hamiltonian` are the references the tests hold them to.  Time is
+in units of 1/(gamma_S B0) throughout.  Functions of time (and of angles or
+couplings) take scalars or arrays; arrays give their matrices stacked along
+the leading axes.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import _label_index, _spectra, labeled_spectrum
+from .hamiltonian import _even_block_mask, _label_index, _spectra, labeled_spectrum
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -145,17 +148,6 @@ def _norm_drift(states):
     return float(np.abs(norms - norms[0]).max())
 
 
-def _unwrapped_phase(amplitudes, step_phases=0.0):
-    """Argument accumulated by a sampled amplitude, summed step by step.
-
-    Each step's increment is taken within pi of its expected value
-    ``step_phases`` (one per step, or a scalar), so a step may turn the
-    amplitude by more than pi without wrapping.
-    """
-    turns = np.angle(amplitudes[1:] / amplitudes[:-1] * np.exp(-1j * step_phases))
-    return float(np.sum(turns + step_phases))
-
-
 def propagate(h_of_ts, initial, duration, steps):
     """Fourth-order Magnus run (see :func:`_magnus_run`); returns
     (times, final state, norm_drift).
@@ -180,21 +172,15 @@ def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                              alpha=schedule.alpha(t)))
 
 
-def _d_phi(rep: SpinRep, theta, alpha) -> np.ndarray:
-    theta, alpha = _stacked(theta), _stacked(alpha)
-    return (rep.sigma_z * np.cos(theta)
-            + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
-                               + rep.sigma_y * np.sin(alpha)))
-
-
-def _d_theta(rep: SpinRep, alpha) -> np.ndarray:
-    alpha = _stacked(alpha)
-    return rep.sigma_y * np.cos(alpha) + rep.sigma_x * np.sin(alpha)
-
-
 def coriolis_operators(rep: SpinRep, theta, alpha):
     """Generators (D_theta, D_phi, D_alpha) of the frame rotation rates."""
-    return _d_theta(rep, alpha), _d_phi(rep, theta, alpha), rep.sigma_z
+    theta, alpha = _stacked(theta), _stacked(alpha)
+    d_alpha = rep.sigma_z
+    d_phi = (rep.sigma_z * np.cos(theta)
+             + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
+                                + rep.sigma_y * np.sin(alpha)))
+    d_theta = rep.sigma_y * np.cos(alpha) + rep.sigma_x * np.sin(alpha)
+    return d_theta, d_phi, d_alpha
 
 
 def _reduced(rep: SpinRep, lam) -> np.ndarray:
@@ -212,37 +198,47 @@ def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
 
 def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
                                t) -> np.ndarray:
-    """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field.
-
-    The D_phi and D_theta terms are built only when their rate is nonzero
-    somewhere on ``t`` (an alpha-only cycle needs neither); the result is
-    complex either way.
-    """
-    coriolis = _stacked(schedule.alpha_dot(t)) * rep.sigma_z
-    phi_dot, theta_dot = schedule.phi_dot(t), schedule.theta_dot(t)
-    if np.any(phi_dot):
-        coriolis = coriolis + _stacked(phi_dot) * _d_phi(rep, schedule.theta(t),
-                                                        schedule.alpha(t))
-    if np.any(theta_dot):
-        coriolis = coriolis + _stacked(theta_dot) * _d_theta(rep, schedule.alpha(t))
+    """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field."""
+    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t),
+                                                 schedule.alpha(t))
     return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
-            - coriolis).astype(complex, copy=False)
+            - (_stacked(schedule.alpha_dot(t)) * d_alpha
+               + _stacked(schedule.phi_dot(t)) * d_phi
+               + _stacked(schedule.theta_dot(t)) * d_theta))
 
 
-def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
-                 steps: int | None = None, winding=0.0) -> CycleResult:
-    """Co-rotating-frame run of the schedule that starts in and tracks level m.
+def _parity_block(rep: SpinRep, m: float):
+    """Basis indices of level m's parity block; Sigma_z and Sigma_x^2 on it."""
+    mask = _even_block_mask(rep.two_s)
+    sel = np.flatnonzero(mask == mask[_label_index(rep, m)])
+    block = np.ix_(sel, sel)
+    return sel, rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
 
-    In this frame the reference at each step end is the labeled
-    eigenvector psi_hat(m, lambda) of Sigma_z + lambda Sigma_x^2, made
-    sign-continuous.  Each step's dynamical phase integrates -b E(m, lambda)
-    by Simpson's rule on the step ends and midpoint, and the overlap with
-    the reference is unwrapped relative to it, so neither limits the order
-    of the stepper nor wraps when a step turns the phase by more than pi.
-    ``winding`` is added to the total phase; the final state is rotated
-    back to the laboratory frame.
-    """
-    steps = _default_steps(schedule.duration, steps)
+
+def _block_run(rep: SpinRep, m: float, schedule: CycleSchedule, initial, steps: int):
+    """Basis indices and co-rotating-frame states of a run from ``initial``:
+    while phi and theta stand still, b (Sigma_z + lambda Sigma_x^2)
+    - alpha_dot Sigma_z conserves the parity (-1)^(S-m), and only level m's
+    block is integrated."""
+    dt = schedule.duration / steps
+    nodes = np.add.outer(np.arange(steps), [_C_MINUS, _C_PLUS]) * dt  # Gauss nodes
+    if np.any(schedule.phi_dot(nodes)) or np.any(schedule.theta_dot(nodes)):
+        sel = np.arange(rep.dim)
+        h_of_ts = partial(rotating_frame_hamiltonian, rep, schedule)
+    else:
+        sel, sz, sxsq = _parity_block(rep, m)
+
+        def h_of_ts(ts):
+            return (_stacked(schedule.b(ts)) * (sz + _stacked(schedule.lam(ts)) * sxsq)
+                    - _stacked(schedule.alpha_dot(ts)) * sz)
+    return sel, _magnus_run(h_of_ts, initial[sel], schedule.duration, steps)
+
+
+def _references(rep: SpinRep, m: float, schedule: CycleSchedule, steps: int):
+    """Step phases and references of a run tracking level m, which depend on
+    lambda(t) and b(t) only: the labeled eigenvector psi_hat(m, lambda) at
+    each step end, made sign-continuous, and -int b E(m, lambda) dt over
+    each step by Simpson's rule on its ends and midpoint."""
     dt = schedule.duration / steps
     i = _label_index(rep, m)
     nodes = 0.5 * dt * np.arange(2 * steps + 1)  # step ends and midpoints
@@ -254,33 +250,40 @@ def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
     # convention flips where the parent component passes through zero
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
     refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-    states = _magnus_run(lambda ts: rotating_frame_hamiltonian(rep, schedule, ts),
-                         refs[0].astype(complex), schedule.duration, steps)
-    tracked = np.sum(refs * states, axis=-1)  # the references are real
+    return step_phases, refs
+
+
+def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
+                 steps: int | None = None, references=None) -> CycleResult:
+    """Co-rotating-frame :func:`_block_run` from level m, tracked against its
+    :func:`_references` (or ``references``).  Each step turns the overlap
+    with the reference by its dynamical phase plus a rest taken within pi,
+    so nothing wraps.  The geometric phase adds the winding
+    -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
+    U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
+    initial eigenstate.  The final state is in the laboratory frame."""
+    steps = _default_steps(schedule.duration, steps)
+    step_phases, refs = references or _references(rep, m, schedule, steps)
+    sel, states = _block_run(rep, m, schedule, refs[0], steps)
+    tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
     dynamical = float(np.sum(step_phases))
     leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
-    total_phase = _unwrapped_phase(tracked, step_phases) + winding
-    psi = _frames(rep, schedule, schedule.duration) @ states[-1]
-    return CycleResult(final_state=psi, total_phase=total_phase,
-                       dynamical_phase=dynamical,
-                       geometric_phase=total_phase - dynamical,
+    rests = np.angle(tracked[1:] / tracked[:-1] * np.exp(-1j * step_phases))
+    winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
+    geometric = float(np.sum(rests)) + winding
+    psi = _frames(rep, schedule, schedule.duration)[:, sel] @ states[-1]
+    return CycleResult(final_state=psi, total_phase=dynamical + geometric,
+                       dynamical_phase=dynamical, geometric_phase=geometric,
                        leakage=float(leakage), norm_drift=_norm_drift(states),
                        sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi))))
 
 
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
               steps: int | None = None) -> CycleResult:
-    """Integrate one closed cycle starting from the instantaneous eigenstate m.
-
-    The run is made in the co-rotating frame (see :func:`_tracked_run`).
-    Its phase is referred back to the *initial* eigenstate by adding the
-    winding phase -m (2 n_phi + n_alpha) pi that the laboratory eigenstate
-    U(R(t)) psi_hat(m, lambda(t)) carries, so ``total_phase`` is directly
-    comparable across windings.
-    """
+    """Integrate one closed cycle starting from the instantaneous eigenstate m
+    (see :func:`_tracked_run`)."""
     schedule.validate()
-    return _tracked_run(rep, m, schedule, steps,
-                        winding=-m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi)
+    return _tracked_run(rep, m, schedule, steps)
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,20 @@ class MirrorResult:
     mirrored: CycleResult
 
 
+def _mirror_pair(rep: SpinRep, m: float, schedule: CycleSchedule,
+                 steps: int | None = None) -> MirrorResult:
+    """:func:`mirror_phase_difference` without its warnings.  The image has
+    the same lambda(t) and b(t), hence the same references and dynamical
+    phase, which the extraction leaves out rather than subtracts."""
+    schedule.validate()
+    steps = _default_steps(schedule.duration, steps)
+    references = _references(rep, m, schedule, steps)
+    forward, mirrored = (_tracked_run(rep, m, cycle, steps, references)
+                         for cycle in (schedule, schedule.mirror()))
+    return MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),
+                        forward, mirrored)
+
+
 def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
                             steps: int | None = None) -> MirrorResult:
     """Half the difference of the total phases of a cycle and its image.
@@ -300,31 +317,15 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     in the subtraction; what survives is the geometric phase plus the
     odd-order non-adiabatic corrections.
     """
-    forward = run_cycle(rep, m, schedule, steps=steps)
-    mirrored = run_cycle(rep, m, schedule.mirror(), steps=steps)
+    result = _mirror_pair(rep, m, schedule, steps)
     bound = 0.01
-    for name, res in (("forward", forward), ("mirrored", mirrored)):
+    for name, res in (("forward", result.forward), ("mirrored", result.mirrored)):
         if res.leakage > bound:
             warnings.warn(LeakageWarning(
                 f"{name} run leaked {res.leakage:.3f} out of the tracked "
                 f"level; extracted phase is untrusted", res.leakage, bound),
                 stacklevel=2)
-    extracted = 0.5 * (forward.total_phase - mirrored.total_phase)
-    return MirrorResult(extracted_phase=extracted, forward=forward,
-                        mirrored=mirrored)
-
-
-_BRANCH_TWO_S = {"S1": 2, "S2": 4}
-
-
-def _odd_doublet(two_s):
-    """Basis indices of m = (1, -1) in spin S, and Sigma_z and Sigma_x^2
-    restricted to them.  For S = 1 and 2 these two states make up the
-    whole odd parity block."""
-    rep = spin_matrices(two_s)
-    idx = [_label_index(rep, 1.0), _label_index(rep, -1.0)]
-    block = np.ix_(idx, idx)
-    return idx, rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
+    return result
 
 
 def two_level_rotating_hamiltonian(s_branch: str, lam: float,
@@ -334,18 +335,18 @@ def two_level_rotating_hamiltonian(s_branch: str, lam: float,
     On the (m = 1, m = -1) doublet of spin S = 1 (``"S1"``) or S = 2
     (``"S2"``), Sigma_z + lambda Sigma_x^2 is
     d lambda * 1 + sigma_z + c lambda sigma_x with d = <1|Sigma_x^2|1> and
-    c = <1|Sigma_x^2|-1>, read off the spin matrices (d, c = 1/2, 1/2 for
+    c = <1|Sigma_x^2|-1>, read off m = 1's parity block (d, c = 1/2, 1/2 for
     S = 1 and 5/2, 3/2 for S = 2).  With tan(zeta) = c lambda, the basis
     rotating with zeta turns it into
     d lambda * 1 + sec(zeta) sigma_z - (zeta_dot / 2) sigma_y.
     """
-    if s_branch not in _BRANCH_TWO_S:
+    if s_branch not in ("S1", "S2"):
         raise ValueError(f"s_branch must be 'S1' or 'S2', got {s_branch!r}")
-    _, _, sxsq = _odd_doublet(_BRANCH_TWO_S[s_branch])
-    tan_zeta = sxsq[0, 1] * lam
+    d, c = _parity_block(spin_matrices(2 * int(s_branch[1])), 1.0)[2][0]
+    tan_zeta = c * lam
     zeta = np.arctan(tan_zeta)
-    zeta_dot = sxsq[0, 1] * lam_dot / (1.0 + tan_zeta**2)
-    offset = sxsq[0, 0] * lam
+    zeta_dot = c * lam_dot / (1.0 + tan_zeta**2)
+    offset = d * lam
     sec_zeta = 1.0 / np.cos(zeta)
     return np.moveaxis(np.array([[offset + sec_zeta, 0.5j * zeta_dot],
                                  [-0.5j * zeta_dot, offset - sec_zeta]]),
@@ -370,16 +371,13 @@ def _ramp(lambda0: float, duration: float, shape: str) -> CycleSchedule:
 
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
                   shape: str = "blackman", steps: int | None = None) -> RampResult:
-    """Ramp the coupling 0 -> lambda0 with fixed field axes and compare
-    the final <Sigma_z> with the adiabatic polarization p(m, lambda0)."""
-    ramp = _ramp(lambda0, duration, shape)
-    psi0 = np.eye(rep.dim, dtype=complex)[labeled_spectrum(rep, 0.0).index_of(m)]
-    _, psi, _ = propagate(lambda ts: _reduced(rep, ramp.lam(ts)), psi0, duration,
-                          _default_steps(duration, steps))
-    sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
+    """Final <Sigma_z> of the :func:`ramp_phase` run against the adiabatic
+    polarization p(m, lambda0)."""
+    run = ramp_phase(rep, m, lambda0, duration, shape, steps)
     sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
-    return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
-                      deviation=sz_final - sz_adiabatic, final_state=psi)
+    return RampResult(sz_final=run.sz_expectation, sz_adiabatic=sz_adiabatic,
+                      deviation=run.sz_expectation - sz_adiabatic,
+                      final_state=run.final_state)
 
 
 def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
@@ -393,11 +391,8 @@ def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
 
 def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
                shape: str = "blackman", steps: int | None = None) -> CycleResult:
-    """Exact phase bookkeeping of a coupling ramp (for phase-robustness checks).
-
-    The ramp is the one-segment schedule of :func:`ramp_fidelity`, whose
-    level labeled m is tracked as in :func:`run_cycle`.
-    """
+    """Exact phase bookkeeping of a coupling ramp 0 -> lambda0 with fixed
+    field axes, whose level labeled m is tracked as in :func:`run_cycle`."""
     return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
 
 

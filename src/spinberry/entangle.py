@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (LeakageWarning, _default_steps, _magnus_run, _odd_doublet,
-                       _unwrapped_phase)
+from .dynamics import LeakageWarning, _block_run, _default_steps, _mirror_pair
+from .hamiltonian import _label_index
 from .schedules import three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -212,58 +212,28 @@ class EntangleResult:
     lambda0: float
 
 
-def _odd_block_run(two_s, schedule, steps, sign):
-    """Co-rotating-frame amplitudes on (M = 1, M = -1) of the spin-S
-    multiplet started in M = 1, at every step end of the schedule's
-    lambda(t) and sign * alpha_dot(t).
-
-    Sigma_z + lambda Sigma_x^2 - sign alpha_dot Sigma_z conserves the
-    parity of M, so M = 1 only ever mixes with M = -1.
-    """
-    _, sz, sxsq = _odd_doublet(two_s)
-
-    def h_of_ts(ts):
-        lam = schedule.lam(ts)[:, None, None]
-        eta = sign * schedule.alpha_dot(ts)[:, None, None]
-        return sz + lam * sxsq - eta * sz
-
-    return _magnus_run(h_of_ts, [1.0, 0.0], schedule.duration, steps)
-
-
 def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                      steps: int | None = None, tune_factor: float = 1.0,
                      n_alpha: int = 3, shape: str = "blackman") -> EntangleResult:
     """Run the ramp / rotate / ramp cycle on the four-spin M = 1 sector.
 
-    The dynamics is integrated in the co-rotating frame on the M = +-1 odd
-    block of each multiplet (the S = 2 multiplet and one of the three
-    identical S = 1 towers), the only states that M = 1 ever mixes with;
-    the final amplitudes are then embedded into the 16-dim product space.
-    The sector phase difference is extracted by the mirror-cycle
-    subtraction, which cancels dynamical phases and even-order
-    rotation-rate corrections.  ``tune_factor`` stretches the two ramp
-    stages to steer the residual dynamical-phase difference (see
+    The S = 2 multiplet and one of the three identical S = 1 towers each run
+    the cycle and its image from M = 1 (the parity-block runs of
+    :func:`spinberry.dynamics.mirror_phase_difference`, without its
+    warnings).  The sector phase difference is the difference of their
+    extracted phases; the final state embeds the lab-frame forward final
+    states into the 16-dim product space.  ``tune_factor`` stretches the two
+    ramp stages to steer the residual dynamical-phase difference (see
     :func:`tune_stage_stretch`).
     """
     schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, tune_factor,
                                  shape)
-    steps = _default_steps(schedule.duration, steps)
-
-    runs = {sign: (_odd_block_run(4, schedule, steps, sign),
-                   _odd_block_run(2, schedule, steps, sign))
-            for sign in (+1, -1)}
-    differences = {sign: _unwrapped_phase(run2[:, 0]) - _unwrapped_phase(run1[:, 0])
-                   for sign, (run2, run1) in runs.items()}
-    delta_measured = 0.5 * (differences[+1] - differences[-1])
-
-    psi2, psi1 = (run[-1] for run in runs[+1])
+    pair2, pair1 = (_mirror_pair(spin_matrices(two_s), 1.0, schedule, steps)
+                    for two_s in (4, 2))
+    delta_measured = pair2.extracted_phase - pair1.extracted_phase
     w2, w1 = _tower_embeddings()
-    state = w2[:, _odd_doublet(4)[0]] @ (0.5 * psi2)
-    for w in w1:
-        state = state + w[:, _odd_doublet(2)[0]] @ (0.5 * psi1)
-    # undo the frame rotation: each M component picks up exp(-i M alpha(T))
-    m_diag = np.real(np.diag(collective_spin()[2]))
-    state = np.exp(-1j * m_diag * (n_alpha * np.pi)) * state
+    state = 0.5 * (w2 @ pair2.forward.final_state
+                   + sum(w @ pair1.forward.final_state for w in w1))
     final = FourSpinState(state / np.linalg.norm(state))
 
     basis = symmetric_basis_m1()
@@ -286,13 +256,18 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
 
 
 def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape):
-    """Fidelity from the final M = 1 amplitudes of the two odd-block runs
-    at the default step density (tuning workhorse): the target's overlap
-    with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4."""
+    """Fidelity of :func:`entangling_cycle` at the default step density from
+    its forward block runs started on the basis state M = 1, without spectra
+    (tuning workhorse): the target's overlap with the cycled Phi^(1) is
+    (3 a(1,1) - a(2,1)) / 4 in the final M = 1 amplitudes."""
     schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, stretch, shape)
     steps = _default_steps(schedule.duration)
-    a21, a11 = (_odd_block_run(two_s, schedule, steps, +1)[-1, 0]
-                for two_s in (4, 2))
+    amplitudes = []
+    for rep in (spin_matrices(4), spin_matrices(2)):
+        start = np.eye(rep.dim)[_label_index(rep, 1.0)]
+        sel, states = _block_run(rep, 1.0, schedule, start, steps)
+        amplitudes.append(states[-1] @ start[sel])
+    a21, a11 = amplitudes
     return abs(0.25 * (-a21 + 3.0 * a11)) ** 2
 
 
@@ -305,8 +280,10 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
     dynamical phase, so a coarse scan plus a bounded polish always finds
     the global optimum of the (near-sinusoidal) fidelity.  The best grid
     point may sit at a window edge on the flank of a maximum outside the
-    window, so the best interior grid maximum is polished too and the
-    fitter of the two stretches is returned.
+    window, so the best interior grid maximum is polished too.  Maxima one
+    period apart reach nearly the same fidelity, so of the polished
+    stretches within 1e-6 of the best fidelity the one nearest 1 is
+    returned, and a rounding-level change cannot make the result jump.
     """
     from scipy.optimize import minimize_scalar  # on demand, as in lambda_max_solve
 
@@ -324,4 +301,6 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
                                                    grid[min(len(grid) - 1, k + 1)]),
                                 method="bounded", options={"xatol": 1e-6})
                 for k in sorted(starts)]
-    return float(min(polished, key=lambda res: res.fun).x)
+    best = min(res.fun for res in polished)
+    return float(min((res.x for res in polished if res.fun <= best + 1e-6),
+                     key=lambda x: abs(x - 1.0)))

@@ -121,6 +121,8 @@ class Segment:
                 f"segment duration must be finite and positive, got {self.duration}")
         if self.kind == "ramp" and self.lambda_to is None:
             raise ScheduleError("ramp segment needs lambda_to")
+        if self.lambda_to is not None and not np.isfinite(self.lambda_to):
+            raise ScheduleError(f"lambda_to must be finite, got {self.lambda_to}")
         PulseShape(self.shape)
 
 
@@ -164,6 +166,12 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
     """Assemble a schedule from a list of :class:`Segment`."""
     if not segments:
         raise ScheduleError("need at least one segment")
+    for name, value in (("theta0", theta0), ("phi0", phi0), ("alpha0", alpha0),
+                        ("lambda0", lambda0), ("b", b)):
+        if not np.isfinite(value):
+            raise ScheduleError(f"{name} must be finite, got {value}")
+    if not b > 0:
+        raise ScheduleError(f"b must be positive, got {b}")
     durations = [seg.duration for seg in segments]
     starts = list(accumulate(durations[:-1], initial=0.0))
     t = starts[-1] + durations[-1]
@@ -193,8 +201,9 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
     return CycleSchedule(
         duration=t,
         theta=_const(theta0), phi=phi.value, alpha=alpha.value, lam=lam.value,
-        theta_dot=_const(0.0), phi_dot=phi.rate, alpha_dot=alpha.rate,
-        lam_dot=lam.rate, n_phi=n_phi, n_alpha=n_alpha, b=_const(b))
+        theta_dot=_const(0.0), phi_dot=phi.rate if phi.deltas.any() else _const(0.0),
+        alpha_dot=alpha.rate, lam_dot=lam.rate, n_phi=n_phi, n_alpha=n_alpha,
+        b=_const(b))
 
 
 def alpha_rotation_cycle(lambda0: float, n_alpha: int, duration: float,

@@ -88,14 +88,19 @@ def rotation_unitary(rep: SpinRep, angles: EulerAngles) -> np.ndarray:
 
     The two z-factors are diagonal; the y-factor comes from the cached
     eigendecomposition of Sigma_y, so the result is unitary to rounding.
-    Array-valued angles give the unitaries stacked along the leading axes.
+    When theta is zero everywhere there is no y-factor and the result is
+    exactly diagonal.  Array-valued angles give the unitaries stacked along
+    the leading axes.
     """
     m = rep.m_values
     left = np.exp(np.multiply.outer(angles.phi, -1j * m))
     right = np.exp(np.multiply.outer(angles.alpha, -1j * m))
-    w, v = rep.sy_eigensystem()
-    mid = v * np.exp(np.multiply.outer(angles.theta, -1j * w))[..., None, :]
-    mid = mid @ v.conj().T
+    if np.any(angles.theta):
+        w, v = rep.sy_eigensystem()
+        mid = v * np.exp(np.multiply.outer(angles.theta, -1j * w))[..., None, :]
+        mid = mid @ v.conj().T
+    else:
+        mid = np.broadcast_to(np.eye(rep.dim), np.shape(angles.theta) + (rep.dim,) * 2)
     return left[..., :, None] * mid * right[..., None, :]
 
 

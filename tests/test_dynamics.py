@@ -202,8 +202,7 @@ def _reference_cycle(rep, m, sched, steps):
 def test_stepper_matches_per_step_loop(steps):
     # step counts straddle the eigh block size, so partial blocks and block
     # joins are both exercised
-    from spinberry.dynamics import _unwrapped_phase
-    from spinberry.entangle import _odd_block_run
+    from spinberry.dynamics import _block_run
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
     ref = _reference_trajectory(_smooth_h, psi0, 4.0, steps)[-1]
@@ -216,12 +215,12 @@ def test_stepper_matches_per_step_loop(steps):
     assert abs(res.total_phase - ref_total) < 1e-12
     assert abs(res.dynamical_phase - ref_dynamical) < 1e-12
 
-    # the odd-block run against the whole multiplet, whose M = 1 and
-    # M = -1 amplitudes it must carry
+    # the M = 1 parity-block run of a cycle and of its image against the
+    # whole multiplet, whose M = 1 and M = -1 amplitudes it must carry
     stages = three_stage_cycle(-0.97, 2.0, n_alpha=3, stretch=0.9)
     for two_s, rows in ((4, [1, 3]), (2, [0, 2])):
         rep = spin_matrices(two_s)
-        for sign in (+1, -1):
+        for sign, cycle in ((+1, stages), (-1, stages.mirror())):
             def h(ts):
                 return (rep.sigma_z + _stacked(stages.lam(ts)) * (rep.sigma_x @ rep.sigma_x)
                         - sign * _stacked(stages.alpha_dot(ts)) * rep.sigma_z)
@@ -229,11 +228,78 @@ def test_stepper_matches_per_step_loop(steps):
             start[rows[0]] = 1.0
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
-            block = _odd_block_run(two_s, stages, steps, sign)
+            sel, block = _block_run(rep, 1.0, cycle, start, steps)
+            assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
             amps = multiplet[:, rows[0]]
             ref_phase = sum(np.angle(amps[1:] / amps[:-1]))
-            assert abs(_unwrapped_phase(block[:, 0]) - ref_phase) < 1e-12
+            assert abs(np.sum(np.angle(block[1:, 0] / block[:-1, 0])) - ref_phase) < 1e-12
+
+
+def _magnus_dims(monkeypatch):
+    """Dimensions of the runs that go through the stepper from now on."""
+    from spinberry import dynamics
+    dims, run = [], dynamics._magnus_run
+
+    def recording(h_of_ts, initial, duration, steps):
+        dims.append(len(initial))
+        return run(h_of_ts, initial, duration, steps)
+
+    monkeypatch.setattr(dynamics, "_magnus_run", recording)
+    return dims
+
+
+def test_parity_block_run_matches_full_dimension(monkeypatch):
+    # alpha-only runs integrate the tracked level's parity block; one mask
+    # holding every basis state makes the same runs keep the full dimension
+    # (the tilted alpha-cycle has theta0 = 0.7 and field b = 1.3)
+    from spinberry import dynamics
+    from spinberry.hamiltonian import _even_block_mask
+    from spinberry.schedules import Segment, from_segments
+    tilted = from_segments([Segment(kind="rotate", duration=4.0, alpha_half_turns=2)],
+                           theta0=0.7, lambda0=-0.4, b=1.3)
+    schedules = [dynamics._ramp(0.6, 4.0, "blackman"),
+                 alpha_rotation_cycle(0.5, 1, 4.0), tilted]
+    levels = [(two_s, m) for two_s in range(1, 13)
+              for m in spin_matrices(two_s).m_values]
+    dims = _magnus_dims(monkeypatch)
+    block = [dynamics._tracked_run(spin_matrices(two_s), m, sched, steps=100)
+             for two_s, m in levels for sched in schedules]
+    # the block Hamiltonian against the full co-rotating one, field b != 1
+    ours = block[levels.index((4, 1.0)) * len(schedules) + 2]
+    ref_psi, ref_total, _ = _reference_cycle(S2, 1.0, tilted, 100)
+    assert np.abs(ours.final_state - ref_psi).max() < 1e-12
+    assert abs(ours.total_phase - ref_total) < 1e-12
+    expected = [np.count_nonzero(mask == mask[int(round(two_s / 2 - m))])
+                for two_s, m in levels
+                for mask in [_even_block_mask(two_s)] * len(schedules)]
+    assert dims == expected
+    monkeypatch.setattr(dynamics, "_even_block_mask",
+                        lambda two_s: np.ones(two_s + 1, dtype=bool))
+    full = [dynamics._tracked_run(spin_matrices(two_s), m, sched, steps=100)
+            for two_s, m in levels for sched in schedules]
+    assert dims[len(block):] == [two_s + 1 for two_s, _ in levels
+                                 for _ in schedules]
+    for ours, ref in zip(block, full):
+        assert np.abs(ours.final_state - ref.final_state).max() < 1e-12
+        assert abs(ours.total_phase - ref.total_phase) < 1e-12
+        assert abs(ours.sz_expectation - ref.sz_expectation) < 1e-12
+
+
+def test_phi_and_theta_cycles_keep_the_full_dimension(monkeypatch):
+    from spinberry.schedules import from_table
+    t = np.linspace(0.0, 4.0, 81)
+    s = 2 * np.pi * t / 4.0
+    theta_cycle = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=0.0 * s,
+                             alpha=0.5 * s, lam=0.3 + 0.1 * np.sin(s), n_alpha=1)
+    phi_cycle = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=4.0, lambda0=0.3)
+    dims = _magnus_dims(monkeypatch)
+    for sched in (phi_cycle, theta_cycle):
+        res = run_cycle(S2, 1.0, sched, steps=200)
+        ref_psi, ref_total, _ = _reference_cycle(S2, 1.0, sched, 200)
+        assert np.abs(res.final_state - ref_psi).max() < 1e-12
+        assert abs(res.total_phase - ref_total) < 1e-12
+    assert dims == [S2.dim, S2.dim]
 
 
 def _bench_cycle(lambda0):

@@ -81,6 +81,21 @@ def test_segment_rejects_non_finite_or_non_positive_duration(duration):
         Segment(kind="hold", duration=duration)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta0", np.nan), ("phi0", np.inf), ("alpha0", -np.inf),
+    ("lambda0", np.nan), ("b", np.inf), ("b", 0.0), ("b", -1.0),
+])
+def test_segment_schedule_rejects_bad_numbers(field, value):
+    with pytest.raises(ScheduleError, match=f"{field} must be"):
+        from_segments([Segment(kind="hold", duration=1.0)], **{field: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ramp_segment_rejects_non_finite_target(value):
+    with pytest.raises(ScheduleError, match="lambda_to must be finite"):
+        Segment(kind="ramp", duration=1.0, lambda_to=value)
+
+
 def test_mirror_and_scaled_field():
     sched = three_stage_cycle(0.5, stage_duration=2.0)
     mirror = sched.mirror()
@@ -331,7 +346,8 @@ def test_cli_cycle(tmp_path):
     "segment1.alpha_half_turns = 1\n",
     "segment1.kind = ramp\nsegment1.duration = 10\nsegment1.lambda_to = 0.5\n",
     "segment1.kind = rotate\nsegment1.duration = nan\nsegment1.alpha_half_turns = 1\n",
-], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration"])
+    "b = 0\nsegment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n",
+], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field"])
 def test_cli_cycle_rejects_bad_schedule(text, tmp_path, capsys):
     sched = tmp_path / "bad.sched"
     sched.write_text(text)
@@ -378,6 +394,9 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["ramp", "--T", "nan"],
     ["entangle", "--T", "inf"],
     ["entangle", "--T", "nan", "--tune", "auto"],
+    ["entangle", "--lambda0", "nan"],
+    ["entangle", "--lambda0", "nan", "--tune", "auto"],
+    ["ramp", "--lambda0", "inf", "--T", "5"],
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
@@ -395,6 +414,23 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--spin", "2", "--n", "0"],
+    ["gauge-sphere", "--spin", "2", "--m", "0", "--n", "-1"],
+    ["magic", "--spin", "2", "--n", "0"],
+    ["transverse", "--spin", "2", "--m", "0", "--n", "0"],
+    ["ramp", "--spin", "2", "--m", "0", "--lambda0", "1", "--T", ","],
+])
+def test_cli_rejects_empty_grids(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_entangle_short(tmp_path):

@@ -179,3 +179,19 @@ def test_stacked_rotation_unitaries(two_s):
     # a scalar theta broadcasts against arrays of phi and alpha
     fixed = rotation_unitary(rep, EulerAngles(0.7, phi, alpha))
     assert np.abs(fixed[3] - rotation_unitary(rep, EulerAngles(0.7, phi[3], alpha[3]))).max() < 1e-15
+
+
+@pytest.mark.parametrize("two_s", [1, 4, 5])
+def test_untilted_rotation_is_exactly_diagonal(two_s):
+    # theta = 0 everywhere: no y-factor, so no rounding off the diagonal,
+    # and the stack still has the broadcast shape of all three angles
+    rep = spin_matrices(two_s)
+    alpha = np.array([0.0, 1.3, 3 * np.pi])
+    for angles, n in ((EulerAngles(0.0, 0.4, alpha), 3),
+                      (EulerAngles(np.zeros(4), 0.4, 1.3), 4)):
+        u = rotation_unitary(rep, angles)
+        assert u.shape == (n, rep.dim, rep.dim)
+        diagonal = np.diagonal(u, axis1=-2, axis2=-1)
+        assert not np.any(u - diagonal[..., None] * np.eye(rep.dim))
+        phases = np.exp(-1j * np.multiply.outer(angles.phi + angles.alpha, rep.m_values))
+        assert np.abs(diagonal - phases).max() < 1e-14
