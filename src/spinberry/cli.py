@@ -26,8 +26,9 @@ from .schedules import ScheduleError, from_file
 from .spin_algebra import spin_matrices
 
 _HEADER_UNITS = "time in 1/(gamma_S*B0); phases in radians; energies reduced"
-_STEPS_HELP = (f"integration steps per run (default: {STEPS_PER_UNIT} per "
-              f"unit time; raise it for large spins or couplings)")
+_STEPS_HELP = (f"integration steps per run, of equal width (default: "
+              f"{STEPS_PER_UNIT} per unit time of each stage; raise it for "
+              f"large spins or couplings)")
 
 
 def _fmt(x) -> str:

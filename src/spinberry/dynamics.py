@@ -1,10 +1,12 @@
 """Exact time-dependent Schroedinger integration.
 
-Every run goes through one fourth-order Magnus stepper, :func:`_magnus_run`,
-by default at ``STEPS_PER_UNIT`` steps per unit time.  Cycles, ramps and the
-four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the paper's
-co-rotating frame, on the tracked level's parity block while phi and theta
-stand still (:func:`_tracked_run`).  :func:`propagate` and
+Every run goes through one fourth-order Magnus stepper:
+:func:`_cf4_propagators` forms the step propagators, which
+:func:`_magnus_run` applies to a state, by default at ``STEPS_PER_UNIT``
+steps per unit time of each stage (:func:`_step_grid`).  Cycles, ramps and
+the four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the
+paper's co-rotating frame, on the tracked level's parity block while phi
+and theta stand still (:func:`_tracked_run`).  :func:`propagate` and
 :func:`lab_hamiltonian` are the references the tests hold them to.  Time is
 in units of 1/(gamma_S B0) throughout.  Functions of time (and of angles or
 couplings) take scalars or arrays; arrays give their matrices stacked along
@@ -16,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,55 +70,132 @@ class CycleResult:
     sz_expectation: float
 
 
-def _magnus_run(h_of_ts, initial, duration, steps):
-    """States at the ends of ``steps`` equal steps dt over [0, duration].
+class _Grid(NamedTuple):
+    """The steps of one run."""
+
+    dts: np.ndarray     # step widths, (steps,)
+    nodes: np.ndarray   # each step's two Gauss nodes, (steps, 2)
+    halves: np.ndarray  # step ends and midpoints in turn, (2 steps + 1,)
+
+
+def _grid(edges, counts) -> _Grid:
+    """``counts[i]`` equal steps from ``edges[i]`` to ``edges[i + 1]``, at
+    least two in all.
+
+    Neighbouring stages of equal step width form one run of steps
+    start + k dt, so stages of integer duration at ``STEPS_PER_UNIT`` give
+    the uniform grid k dt to the bit.
+    """
+    if sum(counts) < 2:
+        raise ValueError(f"steps must be at least 2, got {sum(counts)}")
+    pieces = []  # [start, dt, steps] of each run of equal steps
+    for start, end, n in zip(edges[:-1], edges[1:], counts):
+        dt = (end - start) / n
+        if pieces and pieces[-1][1] == dt:
+            pieces[-1][2] += n
+        else:
+            pieces.append([start, dt, n])
+    dts = np.concatenate([np.full(n, dt) for _, dt, n in pieces])
+    nodes = np.concatenate([start + np.add.outer(np.arange(n), [_C_MINUS, _C_PLUS]) * dt
+                            for start, dt, n in pieces])
+    end = [pieces[-1][0] + 0.5 * pieces[-1][1] * (2 * pieces[-1][2])]
+    halves = np.concatenate([start + 0.5 * dt * np.arange(2 * n)
+                             for start, dt, n in pieces] + [end])
+    return _Grid(dts, nodes, halves)
+
+
+def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
+    """The steps of a run over ``schedule``: ``steps`` equal steps (at least
+    2), or by default ``STEPS_PER_UNIT`` equal steps per unit time of each
+    stage (at least one per stage and two in all), so that step ends land on
+    the stage boundaries."""
+    if steps is not None:
+        return _grid([0.0, schedule.duration], [steps])
+    edges = [0.0, *schedule.boundaries, schedule.duration]
+    counts = [max(1, round(STEPS_PER_UNIT * (end - start)))
+              for start, end in zip(edges[:-1], edges[1:])]
+    if len(counts) == 1:
+        counts[0] = max(2, counts[0])
+    return _grid(edges, counts)
+
+
+def _cf4_propagators(h_nodes, dts):
+    """Propagators (..., dim, dim) of CF4 steps of widths ``dts`` (...) from
+    the Hamiltonians ``h_nodes`` (..., 2, dim, dim) at their Gauss nodes.
 
     The scheme is the fourth-order commutator-free Magnus integrator CF4:2
     of Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) (see also
     Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), whose global
-    error falls as dt**4.  Step k samples the Hamiltonian at the Gauss
-    nodes t(k + c-/+) dt, c-/+ = 1/2 -/+ sqrt(3)/6, giving H- and H+, and
-    applies
+    error falls as dt**4.  A step [t, t + dt] samples the Hamiltonian at
+    the Gauss nodes t + c-/+ dt, c-/+ = 1/2 -/+ sqrt(3)/6, giving H- and
+    H+, and applies
 
         exp(-i dt (a- H- + a+ H+)) exp(-i dt (a+ H- + a- H+)),
 
     a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
     node (the other order is only second order).  Each exponential is
-    formed from an eigendecomposition, so every step is unitary to
-    rounding and phases are not polluted by norm drift.  ``h_of_ts(ts)``
-    returns the Hermitian Hamiltonians at an array of times stacked along
-    the first axis; for each block of ``_BLOCK_STEPS`` steps the exponents
-    of both factors are diagonalized by one stacked ``numpy.linalg.eigh``
-    and the steps are then applied in order, one matrix-vector product
-    each.  One Newton-Schulz step P (3 - P^dag P) / 2 makes each step
-    propagator unitary to second order in its error: eigh's eigenvectors
-    fall slightly but systematically short of orthonormal, which would
-    otherwise build up as norm drift over thousands of steps.  Returns an
-    array of shape (steps + 1, dim) whose row k is the state at time k dt.
+    formed from an eigendecomposition, all of them by one stacked
+    ``numpy.linalg.eigh``, so every step is unitary to rounding and phases
+    are not polluted by norm drift.  One Newton-Schulz step
+    P (3 - P^dag P) / 2 makes each step propagator unitary to second order
+    in its error: eigh's eigenvectors fall slightly but systematically
+    short of orthonormal, which would otherwise build up as norm drift over
+    thousands of steps.  A step of width 0 with H = 0 is the identity.
+    """
+    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
+    w, u = np.linalg.eigh(np.stack([_A_PLUS * h_early + _A_MINUS * h_late,
+                                    _A_MINUS * h_early + _A_PLUS * h_late]))
+    applied_first, applied_second = (
+        (u * np.exp(-1j * w * dts[..., None])[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    props = applied_second @ applied_first
+    eye = np.eye(props.shape[-1])
+    return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+
+
+def _run_propagator(h_nodes, dts):
+    """Propagators (..., dim, dim) of runs of CF4 steps of widths ``dts``
+    (..., steps) from the Hamiltonians ``h_nodes`` (..., steps, 2, dim, dim)
+    at their Gauss nodes (see :func:`_cf4_propagators`).  The step
+    propagators of all runs are formed about ``_BLOCK_STEPS`` at a time,
+    which bounds the memory a stack of runs takes, and multiplied in time
+    order by pairwise stacked matrix products."""
+    eye = np.eye(h_nodes.shape[-1])
+    block = max(1, _BLOCK_STEPS * dts.shape[-1] // dts.size)
+    total = eye
+    for first in range(0, dts.shape[-1], block):
+        props = _cf4_propagators(h_nodes[..., first:first + block, :, :, :],
+                                 dts[..., first:first + block])
+        while props.shape[-3] > 1:
+            if props.shape[-3] % 2:
+                props = np.concatenate(
+                    [props, np.broadcast_to(eye, props[..., :1, :, :].shape)], axis=-3)
+            props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
+        total = props[..., 0, :, :] @ total
+    return total
+
+
+def _magnus_run(h_of_ts, initial, grid: _Grid):
+    """States at the step ends of ``grid``, shape (steps + 1, dim), from
+    ``initial``: row k is the state after k steps.
+
+    The steps are CF4 steps (:func:`_cf4_propagators`), applied in order,
+    one matrix-vector product each.  ``h_of_ts(ts)`` returns the Hermitian
+    Hamiltonians at a 1-d array of times stacked along the first axis; it
+    is sampled, and the step propagators formed, ``_BLOCK_STEPS`` steps at
+    a time.
 
     The default density of ``STEPS_PER_UNIT`` steps per unit time assumes
     max ||H|| dt <~ 1; larger spins or couplings should pass more steps
     (``--steps`` on the command line).
     """
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    dt = duration / steps
     psi = np.asarray(initial, dtype=complex)
-    states = np.empty((steps + 1, psi.size), dtype=complex)
+    states = np.empty((len(grid.dts) + 1, psi.size), dtype=complex)
     states[0] = psi
-    eye = np.eye(psi.size)
-    for first in range(0, steps, _BLOCK_STEPS):
-        starts = np.arange(first, min(first + _BLOCK_STEPS, steps))
-        nodes = np.concatenate([starts + _C_MINUS, starts + _C_PLUS]) * dt
-        h_early, h_late = np.split(np.asarray(h_of_ts(nodes)), 2)
-        w, u = np.linalg.eigh(np.stack([_A_PLUS * h_early + _A_MINUS * h_late,
-                                        _A_MINUS * h_early + _A_PLUS * h_late]))
-        applied_first, applied_second = (
-            (u * np.exp(-1j * w * dt)[..., None, :]) @ u.conj().swapaxes(-1, -2))
-        # whole step propagators: one matrix-vector product per step below
-        props = applied_second @ applied_first
-        props = props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(1, 2) @ props))
-        for k, prop in enumerate(props, first + 1):
+    for first in range(0, len(grid.dts), _BLOCK_STEPS):
+        block = slice(first, first + _BLOCK_STEPS)
+        nodes = grid.nodes[block]
+        h_nodes = np.reshape(h_of_ts(nodes.ravel()), nodes.shape + (psi.size,) * 2)
+        for k, prop in enumerate(_cf4_propagators(h_nodes, grid.dts[block]), first + 1):
             psi = prop @ psi
             states[k] = psi
     return states
@@ -133,15 +213,6 @@ def _checked(h_of_ts):
     return checked
 
 
-def _default_steps(duration, steps=None):
-    """``steps`` (at least 2), or ``STEPS_PER_UNIT`` per unit ``duration`` if None."""
-    if steps is None:
-        return max(2, int(round(STEPS_PER_UNIT * duration)))
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
-    return steps
-
-
 def _norm_drift(states):
     """Largest deviation of the norm from its initial value along a run."""
     norms = np.linalg.norm(states, axis=1)
@@ -149,14 +220,15 @@ def _norm_drift(states):
 
 
 def propagate(h_of_ts, initial, duration, steps):
-    """Fourth-order Magnus run (see :func:`_magnus_run`); returns
-    (times, final state, norm_drift).
+    """Fourth-order Magnus run of ``steps`` equal steps (see
+    :func:`_magnus_run`); returns (times, final state, norm_drift).
 
     ``h_of_ts(ts)`` takes an array of times and returns the Hamiltonians
     at those times stacked along the first axis.
     """
-    states = _magnus_run(_checked(h_of_ts), initial, duration,
-                         _default_steps(duration, steps))
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    states = _magnus_run(_checked(h_of_ts), initial, _grid([0.0, duration], [steps]))
     return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
 
 
@@ -215,36 +287,37 @@ def _parity_block(rep: SpinRep, m: float):
     return sel, rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
 
 
-def _block_run(rep: SpinRep, m: float, schedule: CycleSchedule, initial, steps: int):
-    """Basis indices and co-rotating-frame states of a run from ``initial``:
-    while phi and theta stand still, b (Sigma_z + lambda Sigma_x^2)
-    - alpha_dot Sigma_z conserves the parity (-1)^(S-m), and only level m's
-    block is integrated."""
-    dt = schedule.duration / steps
-    nodes = np.add.outer(np.arange(steps), [_C_MINUS, _C_PLUS]) * dt  # Gauss nodes
+def _block_hamiltonian(rep: SpinRep, m: float, schedule: CycleSchedule, nodes):
+    """Basis indices and h(ts) of the co-rotating-frame Hamiltonian of a run
+    from level m that samples ``nodes``: while phi and theta stand still at
+    every node, b (Sigma_z + lambda Sigma_x^2) - alpha_dot Sigma_z conserves
+    the parity (-1)^(S-m), and only level m's (real) block is kept."""
     if np.any(schedule.phi_dot(nodes)) or np.any(schedule.theta_dot(nodes)):
-        sel = np.arange(rep.dim)
-        h_of_ts = partial(rotating_frame_hamiltonian, rep, schedule)
-    else:
-        sel, sz, sxsq = _parity_block(rep, m)
+        return np.arange(rep.dim), partial(rotating_frame_hamiltonian, rep, schedule)
+    sel, sz, sxsq = _parity_block(rep, m)
 
-        def h_of_ts(ts):
-            return (_stacked(schedule.b(ts)) * (sz + _stacked(schedule.lam(ts)) * sxsq)
-                    - _stacked(schedule.alpha_dot(ts)) * sz)
-    return sel, _magnus_run(h_of_ts, initial[sel], schedule.duration, steps)
+    def h_of_ts(ts):
+        return (_stacked(schedule.b(ts)) * (sz + _stacked(schedule.lam(ts)) * sxsq)
+                - _stacked(schedule.alpha_dot(ts)) * sz)
+    return sel, h_of_ts
 
 
-def _references(rep: SpinRep, m: float, schedule: CycleSchedule, steps: int):
+def _block_run(rep: SpinRep, m: float, schedule: CycleSchedule, initial, grid: _Grid):
+    """Basis indices and co-rotating-frame states of a run from ``initial``
+    over ``grid`` (see :func:`_block_hamiltonian`)."""
+    sel, h_of_ts = _block_hamiltonian(rep, m, schedule, grid.nodes)
+    return sel, _magnus_run(h_of_ts, initial[sel], grid)
+
+
+def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
     """Step phases and references of a run tracking level m, which depend on
     lambda(t) and b(t) only: the labeled eigenvector psi_hat(m, lambda) at
     each step end, made sign-continuous, and -int b E(m, lambda) dt over
     each step by Simpson's rule on its ends and midpoint."""
-    dt = schedule.duration / steps
     i = _label_index(rep, m)
-    nodes = 0.5 * dt * np.arange(2 * steps + 1)  # step ends and midpoints
-    energies, vectors = _spectra(rep, schedule.lam(nodes))
-    terms = schedule.b(nodes) * energies[:, i]
-    step_phases = -dt / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
+    energies, vectors = _spectra(rep, schedule.lam(grid.halves))
+    terms = schedule.b(grid.halves) * energies[:, i]
+    step_phases = -grid.dts / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
     refs = vectors[::2, :, i]
     # the phase needs a continuous reference, and the per-lambda sign
     # convention flips where the parent component passes through zero
@@ -262,9 +335,9 @@ def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
     -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
     U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
     initial eigenstate.  The final state is in the laboratory frame."""
-    steps = _default_steps(schedule.duration, steps)
-    step_phases, refs = references or _references(rep, m, schedule, steps)
-    sel, states = _block_run(rep, m, schedule, refs[0], steps)
+    grid = _step_grid(schedule, steps)
+    step_phases, refs = references or _references(rep, m, schedule, grid)
+    sel, states = _block_run(rep, m, schedule, refs[0], grid)
     tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
     dynamical = float(np.sum(step_phases))
     leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
@@ -301,8 +374,7 @@ def _mirror_pair(rep: SpinRep, m: float, schedule: CycleSchedule,
     the same lambda(t) and b(t), hence the same references and dynamical
     phase, which the extraction leaves out rather than subtracts."""
     schedule.validate()
-    steps = _default_steps(schedule.duration, steps)
-    references = _references(rep, m, schedule, steps)
+    references = _references(rep, m, schedule, _step_grid(schedule, steps))
     forward, mirrored = (_tracked_run(rep, m, cycle, steps, references)
                          for cycle in (schedule, schedule.mirror()))
     return MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),

@@ -18,16 +18,20 @@ superposition.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import LeakageWarning, _block_run, _default_steps, _mirror_pair
+from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp,
+                       _run_propagator, _step_grid)
 from .hamiltonian import _label_index
-from .schedules import three_stage_cycle
+from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
+
+logger = logging.getLogger(__name__)
 
 _N_SPINS = 4
 _DIM = 2 ** _N_SPINS
@@ -255,20 +259,46 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                           lambda0=float(lambda0))
 
 
-def _fast_fidelity(lambda0, stage_duration, stretch, n_alpha, shape):
-    """Fidelity of :func:`entangling_cycle` at the default step density from
-    its forward block runs started on the basis state M = 1, without spectra
-    (tuning workhorse): the target's overlap with the cycled Phi^(1) is
-    (3 a(1,1) - a(2,1)) / 4 in the final M = 1 amplitudes."""
-    schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, stretch, shape)
-    steps = _default_steps(schedule.duration)
-    amplitudes = []
+def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
+                      shape: str):
+    """The fidelity of :func:`entangling_cycle` at the default step grid, as
+    a function of an array of stage stretches (the tuner's objective).
+
+    The cycle's ramps have the real symmetric co-rotating Hamiltonian
+    Sigma_z + lambda Sigma_x^2, and the ramp down is the ramp up reversed in
+    time, so its propagator is U_up^T: step by step, the transposed CF4 step
+    is the step at the mirrored Gauss nodes.  The rotation stage does not
+    depend on the stretch.  So each block run from M = 1 ends with the M = 1
+    amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once here and
+    the ramps of all stretches are integrated in one stacked call, ragged
+    ends padded with identity steps.  The target's overlap with the cycled
+    Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
+    """
+    rotation = alpha_rotation_cycle(lambda0, n_alpha, 2.0 * stage_duration, shape)
+    grid = _step_grid(rotation)
+    blocks = []
     for rep in (spin_matrices(4), spin_matrices(2)):
-        start = np.eye(rep.dim)[_label_index(rep, 1.0)]
-        sel, states = _block_run(rep, 1.0, schedule, start, steps)
-        amplitudes.append(states[-1] @ start[sel])
-    a21, a11 = amplitudes
-    return abs(0.25 * (-a21 + 3.0 * a11)) ** 2
+        sel, h_of_ts = _block_hamiltonian(rep, 1.0, rotation, grid.nodes)
+        u_rot = _run_propagator(h_of_ts(grid.nodes), grid.dts)
+        blocks.append((rep, u_rot, int(np.flatnonzero(sel == _label_index(rep, 1.0))[0])))
+
+    def fidelity(stretches):
+        ramps = [_ramp(lambda0, stage_duration * s, shape) for s in stretches]
+        grids = [_step_grid(ramp) for ramp in ramps]
+        steps = max(len(g.dts) for g in grids)
+        amplitudes = []
+        for rep, u_rot, k in blocks:
+            dts = np.zeros((len(ramps), steps))
+            h_nodes = np.zeros(dts.shape + (2,) + u_rot.shape)  # H = 0, dt = 0: identity
+            for j, (ramp, g) in enumerate(zip(ramps, grids)):
+                h_of_ts = _block_hamiltonian(rep, 1.0, ramp, g.nodes)[1]
+                dts[j, :len(g.dts)] = g.dts
+                h_nodes[j, :len(g.dts)] = h_of_ts(g.nodes)
+            up = _run_propagator(h_nodes, dts)[..., k]
+            amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
+        a21, a11 = amplitudes
+        return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
+    return fidelity
 
 
 def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
@@ -276,25 +306,33 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
                        bounds: tuple[float, float] = (0.88, 1.12)) -> float:
     """Ramp-duration stretch that maximizes the entangled-state fidelity.
 
-    The stretch window spans more than one full period of the relative
-    dynamical phase, so a coarse scan plus a bounded polish always finds
+    The objective is the fidelity that :func:`entangling_cycle` reports at
+    its default step grid, evaluated from one ramp propagator per spin and
+    stretch (:func:`_stretch_fidelity`).  The stretch window spans more than
+    one full period of the relative dynamical phase, so a coarse scan of 25
+    stretches (one stacked evaluation) plus a bounded polish always finds
     the global optimum of the (near-sinusoidal) fidelity.  The best grid
     point may sit at a window edge on the flank of a maximum outside the
     window, so the best interior grid maximum is polished too.  Maxima one
     period apart reach nearly the same fidelity, so of the polished
     stretches within 1e-6 of the best fidelity the one nearest 1 is
     returned, and a rounding-level change cannot make the result jump.
+    The number of objective evaluations, the best grid stretch and the
+    returned stretch, with their fidelities, are logged at DEBUG level.
     """
     from scipy.optimize import minimize_scalar  # on demand, as in lambda_max_solve
 
+    fidelity = _stretch_fidelity(lambda0, stage_duration, n_alpha, shape)
+
     def objective(s):
-        return -_fast_fidelity(lambda0, stage_duration, s, n_alpha, shape)
+        return -float(fidelity(np.array([s]))[0])
 
     grid = np.linspace(bounds[0], bounds[1], 25)
-    values = np.array([objective(s) for s in grid])
+    values = -fidelity(grid)
     interior = [k for k in range(1, len(grid) - 1)
                 if values[k] <= min(values[k - 1], values[k + 1])]
-    starts = {int(np.argmin(values))}
+    best_k = int(np.argmin(values))
+    starts = {best_k}
     if interior:
         starts.add(min(interior, key=lambda k: values[k]))
     polished = [minimize_scalar(objective, bounds=(grid[max(0, k - 1)],
@@ -302,5 +340,10 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
                                 method="bounded", options={"xatol": 1e-6})
                 for k in sorted(starts)]
     best = min(res.fun for res in polished)
-    return float(min((res.x for res in polished if res.fun <= best + 1e-6),
-                     key=lambda x: abs(x - 1.0)))
+    chosen = min((res for res in polished if res.fun <= best + 1e-6),
+                 key=lambda res: abs(res.x - 1.0))
+    logger.debug("tune_stage_stretch: %d objective evaluations; best grid "
+                 "stretch %.6f (fidelity %.12f); returned stretch %.10f "
+                 "(fidelity %.12f)", len(grid) + sum(res.nfev for res in polished),
+                 grid[best_k], -values[best_k], chosen.x, -chosen.fun)
+    return float(chosen.x)

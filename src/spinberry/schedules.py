@@ -15,7 +15,9 @@ key-value text file; see :func:`from_file` for the format.
 
 Every time-dependent field takes a time t or an array of times and returns
 a value of the same shape; a scalar t gives a numpy scalar.  Callers
-evaluate a whole time grid in one call.
+evaluate a whole time grid in one call.  Segment schedules record the
+times where their stages meet (``boundaries``), so that a run's default
+step grid can end steps there.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class CycleSchedule:
     n_phi: int = 0
     n_alpha: int = 0
     b: Callable[[float], float] = field(default_factory=lambda: _const(1.0))
+    boundaries: tuple[float, ...] = ()  # interior stage boundaries, ascending
 
     def validate(self, tol: float = 1e-9) -> None:
         """Raise :class:`ScheduleError` if the boundary conditions fail."""
@@ -203,7 +206,7 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
         theta=_const(theta0), phi=phi.value, alpha=alpha.value, lam=lam.value,
         theta_dot=_const(0.0), phi_dot=phi.rate if phi.deltas.any() else _const(0.0),
         alpha_dot=alpha.rate, lam_dot=lam.rate, n_phi=n_phi, n_alpha=n_alpha,
-        b=_const(b))
+        b=_const(b), boundaries=tuple(starts[1:]))
 
 
 def alpha_rotation_cycle(lambda0: float, n_alpha: int, duration: float,
@@ -242,20 +245,31 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
                n_alpha: int = 0, max_curvature: float | None = None) -> CycleSchedule:
     """Schedule from tabulated samples, cubic-spline interpolated.
 
+    Every sample must be finite and every field sample ``b`` positive.
     Splines use not-a-knot ends.  A finite-difference curvature bound
     guards against tables with derivative kinks; pass ``max_curvature``
     to override the heuristic default.
     """
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ScheduleError("t table has a non-finite sample")
     if t.ndim != 1 or t.size < 4 or np.any(np.diff(t) <= 0):
         raise ScheduleError("need at least 4 strictly increasing time samples")
     T = t[-1] - t[0]
     columns = {"theta": np.asarray(theta, float), "phi": np.asarray(phi, float),
                "alpha": np.asarray(alpha, float), "lambda": np.asarray(lam, float)}
+    if b is not None:
+        columns["b"] = np.asarray(b, float)
     for name, y in columns.items():
         if y.shape != t.shape:
             raise ScheduleError(f"{name} table length mismatch")
-        dt = np.diff(t)
+        if not np.all(np.isfinite(y)):
+            raise ScheduleError(f"{name} table has a non-finite sample")
+    if b is not None and not np.all(columns["b"] > 0):
+        raise ScheduleError(f"b table must be positive, got {columns['b'].min()}")
+    dt = np.diff(t)
+    for name in ("theta", "phi", "alpha", "lambda"):
+        y = columns[name]
         curv = np.abs(np.diff(np.diff(y) / dt) / dt[1:])
         bound = max_curvature
         if bound is None:
@@ -269,8 +283,6 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
     from scipy.interpolate import CubicSpline  # on demand: keeps scipy off start-up
 
     t0 = t[0]
-    if b is not None:
-        columns["b"] = np.asarray(b, float)
     splines = {k: CubicSpline(t - t0, v, bc_type="not-a-knot")
                for k, v in columns.items()}
     value = {k: _unwrapped(sp) for k, sp in splines.items()}

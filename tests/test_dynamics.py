@@ -202,7 +202,7 @@ def _reference_cycle(rep, m, sched, steps):
 def test_stepper_matches_per_step_loop(steps):
     # step counts straddle the eigh block size, so partial blocks and block
     # joins are both exercised
-    from spinberry.dynamics import _block_run
+    from spinberry.dynamics import _block_run, _step_grid
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
     ref = _reference_trajectory(_smooth_h, psi0, 4.0, steps)[-1]
@@ -228,7 +228,7 @@ def test_stepper_matches_per_step_loop(steps):
             start[rows[0]] = 1.0
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
-            sel, block = _block_run(rep, 1.0, cycle, start, steps)
+            sel, block = _block_run(rep, 1.0, cycle, start, _step_grid(cycle, steps))
             assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
             amps = multiplet[:, rows[0]]
@@ -241,9 +241,9 @@ def _magnus_dims(monkeypatch):
     from spinberry import dynamics
     dims, run = [], dynamics._magnus_run
 
-    def recording(h_of_ts, initial, duration, steps):
+    def recording(h_of_ts, initial, grid):
         dims.append(len(initial))
-        return run(h_of_ts, initial, duration, steps)
+        return run(h_of_ts, initial, grid)
 
     monkeypatch.setattr(dynamics, "_magnus_run", recording)
     return dims
@@ -588,7 +588,7 @@ def _argmax_tracked_phases(h_of_ts, states, duration):
 def test_ramp_phase_matches_argmax_tracking(duration, shape):
     # the rank labels of ramp_phase against the argmax tracking they replaced,
     # on the criterion 10 ramps
-    from spinberry.dynamics import STEPS_PER_UNIT, _magnus_run
+    from spinberry.dynamics import STEPS_PER_UNIT, _grid, _magnus_run
     pulse = PulseShape(shape)
 
     def h(ts):
@@ -597,7 +597,7 @@ def test_ramp_phase_matches_argmax_tracking(duration, shape):
     res = ramp_phase(S2, -1.0, 1.0, duration, shape=shape)
     psi0 = np.zeros(5, dtype=complex)
     psi0[3] = 1.0
-    states = _magnus_run(h, psi0, duration, int(round(STEPS_PER_UNIT * duration)))
+    states = _magnus_run(h, psi0, _grid([0.0, duration], [round(STEPS_PER_UNIT * duration)]))
     total, dynamical = _argmax_tracked_phases(h, states, duration)
     assert np.abs(res.final_state - states[-1]).max() < 1e-12
     assert abs(res.total_phase - total) < 1e-12
@@ -698,3 +698,68 @@ def test_rotating_basis_transform_properties():
     want = np.zeros(5)
     want[[0, 2, 4]] = [-0.75, np.sqrt(3 / 8), 0.25]
     assert np.abs(col - want).max() < 1e-10
+
+
+# --- step grids ---------------------------------------------------------------
+
+
+def _stages(ramp, rotate):
+    from spinberry.schedules import Segment, from_segments
+    return from_segments([Segment("ramp", ramp, lambda_to=-0.97),
+                          Segment("rotate", rotate, alpha_half_turns=1),
+                          Segment("ramp", ramp, lambda_to=0.0)])
+
+
+@pytest.mark.parametrize("sched", [_stages(10.3, 20.0), _stages(10.0, 20.0),
+                                   three_stage_cycle(-0.97, 15.0, stretch=0.95),
+                                   alpha_rotation_cycle(0.5, 1, 4.33)])
+def test_default_grid_ends_on_stage_boundaries(sched):
+    from spinberry.dynamics import STEPS_PER_UNIT, _step_grid
+    grid = _step_grid(sched)
+    ends = grid.halves[::2]
+    edges = [0.0, *sched.boundaries, sched.duration]
+    for edge in edges:
+        assert np.abs(ends - edge).min() < 1e-12
+    # STEPS_PER_UNIT equal steps per unit time of each stage
+    assert len(grid.dts) == sum(round(STEPS_PER_UNIT * (b - a))
+                                for a, b in zip(edges[:-1], edges[1:]))
+    assert np.abs(np.diff(ends) - grid.dts).max() < 1e-12
+    assert np.abs(grid.halves[1::2] - (ends[:-1] + grid.dts / 2)).max() < 1e-12
+    assert np.all((grid.nodes > ends[:-1, None]) & (grid.nodes < ends[1:, None]))
+    # an explicit step count keeps its meaning: that many equal steps
+    uniform = _step_grid(sched, 101)
+    assert np.abs(uniform.halves - np.linspace(0.0, sched.duration, 203)).max() < 1e-12
+
+
+def test_integer_stage_grid_is_the_uniform_grid():
+    # the README cycle schedule: stages of 25, 50 and 25 time units
+    from spinberry.schedules import from_dict
+    from spinberry.dynamics import _step_grid
+    sched = from_dict({"segment1.kind": "ramp", "segment1.duration": "25",
+                       "segment1.lambda_to": "-0.97",
+                       "segment2.kind": "rotate", "segment2.duration": "50",
+                       "segment2.alpha_half_turns": "3",
+                       "segment3.kind": "ramp", "segment3.duration": "25",
+                       "segment3.lambda_to": "0.0"})
+    assert np.array_equal(_step_grid(sched).nodes, _step_grid(sched, 2500).nodes)
+    staged, uniform = run_cycle(S2, 0.0, sched), run_cycle(S2, 0.0, sched, steps=2500)
+    assert np.abs(staged.final_state - uniform.final_state).max() < 1e-12
+    assert abs(staged.total_phase - uniform.total_phase) < 1e-12
+    assert abs(staged.geometric_phase - uniform.geometric_phase) < 1e-12
+    staged = mirror_phase_difference(S2, 0.0, sched)
+    uniform = mirror_phase_difference(S2, 0.0, sched, steps=2500)
+    assert abs(staged.extracted_phase - uniform.extracted_phase) < 1e-12
+
+
+def test_stage_grid_matches_a_denser_run():
+    # 10.3 / 20 / 10.3: stage grids of 258, 500 and 258 steps against a uniform
+    # run at four times the density; the differences measured 8e-10 (2.7e-12
+    # for the mirror extraction), the CF4 error of the default density
+    sched = _stages(10.3, 20.0)
+    staged, dense = run_cycle(S2, 1.0, sched), run_cycle(S2, 1.0, sched, steps=4064)
+    assert np.abs(staged.final_state - dense.final_state).max() < 5e-9
+    assert abs(staged.total_phase - dense.total_phase) < 5e-9
+    assert abs(staged.geometric_phase - dense.geometric_phase) < 5e-9
+    staged = mirror_phase_difference(S2, 1.0, sched)
+    dense = mirror_phase_difference(S2, 1.0, sched, steps=4064)
+    assert abs(staged.extracted_phase - dense.extracted_phase) < 5e-9

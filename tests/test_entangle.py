@@ -197,11 +197,12 @@ def test_fast_cycle_triggers_adiabaticity_warning():
 def test_tuned_stretch_is_an_interior_maximum(stage):
     # at stage 30 the best grid point sits at the window edge, on the flank
     # of a maximum outside the window; the tuner must return an interior one
-    from spinberry.entangle import _fast_fidelity
+    from spinberry.entangle import _stretch_fidelity
     lam_max = lambda_max_solve()
+    stretch_fidelity = _stretch_fidelity(lam_max, stage, 3, "blackman")
 
     def fidelity(s):
-        return _fast_fidelity(lam_max, stage, s, 3, "blackman")
+        return stretch_fidelity(np.array([s]))[0]
 
     stretch = tune_stage_stretch(lam_max, stage)
     best = fidelity(stretch)
@@ -215,12 +216,13 @@ def test_tuner_prefers_the_maximum_nearest_unit_stretch(monkeypatch):
     # the one nearer stretch 1, not the one a rounding-level change may favour
     from spinberry import entangle
 
-    def two_maxima(lambda0, stage_duration, stretch, n_alpha, shape):
+    def two_maxima(stretch):
         return (np.cos(np.pi * (stretch - 0.881) / 0.15) ** 2
                 - 5e-7 * (stretch - 0.881) / 0.15)
 
     with monkeypatch.context() as patch:
-        patch.setattr(entangle, "_fast_fidelity", two_maxima)
+        patch.setattr(entangle, "_stretch_fidelity",
+                      lambda lambda0, stage_duration, n_alpha, shape: two_maxima)
         assert tune_stage_stretch(-0.97, 25.0) == pytest.approx(1.031, abs=1e-4)
     # at the README parameters the two candidates are 0.881239 and 1.064154
     assert tune_stage_stretch(-0.9699, 25.0) == pytest.approx(1.06415, abs=1e-4)
@@ -271,7 +273,8 @@ def test_multiplet_vs_full_sixteen_dim():
 def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
     # amplitudes of the S = 2 parity-block run
-    from spinberry.dynamics import _block_run, propagate, two_level_rotating_hamiltonian
+    from spinberry.dynamics import (_block_run, _step_grid, propagate,
+                                    two_level_rotating_hamiltonian)
     from spinberry.spin_algebra import spin_matrices
     lam0, stage, steps = -0.9, 2.0, 4000
     sched = three_stage_cycle(lam0, stage, n_alpha=3)
@@ -291,7 +294,7 @@ def test_two_level_block_matches_multiplet():
     c, s = np.cos(zeta_end / 2), np.sin(zeta_end / 2)
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
     start = np.eye(5)[1]  # M = 1
-    _, states = _block_run(spin_matrices(4), 1.0, sched, start, steps)
+    _, states = _block_run(spin_matrices(4), 1.0, sched, start, _step_grid(sched, steps))
     psi2 = states[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
     assert abs(tilted_back[1] - psi2[1]) < 1e-6
@@ -303,3 +306,62 @@ def test_bp_target_structure():
     assert basis.psi_21.overlap(target) == pytest.approx(-0.5)
     for tower in basis.psi_11:
         assert tower.overlap(target) == pytest.approx(0.5)
+
+
+# --- stretch tuner ---------------------------------------------------------------
+
+
+def _ramp_propagator(rep, m, ramp):
+    from spinberry.dynamics import _block_hamiltonian, _run_propagator, _step_grid
+    grid = _step_grid(ramp)
+    sel, h_of_ts = _block_hamiltonian(rep, m, ramp, grid.nodes)
+    return sel, _run_propagator(h_of_ts(grid.nodes), grid.dts)
+
+
+@pytest.mark.parametrize("shape", ["blackman", "linear"])
+@pytest.mark.parametrize("two_s, m, dim", [(2, 1.0, 2), (4, 1.0, 2), (6, 1.0, 4)])
+def test_ramp_down_is_ramp_up_transposed(shape, two_s, m, dim):
+    # the tuner's identity U_down = U_up^T, at the level of the CF4 steps
+    from spinberry.schedules import Segment, from_segments
+    from spinberry.spin_algebra import spin_matrices
+    rep, lam0, duration = spin_matrices(two_s), -0.97, 13.37
+    up = from_segments([Segment("ramp", duration, shape, lambda_to=lam0)])
+    down = from_segments([Segment("ramp", duration, shape, lambda_to=0.0)],
+                         lambda0=lam0)
+    sel, u_up = _ramp_propagator(rep, m, up)
+    _, u_down = _ramp_propagator(rep, m, down)
+    assert len(sel) == dim
+    assert np.abs(u_down - u_up.T).max() < 1e-13
+    assert np.abs(u_up - np.eye(dim)).max() > 0.1
+
+
+@pytest.mark.parametrize("lam0, stage, stretch", [(None, 15.0, 0.95),
+                                                  (-0.9699, 25.0, 1.06415),
+                                                  (None, 30.0, 1.1),
+                                                  (None, 30.0, 1.093)])
+def test_stretch_fidelity_is_the_reported_fidelity(lam0, stage, stretch):
+    # ramps of 356.25, 665.09 and 819.75 default steps, whose stage grids
+    # differ from the uniform one, and of 825 steps, where the two coincide
+    from spinberry.entangle import _stretch_fidelity
+    lam0 = lambda_max_solve() if lam0 is None else lam0
+    fidelity = _stretch_fidelity(lam0, stage, 3, "blackman")
+    # in a ragged stack, padded with identity steps
+    stacked = fidelity(np.array([0.88, stretch, 1.12]))
+    reported = entangling_cycle(lam0, stage, tune_factor=stretch).fidelity
+    assert abs(stacked[1] - reported) < 1e-12
+    assert abs(fidelity(np.array([stretch]))[0] - reported) < 1e-12
+
+
+def test_tuner_logs_what_it_did(caplog):
+    import logging
+    with caplog.at_level(logging.DEBUG, logger="spinberry.entangle"):
+        stretch = tune_stage_stretch(lambda_max_solve(), 15.0)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.name == "spinberry.entangle"
+    message = record.getMessage()
+    evaluations = int(message.split(":")[1].split()[0])
+    assert evaluations > 25  # the grid scan and the polish
+    assert "best grid stretch" in message
+    assert f"returned stretch {stretch:.10f}" in message
+

@@ -557,3 +557,50 @@ def test_cli_transverse_warns_outside_perturbation_theory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("warning: opposite-parity gap 5.19e-03 below 1e-02 at "
                    "lambda=2.5; outside perturbation theory\n")
+
+
+_LOGGING_CHILD = """\
+import logging, sys
+if sys.argv[1] == "debug":
+    logging.basicConfig(level=logging.DEBUG)
+from spinberry.cli import main
+sys.exit(main(["entangle", "--lambda0", "-0.97", "--T", "15", "--tune", "auto"]))
+"""
+
+
+def test_cli_output_unchanged_by_tuner_logging():
+    # the tuner's DEBUG records stay silent unless logging is configured, and
+    # configuring it sends them to stderr only
+    plain, debug = (subprocess.run([sys.executable, "-c", _LOGGING_CHILD, mode],
+                                   capture_output=True, text=True, env=_child_env())
+                    for mode in ("plain", "debug"))
+    assert plain.returncode == debug.returncode == 0
+    assert plain.stderr == ""
+    assert "objective evaluations" in debug.stderr
+    assert plain.stdout == debug.stdout
+    assert json.loads(plain.stdout)["command"] == "entangle"
+
+
+@pytest.mark.parametrize("column", ["t", "theta", "phi", "alpha", "lam", "b"])
+def test_table_rejects_non_finite_samples(column):
+    t = np.linspace(0.0, 10.0, 21)
+    table = {"t": t, "theta": np.full_like(t, 0.4), "phi": np.zeros_like(t),
+             "alpha": np.pi * t / 10, "lam": np.full_like(t, 0.5),
+             "b": np.ones_like(t), "n_alpha": 1}
+    from_table(**table).validate()
+    table[column] = table[column].copy()
+    table[column][7] = np.nan
+    name = "lambda" if column == "lam" else column
+    with pytest.raises(ScheduleError, match=f"^{name} table has a non-finite sample"):
+        from_table(**table)
+
+
+@pytest.mark.parametrize("field", [0.0, -1.0])
+def test_table_rejects_a_field_that_is_not_positive(field):
+    # a zero field would run and report a total phase of pi n_alpha
+    t = np.linspace(0.0, 10.0, 21)
+    b = np.ones_like(t)
+    b[3:] = field
+    with pytest.raises(ScheduleError, match="^b table must be positive"):
+        from_table(t, theta=np.zeros_like(t), phi=np.zeros_like(t),
+                   alpha=np.pi * t / 10, lam=np.full_like(t, 0.5), b=b, n_alpha=1)
