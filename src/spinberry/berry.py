@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import _label_index, _spectra, polarization
+from .hamiltonian import _polarizations, _spectra, polarization
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -71,13 +71,6 @@ def _simpson(y, ts) -> float:
                             + 2.0 * np.sum(y[2:-1:2]) + y[-1]))
 
 
-def _polarizations(rep: SpinRep, m: float, lams) -> np.ndarray:
-    """p(m, lambda) at every lambda of ``lams``."""
-    _, vectors = _spectra(rep, lams)
-    v = vectors[..., _label_index(rep, m)]
-    return np.sum(rep.m_values * v * v, axis=-1)
-
-
 def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
                           quad_points: int = 4097) -> BerryPhaseResult:
     """Geometric phase of the cycle for the level labeled m.
@@ -87,7 +80,7 @@ def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
     """
     schedule.validate()
     ts = _quad_grid(schedule.duration, quad_points)
-    p = _polarizations(rep, m, schedule.lam(ts))
+    p = _polarizations(rep, m, _spectra(rep, schedule.lam(ts))[1])
     integrand = (-(m - p * np.cos(schedule.theta(ts))) * schedule.phi_dot(ts)
                  - (m - p) * schedule.alpha_dot(ts))
     value = _simpson(integrand, ts)

@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
-from .dynamics import STEPS_PER_UNIT, mirror_phase_difference, ramp_fidelity
-from .entangle import entangling_cycle, tune_stage_stretch
+from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, mirror_phase_difference,
+                       ramp_fidelity)
+from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
 from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, cxy_coefficient,
                            delta_p, magic_lambda, magic_lambda_fit, p2_coefficient,
@@ -42,27 +44,28 @@ def _fmt(x) -> str:
 def _parse_spin(text: str) -> int:
     """Spin value like '2', '0.5' or '3/2' -> doubled spin integer."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        value = float(num) / float(den)
-    else:
-        value = float(text)
-    two_s = round(2 * value)
+    num, slash, den = text.partition("/")
+    num, den = float(num), float(den) if slash else 1.0
+    value = num / den if den != 0.0 and np.isfinite(den) else np.nan
+    two_s = round(2 * value) if np.isfinite(value) else -1
     if two_s < 0 or abs(2 * value - two_s) > 1e-9:
         raise argparse.ArgumentTypeError(
             f"spin must be a non-negative integer or half-integer, got {text!r}")
     return int(two_s)
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The output stream: stdout for None or "-", else the file, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 def _write_table(args, command, columns, rows, meta=()):
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
             payload = {"tool": f"spinberry {__version__}", "command": command,
                        "units": _HEADER_UNITS}
@@ -79,21 +82,14 @@ def _write_table(args, command, columns, rows, meta=()):
             out.write(",".join(columns) + "\n")
             for row in rows:
                 out.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _write_json(args, payload):
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         payload = {"tool": f"spinberry {__version__}",
                    "units": _HEADER_UNITS, **payload}
         json.dump(payload, out, indent=2, default=_fmt)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_spectrum(args) -> int:
@@ -126,13 +122,11 @@ def cmd_gauge_sphere(args) -> int:
 
 def cmd_magic(args) -> int:
     rep = spin_matrices(args.spin)
-    if args.spin not in (4, 8):
-        raise ValueError("magic fits are tabulated for spin 2 and 4 only")
     etas = np.linspace(args.eta_min, args.eta_max, args.n_points)
     rows = []
     for eta in etas:
-        root = magic_lambda(rep, eta)
         fit = magic_lambda_fit(rep.two_s, eta)
+        root = magic_lambda(rep, eta)
         rows.append([eta, root, fit, abs(delta_p(rep, 0.0, fit, eta))])
     _write_table(args, "magic", ["eta", "lambda_star", "fit", "abs_dp_at_fit"],
                  rows, meta=[("spin", _fmt(rep.s))])
@@ -187,8 +181,8 @@ def cmd_cycle(args) -> int:
         "norm_drift": _fmt(mirror.forward.norm_drift),
     }
     _write_json(args, payload)
-    if mirror.forward.leakage > 0.01 or mirror.mirrored.leakage > 0.01:
-        print("adiabaticity contract failed: leakage exceeds 0.01",
+    if max(mirror.forward.leakage, mirror.mirrored.leakage) > _LEAKAGE_BOUND:
+        print(f"adiabaticity contract failed: leakage exceeds {_LEAKAGE_BOUND}",
               file=sys.stderr)
         return 1
     return 0
@@ -215,8 +209,9 @@ def cmd_entangle(args) -> int:
         "final_amplitudes_re_im": amplitudes,
     }
     _write_json(args, payload)
-    if res.sector_leakage > 1e-3:
-        print("adiabaticity contract failed: sector leakage exceeds 1e-3",
+    if res.sector_leakage > _SECTOR_LEAKAGE_BOUND:
+        bound = np.format_float_scientific(_SECTOR_LEAKAGE_BOUND, trim="-", exp_digits=1)
+        print(f"adiabaticity contract failed: sector leakage exceeds {bound}",
               file=sys.stderr)
         return 1
     return 0

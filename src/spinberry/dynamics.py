@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import _even_block_mask, _label_index, _spectra, labeled_spectrum
+from .hamiltonian import (_block, _block_operators, _label_index, _reduced, _spectra,
+                          labeled_spectrum)
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -38,6 +39,9 @@ _A_MINUS, _A_PLUS = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
 
 # The one default step density of every run (steps per unit time).
 STEPS_PER_UNIT = 25
+
+# Leakage above which a mirror extraction is untrusted (``cycle`` exits 1).
+_LEAKAGE_BOUND = 0.01
 
 
 class LeakageWarning(UserWarning):
@@ -255,11 +259,6 @@ def coriolis_operators(rep: SpinRep, theta, alpha):
     return d_theta, d_phi, d_alpha
 
 
-def _reduced(rep: SpinRep, lam) -> np.ndarray:
-    """Sigma_z + lambda Sigma_x^2, stacked for array-valued lambda."""
-    return rep.sigma_z + _stacked(lam) * (rep.sigma_x @ rep.sigma_x)
-
-
 def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
     """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag
     (the reference for the co-rotating runs)."""
@@ -279,14 +278,6 @@ def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
                + _stacked(schedule.theta_dot(t)) * d_theta))
 
 
-def _parity_block(rep: SpinRep, m: float):
-    """Basis indices of level m's parity block; Sigma_z and Sigma_x^2 on it."""
-    mask = _even_block_mask(rep.two_s)
-    sel = np.flatnonzero(mask == mask[_label_index(rep, m)])
-    block = np.ix_(sel, sel)
-    return sel, rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
-
-
 def _block_hamiltonian(rep: SpinRep, m: float, schedule: CycleSchedule, nodes):
     """Basis indices and h(ts) of the co-rotating-frame Hamiltonian of a run
     from level m that samples ``nodes``: while phi and theta stand still at
@@ -294,7 +285,8 @@ def _block_hamiltonian(rep: SpinRep, m: float, schedule: CycleSchedule, nodes):
     the parity (-1)^(S-m), and only level m's (real) block is kept."""
     if np.any(schedule.phi_dot(nodes)) or np.any(schedule.theta_dot(nodes)):
         return np.arange(rep.dim), partial(rotating_frame_hamiltonian, rep, schedule)
-    sel, sz, sxsq = _parity_block(rep, m)
+    sel = _block(rep, m)
+    sz, sxsq = _block_operators(rep, sel)
 
     def h_of_ts(ts):
         return (_stacked(schedule.b(ts)) * (sz + _stacked(schedule.lam(ts)) * sxsq)
@@ -390,12 +382,11 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     odd-order non-adiabatic corrections.
     """
     result = _mirror_pair(rep, m, schedule, steps)
-    bound = 0.01
     for name, res in (("forward", result.forward), ("mirrored", result.mirrored)):
-        if res.leakage > bound:
+        if res.leakage > _LEAKAGE_BOUND:
             warnings.warn(LeakageWarning(
                 f"{name} run leaked {res.leakage:.3f} out of the tracked "
-                f"level; extracted phase is untrusted", res.leakage, bound),
+                f"level; extracted phase is untrusted", res.leakage, _LEAKAGE_BOUND),
                 stacklevel=2)
     return result
 
@@ -414,7 +405,8 @@ def two_level_rotating_hamiltonian(s_branch: str, lam: float,
     """
     if s_branch not in ("S1", "S2"):
         raise ValueError(f"s_branch must be 'S1' or 'S2', got {s_branch!r}")
-    d, c = _parity_block(spin_matrices(2 * int(s_branch[1])), 1.0)[2][0]
+    rep = spin_matrices(2 * int(s_branch[1]))
+    d, c = _block_operators(rep, _block(rep, 1.0))[1][0]
     tan_zeta = c * lam
     zeta = np.arctan(tan_zeta)
     zeta_dot = c * lam_dot / (1.0 + tan_zeta**2)

@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 _N_SPINS = 4
 _DIM = 2 ** _N_SPINS
 
+# Sector leakage above which the cycle is untrusted (``entangle`` exits 1).
+_SECTOR_LEAKAGE_BOUND = 1e-3
+
 
 @dataclass(frozen=True)
 class FourSpinState:
@@ -244,10 +247,10 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     sector_pop = abs(basis.psi_21.overlap(final)) ** 2 + sum(
         abs(tower.overlap(final)) ** 2 for tower in basis.psi_11)
     leakage = max(0.0, 1.0 - sector_pop)
-    bound = 1e-3
-    if leakage > bound:
+    if leakage > _SECTOR_LEAKAGE_BOUND:
         warnings.warn(LeakageWarning(f"four-spin cycle leaked {leakage:.2e} out of "
-                                     f"the M = 1 symmetry sectors", leakage, bound),
+                                     f"the M = 1 symmetry sectors", leakage,
+                                     _SECTOR_LEAKAGE_BOUND),
                       stacklevel=2)
     fidelity = abs(bp_target_state().overlap(final)) ** 2
     return EntangleResult(final_state=final, fidelity=float(fidelity),
@@ -278,9 +281,10 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
     grid = _step_grid(rotation)
     blocks = []
     for rep in (spin_matrices(4), spin_matrices(2)):
-        sel, h_of_ts = _block_hamiltonian(rep, 1.0, rotation, grid.nodes)
+        h_of_ts = _block_hamiltonian(rep, 1.0, rotation, grid.nodes)[1]
         u_rot = _run_propagator(h_of_ts(grid.nodes), grid.dts)
-        blocks.append((rep, u_rot, int(np.flatnonzero(sel == _label_index(rep, 1.0))[0])))
+        # the block is every other basis index, so M = 1 sits at index // 2
+        blocks.append((rep, u_rot, _label_index(rep, 1.0) // 2))
 
     def fidelity(stretches):
         ramps = [_ramp(lambda0, stage_duration * s, shape) for s in stretches]

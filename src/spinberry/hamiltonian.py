@@ -1,9 +1,12 @@
 """Reduced spin Hamiltonian Sigma_z + lambda * Sigma_x**2 and its spectrum.
 
 The Hamiltonian conserves the parity (-1)^(S-m), so it splits into two
-blocks that never mix.  Eigenvalues are labeled by the magnetic number m
-of the basis state they connect to as lambda -> 0.  Sigma_x**2 couples m
-only to m +- 2, so for lambda != 0 each block is an unreduced tridiagonal
+blocks that never mix.  In the descending-m basis Sigma_x**2 couples index
+i only to i +- 2, so the parity block of the level labeled m is every
+other basis index, starting from the parity of m's own index S - m
+(:func:`_block`); every module takes its blocks from here.  Eigenvalues
+are labeled by the magnetic number m of the basis state they connect to
+as lambda -> 0.  For lambda != 0 each block is an unreduced tridiagonal
 (Jacobi) matrix: its eigenvalues are simple and never cross.  The level
 labeled m is therefore, for every real lambda, the eigenvalue of the same
 rank within its block, and one eigensolve per block labels a spectrum.
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import monic_characteristic_coefficients
 from .spin_algebra import SpinRep
 
 
@@ -42,47 +44,67 @@ class ParityBlock:
     m_values: np.ndarray
 
 
+def _reduced(rep: SpinRep, lam) -> np.ndarray:
+    """Sigma_z + lambda Sigma_x^2, stacked for array-valued lambda."""
+    return rep.sigma_z + np.asarray(lam)[..., None, None] * (rep.sigma_x @ rep.sigma_x)
+
+
 def reduced_hamiltonian(rep: SpinRep, lam: float) -> ReducedHamiltonian:
     lam = float(lam)
     if not np.isfinite(lam):
         raise ValueError("lambda must be finite")
-    matrix = rep.sigma_z + lam * (rep.sigma_x @ rep.sigma_x)
-    return ReducedHamiltonian(rep=rep, lam=lam, matrix=matrix)
+    return ReducedHamiltonian(rep=rep, lam=lam, matrix=_reduced(rep, lam))
 
 
-def _even_block_mask(two_s: int) -> np.ndarray:
-    idx = np.arange(two_s + 1)
-    if two_s % 2 == 0:
-        doubled_m = two_s - 2 * idx
-        return doubled_m % 4 == 0
-    return idx % 2 == 0
+def _block(rep: SpinRep, m: float) -> np.ndarray:
+    """Basis indices of the parity block of the level labeled m."""
+    return np.arange(_label_index(rep, m) % 2, rep.dim, 2)
+
+
+def _block_operators(rep: SpinRep, sel: np.ndarray):
+    """Sigma_z and Sigma_x**2 on the basis indices ``sel`` of a block."""
+    block = np.ix_(sel, sel)
+    return rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
 
 
 def parity_blocks(h: ReducedHamiltonian) -> tuple[ParityBlock, ParityBlock]:
     """Split the reduced Hamiltonian into its (even, odd) parity blocks."""
-    mask = _even_block_mask(h.rep.two_s)
-    m = h.rep.m_values
-    blocks = []
-    for name, sel in (("even", mask), ("odd", ~mask)):
-        sub = h.matrix[np.ix_(sel, sel)]
-        blocks.append(ParityBlock(name=name, matrix=sub, m_values=m[sel]))
+    rep = h.rep
+    # even: m even for integer S (m = 0's block), S - m even otherwise (m = S's)
+    even = _block(rep, rep.s if rep.two_s % 2 else 0.0)
+    odd = np.arange(1 - even[0], rep.dim, 2)
     # cross-block couplings are structural zeros; guard against regressions
-    cross = h.matrix[np.ix_(mask, ~mask)]
+    cross = h.matrix[np.ix_(even, odd)]
     if cross.size and np.any(cross != 0.0):
         raise AssertionError("parity selection rule violated")
-    return blocks[0], blocks[1]
+    return tuple(ParityBlock(name=name, matrix=h.matrix[np.ix_(sel, sel)],
+                             m_values=rep.m_values[sel])
+                 for name, sel in (("even", even), ("odd", odd)))
 
 
 def characteristic_polynomial(block) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, descending powers."""
-    matrix = block.matrix if isinstance(block, ParityBlock) else np.asarray(block)
-    return monic_characteristic_coefficients(matrix)
+    """Coefficients of det(x*I - A), monic, in descending powers of x, for a
+    block or square matrix A.  Faddeev-LeVerrier recursion: exact up to
+    float rounding, no eigensolve."""
+    a = np.asarray(block.matrix if isinstance(block, ParityBlock) else block,
+                   dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    n = a.shape[0]
+    coeffs = np.ones(n + 1)
+    m = np.zeros_like(a)
+    c = 1.0
+    for k in range(1, n + 1):
+        m = a @ m + c * np.eye(n)
+        c = -np.trace(a @ m) / k
+        coeffs[k] = c
+    return coeffs
 
 
 def _label_index(rep: SpinRep, m: float) -> int:
     """Column of the level labeled m (labels in descending-m basis order)."""
-    i = int(round(rep.s - m))
-    if not 0 <= i < rep.dim or abs(rep.m_values[i] - m) > 1e-12:
+    i = int(round(rep.s - m)) if np.isfinite(m) else -1
+    if not 0 <= i < rep.dim or abs(rep.s - i - m) > 1e-12:
         raise ValueError(f"no level labeled m={m}")
     return i
 
@@ -113,8 +135,14 @@ class LabeledSpectrum:
         return self.vectors[:, self.index_of(m)].copy()
 
     def polarization(self, m: float) -> float:
-        v = self.vectors[:, self.index_of(m)]
-        return float(np.sum(self.rep.m_values * v * v))
+        return float(_polarizations(self.rep, m, self.vectors))
+
+
+def _polarizations(rep: SpinRep, m: float, vectors) -> np.ndarray:
+    """p(m, lambda) = sum_k m_k v_k^2 of the level labeled m, from labeled
+    eigenvectors stacked as (..., dim, dim)."""
+    v = vectors[..., _label_index(rep, m)]
+    return np.sum(rep.m_values * v * v, axis=-1)
 
 
 def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -128,16 +156,12 @@ def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise ValueError("lambda must be finite")
-    sxsq = rep.sigma_x @ rep.sigma_x
     energies = np.empty(lams.shape + (rep.dim,))
     vectors = np.zeros(lams.shape + (rep.dim, rep.dim))
-    mask = _even_block_mask(rep.two_s)
-    for sel in (np.flatnonzero(mask), np.flatnonzero(~mask)):
-        if sel.size == 0:
-            continue
-        block = np.ix_(sel, sel)
-        w, v = np.linalg.eigh(rep.sigma_z[block]
-                              + lams[..., None, None] * sxsq[block])
+    for m in (rep.s, rep.s - 1)[:rep.dim]:  # the two blocks (one for S = 0)
+        sel = _block(rep, m)
+        sz, sxsq = _block_operators(rep, sel)
+        w, v = np.linalg.eigh(sz + lams[..., None, None] * sxsq)
         ranked = sel[::-1]  # eigh sorts ascending, the basis descends in m
         energies[..., ranked] = w
         vectors[..., sel[:, None], ranked] = v

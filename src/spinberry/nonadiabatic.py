@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berry import _polarizations, _quad_grid, _simpson
-from .hamiltonian import (_eigensystem, _label_index, _spectra,
+from .berry import _quad_grid, _simpson
+from .hamiltonian import (_eigensystem, _label_index, _polarizations, _spectra,
                           energy_derivative, labeled_spectrum, polarization)
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
@@ -74,21 +74,22 @@ class CoriolisParams:
 
     eta: float
     mu: float
-    mu_tilde: float
 
     def __post_init__(self):
         if abs(self.eta) >= 1.0:
             raise ValueError(f"|eta| must be < 1, got {self.eta}")
-        expected = self.mu / (1.0 - self.eta)
-        if abs(self.mu_tilde - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("mu_tilde inconsistent with mu and eta")
+
+    @property
+    def mu_tilde(self) -> float:
+        """The rescaled transverse ratio mu / (1 - eta)."""
+        return self.mu / (1.0 - self.eta)
 
     @classmethod
     def from_rates(cls, theta: float, phi_dot: float, alpha_dot: float,
                    gamma_b: float = 1.0) -> "CoriolisParams":
         eta = (np.cos(theta) * phi_dot + alpha_dot) / gamma_b
         mu = np.sin(theta) * phi_dot / gamma_b
-        return cls(eta=eta, mu=mu, mu_tilde=mu / (1.0 - eta))
+        return cls(eta=eta, mu=mu)
 
 
 def q_coefficient(rep: SpinRep, m: float, lam: float) -> float:
@@ -125,10 +126,10 @@ def magic_lambda_fit(two_s: int, eta: float) -> float:
     root and c1..c4 minimize the worst |Delta_p(0, fit, eta)|, which is
     2.6e-9 (S = 2) and 1.0e-7 (S = 4) over 201 eta points in [0, 0.5].
     """
-    s = two_s // 2
-    if two_s % 2 or s not in MAGIC_LAMBDA_FIT_COEFFS:
-        raise ValueError(f"no fit available for two_s={two_s}")
-    coeffs = MAGIC_LAMBDA_FIT_COEFFS[s]
+    coeffs = MAGIC_LAMBDA_FIT_COEFFS.get(two_s / 2)
+    if coeffs is None:
+        raise ValueError(f"no magic fit for spin {two_s / 2:g}: fits are tabulated for "
+                         f"spin {' and '.join(map(str, MAGIC_LAMBDA_FIT_COEFFS))} only")
     return float(sum(c * eta ** (2 * k) for k, c in enumerate(coeffs)))
 
 
@@ -273,5 +274,6 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
 
     energies, _ = _spectra(rep, lams / (1.0 - etas))
     full = _simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)], ts)
-    first_order = _simpson(bs * etas * _polarizations(rep, m, lams), ts)
+    p = _polarizations(rep, m, _spectra(rep, lams)[1])
+    first_order = _simpson(bs * etas * p, ts)
     return full, first_order

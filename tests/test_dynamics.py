@@ -250,12 +250,12 @@ def _magnus_dims(monkeypatch):
 
 
 def test_parity_block_run_matches_full_dimension(monkeypatch):
-    # alpha-only runs integrate the tracked level's parity block; one mask
+    # alpha-only runs integrate the tracked level's parity block; one block
     # holding every basis state makes the same runs keep the full dimension
     # (the tilted alpha-cycle has theta0 = 0.7 and field b = 1.3)
     from spinberry import dynamics
-    from spinberry.hamiltonian import _even_block_mask
     from spinberry.schedules import Segment, from_segments
+    from spinberry.spin_algebra import m_parity
     tilted = from_segments([Segment(kind="rotate", duration=4.0, alpha_half_turns=2)],
                            theta0=0.7, lambda0=-0.4, b=1.3)
     schedules = [dynamics._ramp(0.6, 4.0, "blackman"),
@@ -270,12 +270,11 @@ def test_parity_block_run_matches_full_dimension(monkeypatch):
     ref_psi, ref_total, _ = _reference_cycle(S2, 1.0, tilted, 100)
     assert np.abs(ours.final_state - ref_psi).max() < 1e-12
     assert abs(ours.total_phase - ref_total) < 1e-12
-    expected = [np.count_nonzero(mask == mask[int(round(two_s / 2 - m))])
-                for two_s, m in levels
-                for mask in [_even_block_mask(two_s)] * len(schedules)]
+    expected = [sum(m_parity(two_s, mj) == m_parity(two_s, m)
+                    for mj in spin_matrices(two_s).m_values)
+                for two_s, m in levels for _ in schedules]
     assert dims == expected
-    monkeypatch.setattr(dynamics, "_even_block_mask",
-                        lambda two_s: np.ones(two_s + 1, dtype=bool))
+    monkeypatch.setattr(dynamics, "_block", lambda rep, m: np.arange(rep.dim))
     full = [dynamics._tracked_run(spin_matrices(two_s), m, sched, steps=100)
             for two_s, m in levels for sched in schedules]
     assert dims[len(block):] == [two_s + 1 for two_s, _ in levels

@@ -8,7 +8,8 @@ from spinberry import (characteristic_polynomial,
                        perturbative_polarization_m0, polarization,
                        polarization_hellmann_feynman, reduced_hamiltonian,
                        spin_matrices)
-from spinberry.linalg import monic_characteristic_coefficients
+from spinberry.hamiltonian import _block
+from spinberry.spin_algebra import m_parity
 
 S2 = spin_matrices(4)
 S3 = spin_matrices(6)
@@ -110,6 +111,28 @@ def test_block_shapes_and_m_values():
     even_h, odd_h = parity_blocks(h)
     assert even_h.matrix.shape == (1, 1) and list(even_h.m_values) == [0.5]
     assert odd_h.matrix.shape == (1, 1) and list(odd_h.m_values) == [-0.5]
+
+
+@pytest.mark.parametrize("two_s", range(13))
+def test_block_rule_matches_m_parity(two_s):
+    # the every-other-index block of level m holds exactly the levels of
+    # m's parity (-1)^(S-m); Sigma_z and Sigma_x^2 never couple the two
+    # blocks; parity_blocks names them by m (integer S) or S - m (half-integer)
+    rep = spin_matrices(two_s)
+    parities = [m_parity(two_s, mj) for mj in rep.m_values]
+    for m in rep.m_values:
+        sel = _block(rep, m)
+        want = [j for j, pj in enumerate(parities) if pj == m_parity(two_s, m)]
+        assert sel.tolist() == want
+        other = np.setdiff1d(np.arange(rep.dim), sel)
+        for op in (rep.sigma_z, rep.sigma_x @ rep.sigma_x):
+            assert not np.any(op[np.ix_(sel, other)])
+    even, odd = parity_blocks(reduced_hamiltonian(rep, 0.7))
+    assert even.name == "even" and odd.name == "odd"
+    assert len(even.m_values) + len(odd.m_values) == rep.dim
+    named_by = (lambda m: m) if two_s % 2 == 0 else (lambda m: rep.s - m)
+    assert all(round(named_by(m)) % 2 == 0 for m in even.m_values)
+    assert all(round(named_by(m)) % 2 == 1 for m in odd.m_values)
 
 
 def test_parity_selection_rule_exact_zero():
@@ -309,9 +332,9 @@ def test_perturbative_polarization_m0():
 
 
 def test_faddeev_leverrier_small_cases():
-    assert np.allclose(monic_characteristic_coefficients([[3.0]]), [1, -3])
+    assert np.allclose(characteristic_polynomial([[3.0]]), [1, -3])
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(monic_characteristic_coefficients(a), [1, -4, 3])
+    assert np.allclose(characteristic_polynomial(a), [1, -4, 3])
 
 
 def continued_spectrum(rep, lam, step=0.01):

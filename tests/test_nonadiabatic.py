@@ -248,8 +248,9 @@ def test_magic_lambda_validation():
 def test_magic_fit_polynomial_values():
     assert magic_lambda_fit(4, 0.0) == 0.838213
     assert magic_lambda_fit(8, 0.0) == 0.509982
-    with pytest.raises(ValueError):
-        magic_lambda_fit(6, 0.1)
+    for two_s in (6, 3):
+        with pytest.raises(ValueError, match="tabulated for spin 2 and 4 only"):
+            magic_lambda_fit(two_s, 0.1)
 
 
 # --- transverse corrections -------------------------------------------------
@@ -405,7 +406,6 @@ def test_coriolis_params():
     assert p.eta == pytest.approx(np.cos(0.5) * 0.3 + 0.1)
     assert p.mu == pytest.approx(np.sin(0.5) * 0.3)
     assert p.mu_tilde == pytest.approx(p.mu / (1 - p.eta))
+    assert CoriolisParams(eta=0.5, mu=0.1).mu_tilde == pytest.approx(0.2)
     with pytest.raises(ValueError):
-        CoriolisParams(eta=1.0, mu=0.1, mu_tilde=0.1)
-    with pytest.raises(ValueError):
-        CoriolisParams(eta=0.5, mu=0.1, mu_tilde=0.3)
+        CoriolisParams(eta=1.0, mu=0.1)

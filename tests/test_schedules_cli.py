@@ -397,6 +397,12 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["entangle", "--lambda0", "nan"],
     ["entangle", "--lambda0", "nan", "--tune", "auto"],
     ["ramp", "--lambda0", "inf", "--T", "5"],
+    ["ramp", "--T", "5", "--m", "inf"],
+    ["ramp", "--T", "5", "--m", "nan"],
+    ["gauge-sphere", "--m", "inf"],
+    ["gauge-sphere", "--m", "nan"],
+    ["magic", "--spin", "3"],
+    ["magic", "--spin", "3/2"],
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
@@ -406,7 +412,9 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
                      "segment1.alpha_half_turns = 1\n")
     required = {"cycle": ["--schedule", str(sched), "--spin", "2", "--m", "0"],
                 "entangle": ["--lambda0", "-0.97"],
-                "ramp": ["--spin", "2", "--m", "0", "--lambda0", "1"]}[argv[0]]
+                "ramp": ["--spin", "2", "--m", "0", "--lambda0", "1"],
+                "gauge-sphere": ["--spin", "2", "--n", "3"],
+                "magic": ["--n", "2"]}[argv[0]]
     out = tmp_path / "out.json"
     code = main([argv[0], *required, *argv[1:], "--out", str(out)])
     assert code == 1
@@ -422,6 +430,10 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     ["magic", "--spin", "2", "--n", "0"],
     ["transverse", "--spin", "2", "--m", "0", "--n", "0"],
     ["ramp", "--spin", "2", "--m", "0", "--lambda0", "1", "--T", ","],
+    ["spectrum", "--spin", "1/0"],
+    ["spectrum", "--spin", "inf"],
+    ["spectrum", "--spin", "2/inf"],
+    ["spectrum", "--spin", "nan/2"],
 ])
 def test_cli_rejects_empty_grids(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -443,7 +455,7 @@ def test_cli_entangle_short(tmp_path):
     assert len(data["final_amplitudes_re_im"]) == 16
 
 
-def test_cli_entangle_leakage_exit_code(tmp_path):
+def test_cli_entangle_leakage_exit_code(tmp_path, capsys):
     # a too-fast cycle violates the sector-leakage contract -> exit 1
     out = tmp_path / "fast.json"
     with pytest.warns(UserWarning):
@@ -452,6 +464,23 @@ def test_cli_entangle_leakage_exit_code(tmp_path):
     assert code == 1
     data = json.loads(out.read_text())
     assert float(data["sector_leakage"]) > 1e-3
+    assert capsys.readouterr().err == ("adiabaticity contract failed: sector "
+                                       "leakage exceeds 1e-3\n")
+
+
+def test_cli_cycle_leakage_exit_code(tmp_path, capsys):
+    # a 4-unit alpha cycle leaks past the 0.01 contract -> exit 1
+    sched = tmp_path / "fast.sched"
+    sched.write_text("lambda0 = 1.0\n"
+                     "segment1.kind = rotate\n"
+                     "segment1.duration = 4\n"
+                     "segment1.alpha_half_turns = 2\n")
+    with pytest.warns(UserWarning):
+        code = main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0",
+                     "--out", str(tmp_path / "fast.json")])
+    assert code == 1
+    assert capsys.readouterr().err == ("adiabaticity contract failed: leakage "
+                                       "exceeds 0.01\n")
 
 
 def test_cli_json_format(tmp_path):
