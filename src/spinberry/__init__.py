@@ -32,9 +32,8 @@ from .hamiltonian import (LabeledSpectrum, ParityBlock, ReducedHamiltonian,
                           perturbative_polarization_m0, polarization,
                           polarization_hellmann_feynman, reduced_hamiltonian)
 from .nonadiabatic import (CoriolisParams, NearDegeneracyError, NoRootError,
-                           TransverseShift, cxy_coefficient, delta_p,
-                           longitudinal_phase, magic_lambda, magic_lambda_fit,
-                           p2_coefficient, q_coefficient,
+                           TransverseShift, delta_p, longitudinal_phase,
+                           magic_lambda, magic_lambda_fit, q_coefficient,
                            transverse_second_order)
 from .pulses import PulseShape, blackman, blackman_integral
 from .schedules import (CycleSchedule, ScheduleError, Segment,

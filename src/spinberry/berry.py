@@ -25,6 +25,9 @@ from .hamiltonian import _polarizations, _spectra, polarization
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
+# Central-difference step of gauge_invariance_check.
+_GAUGE_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class GaugeField:
@@ -95,21 +98,23 @@ def gauge_field(rep: SpinRep, m: float, lam: float, theta: float) -> GaugeField:
     return GaugeField(a_phi=-m + p * np.cos(theta), a_alpha=-m + p)
 
 
-def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde: float) -> float:
-    """A_alpha on the spherical section lambda = -2 cot(theta_tilde).
+def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde):
+    """A_alpha = -m + p(m, lambda) on the spherical section
+    lambda = -2 cot(theta_tilde), at every point of ``theta_tilde`` (a
+    scalar or an array) from one stacked spectrum solve.
 
     The map sends the open interval 0 < theta_tilde < pi onto the whole
     lambda axis; the poles are excluded because lambda diverges there.
     """
-    if not 0.0 < theta_tilde < np.pi:
+    theta_tilde = np.asarray(theta_tilde, dtype=float)
+    if not np.all((0.0 < theta_tilde) & (theta_tilde < np.pi)):
         raise ValueError("theta_tilde must lie strictly inside (0, pi)")
     lam = -2.0 / np.tan(theta_tilde)
-    return gauge_field(rep, m, lam, theta=0.0).a_alpha
+    return -m + _polarizations(rep, m, _spectra(rep, lam)[1])
 
 
 def gauge_invariance_check(rep: SpinRep, m: float, schedule: CycleSchedule,
-                           g, quad_points: int = 4097,
-                           fd_step: float = 1e-6) -> float:
+                           g, quad_points: int = 4097) -> float:
     """|beta_gauged - beta| for a gauge function g(phi, theta, alpha, lambda).
 
     The gauge transformation shifts A_phi and A_alpha by the respective
@@ -122,9 +127,8 @@ def gauge_invariance_check(rep: SpinRep, m: float, schedule: CycleSchedule,
     ts = _quad_grid(schedule.duration, quad_points)
     phi, theta = schedule.phi(ts), schedule.theta(ts)
     alpha, lam = schedule.alpha(ts), schedule.lam(ts)
-    dg_dphi = (g(phi + fd_step, theta, alpha, lam)
-               - g(phi - fd_step, theta, alpha, lam)) / (2 * fd_step)
-    dg_dalpha = (g(phi, theta, alpha + fd_step, lam)
-                 - g(phi, theta, alpha - fd_step, lam)) / (2 * fd_step)
+    h = _GAUGE_FD_STEP
+    dg_dphi = (g(phi + h, theta, alpha, lam) - g(phi - h, theta, alpha, lam)) / (2 * h)
+    dg_dalpha = (g(phi, theta, alpha + h, lam) - g(phi, theta, alpha - h, lam)) / (2 * h)
     integrand = dg_dphi * schedule.phi_dot(ts) + dg_dalpha * schedule.alpha_dot(ts)
     return abs(_simpson(np.broadcast_to(integrand, ts.shape), ts))

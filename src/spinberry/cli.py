@@ -21,9 +21,8 @@ from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, mirror_phase_difference,
                        ramp_fidelity)
 from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
-from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, cxy_coefficient,
-                           delta_p, magic_lambda, magic_lambda_fit, p2_coefficient,
-                           transverse_second_order)
+from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, delta_p,
+                           magic_lambda, magic_lambda_fit, transverse_second_order)
 from .schedules import ScheduleError, from_file
 from .spin_algebra import spin_matrices
 
@@ -114,7 +113,7 @@ def _label(m: float) -> str:
 def cmd_gauge_sphere(args) -> int:
     rep = spin_matrices(args.spin)
     thetas = np.linspace(0.0, np.pi, args.n_points + 2)[1:-1]
-    rows = [[th, gauge_field_sphere(rep, args.m, th)] for th in thetas]
+    rows = zip(thetas, gauge_field_sphere(rep, args.m, thetas))
     _write_table(args, "gauge-sphere", ["theta_tilde", "A_alpha"], rows,
                  meta=[("spin", _fmt(rep.s)), ("m", _fmt(args.m))])
     return 0
@@ -149,14 +148,13 @@ def cmd_ramp(args) -> int:
 def cmd_transverse(args) -> int:
     rep = spin_matrices(args.spin)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
-    rows = [[lam, p2_coefficient(rep, args.m, lam),
-             cxy_coefficient(rep, args.m, lam)] for lam in lams]
-    for lam in lams:
-        shift = transverse_second_order(rep, args.m, lam)
+    shifts = [transverse_second_order(rep, args.m, lam) for lam in lams]
+    for lam, shift in zip(lams, shifts):
         if shift.large_correction:
             print(f"warning: opposite-parity gap {shift.min_gap:.2e} below "
                   f"{_GAP_WARN:.0e} at lambda={lam}; outside perturbation theory",
                   file=sys.stderr)
+    rows = [[lam, shift.p2, shift.c_xy] for lam, shift in zip(lams, shifts)]
     _write_table(args, "transverse", ["lambda", "p2", "c_xy"], rows,
                  meta=[("spin", _fmt(rep.s)), ("m", _fmt(args.m))])
     return 0
@@ -165,7 +163,6 @@ def cmd_transverse(args) -> int:
 def cmd_cycle(args) -> int:
     rep = spin_matrices(args.spin)
     schedule = from_file(args.schedule)
-    schedule.validate()
     quad = berry_phase_adiabatic(rep, args.m, schedule)
     mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
     payload = {
@@ -311,8 +308,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScheduleError, ValueError, OSError, NearDegeneracyError,
-            NoRootError) as exc:
+    except (ScheduleError, ValueError, OSError, MemoryError,
+            NearDegeneracyError, NoRootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

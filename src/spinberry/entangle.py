@@ -39,6 +39,13 @@ _DIM = 2 ** _N_SPINS
 # Sector leakage above which the cycle is untrusted (``entangle`` exits 1).
 _SECTOR_LEAKAGE_BOUND = 1e-3
 
+# The paper's cycle: alpha turns by 3 pi, every stage with a Blackman profile.
+_N_ALPHA = 3
+_SHAPE = "blackman"
+
+# Window of ramp stretches searched by tune_stage_stretch.
+_STRETCH_BOUNDS = (0.88, 1.12)
+
 
 @dataclass(frozen=True)
 class FourSpinState:
@@ -155,8 +162,8 @@ def bp_target_state() -> FourSpinState:
     return FourSpinState(vec.astype(complex))
 
 
-def _beta_alpha_only(b_sq: float, lam0: float, winding_pi: float = 3 * np.pi) -> float:
-    return winding_pi * (2.0 / np.sqrt(b_sq * lam0**2 + 4.0) - 1.0)
+def _beta_alpha_only(b_sq: float, lam0: float) -> float:
+    return _N_ALPHA * np.pi * (2.0 / np.sqrt(b_sq * lam0**2 + 4.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,8 @@ class EntangleResult:
 
 
 def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
-                     steps: int | None = None, tune_factor: float = 1.0,
-                     n_alpha: int = 3, shape: str = "blackman") -> EntangleResult:
+                     steps: int | None = None,
+                     tune_factor: float = 1.0) -> EntangleResult:
     """Run the ramp / rotate / ramp cycle on the four-spin M = 1 sector.
 
     The S = 2 multiplet and one of the three identical S = 1 towers each run
@@ -233,8 +240,8 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     ramp stages to steer the residual dynamical-phase difference (see
     :func:`tune_stage_stretch`).
     """
-    schedule = three_stage_cycle(lambda0, stage_duration, n_alpha, tune_factor,
-                                 shape)
+    schedule = three_stage_cycle(lambda0, stage_duration, _N_ALPHA, tune_factor,
+                                 _SHAPE)
     pair2, pair1 = (_mirror_pair(spin_matrices(two_s), 1.0, schedule, steps)
                     for two_s in (4, 2))
     delta_measured = pair2.extracted_phase - pair1.extracted_phase
@@ -262,8 +269,7 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                           lambda0=float(lambda0))
 
 
-def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
-                      shape: str):
+def _stretch_fidelity(lambda0: float, stage_duration: float):
     """The fidelity of :func:`entangling_cycle` at the default step grid, as
     a function of an array of stage stretches (the tuner's objective).
 
@@ -277,7 +283,7 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
     ends padded with identity steps.  The target's overlap with the cycled
     Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
-    rotation = alpha_rotation_cycle(lambda0, n_alpha, 2.0 * stage_duration, shape)
+    rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
     grid = _step_grid(rotation)
     blocks = []
     for rep in (spin_matrices(4), spin_matrices(2)):
@@ -287,7 +293,7 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
         blocks.append((rep, u_rot, _label_index(rep, 1.0) // 2))
 
     def fidelity(stretches):
-        ramps = [_ramp(lambda0, stage_duration * s, shape) for s in stretches]
+        ramps = [_ramp(lambda0, stage_duration * s, _SHAPE) for s in stretches]
         grids = [_step_grid(ramp) for ramp in ramps]
         steps = max(len(g.dts) for g in grids)
         amplitudes = []
@@ -305,9 +311,7 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, n_alpha: int,
     return fidelity
 
 
-def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
-                       n_alpha: int = 3, shape: str = "blackman",
-                       bounds: tuple[float, float] = (0.88, 1.12)) -> float:
+def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0) -> float:
     """Ramp-duration stretch that maximizes the entangled-state fidelity.
 
     The objective is the fidelity that :func:`entangling_cycle` reports at
@@ -326,12 +330,12 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0,
     """
     from scipy.optimize import minimize_scalar  # on demand, as in lambda_max_solve
 
-    fidelity = _stretch_fidelity(lambda0, stage_duration, n_alpha, shape)
+    fidelity = _stretch_fidelity(lambda0, stage_duration)
 
     def objective(s):
         return -float(fidelity(np.array([s]))[0])
 
-    grid = np.linspace(bounds[0], bounds[1], 25)
+    grid = np.linspace(*_STRETCH_BOUNDS, 25)
     values = -fidelity(grid)
     interior = [k for k in range(1, len(grid) - 1)
                 if values[k] <= min(values[k - 1], values[k + 1])]

@@ -20,10 +20,14 @@ second order in mu = sin(theta) phi_dot / (gamma_S B): an energy shift
 E_perp2, the second-order shift of the auxiliary problems
 H(lambda) - mu Sigma_{x,y}; its phase-relevant combination
 p2 = (1 + lambda d/dlambda) E_perp2; and a rotating-frame geometric term
-C_xy built from the first-order perturbation vectors.
+C_xy built from the first-order perturbation vectors.  All three come from
+one eigensystem, as the fields of one :class:`TransverseShift`.
 
 Every derivative here is an exact perturbation sum over the eigensystem
-at lambda itself, never a finite difference.
+at lambda itself, never a finite difference.  Delta_p and the
+longitudinal phase each make one stacked labelled-spectrum solve: Delta_p
+at lambda/(1+eta), lambda/(1-eta) and lambda, the longitudinal phase on
+its rescaled and its plain coupling grid.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .berry import _quad_grid, _simpson
 from .hamiltonian import (_eigensystem, _label_index, _polarizations, _spectra,
-                          energy_derivative, labeled_spectrum, polarization)
+                          energy_derivative)
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -85,11 +89,11 @@ class CoriolisParams:
         return self.mu / (1.0 - self.eta)
 
     @classmethod
-    def from_rates(cls, theta: float, phi_dot: float, alpha_dot: float,
-                   gamma_b: float = 1.0) -> "CoriolisParams":
-        eta = (np.cos(theta) * phi_dot + alpha_dot) / gamma_b
-        mu = np.sin(theta) * phi_dot / gamma_b
-        return cls(eta=eta, mu=mu)
+    def from_rates(cls, theta: float, phi_dot: float,
+                   alpha_dot: float) -> "CoriolisParams":
+        """The ratios for rates in units of gamma_S B."""
+        return cls(eta=np.cos(theta) * phi_dot + alpha_dot,
+                   mu=np.sin(theta) * phi_dot)
 
 
 def q_coefficient(rep: SpinRep, m: float, lam: float) -> float:
@@ -113,9 +117,10 @@ def delta_p(rep: SpinRep, m: float, lam: float, eta: float) -> float:
         if eta == 0.0:
             return 0.0
         return q_coefficient(rep, m, lam) * eta**2
-    plus = (1.0 + eta) * labeled_spectrum(rep, lam / (1.0 + eta)).energy(m)
-    minus = (1.0 - eta) * labeled_spectrum(rep, lam / (1.0 - eta)).energy(m)
-    return (plus - minus) / (2.0 * eta) - polarization(rep, m, lam)
+    energies, vectors = _spectra(rep, [lam / (1.0 + eta), lam / (1.0 - eta), lam])
+    i = _label_index(rep, m)
+    plus, minus = (1.0 + eta) * energies[0, i], (1.0 - eta) * energies[1, i]
+    return float((plus - minus) / (2.0 * eta) - _polarizations(rep, m, vectors[2]))
 
 
 def magic_lambda_fit(two_s: int, eta: float) -> float:
@@ -171,24 +176,40 @@ def magic_lambda(rep: SpinRep, eta: float) -> float:
 
 @dataclass(frozen=True)
 class TransverseShift:
-    """Second-order transverse energy shift: the half-sum ``value`` of the x
-    and y auxiliary shifts, the smallest opposite-parity gap, and whether
-    that gap lies in the warning window."""
+    """Second-order transverse coefficients at one coupling: the energy
+    shift ``value`` (the half-sum of the x and y auxiliary shifts ``ex``
+    and ``ey``), the phase coefficient ``p2``, the geometric coefficient
+    ``c_xy``, the smallest opposite-parity gap, and whether that gap lies
+    in the warning window."""
 
     value: float
     ex: float
     ey: float
+    p2: float
+    c_xy: float
     min_gap: float
     large_correction: bool
 
 
-def _opposite_parity_terms(rep: SpinRep, m: float, lam: float):
-    """Gaps D_n = E_m - E_n to the opposite-parity levels n, their
-    lambda-derivatives V_mm - V_nn, ``(a, da)`` pairs of the real elements
-    x_n = <n|Sigma_x|m>, y_n = -i <n|Sigma_y|m> and their lambda-derivatives,
-    and min |D_n|.  With V = Sigma_x**2 in the eigenbasis, the eigenbasis
-    turns as dU/dlambda = U G, G_jk = V_jk / (E_k - E_j) within each parity
-    block, so A = U^T Sigma U moves as G^T A + A G.
+def transverse_second_order(rep: SpinRep, m: float,
+                            lam: float) -> TransverseShift:
+    """Second-order transverse coefficients of the level m at ``lam``.
+
+    With gaps D_n = E_m - E_n to the opposite-parity levels n and the real
+    elements x_n = <n|Sigma_x|m>, y_n = -i <n|Sigma_y|m>, the auxiliary
+    problems H(lambda) - mu Sigma_{x,y} shift by E_x = sum_n x_n^2 / D_n and
+    E_y = sum_n y_n^2 / D_n.  Cross terms in Sigma_x Sigma_y cancel by
+    symmetry, so E_perp2 is the plain half-sum (the squared rotation
+    factors average to 1/2 for slowly varying rotation rates).
+
+    p2 = (1 + lambda d/dlambda) E_perp2 is differentiated exactly: with
+    V = Sigma_x**2 in the eigenbasis, D_n moves as V_mm - V_nn and the
+    eigenbasis turns as dU/dlambda = U G, G_jk = V_jk / (E_k - E_j) within
+    each parity block, so A = U^T Sigma U moves as G^T A + A G.
+
+    C_xy = Im <psi_y^1 | psi_x^1> = -sum_n x_n y_n / D_n^2: the first-order
+    perturbation vectors live in the opposite-parity subspace, with real x
+    and purely imaginary y elements, so the overlap is purely imaginary.
     """
     energies, vectors, v, same = _eigensystem(rep, lam)
     i = _label_index(rep, m)
@@ -201,50 +222,19 @@ def _opposite_parity_terms(rep: SpinRep, m: float, lam: float):
             f"at lambda={lam}")
     g = np.divide(v, energies - energies[:, None], out=np.zeros_like(v),
                   where=same & ~np.eye(rep.dim, dtype=bool))
-    pairs = []
+    dgap = v[i, i] - np.diagonal(v)[opposite]
+    terms = []  # (elements, shift, d shift / d lambda) for x, then y
     for op in (rep.sigma_x, (rep.sigma_y / 1j).real):  # Sigma_y = i * real
         a = vectors.T @ op @ vectors
-        pairs.append((a[opposite, i], (g.T @ a + a @ g)[opposite, i]))
-    dgap = v[i, i] - np.diagonal(v)[opposite]
-    return gap, dgap, pairs, min_gap
-
-
-def transverse_second_order(rep: SpinRep, m: float,
-                            lam: float) -> TransverseShift:
-    """Second-order transverse energy shift E_perp2(m, lambda).
-
-    The explicit sums over opposite-parity states n of the auxiliary
-    problems H(lambda) - mu Sigma_{x,y}, e.g. E_x = sum_n x_n^2 / D_n.
-    Cross terms in Sigma_x Sigma_y cancel by symmetry, so the shift is the
-    plain half-sum of the two auxiliary shifts (the squared rotation
-    factors average to 1/2 for slowly varying rotation rates).
-    """
-    gap, _, ((x, _), (y, _)), min_gap = _opposite_parity_terms(rep, m, lam)
-    ex, ey = float(np.sum(x * x / gap)), float(np.sum(y * y / gap))
-    return TransverseShift(value=0.5 * (ex + ey), ex=ex, ey=ey,
+        x, dx = a[opposite, i], (g.T @ a + a @ g)[opposite, i]
+        terms.append((x, x @ (x / gap), x @ (2 * dx / gap - x * dgap / gap**2)))
+    (x, ex, dex), (y, ey, dey) = terms
+    value = 0.5 * (ex + ey)
+    return TransverseShift(value=float(value), ex=float(ex), ey=float(ey),
+                           p2=float(value + lam * ((dex + dey) / 2)),
+                           c_xy=float(np.sum(-x * y / gap**2)),
                            min_gap=min_gap,
                            large_correction=min_gap < _GAP_WARN)
-
-
-def p2_coefficient(rep: SpinRep, m: float, lam: float) -> float:
-    """Transverse phase coefficient p2 = (1 + lambda d/dlambda) E_perp2,
-    differentiated exactly on one eigensystem."""
-    gap, dgap, pairs, _ = _opposite_parity_terms(rep, m, lam)
-    e2 = sum(a @ (a / gap) for a, _ in pairs) / 2
-    de2 = sum(a @ (2 * da / gap - a * dgap / gap**2) for a, da in pairs) / 2
-    return float(e2 + lam * de2)
-
-
-def cxy_coefficient(rep: SpinRep, m: float, lam: float) -> float:
-    """Rotating-frame geometric coefficient C_xy = Im <psi_y^1 | psi_x^1>.
-
-    The first-order perturbation vectors of the two auxiliary problems
-    live in the opposite-parity subspace; with real eigenvectors the x
-    elements are real and the y elements purely imaginary, so the overlap
-    is purely imaginary and the sum below is exact.
-    """
-    gap, _, ((x, _), (y, _)), _ = _opposite_parity_terms(rep, m, lam)
-    return float(np.sum(-x * y / gap**2))
 
 
 def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -272,8 +262,7 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
     bs = schedule.b(ts)
     lams = schedule.lam(ts)
 
-    energies, _ = _spectra(rep, lams / (1.0 - etas))
-    full = _simpson(-bs * (1.0 - etas) * energies[:, _label_index(rep, m)], ts)
-    p = _polarizations(rep, m, _spectra(rep, lams)[1])
-    first_order = _simpson(bs * etas * p, ts)
+    energies, vectors = _spectra(rep, np.stack([lams / (1.0 - etas), lams]))
+    full = _simpson(-bs * (1.0 - etas) * energies[0, :, _label_index(rep, m)], ts)
+    first_order = _simpson(bs * etas * _polarizations(rep, m, vectors[1]), ts)
     return full, first_order

@@ -31,6 +31,10 @@ import numpy as np
 from .pulses import PulseShape
 
 
+# Largest residual of a boundary condition that CycleSchedule.validate accepts.
+_BOUNDARY_TOL = 1e-9
+
+
 class ScheduleError(ValueError):
     """A schedule violates the cycle boundary conditions or is malformed."""
 
@@ -61,7 +65,7 @@ class CycleSchedule:
     b: Callable[[float], float] = field(default_factory=lambda: _const(1.0))
     boundaries: tuple[float, ...] = ()  # interior stage boundaries, ascending
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise :class:`ScheduleError` if the boundary conditions fail."""
         T = self.duration
         if not (np.isfinite(T) and T > 0):
@@ -73,7 +77,7 @@ class CycleSchedule:
             ("alpha", self.alpha(T) - self.alpha(0.0) - np.pi * self.n_alpha),
         ]
         for name, residual in checks:
-            if abs(residual) > tol:
+            if abs(residual) > _BOUNDARY_TOL:
                 raise ScheduleError(
                     f"boundary condition violated for {name}: residual {residual:.3e}")
 
@@ -242,13 +246,13 @@ def three_stage_cycle(lambda0: float, stage_duration: float, n_alpha: int = 3,
 
 
 def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
-               n_alpha: int = 0, max_curvature: float | None = None) -> CycleSchedule:
+               n_alpha: int = 0) -> CycleSchedule:
     """Schedule from tabulated samples, cubic-spline interpolated.
 
     Every sample must be finite and every field sample ``b`` positive.
-    Splines use not-a-knot ends.  A finite-difference curvature bound
-    guards against tables with derivative kinks; pass ``max_curvature``
-    to override the heuristic default.
+    Splines use not-a-knot ends.  A finite-difference curvature bound,
+    10 max(1, range) (2 pi / T)^2 per column, guards against tables with
+    derivative kinks.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -271,10 +275,7 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
     for name in ("theta", "phi", "alpha", "lambda"):
         y = columns[name]
         curv = np.abs(np.diff(np.diff(y) / dt) / dt[1:])
-        bound = max_curvature
-        if bound is None:
-            scale = max(1.0, float(np.ptp(y)))
-            bound = 10.0 * scale * (2 * np.pi / T) ** 2
+        bound = 10.0 * max(1.0, float(np.ptp(y))) * (2 * np.pi / T) ** 2
         if curv.size and curv.max() > bound:
             raise ScheduleError(
                 f"{name} table fails the smoothness bound "

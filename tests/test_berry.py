@@ -114,9 +114,21 @@ def test_gauge_field_sphere():
     lam = -2.0 / np.tan(1.1)
     want = 2 / np.sqrt(lam**2 + 4) - 1
     assert gauge_field_sphere(S1, 1.0, 1.1) == pytest.approx(want, abs=1e-10)
-    for bad in (0.0, np.pi, -0.1):
+    for bad in (0.0, np.pi, -0.1, np.nan, [1.0, np.pi]):
         with pytest.raises(ValueError):
             gauge_field_sphere(S2, 0.0, bad)
+
+
+@pytest.mark.parametrize("two_s", range(13))
+def test_gauge_field_sphere_grid_is_pointwise_gauge_field(two_s):
+    # one stacked solve over every 10th point of `gauge-sphere --n 361`,
+    # both end points (|lambda| = 230) included, equals the one-point path
+    rep = spin_matrices(two_s)
+    thetas = np.linspace(0.0, np.pi, 363)[1:-1][::10]
+    assert max(abs(2.0 / np.tan(thetas))) > 229.0
+    for m in rep.m_values:
+        want = [gauge_field(rep, m, -2.0 / np.tan(tt), 0.0).a_alpha for tt in thetas]
+        np.testing.assert_array_equal(gauge_field_sphere(rep, m, thetas), want)
 
 
 @pytest.mark.parametrize("rep,factor", [(S1, 1.0), (S2, 9.0)])

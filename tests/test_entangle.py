@@ -199,7 +199,7 @@ def test_tuned_stretch_is_an_interior_maximum(stage):
     # of a maximum outside the window; the tuner must return an interior one
     from spinberry.entangle import _stretch_fidelity
     lam_max = lambda_max_solve()
-    stretch_fidelity = _stretch_fidelity(lam_max, stage, 3, "blackman")
+    stretch_fidelity = _stretch_fidelity(lam_max, stage)
 
     def fidelity(s):
         return stretch_fidelity(np.array([s]))[0]
@@ -222,7 +222,7 @@ def test_tuner_prefers_the_maximum_nearest_unit_stretch(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(entangle, "_stretch_fidelity",
-                      lambda lambda0, stage_duration, n_alpha, shape: two_maxima)
+                      lambda lambda0, stage_duration: two_maxima)
         assert tune_stage_stretch(-0.97, 25.0) == pytest.approx(1.031, abs=1e-4)
     # at the README parameters the two candidates are 0.881239 and 1.064154
     assert tune_stage_stretch(-0.9699, 25.0) == pytest.approx(1.06415, abs=1e-4)
@@ -344,7 +344,7 @@ def test_stretch_fidelity_is_the_reported_fidelity(lam0, stage, stretch):
     # differ from the uniform one, and of 825 steps, where the two coincide
     from spinberry.entangle import _stretch_fidelity
     lam0 = lambda_max_solve() if lam0 is None else lam0
-    fidelity = _stretch_fidelity(lam0, stage, 3, "blackman")
+    fidelity = _stretch_fidelity(lam0, stage)
     # in a ragged stack, padded with identity steps
     stacked = fidelity(np.array([0.88, stretch, 1.12]))
     reported = entangling_cycle(lam0, stage, tune_factor=stretch).fidelity

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinberry import (CoriolisParams, NearDegeneracyError, NoRootError,
-                       alpha_rotation_cycle, cxy_coefficient, delta_p,
-                       labeled_spectrum, longitudinal_phase, magic_lambda,
-                       magic_lambda_fit, p2_coefficient, polarization,
-                       q_coefficient, reduced_hamiltonian, spin_matrices,
-                       transverse_second_order)
+                       alpha_rotation_cycle, delta_p, labeled_spectrum,
+                       longitudinal_phase, magic_lambda, magic_lambda_fit,
+                       polarization, q_coefficient, reduced_hamiltonian,
+                       spin_matrices, transverse_second_order)
 from spinberry.berry import berry_phase_adiabatic
 
 HALF = spin_matrices(1)
@@ -89,11 +88,12 @@ def test_q_and_p2_match_richardson(two_s):
             q = q_coefficient(rep, m, lam)
             assert abs(q - richardson_q(rep, m, lam)) <= 2e-7 * max(1.0, abs(q))
             try:
-                if transverse_second_order(rep, m, lam).min_gap < 1e-3:
-                    continue
+                shift = transverse_second_order(rep, m, lam)
             except NearDegeneracyError:
                 continue
-            p2 = p2_coefficient(rep, m, lam)
+            if shift.min_gap < 1e-3:
+                continue
+            p2 = shift.p2
             assert abs(p2 - richardson_p2(rep, m, lam)) <= \
                 4e-8 * max(1.0, abs(p2)), (m, lam)
 
@@ -125,6 +125,17 @@ def test_delta_p_rejects_large_eta():
         delta_p(S2, 0.0, 0.8, 1.0)
     with pytest.raises(ValueError):
         delta_p(S2, 0.0, 0.8, -1.2)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: delta_p(S2, 0.0, 0.9, 0.3),
+    lambda: delta_p(S4, -1.0, -1.2, -0.45),
+    lambda: longitudinal_phase(S2, 0.0, alpha_rotation_cycle(1.0, n_alpha=1,
+                                                             duration=10.0)),
+], ids=["delta_p-s2", "delta_p-s4", "longitudinal_phase"])
+def test_one_spectrum_solve_per_call(solve, spectra_calls):
+    solve()
+    assert len(spectra_calls) == 1
 
 
 def test_delta_p_zero_coupling_exact():
@@ -279,7 +290,7 @@ def test_transverse_cross_validation(m, lam):
 
 
 def test_transverse_blowup_for_m1():
-    peak = max(abs(p2_coefficient(S2, 1.0, lam))
+    peak = max(abs(transverse_second_order(S2, 1.0, lam).p2)
                for lam in np.linspace(0.7, 1.2, 6))
     assert peak > 100.0
 
@@ -301,14 +312,15 @@ def test_transverse_near_degeneracy_error():
 def test_transverse_order_of_magnitude_fig_region():
     for m in (0.0, -1.0):
         for lam in np.linspace(0.7, 1.2, 6):
-            assert abs(p2_coefficient(S2, m, lam)) < 5.0
-            assert abs(cxy_coefficient(S2, m, lam)) < 5.0
+            shift = transverse_second_order(S2, m, lam)
+            assert abs(shift.p2) < 5.0
+            assert abs(shift.c_xy) < 5.0
 
 
 def test_p2_reduces_to_shift_at_zero_coupling():
     for m in (2.0, -1.0):
-        assert p2_coefficient(S2, m, 0.0) == pytest.approx(
-            transverse_second_order(S2, m, 0.0).value, abs=1e-9)
+        shift = transverse_second_order(S2, m, 0.0)
+        assert shift.p2 == pytest.approx(shift.value, abs=1e-9)
 
 
 def test_cross_terms_cancel():
@@ -335,10 +347,11 @@ def test_cross_terms_cancel():
 
 def test_cxy_frozen_oracles():
     # S=2, m=2 at zero coupling: single neighbor, unit gap, x=1, y=1
-    assert cxy_coefficient(S2, 2.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert transverse_second_order(S2, 2.0, 0.0).c_xy == pytest.approx(-1.0, abs=1e-12)
     # spin-1/2: one-dimensional parity blocks, gap 1, x = y = 1/2
     for lam in (0.0, 0.7, -1.0):
-        assert cxy_coefficient(HALF, 0.5, lam) == pytest.approx(-0.25, abs=1e-12)
+        assert transverse_second_order(HALF, 0.5, lam).c_xy == pytest.approx(
+            -0.25, abs=1e-12)
 
 
 # --- longitudinal phase -----------------------------------------------------

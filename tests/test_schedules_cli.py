@@ -323,6 +323,39 @@ def test_cli_transverse(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv, solves", [
+    (["transverse", "--spin", "2", "--m", "0", "--n", "7"], 7),
+    (["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"], 1),
+])
+def test_cli_spectrum_solves(argv, solves, tmp_path, spectra_calls):
+    # one labelled spectrum per transverse row; one for the whole sphere grid
+    code, _ = run_cli(argv, tmp_path, "out.csv")
+    assert code == 0
+    assert len(spectra_calls) == solves
+
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+_TRANSVERSE = ["transverse", "--spin", "2", "--lambda-min", "0.7",
+               "--lambda-max", "1.2", "--n", "51"]
+_MAGIC = ["magic", "--eta-min", "0", "--eta-max", "0.5", "--n", "11"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("transverse_spin2_m0.csv", _TRANSVERSE + ["--m", "0"]),
+    ("transverse_spin2_mm1.csv", _TRANSVERSE + ["--m", "-1"]),
+    ("gauge_sphere_spin1_m1.csv", ["gauge-sphere", "--spin", "1", "--m", "1", "--n", "361"]),
+    ("gauge_sphere_spin2_m0.csv", ["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"]),
+    ("magic_spin2.csv", _MAGIC + ["--spin", "2"]),
+    ("magic_spin4.csv", _MAGIC + ["--spin", "4"]),
+])
+def test_cli_reproduces_results_files(name, argv, tmp_path):
+    # the arguments of scripts/scan_transverse.py, scan_gauge_sphere.py and
+    # scan_magic_coupling.py, which wrote the committed files
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (RESULTS / name).read_bytes()
+
+
 def test_cli_cycle(tmp_path):
     sched = tmp_path / "alpha.sched"
     sched.write_text("lambda0 = 1.0\n"
@@ -403,6 +436,8 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["gauge-sphere", "--m", "nan"],
     ["magic", "--spin", "3"],
     ["magic", "--spin", "3/2"],
+    ["ramp", "--T", "1e16"],  # first allocation 1.73 EiB: fails at once
+    ["entangle", "--T", "1e16"],  # 6.94 EiB
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
