@@ -3,14 +3,16 @@
 Every run goes through one fourth-order Magnus stepper:
 :func:`_cf4_propagators` forms the step propagators, which
 :func:`_magnus_run` applies to a state, by default at ``STEPS_PER_UNIT``
-steps per unit time of each stage (:func:`_step_grid`).  Cycles, ramps and
-the four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the
-paper's co-rotating frame, on the tracked level's parity block while phi
-and theta stand still (:func:`_tracked_run`).  :func:`propagate` and
-:func:`lab_hamiltonian` are the references the tests hold them to.  Time is
-in units of 1/(gamma_S B0) throughout.  Functions of time (and of angles or
-couplings) take scalars or arrays; arrays give their matrices stacked along
-the leading axes.
+steps per unit time of each stage (:func:`_step_grid`).  Two-level steps
+are closed-form SU(2) rotations times a phase (:func:`_two_level_steps`);
+larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
+each.  Cycles, ramps and the four-spin cycle of :mod:`spinberry.entangle`
+are tracked runs in the paper's co-rotating frame, on the tracked level's
+parity block while phi and theta stand still (:func:`_tracked_run`).
+:func:`propagate` and :func:`lab_hamiltonian` are the references the tests
+hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
+time (and of angles or couplings) take scalars or arrays; arrays give their
+matrices stacked along the leading axes.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .hamiltonian import (_block, _block_operators, _label_index, _reduced, _spe
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
-# Steps diagonalized by one stacked eigh: enough to amortize the call, few
-# enough that a block's Hamiltonians and propagators stay small next to
-# the trajectory.
+# Steps whose propagators are formed by one stacked call: enough to
+# amortize the call, few enough that a block's Hamiltonians and propagators
+# stay small next to the trajectory.
 _BLOCK_STEPS = 512
 
 # Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _magnus_run).
@@ -137,23 +139,61 @@ def _cf4_propagators(h_nodes, dts):
         exp(-i dt (a- H- + a+ H+)) exp(-i dt (a+ H- + a- H+)),
 
     a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
-    node (the other order is only second order).  Each exponential is
-    formed from an eigendecomposition, all of them by one stacked
+    node (the other order is only second order).  Two-level Hamiltonians
+    take the closed form of :func:`_two_level_steps`.  Larger ones form
+    each exponential from an eigendecomposition, all of them by one stacked
     ``numpy.linalg.eigh``, so every step is unitary to rounding and phases
     are not polluted by norm drift.  One Newton-Schulz step
-    P (3 - P^dag P) / 2 makes each step propagator unitary to second order
-    in its error: eigh's eigenvectors fall slightly but systematically
-    short of orthonormal, which would otherwise build up as norm drift over
-    thousands of steps.  A step of width 0 with H = 0 is the identity.
+    P (3 - P^dag P) / 2 makes each eigh step propagator unitary to second
+    order in its error: eigh's eigenvectors fall slightly but
+    systematically short of orthonormal, which would otherwise build up as
+    norm drift over thousands of steps.  A step of width 0 with H = 0 is
+    the identity.
     """
     h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
-    w, u = np.linalg.eigh(np.stack([_A_PLUS * h_early + _A_MINUS * h_late,
-                                    _A_MINUS * h_early + _A_PLUS * h_late]))
+    first = _A_PLUS * h_early + _A_MINUS * h_late
+    second = _A_MINUS * h_early + _A_PLUS * h_late
+    if h_nodes.shape[-1] == 2:
+        return _two_level_steps(first, second, dts)
+    w, u = np.linalg.eigh(np.stack([first, second]))
     applied_first, applied_second = (
         (u * np.exp(-1j * w * dts[..., None])[..., None, :]) @ u.conj().swapaxes(-1, -2))
     props = applied_second @ applied_first
     eye = np.eye(props.shape[-1])
     return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+
+
+def _two_level_steps(first, second, dts):
+    """CF4 step propagators exp(-i dt second) exp(-i dt first) (..., 2, 2)
+    of 2x2 Hermitian ``first`` and ``second`` (..., 2, 2), in closed form.
+
+    Each exponent dt H = x0 + x . sigma gives
+    exp(-i dt H) = exp(-i x0) (cos r - i sinc(r) x . sigma), r = |x|, whose
+    rotation part is the unit quaternion (cos r, sinc(r) x); sinc is
+    ``np.sinc(r / pi)``, exact at r = 0.  The two rotations multiply as
+    quaternions, (c2, s2)(c1, s1) = (c2 c1 - s2 . s1, c2 s1 + c1 s2 + s2 x s1),
+    so each step is unitary to rounding without an eigensolve.
+    """
+    def rotation(h):
+        h = h * dts[..., None, None]
+        x = (h[..., 1, 0].real, h[..., 1, 0].imag,
+             0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+        r = np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        sinc = np.sinc(r / np.pi)
+        return 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real, np.cos(r), [sinc * xk for xk in x]
+
+    x0_1, c1, (a1, b1, z1) = rotation(first)
+    x0_2, c2, (a2, b2, z2) = rotation(second)
+    c = c2 * c1 - (a2 * a1 + b2 * b1 + z2 * z1)
+    sx = c2 * a1 + c1 * a2 + (b2 * z1 - z2 * b1)
+    sy = c2 * b1 + c1 * b2 + (z2 * a1 - a2 * z1)
+    sz = c2 * z1 + c1 * z2 + (a2 * b1 - b2 * a1)
+    props = np.empty(c.shape + (2, 2), dtype=complex)
+    props[..., 0, 0] = c - 1j * sz
+    props[..., 0, 1] = -sy - 1j * sx
+    props[..., 1, 0] = sy - 1j * sx
+    props[..., 1, 1] = c + 1j * sz
+    return props * np.exp(-1j * (x0_1 + x0_2))[..., None, None]
 
 
 def _run_propagator(h_nodes, dts):

@@ -195,6 +195,17 @@ def _eigensystem(rep: SpinRep, lam: float):
     return energies, vectors, v, (idx[:, None] - idx) % 2 == 0
 
 
+def _energy_derivatives(rep: SpinRep, m: float, lam: float):
+    """E(m, lambda) and its first three lambda-derivatives, from one
+    eigensystem (the sums are those of :func:`energy_derivative`)."""
+    energies, _, v, same = _eigensystem(rep, lam)
+    i = _label_index(rep, m)
+    n = same[i] & (np.arange(rep.dim) != i)
+    w = v[i, n] / (energies[i] - energies[n])
+    return (float(energies[i]), float(v[i, i]), float(2 * v[i, n] @ w),
+            float(6 * (w @ v[np.ix_(n, n)] @ w - v[i, i] * (w @ w))))
+
+
 def energy_derivative(rep: SpinRep, m: float, lam: float,
                       order: int = 1) -> float:
     """d^order E(m, lambda) / d lambda^order, exact to rounding.
@@ -207,21 +218,13 @@ def energy_derivative(rep: SpinRep, m: float, lam: float,
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    energies, _, v, same = _eigensystem(rep, lam)
-    i = _label_index(rep, m)
-    if order == 1:
-        return float(v[i, i])
-    n = same[i] & (np.arange(rep.dim) != i)
-    w = v[i, n] / (energies[i] - energies[n])
-    if order == 2:
-        return float(2 * v[i, n] @ w)
-    return float(6 * (w @ v[np.ix_(n, n)] @ w - v[i, i] * (w @ w)))
+    return _energy_derivatives(rep, m, lam)[order]
 
 
 def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float) -> float:
     """p = E - lambda dE/dlambda, the B-field gradient of the eigenenergy."""
-    spec = labeled_spectrum(rep, lam)
-    return spec.energy(m) - lam * energy_derivative(rep, m, lam, order=1)
+    energy, slope = _energy_derivatives(rep, m, lam)[:2]
+    return energy - lam * slope
 
 
 def perturbative_polarization_m0(rep: SpinRep, lam: float) -> float:

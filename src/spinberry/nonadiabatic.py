@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import (_eigensystem, _label_index, _polarizations, _spectra,
-                          energy_derivative)
+from .hamiltonian import (_eigensystem, _energy_derivatives, _label_index,
+                          _polarizations, _spectra)
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -98,9 +98,10 @@ class CoriolisParams:
 
 def q_coefficient(rep: SpinRep, m: float, lam: float) -> float:
     """Leading even-order kernel q(m, lambda) = -(lam^3 E''' + 3 lam^2 E'')/6,
-    from the exact perturbation sums of ``energy_derivative``."""
-    return -(lam**3 * energy_derivative(rep, m, lam, 3)
-             + 3 * lam**2 * energy_derivative(rep, m, lam, 2)) / 6.0
+    from the exact perturbation sums of ``energy_derivative`` over one
+    eigensystem."""
+    second, third = _energy_derivatives(rep, m, lam)[2:]
+    return -(lam**3 * third + 3 * lam**2 * second) / 6.0
 
 
 def delta_p(rep: SpinRep, m: float, lam: float, eta: float) -> float:

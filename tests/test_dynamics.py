@@ -390,9 +390,10 @@ def test_constant_hamiltonian_phase_does_not_wrap(steps):
 
 
 def test_norm_drift_on_long_cycle():
-    # 8,000 steps of the benchmark's cycle at this coupling: eigh's
-    # eigenvectors fall short of orthonormal by about 6e-17, which builds up
-    # to a drift of 1.04e-12 unless each propagator gets a Newton-Schulz step
+    # 8,000 steps of the benchmark's cycle at this coupling, on the 2x2 m = 1
+    # block: its closed-form steps drift by 1.1e-13.  On eigh steps, whose
+    # eigenvectors fall short of orthonormal by about 6e-17, the drift builds
+    # up to 1.04e-12 unless each propagator gets a Newton-Schulz step
     sched = three_stage_cycle(-1.1655059345201522, stage_duration=10.0, n_alpha=1)
     assert run_cycle(S2, 1.0, sched, steps=8000).norm_drift < 1e-12
 
@@ -403,6 +404,117 @@ def test_unitarity_drift_bound():
     assert res.norm_drift < 1e-12
     assert abs(np.linalg.norm(res.final_state) - 1.0) < 1e-12
     assert 0.0 <= res.leakage <= 1.0
+
+
+# --- closed-form two-level steps ----------------------------------------------
+
+
+def _eigh_cf4_steps(h_nodes, dts):
+    """The CF4 step propagators by stacked eigh plus one Newton-Schulz step,
+    as steps of more than two levels are formed: the reference of the
+    closed-form cross-checks below."""
+    from spinberry.dynamics import _A_MINUS, _A_PLUS
+    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
+    w, u = np.linalg.eigh(np.stack([_A_PLUS * h_early + _A_MINUS * h_late,
+                                    _A_MINUS * h_early + _A_PLUS * h_late]))
+    applied_first, applied_second = (
+        (u * np.exp(-1j * w * dts[..., None])[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    props = applied_second @ applied_first
+    eye = np.eye(props.shape[-1])
+    return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+
+
+def _random_two_level_nodes(rng, n, complex_, norm_dts):
+    """``n`` pairs of random 2x2 Hermitian node Hamiltonians and step widths
+    that give each step max ||H|| dt = ``norm_dts``."""
+    a = rng.normal(size=(n, 2, 2, 2))
+    if complex_:
+        a = a + 1j * rng.normal(size=a.shape)
+    h = a + a.conj().swapaxes(-1, -2)
+    return h, norm_dts / np.linalg.norm(h, ord=2, axis=(-2, -1)).max(axis=-1)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_two_level_steps_match_eigh_steps(complex_):
+    from spinberry.dynamics import _cf4_propagators
+    rng = np.random.default_rng(15)
+    # ||H|| dt, and with it r = |x|, from 1e-9 to 10
+    h, dts = _random_two_level_nodes(rng, 4000, complex_, np.logspace(-9, 1, 4000))
+    got = _cf4_propagators(h, dts)
+    assert np.abs(got - _eigh_cf4_steps(h, dts)).max() < 1e-14
+    assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(2)).max() < 1e-14
+    # the tuner pads ragged runs with H = 0, dt = 0, which must be the identity
+    padding = _cf4_propagators(np.zeros((3, 2, 2, 2), dtype=h.dtype), np.zeros(3))
+    np.testing.assert_array_equal(padding, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_two_level_steps_match_exact_exponentials(complex_):
+    # up to ||H|| dt = 50, against the CF4 step at 40 digits: there the eigh
+    # step itself is off by about 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    from spinberry.dynamics import _A_MINUS, _A_PLUS, _cf4_propagators
+    rng = np.random.default_rng(16)
+    h, dts = _random_two_level_nodes(rng, 60, complex_, np.linspace(10.0, 50.0, 60))
+    got = _cf4_propagators(h, dts)
+    with mpmath.workdps(40):
+        a_minus = mpmath.mpf(1) / 4 - mpmath.sqrt(3) / 6
+        a_plus = mpmath.mpf(1) / 4 + mpmath.sqrt(3) / 6
+        for (h_early, h_late), dt, prop in zip(h, dts, got):
+            early, late = mpmath.matrix(h_early.tolist()), mpmath.matrix(h_late.tolist())
+            exact = (mpmath.expm(-1j * dt * (a_minus * early + a_plus * late))
+                     * mpmath.expm(-1j * dt * (a_plus * early + a_minus * late)))
+            exact = np.array([[complex(exact[i, j]) for j in range(2)] for i in range(2)])
+            assert np.abs(prop - exact).max() < 1e-14
+
+
+_TWO_LEVEL_BLOCKS = ([(2, m) for m in (1.0, -1.0)]
+                     + [(3, m) for m in (1.5, 0.5, -0.5, -1.5)]
+                     + [(4, m) for m in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("two_s, m", _TWO_LEVEL_BLOCKS)
+def test_two_level_block_runs_match_eigh_steps(two_s, m, monkeypatch):
+    # every two-dimensional parity-block run, on a ramp and on an alpha-cycle,
+    # against the same run on eigh steps
+    from spinberry import dynamics
+    rep = spin_matrices(two_s)
+    schedules = [dynamics._ramp(-0.97, 12.0, "blackman"), alpha_rotation_cycle(0.8, 2, 6.0)]
+    dims = _magnus_dims(monkeypatch)
+    ours = [dynamics._tracked_run(rep, m, sched) for sched in schedules]
+    assert dims == [2, 2]
+    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    for res, sched in zip(ours, schedules):
+        ref = dynamics._tracked_run(rep, m, sched)
+        assert np.abs(res.final_state - ref.final_state).max() < 1e-12
+        assert abs(res.total_phase - ref.total_phase) < 1e-12
+        assert abs(res.geometric_phase - ref.geometric_phase) < 1e-12
+        assert abs(res.sz_expectation - ref.sz_expectation) < 1e-12
+        assert abs(res.leakage - ref.leakage) < 1e-12
+
+
+def test_spin_half_phi_cycle_matches_eigh_steps(monkeypatch):
+    # the complex full-dimension 2x2 run of a phi-cycle
+    from spinberry import dynamics
+    sched = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=8.0, lambda0=0.3)
+    dims = _magnus_dims(monkeypatch)
+    ours = run_cycle(HALF, 0.5, sched)
+    assert dims == [2]
+    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    ref = run_cycle(HALF, 0.5, sched)
+    assert np.abs(ours.final_state - ref.final_state).max() < 1e-12
+    assert abs(ours.total_phase - ref.total_phase) < 1e-12
+    assert abs(ours.geometric_phase - ref.geometric_phase) < 1e-12
+
+
+def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
+    # the tuner's stacked, identity-padded ramp propagators
+    from spinberry import dynamics, entangle
+    stretches = np.linspace(0.88, 1.12, 7)
+    ours = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
+    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
+    assert np.abs(ours - ref).max() < 1e-12
 
 
 # --- frames -----------------------------------------------------------------

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinberry import (CoriolisParams, NearDegeneracyError, NoRootError,
-                       alpha_rotation_cycle, delta_p, labeled_spectrum,
-                       longitudinal_phase, magic_lambda, magic_lambda_fit,
-                       polarization, q_coefficient, reduced_hamiltonian,
-                       spin_matrices, transverse_second_order)
+                       alpha_rotation_cycle, delta_p, energy_derivative,
+                       labeled_spectrum, longitudinal_phase, magic_lambda,
+                       magic_lambda_fit, polarization,
+                       polarization_hellmann_feynman, q_coefficient,
+                       reduced_hamiltonian, spin_matrices,
+                       transverse_second_order)
 from spinberry.berry import berry_phase_adiabatic
 
 HALF = spin_matrices(1)
@@ -132,10 +134,32 @@ def test_delta_p_rejects_large_eta():
     lambda: delta_p(S4, -1.0, -1.2, -0.45),
     lambda: longitudinal_phase(S2, 0.0, alpha_rotation_cycle(1.0, n_alpha=1,
                                                              duration=10.0)),
-], ids=["delta_p-s2", "delta_p-s4", "longitudinal_phase"])
+    lambda: q_coefficient(S2, 0.0, 0.9),
+    lambda: polarization_hellmann_feynman(S4, -2.0, 1.3),
+], ids=["delta_p-s2", "delta_p-s4", "longitudinal_phase", "q_coefficient",
+        "polarization_hellmann_feynman"])
 def test_one_spectrum_solve_per_call(solve, spectra_calls):
     solve()
     assert len(spectra_calls) == 1
+
+
+def test_magic_root_at_zero_eta_solves(spectra_calls):
+    # the eta = 0 objective is q, one labelled spectrum per evaluation
+    magic_lambda(S2, 0.0)
+    assert len(spectra_calls) == 12
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 4, 7, 12])
+def test_one_solve_derivatives_are_the_per_order_values(two_s):
+    # q and the Hellmann-Feynman polarization from one eigensystem equal,
+    # bit for bit, their expressions in the separate per-order solves
+    rep = spin_matrices(two_s)
+    for m in rep.m_values:
+        for lam in (-2.5, -0.4, 0.0, 0.838, 3.0):
+            d1, d2, d3 = (energy_derivative(rep, m, lam, k) for k in (1, 2, 3))
+            assert q_coefficient(rep, m, lam) == -(lam**3 * d3 + 3 * lam**2 * d2) / 6.0
+            assert (polarization_hellmann_feynman(rep, m, lam)
+                    == labeled_spectrum(rep, lam).energy(m) - lam * d1)
 
 
 def test_delta_p_zero_coupling_exact():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinberry import lambda_max_solve
 from spinberry.cli import main
 from spinberry.pulses import PulseShape, blackman, blackman_integral
 from spinberry.schedules import (ScheduleError, Segment, from_dict, from_file,
@@ -338,6 +339,9 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 _TRANSVERSE = ["transverse", "--spin", "2", "--lambda-min", "0.7",
                "--lambda-max", "1.2", "--n", "51"]
 _MAGIC = ["magic", "--eta-min", "0", "--eta-max", "0.5", "--n", "11"]
+_RAMP = ["ramp", "--spin", "2", "--T", ",".join(f"{t:g}" for t in np.arange(5.0, 41.0, 1.0))]
+_TWO_LEVEL = ["--m", "-1", "--lambda0", "1.0"]
+_THREE_LEVEL = ["--m", "0", "--lambda0", "0.838"]
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -347,10 +351,17 @@ _MAGIC = ["magic", "--eta-min", "0", "--eta-max", "0.5", "--n", "11"]
     ("gauge_sphere_spin2_m0.csv", ["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"]),
     ("magic_spin2.csv", _MAGIC + ["--spin", "2"]),
     ("magic_spin4.csv", _MAGIC + ["--spin", "4"]),
+    ("ramp_two_level_blackman.csv", _RAMP + _TWO_LEVEL + ["--shape", "blackman"]),
+    ("ramp_two_level_linear.csv", _RAMP + _TWO_LEVEL + ["--shape", "linear"]),
+    ("ramp_three_level_blackman.csv", _RAMP + _THREE_LEVEL + ["--shape", "blackman"]),
+    ("ramp_three_level_linear.csv", _RAMP + _THREE_LEVEL + ["--shape", "linear"]),
+    ("entangle_lambda_max.json", ["entangle", "--lambda0", f"{lambda_max_solve():.15g}",
+                                  "--T", "25", "--tune", "auto"]),
 ])
 def test_cli_reproduces_results_files(name, argv, tmp_path):
-    # the arguments of scripts/scan_transverse.py, scan_gauge_sphere.py and
-    # scan_magic_coupling.py, which wrote the committed files
+    # the arguments of scripts/scan_transverse.py, scan_gauge_sphere.py,
+    # scan_magic_coupling.py, scan_ramp_taming.py and run_entanglement.py,
+    # which wrote the committed files
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (RESULTS / name).read_bytes()
