@@ -13,11 +13,13 @@ from spinberry.cli import main
 OUT = Path(__file__).resolve().parent.parent / "results"
 
 
-def run():
-    OUT.mkdir(exist_ok=True)
+def run(out_dir=OUT):
+    """Write the CSVs into ``out_dir`` (default ``results/``)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(exist_ok=True)
     for spin, lo, hi in ((2, 0.3, 1.4), (4, 0.2, 0.9)):
         rep = spin_matrices(2 * spin)
-        path = OUT / f"q_kernel_spin{spin}.csv"
+        path = out_dir / f"q_kernel_spin{spin}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lambda", "q_m0"])
@@ -26,7 +28,7 @@ def run():
                                  f"{q_coefficient(rep, 0.0, lam):.15g}"])
         print(f"wrote {path}")
     for spin in ("2", "4"):
-        out = OUT / f"magic_spin{spin}.csv"
+        out = out_dir / f"magic_spin{spin}.csv"
         main(["magic", "--spin", spin, "--eta-min", "0", "--eta-max", "0.5",
               "--n", "11", "--out", str(out)])
         print(f"wrote {out}")

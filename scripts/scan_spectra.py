@@ -10,10 +10,12 @@ RANGES = {"2": ("0", "2"), "3": ("0", "1.4"), "4": ("0", "1.2")}
 OUT = Path(__file__).resolve().parent.parent / "results"
 
 
-def run():
-    OUT.mkdir(exist_ok=True)
+def run(out_dir=OUT):
+    """Write the CSVs into ``out_dir`` (default ``results/``)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(exist_ok=True)
     for spin, (lo, hi) in RANGES.items():
-        out = OUT / f"spectrum_spin{spin}.csv"
+        out = out_dir / f"spectrum_spin{spin}.csv"
         main(["spectrum", "--spin", spin, "--lambda-min", lo,
               "--lambda-max", hi, "--n", "201", "--out", str(out)])
         print(f"wrote {out}")

@@ -8,7 +8,9 @@ are closed-form SU(2) rotations times a phase (:func:`_two_level_steps`);
 larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
 each.  Cycles, ramps and the four-spin cycle of :mod:`spinberry.entangle`
 are tracked runs in the paper's co-rotating frame, on the tracked level's
-parity block while phi and theta stand still (:func:`_tracked_run`).
+parity block while phi and theta stand still (:func:`_tracked_runs`).
+Their references solve only that block, and a cycle and its mirror image
+step as one run stacked on a leading axis.
 :func:`propagate` and :func:`lab_hamiltonian` are the references the tests
 hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
 time (and of angles or couplings) take scalars or arrays; arrays give their
@@ -25,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import (_block, _block_operators, _label_index, _reduced, _spectra,
-                          labeled_spectrum)
+from .hamiltonian import (_block, _block_operators, _label_index, _level, _reduced,
+                          _spectra, labeled_spectrum)
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -219,30 +221,33 @@ def _run_propagator(h_nodes, dts):
 
 
 def _magnus_run(h_of_ts, initial, grid: _Grid):
-    """States at the step ends of ``grid``, shape (steps + 1, dim), from
-    ``initial``: row k is the state after k steps.
+    """States at the step ends of ``grid`` of runs from ``initial``
+    (..., dim), stacked on its leading axes: shape (..., steps + 1, dim),
+    where row k of a run is its state after k steps.
 
     The steps are CF4 steps (:func:`_cf4_propagators`), applied in order,
-    one matrix-vector product each.  ``h_of_ts(ts)`` returns the Hermitian
-    Hamiltonians at a 1-d array of times stacked along the first axis; it
-    is sampled, and the step propagators formed, ``_BLOCK_STEPS`` steps at
-    a time.
+    one stacked matrix-vector product per step for all runs.
+    ``h_of_ts(ts)`` returns the Hermitian Hamiltonians (..., len(ts), dim,
+    dim) of every run at a 1-d array of times; it is sampled, and the step
+    propagators formed, ``_BLOCK_STEPS`` steps at a time.
 
     The default density of ``STEPS_PER_UNIT`` steps per unit time assumes
     max ||H|| dt <~ 1; larger spins or couplings should pass more steps
     (``--steps`` on the command line).
     """
-    psi = np.asarray(initial, dtype=complex)
-    states = np.empty((len(grid.dts) + 1, psi.size), dtype=complex)
+    psi = np.asarray(initial, dtype=complex)[..., None]
+    states = np.empty((len(grid.dts) + 1,) + psi.shape, dtype=complex)
     states[0] = psi
     for first in range(0, len(grid.dts), _BLOCK_STEPS):
         block = slice(first, first + _BLOCK_STEPS)
         nodes = grid.nodes[block]
-        h_nodes = np.reshape(h_of_ts(nodes.ravel()), nodes.shape + (psi.size,) * 2)
-        for k, prop in enumerate(_cf4_propagators(h_nodes, grid.dts[block]), first + 1):
+        h_nodes = np.reshape(h_of_ts(nodes.ravel()),
+                             psi.shape[:-2] + nodes.shape + psi.shape[-2:-1] * 2)
+        props = np.moveaxis(_cf4_propagators(h_nodes, grid.dts[block]), -3, 0)
+        for k, prop in enumerate(props, first + 1):
             psi = prop @ psi
             states[k] = psi
-    return states
+    return np.moveaxis(states[..., 0], 0, -2)
 
 
 def _checked(h_of_ts):
@@ -334,23 +339,17 @@ def _block_hamiltonian(rep: SpinRep, m: float, schedule: CycleSchedule, nodes):
     return sel, h_of_ts
 
 
-def _block_run(rep: SpinRep, m: float, schedule: CycleSchedule, initial, grid: _Grid):
-    """Basis indices and co-rotating-frame states of a run from ``initial``
-    over ``grid`` (see :func:`_block_hamiltonian`)."""
-    sel, h_of_ts = _block_hamiltonian(rep, m, schedule, grid.nodes)
-    return sel, _magnus_run(h_of_ts, initial[sel], grid)
-
-
 def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
     """Step phases and references of a run tracking level m, which depend on
     lambda(t) and b(t) only: the labeled eigenvector psi_hat(m, lambda) at
     each step end, made sign-continuous, and -int b E(m, lambda) dt over
-    each step by Simpson's rule on its ends and midpoint."""
-    i = _label_index(rep, m)
-    energies, vectors = _spectra(rep, schedule.lam(grid.halves))
-    terms = schedule.b(grid.halves) * energies[:, i]
+    each step by Simpson's rule on its ends and midpoint.  Only level m's
+    parity block is solved (:func:`spinberry.hamiltonian._level`)."""
+    sel, energies, vectors = _level(rep, m, schedule.lam(grid.halves))
+    terms = schedule.b(grid.halves) * energies
     step_phases = -grid.dts / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
-    refs = vectors[::2, :, i]
+    refs = np.zeros((len(grid.dts) + 1, rep.dim))
+    refs[:, sel] = vectors[::2]
     # the phase needs a continuous reference, and the per-lambda sign
     # convention flips where the parent component passes through zero
     overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
@@ -358,29 +357,43 @@ def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
     return step_phases, refs
 
 
-def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
-                 steps: int | None = None, references=None) -> CycleResult:
-    """Co-rotating-frame :func:`_block_run` from level m, tracked against its
-    :func:`_references` (or ``references``).  Each step turns the overlap
-    with the reference by its dynamical phase plus a rest taken within pi,
-    so nothing wraps.  The geometric phase adds the winding
-    -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
+def _tracked_runs(rep: SpinRep, m: float, schedules, steps: int | None = None):
+    """Co-rotating-frame runs from level m over ``schedules``, which share
+    lambda(t), b(t) and so the step grid and the :func:`_references`,
+    stepped as one stacked :func:`_magnus_run` on the basis indices of
+    :func:`_block_hamiltonian`.  Each run is tracked against the
+    references: each step turns the overlap by its dynamical phase plus a
+    rest taken within pi, so nothing wraps.  The geometric phase adds the
+    winding -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
     U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
-    initial eigenstate.  The final state is in the laboratory frame."""
-    grid = _step_grid(schedule, steps)
-    step_phases, refs = references or _references(rep, m, schedule, grid)
-    sel, states = _block_run(rep, m, schedule, refs[0], grid)
-    tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
+    initial eigenstate.  Final states are in the laboratory frame."""
+    grid = _step_grid(schedules[0], steps)
+    step_phases, refs = _references(rep, m, schedules[0], grid)
+    parts = [_block_hamiltonian(rep, m, schedule, grid.nodes) for schedule in schedules]
+    sel = parts[0][0]
+    runs = _magnus_run(lambda ts: np.stack([h_of_ts(ts) for _, h_of_ts in parts]),
+                       np.broadcast_to(refs[0, sel], (len(schedules), len(sel))), grid)
     dynamical = float(np.sum(step_phases))
-    leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
-    rests = np.angle(tracked[1:] / tracked[:-1] * np.exp(-1j * step_phases))
-    winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
-    geometric = float(np.sum(rests)) + winding
-    psi = _frames(rep, schedule, schedule.duration)[:, sel] @ states[-1]
-    return CycleResult(final_state=psi, total_phase=dynamical + geometric,
-                       dynamical_phase=dynamical, geometric_phase=geometric,
-                       leakage=float(leakage), norm_drift=_norm_drift(states),
-                       sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi))))
+    results = []
+    for schedule, states in zip(schedules, runs):
+        tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
+        leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
+        rests = np.angle(tracked[1:] / tracked[:-1] * np.exp(-1j * step_phases))
+        winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
+        geometric = float(np.sum(rests)) + winding
+        psi = _frames(rep, schedule, schedule.duration)[:, sel] @ states[-1]
+        results.append(CycleResult(
+            final_state=psi, total_phase=dynamical + geometric, dynamical_phase=dynamical,
+            geometric_phase=geometric, leakage=float(leakage), norm_drift=_norm_drift(states),
+            sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi)))))
+    return results
+
+
+def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
+                 steps: int | None = None) -> CycleResult:
+    """One co-rotating-frame run from level m over ``schedule``, tracked
+    against its references (see :func:`_tracked_runs`)."""
+    return _tracked_runs(rep, m, [schedule], steps)[0]
 
 
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -403,12 +416,12 @@ class MirrorResult:
 def _mirror_pair(rep: SpinRep, m: float, schedule: CycleSchedule,
                  steps: int | None = None) -> MirrorResult:
     """:func:`mirror_phase_difference` without its warnings.  The image has
-    the same lambda(t) and b(t), hence the same references and dynamical
-    phase, which the extraction leaves out rather than subtracts."""
+    the same lambda(t) and b(t), hence the same step grid, references and
+    dynamical phase, which the extraction leaves out rather than subtracts;
+    the cycle and its image are stepped as one stacked run
+    (:func:`_tracked_runs`)."""
     schedule.validate()
-    references = _references(rep, m, schedule, _step_grid(schedule, steps))
-    forward, mirrored = (_tracked_run(rep, m, cycle, steps, references)
-                         for cycle in (schedule, schedule.mirror()))
+    forward, mirrored = _tracked_runs(rep, m, [schedule, schedule.mirror()], steps)
     return MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),
                         forward, mirrored)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp,
                        _run_propagator, _step_grid)
-from .hamiltonian import _label_index
+from .hamiltonian import _block, _block_operators, _label_index
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -290,21 +290,23 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
         h_of_ts = _block_hamiltonian(rep, 1.0, rotation, grid.nodes)[1]
         u_rot = _run_propagator(h_of_ts(grid.nodes), grid.dts)
         # the block is every other basis index, so M = 1 sits at index // 2
-        blocks.append((rep, u_rot, _label_index(rep, 1.0) // 2))
+        blocks.append((_block_operators(rep, _block(rep, 1.0)), u_rot,
+                       _label_index(rep, 1.0) // 2))
 
     def fidelity(stretches):
         ramps = [_ramp(lambda0, stage_duration * s, _SHAPE) for s in stretches]
         grids = [_step_grid(ramp) for ramp in ramps]
-        steps = max(len(g.dts) for g in grids)
+        dts = np.zeros((len(ramps), max(len(g.dts) for g in grids)))
+        # H = 0, dt = 0 pads the ragged ends with identity steps
+        h_nodes = [np.zeros(dts.shape + (2,) + u_rot.shape) for _, u_rot, _ in blocks]
+        for j, (ramp, g) in enumerate(zip(ramps, grids)):
+            dts[j, :len(g.dts)] = g.dts
+            lam = ramp.lam(g.nodes)[..., None, None]  # sampled once for both spins
+            for ((sz, sxsq), _, _), h in zip(blocks, h_nodes):
+                h[j, :len(g.dts)] = sz + lam * sxsq
         amplitudes = []
-        for rep, u_rot, k in blocks:
-            dts = np.zeros((len(ramps), steps))
-            h_nodes = np.zeros(dts.shape + (2,) + u_rot.shape)  # H = 0, dt = 0: identity
-            for j, (ramp, g) in enumerate(zip(ramps, grids)):
-                h_of_ts = _block_hamiltonian(rep, 1.0, ramp, g.nodes)[1]
-                dts[j, :len(g.dts)] = g.dts
-                h_nodes[j, :len(g.dts)] = h_of_ts(g.nodes)
-            up = _run_propagator(h_nodes, dts)[..., k]
+        for h, (_, u_rot, k) in zip(h_nodes, blocks):
+            up = _run_propagator(h, dts)[..., k]
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2

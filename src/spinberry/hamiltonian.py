@@ -145,6 +145,37 @@ def _polarizations(rep: SpinRep, m: float, vectors) -> np.ndarray:
     return np.sum(rep.m_values * v * v, axis=-1)
 
 
+def _finite(lams) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda must be finite")
+    return lams
+
+
+def _block_spectra(rep: SpinRep, m: float, lams):
+    """Basis indices ``sel`` of level m's parity block, and the block's
+    energies (..., n) and eigenvectors (..., n, n) at every lambda of
+    ``lams`` from one stacked ``eigh``: column k is the level of the block's
+    k-th lowest m (basis index ``sel[-1 - k]``), its sign fixed by a
+    positive parent component wherever that exceeds 1e-12 (it vanishes at
+    isolated lambdas, where eigh's own sign stands)."""
+    sel = _block(rep, m)
+    sz, sxsq = _block_operators(rep, sel)
+    w, v = np.linalg.eigh(sz + lams[..., None, None] * sxsq)
+    parent = np.diagonal(v[..., ::-1, :], axis1=-2, axis2=-1)
+    v *= np.where(parent < -1e-12, -1.0, 1.0)[..., None, :]
+    return sel, w, v
+
+
+def _level(rep: SpinRep, m: float, lams):
+    """Basis indices of level m's parity block, and the level's energies
+    and eigenvectors on them at every lambda of ``lams``: the eigenvalue of
+    m's rank within its block, from one stacked ``eigh`` of that block."""
+    sel, w, v = _block_spectra(rep, m, _finite(lams))
+    k = len(sel) - 1 - _label_index(rep, m) // 2
+    return sel, w[..., k], v[..., k]
+
+
 def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
     """Labeled energies and eigenvectors at every lambda of ``lams``.
 
@@ -153,22 +184,14 @@ def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
     Each parity block is diagonalized for all lambdas in one stacked
     ``eigh``; its k-th lowest eigenvalue belongs to its k-th lowest m.
     """
-    lams = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("lambda must be finite")
+    lams = _finite(lams)
     energies = np.empty(lams.shape + (rep.dim,))
     vectors = np.zeros(lams.shape + (rep.dim, rep.dim))
     for m in (rep.s, rep.s - 1)[:rep.dim]:  # the two blocks (one for S = 0)
-        sel = _block(rep, m)
-        sz, sxsq = _block_operators(rep, sel)
-        w, v = np.linalg.eigh(sz + lams[..., None, None] * sxsq)
+        sel, w, v = _block_spectra(rep, m, lams)
         ranked = sel[::-1]  # eigh sorts ascending, the basis descends in m
         energies[..., ranked] = w
         vectors[..., sel[:, None], ranked] = v
-    # sign: parent component positive wherever it exceeds 1e-12; it
-    # vanishes at isolated lambdas, where eigh's own sign stands
-    parent = np.diagonal(vectors, axis1=-2, axis2=-1)
-    vectors *= np.where(parent < -1e-12, -1.0, 1.0)[..., None, :]
     return energies, vectors
 
 

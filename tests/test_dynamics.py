@@ -202,7 +202,7 @@ def _reference_cycle(rep, m, sched, steps):
 def test_stepper_matches_per_step_loop(steps):
     # step counts straddle the eigh block size, so partial blocks and block
     # joins are both exercised
-    from spinberry.dynamics import _block_run, _step_grid
+    from spinberry.dynamics import _block_hamiltonian, _magnus_run, _step_grid
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
     ref = _reference_trajectory(_smooth_h, psi0, 4.0, steps)[-1]
@@ -228,7 +228,9 @@ def test_stepper_matches_per_step_loop(steps):
             start[rows[0]] = 1.0
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
-            sel, block = _block_run(rep, 1.0, cycle, start, _step_grid(cycle, steps))
+            grid = _step_grid(cycle, steps)
+            sel, h_of_ts = _block_hamiltonian(rep, 1.0, cycle, grid.nodes)
+            block = _magnus_run(h_of_ts, start[sel], grid)
             assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
             amps = multiplet[:, rows[0]]
@@ -237,12 +239,13 @@ def test_stepper_matches_per_step_loop(steps):
 
 
 def _magnus_dims(monkeypatch):
-    """Dimensions of the runs that go through the stepper from now on."""
+    """Dimensions of the runs that go through the stepper from now on (one
+    entry per call, which may step a stack of runs)."""
     from spinberry import dynamics
     dims, run = [], dynamics._magnus_run
 
     def recording(h_of_ts, initial, grid):
-        dims.append(len(initial))
+        dims.append(np.shape(initial)[-1])
         return run(h_of_ts, initial, grid)
 
     monkeypatch.setattr(dynamics, "_magnus_run", recording)
@@ -743,6 +746,81 @@ def test_mirror_leakage_warning_carries_its_numbers():
     assert warning.bound == 0.01
     assert str(warning) == (f"forward run leaked {res.forward.leakage:.3f} out of "
                             f"the tracked level; extracted phase is untrusted")
+
+
+def _mirror_cases():
+    """(spin, level, cycle) of the stacked mirror-pair checks: alpha-cycles
+    with ramps on parity blocks of 1 to 3 states, a phi-cycle, which keeps
+    the full dimension, and a tabulated alpha-cycle."""
+    from spinberry.schedules import from_table
+    t = np.linspace(0.0, 6.0, 121)
+    s = 2 * np.pi * t / 6.0
+    table = from_table(t, theta=0.4 + 0.0 * s, phi=0.0 * s, alpha=0.5 * s,
+                       lam=0.6 + 0.2 * np.sin(s), n_alpha=1)
+    ramped = three_stage_cycle(0.9, stage_duration=4.0, n_alpha=1)
+    phi_cycle = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=6.0, lambda0=0.3)
+    return ([(S2, m, ramped) for m in (1.0, 0.0, -1.0)]
+            + [(spin_matrices(3), m, ramped) for m in (1.5, 0.5)]
+            + [(S2, 1.0, phi_cycle), (S2, 0.0, table), (spin_matrices(3), -0.5, table)])
+
+
+def test_mirror_pair_is_two_tracked_runs(monkeypatch):
+    # the cycle and its image stepped as one stacked run, against each run
+    # on its own, bit for bit; the image has the same lambda(t) and b(t), and
+    # so the same references
+    from spinberry import dynamics
+    cases = _mirror_cases()
+    dims = _magnus_dims(monkeypatch)
+    pairs = [dynamics._mirror_pair(rep, m, sched) for rep, m, sched in cases]
+    # one stepper call per pair; the phi-cycle keeps all five states
+    assert dims == [2, 3, 2, 2, 2, 5, 3, 2]
+    for (rep, m, sched), pair in zip(cases, pairs):
+        for ours, cycle in ((pair.forward, sched), (pair.mirrored, sched.mirror())):
+            ref = dynamics._tracked_run(rep, m, cycle)
+            np.testing.assert_array_equal(ours.final_state, ref.final_state)
+            for field in ("total_phase", "dynamical_phase", "geometric_phase",
+                          "leakage", "norm_drift", "sz_expectation"):
+                assert getattr(ours, field) == getattr(ref, field), field
+        assert pair.extracted_phase == 0.5 * (pair.forward.geometric_phase
+                                              - pair.mirrored.geometric_phase)
+
+
+def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_calls):
+    # cycle --spin 2 --m 1: the references of the stacked pair come from one
+    # stacked eigh of m = 1's 2x2 block at the step ends and midpoints, with
+    # no labeled-spectrum solve of both blocks
+    from spinberry import dynamics
+    from spinberry.cli import main
+    eigh, references = np.linalg.eigh, dynamics._references
+    solves, spectra, inside = [], [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        if inside:
+            solves.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counted_references(rep, m, schedule, grid):
+        inside.append(grid)
+        before = len(spectra_calls)
+        try:
+            return references(rep, m, schedule, grid)
+        finally:
+            spectra.append(len(spectra_calls) - before)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(dynamics, "_references", counted_references)
+    sched = tmp_path / "cycle.sched"
+    sched.write_text("lambda0 = 0.0\n"
+                     "segment1.kind = ramp\nsegment1.duration = 10\n"
+                     "segment1.lambda_to = 0.9\n"
+                     "segment2.kind = rotate\nsegment2.duration = 20\n"
+                     "segment2.alpha_half_turns = 1\n"
+                     "segment3.kind = ramp\nsegment3.duration = 10\n"
+                     "segment3.lambda_to = 0.0\n")
+    assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
+                 "--out", str(tmp_path / "cycle.json")]) == 0
+    assert len(inside) == 1 and spectra == [0]
+    assert solves == [(len(inside[0].halves), 2, 2)]
 
 
 def test_cycle_reference_continuous_through_parent_zero():

@@ -273,8 +273,8 @@ def test_multiplet_vs_full_sixteen_dim():
 def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
     # amplitudes of the S = 2 parity-block run
-    from spinberry.dynamics import (_block_run, _step_grid, propagate,
-                                    two_level_rotating_hamiltonian)
+    from spinberry.dynamics import (_block_hamiltonian, _magnus_run, _step_grid,
+                                    propagate, two_level_rotating_hamiltonian)
     from spinberry.spin_algebra import spin_matrices
     lam0, stage, steps = -0.9, 2.0, 4000
     sched = three_stage_cycle(lam0, stage, n_alpha=3)
@@ -294,7 +294,9 @@ def test_two_level_block_matches_multiplet():
     c, s = np.cos(zeta_end / 2), np.sin(zeta_end / 2)
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
     start = np.eye(5)[1]  # M = 1
-    _, states = _block_run(spin_matrices(4), 1.0, sched, start, _step_grid(sched, steps))
+    grid = _step_grid(sched, steps)
+    sel, h_of_ts = _block_hamiltonian(spin_matrices(4), 1.0, sched, grid.nodes)
+    states = _magnus_run(h_of_ts, start[sel], grid)
     psi2 = states[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
     assert abs(tilted_back[1] - psi2[1]) < 1e-6
@@ -365,3 +367,27 @@ def test_tuner_logs_what_it_did(caplog):
     assert "best grid stretch" in message
     assert f"returned stretch {stretch:.10f}" in message
 
+
+
+def test_tuner_scan_samples_each_ramp_once(monkeypatch):
+    # the tuner's 25-stretch scan samples each stretch's ramp once, lambda(t)
+    # only, and builds both spins' block Hamiltonians from those samples
+    import dataclasses
+    from spinberry import entangle
+    ramp, samples = entangle._ramp, []
+
+    def counted_ramp(*args):
+        schedule = ramp(*args)
+
+        def counted(name, f):
+            def sampled(t):
+                samples.append(name)
+                return f(t)
+            return sampled
+        return dataclasses.replace(schedule, **{
+            f.name: counted(f.name, getattr(schedule, f.name))
+            for f in dataclasses.fields(schedule) if callable(getattr(schedule, f.name))})
+
+    monkeypatch.setattr(entangle, "_ramp", counted_ramp)
+    entangle._stretch_fidelity(lambda_max_solve(), 25.0)(np.linspace(0.88, 1.12, 25))
+    assert samples == ["lam"] * 25

@@ -368,3 +368,44 @@ def test_rank_labels_match_continuation(two_s, lam):
     assert np.abs(spec.energies - energies).max() < 1e-12
     overlaps = np.abs(np.sum(spec.vectors * vectors, axis=0))
     assert np.abs(overlaps - 1.0).max() < 1e-12
+
+
+def _parent_zeros(rep, i):
+    """Couplings in [-10, 10], bisected to rounding, where the parent
+    component of the level in column i passes through zero.  There the
+    sign convention flips the labeled vector, so neighbouring grid vectors
+    overlap negatively."""
+    from spinberry.hamiltonian import _spectra
+    lams = np.linspace(-10.0, 10.0, 2001)
+    vectors = _spectra(rep, lams)[1][..., i]
+    zeros = []
+    for k in np.flatnonzero(np.sum(vectors[1:] * vectors[:-1], axis=-1) < 0.0):
+        lo, hi = lams[k], lams[k + 1]
+        for _ in range(60):  # the parent component, signed against lams[k]
+            mid = 0.5 * (lo + hi)
+            v = _spectra(rep, mid)[1][:, i]
+            lo, hi = (mid, hi) if np.sign(v @ vectors[k]) * v[i] > 0.0 else (lo, mid)
+        zeros.append(lo)
+    return zeros
+
+
+@pytest.mark.parametrize("two_s", range(13))
+def test_level_solve_matches_spectra(two_s):
+    # the one-block solve of the tracked runs against the labeled spectrum,
+    # bit for bit: at 0, +-1e-3, the gauge-sphere poles +-230 and +-300, and
+    # where the parent component vanishes and eigh's own sign stands
+    from spinberry.hamiltonian import _label_index, _level, _spectra
+    rep = spin_matrices(two_s)
+    for m in rep.m_values:
+        i = _label_index(rep, m)
+        zeros = _parent_zeros(rep, i)
+        lams = np.array([0.0, 1e-3, -1e-3, 0.7, -2.3, 230.0, -230.0, 300.0, -300.0]
+                        + zeros)
+        energies, vectors = _spectra(rep, lams)
+        sel, level_energies, level_vectors = _level(rep, m, lams)
+        np.testing.assert_array_equal(sel, _block(rep, m))
+        np.testing.assert_array_equal(level_energies, energies[:, i])
+        np.testing.assert_array_equal(level_vectors, vectors[:, sel, i])
+        assert np.all(vectors[:, np.setdiff1d(np.arange(rep.dim), sel), i] == 0.0)
+        if zeros:
+            assert np.abs(vectors[len(lams) - len(zeros):, i, i]).max() < 1e-12

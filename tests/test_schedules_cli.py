@@ -367,6 +367,24 @@ def test_cli_reproduces_results_files(name, argv, tmp_path):
     assert out.read_bytes() == (RESULTS / name).read_bytes()
 
 
+@pytest.mark.parametrize("script, names", [
+    ("scan_spectra.py", ["spectrum_spin2.csv", "spectrum_spin3.csv", "spectrum_spin4.csv"]),
+    ("scan_magic_coupling.py", ["magic_spin2.csv", "magic_spin4.csv",
+                                "q_kernel_spin2.csv", "q_kernel_spin4.csv"]),
+])
+def test_scripts_reproduce_results_files(script, names, tmp_path):
+    # the scan scripts that write spectrum_* and q_kernel_*, into tmp_path
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        script[:-3], RESULTS.parent / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.run(tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes()
+
+
 def test_cli_cycle(tmp_path):
     sched = tmp_path / "alpha.sched"
     sched.write_text("lambda0 = 1.0\n"
