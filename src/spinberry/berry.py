@@ -1,18 +1,15 @@
 """Geometric phase of adiabatic cycles as a loop integral.
 
 For a closed cycle of the field orientation and coupling ratio, the phase
-acquired by the level labeled m is
-
-    beta(m) = - int [m - p(m, lambda) cos(theta)] phi_dot dt
-              - int [m - p(m, lambda)] alpha_dot dt
-
-with p the polarization of the instantaneous eigenstate.  The integrand is
-the pullback of an Abelian gauge field with components
+acquired by the level labeled m is beta(m) = int (A_phi phi_dot +
+A_alpha alpha_dot) dt, the loop integral of the Abelian gauge field
 
     A_phi = -m + p cos(theta),   A_alpha = -m + p,
 
-so beta is invariant under gauge functions periodic in phi (period 2 pi)
-and alpha (period pi).
+with p(m, lambda) the polarization of the instantaneous eigenstate, read
+from level m's parity block alone.  :func:`gauge_field` is the one place
+A is written.  beta is invariant under gauge functions periodic in phi
+(period 2 pi) and alpha (period pi).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import _polarizations, _spectra, polarization
+from .hamiltonian import _level
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -31,10 +28,10 @@ _GAUGE_FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class GaugeField:
-    """Components of the loop-integral gauge field at one parameter point."""
+    """Components of the loop-integral gauge field at parameter points."""
 
-    a_phi: float
-    a_alpha: float
+    a_phi: float | np.ndarray
+    a_alpha: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,30 +75,29 @@ def berry_phase_adiabatic(rep: SpinRep, m: float, schedule: CycleSchedule,
                           quad_points: int = 4097) -> BerryPhaseResult:
     """Geometric phase of the cycle for the level labeled m.
 
-    Composite Simpson quadrature on a uniform time grid; the polarization
-    is re-solved at every node.
+    Composite Simpson quadrature of A_phi phi_dot + A_alpha alpha_dot on a
+    uniform time grid; the gauge field is solved at every node at once.
     """
     schedule.validate()
     ts = _quad_grid(schedule.duration, quad_points)
-    p = _polarizations(rep, m, _spectra(rep, schedule.lam(ts))[1])
-    integrand = (-(m - p * np.cos(schedule.theta(ts))) * schedule.phi_dot(ts)
-                 - (m - p) * schedule.alpha_dot(ts))
-    value = _simpson(integrand, ts)
+    a = gauge_field(rep, m, schedule.lam(ts), schedule.theta(ts))
+    value = _simpson(a.a_phi * schedule.phi_dot(ts) + a.a_alpha * schedule.alpha_dot(ts), ts)
     winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
     return BerryPhaseResult(value=value, mod_2pi=_wrap(value),
                             winding_phase=winding, quad_points=ts.size)
 
 
-def gauge_field(rep: SpinRep, m: float, lam: float, theta: float) -> GaugeField:
-    """Gauge-field components at the parameter point (lambda, theta, m)."""
-    p = polarization(rep, m, lam)
+def gauge_field(rep: SpinRep, m: float, lam, theta) -> GaugeField:
+    """Gauge field of level m at the points (lambda, theta), scalars or
+    arrays that broadcast, from one stacked solve of m's block."""
+    p = _level(rep, m, lam)[3]
     return GaugeField(a_phi=-m + p * np.cos(theta), a_alpha=-m + p)
 
 
 def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde):
-    """A_alpha = -m + p(m, lambda) on the spherical section
+    """A_alpha of :func:`gauge_field` on the spherical section
     lambda = -2 cot(theta_tilde), at every point of ``theta_tilde`` (a
-    scalar or an array) from one stacked spectrum solve.
+    scalar or an array) from one stacked solve.
 
     The map sends the open interval 0 < theta_tilde < pi onto the whole
     lambda axis; the poles are excluded because lambda diverges there.
@@ -109,8 +105,7 @@ def gauge_field_sphere(rep: SpinRep, m: float, theta_tilde):
     theta_tilde = np.asarray(theta_tilde, dtype=float)
     if not np.all((0.0 < theta_tilde) & (theta_tilde < np.pi)):
         raise ValueError("theta_tilde must lie strictly inside (0, pi)")
-    lam = -2.0 / np.tan(theta_tilde)
-    return -m + _polarizations(rep, m, _spectra(rep, lam)[1])
+    return gauge_field(rep, m, -2.0 / np.tan(theta_tilde), 0.0).a_alpha
 
 
 def gauge_invariance_check(rep: SpinRep, m: float, schedule: CycleSchedule,

@@ -178,7 +178,7 @@ def cmd_cycle(args) -> int:
         "norm_drift": _fmt(mirror.forward.norm_drift),
     }
     _write_json(args, payload)
-    if max(mirror.forward.leakage, mirror.mirrored.leakage) > _LEAKAGE_BOUND:
+    if not all(run.leakage <= _LEAKAGE_BOUND for run in (mirror.forward, mirror.mirrored)):
         print(f"adiabaticity contract failed: leakage exceeds {_LEAKAGE_BOUND}",
               file=sys.stderr)
         return 1
@@ -186,12 +186,15 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    if args.tune == "auto":
-        stretch = tune_stage_stretch(args.lambda0, args.T)
-    else:
-        stretch = float(args.tune)
-    res = entangling_cycle(args.lambda0, stage_duration=args.T,
-                           steps=args.steps, tune_factor=stretch)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # a NaN state is an error
+            stretch = (tune_stage_stretch(args.lambda0, args.T) if args.tune == "auto"
+                       else float(args.tune))
+            res = entangling_cycle(args.lambda0, stage_duration=args.T,
+                                   steps=args.steps, tune_factor=stretch)
+    except FloatingPointError as exc:
+        raise ValueError(f"the cycle at lambda0={args.lambda0:g} overflows "
+                         f"the step arithmetic ({exc})") from None
     amplitudes = [[_fmt(a.real), _fmt(a.imag)]
                   for a in res.final_state.amplitudes]
     payload = {
@@ -206,7 +209,7 @@ def cmd_entangle(args) -> int:
         "final_amplitudes_re_im": amplitudes,
     }
     _write_json(args, payload)
-    if res.sector_leakage > _SECTOR_LEAKAGE_BOUND:
+    if not res.sector_leakage <= _SECTOR_LEAKAGE_BOUND:
         bound = np.format_float_scientific(_SECTOR_LEAKAGE_BOUND, trim="-", exp_digits=1)
         print(f"adiabaticity contract failed: sector leakage exceeds {bound}",
               file=sys.stderr)

@@ -10,7 +10,7 @@ each.  Cycles, ramps and the four-spin cycle of :mod:`spinberry.entangle`
 are tracked runs in the paper's co-rotating frame, on the tracked level's
 parity block while phi and theta stand still (:func:`_tracked_runs`).
 Their references solve only that block, and a cycle and its mirror image
-step as one run stacked on a leading axis.
+step as one run on one sample of lambda(t) and b(t).
 :func:`propagate` and :func:`lab_hamiltonian` are the references the tests
 hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
 time (and of angles or couplings) take scalars or arrays; arrays give their
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import (_block, _block_operators, _label_index, _level, _reduced,
-                          _spectra, labeled_spectrum)
+from .hamiltonian import (_block, _block_operators, _level, _reduced, labeled_spectrum,
+                          polarization)
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -312,30 +311,34 @@ def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                       @ u.conj().swapaxes(-1, -2))
 
 
-def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule,
-                               t) -> np.ndarray:
+def _coriolis_term(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
+    """The Coriolis field of the frame rotation rates (:func:`coriolis_operators`)."""
+    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t), schedule.alpha(t))
+    return (_stacked(schedule.alpha_dot(t)) * d_alpha + _stacked(schedule.phi_dot(t)) * d_phi
+            + _stacked(schedule.theta_dot(t)) * d_theta)
+
+
+def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
     """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field."""
-    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t),
-                                                 schedule.alpha(t))
     return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
-            - (_stacked(schedule.alpha_dot(t)) * d_alpha
-               + _stacked(schedule.phi_dot(t)) * d_phi
-               + _stacked(schedule.theta_dot(t)) * d_theta))
+            - _coriolis_term(rep, schedule, t))
 
 
-def _block_hamiltonian(rep: SpinRep, m: float, schedule: CycleSchedule, nodes):
-    """Basis indices and h(ts) of the co-rotating-frame Hamiltonian of a run
-    from level m that samples ``nodes``: while phi and theta stand still at
-    every node, b (Sigma_z + lambda Sigma_x^2) - alpha_dot Sigma_z conserves
-    the parity (-1)^(S-m), and only level m's (real) block is kept."""
-    if np.any(schedule.phi_dot(nodes)) or np.any(schedule.theta_dot(nodes)):
-        return np.arange(rep.dim), partial(rotating_frame_hamiltonian, rep, schedule)
-    sel = _block(rep, m)
+def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
+    """Basis indices and h(ts), (len(schedules), len(ts), n, n), of the
+    co-rotating-frame Hamiltonians of runs from level m that sample
+    ``nodes`` and share lambda(t) and b(t): b (Sigma_z + lambda Sigma_x^2)
+    is sampled once, and each run subtracts its own Coriolis term.  While
+    phi and theta stand still at every node, that is alpha_dot Sigma_z,
+    which conserves the parity (-1)^(S-m), and only m's real block is kept."""
+    moving = any(np.any(s.phi_dot(nodes)) or np.any(s.theta_dot(nodes)) for s in schedules)
+    sel = np.arange(rep.dim) if moving else _block(rep, m)
     sz, sxsq = _block_operators(rep, sel)
 
     def h_of_ts(ts):
-        return (_stacked(schedule.b(ts)) * (sz + _stacked(schedule.lam(ts)) * sxsq)
-                - _stacked(schedule.alpha_dot(ts)) * sz)
+        shared = _stacked(schedules[0].b(ts)) * (sz + _stacked(schedules[0].lam(ts)) * sxsq)
+        return np.stack([shared - (_coriolis_term(rep, s, ts) if moving
+                                   else _stacked(s.alpha_dot(ts)) * sz) for s in schedules])
     return sel, h_of_ts
 
 
@@ -345,7 +348,7 @@ def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
     each step end, made sign-continuous, and -int b E(m, lambda) dt over
     each step by Simpson's rule on its ends and midpoint.  Only level m's
     parity block is solved (:func:`spinberry.hamiltonian._level`)."""
-    sel, energies, vectors = _level(rep, m, schedule.lam(grid.halves))
+    sel, energies, vectors, _ = _level(rep, m, schedule.lam(grid.halves))
     terms = schedule.b(grid.halves) * energies
     step_phases = -grid.dts / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
     refs = np.zeros((len(grid.dts) + 1, rep.dim))
@@ -366,18 +369,18 @@ def _tracked_runs(rep: SpinRep, m: float, schedules, steps: int | None = None):
     rest taken within pi, so nothing wraps.  The geometric phase adds the
     winding -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
     U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
-    initial eigenstate.  Final states are in the laboratory frame."""
+    initial eigenstate.  Final states are in the laboratory frame; a
+    non-finite run leaks NaN, which no bound accepts."""
     grid = _step_grid(schedules[0], steps)
     step_phases, refs = _references(rep, m, schedules[0], grid)
-    parts = [_block_hamiltonian(rep, m, schedule, grid.nodes) for schedule in schedules]
-    sel = parts[0][0]
-    runs = _magnus_run(lambda ts: np.stack([h_of_ts(ts) for _, h_of_ts in parts]),
-                       np.broadcast_to(refs[0, sel], (len(schedules), len(sel))), grid)
+    sel, h_of_ts = _block_hamiltonian(rep, m, schedules, grid.nodes)
+    runs = _magnus_run(h_of_ts, np.broadcast_to(refs[0, sel], (len(schedules), len(sel))),
+                       grid)
     dynamical = float(np.sum(step_phases))
     results = []
     for schedule, states in zip(schedules, runs):
         tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
-        leakage = max(0.0, 1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2)
+        leakage = np.maximum(1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2, 0.0)
         rests = np.angle(tracked[1:] / tracked[:-1] * np.exp(-1j * step_phases))
         winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
         geometric = float(np.sum(rests)) + winding
@@ -436,7 +439,7 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     """
     result = _mirror_pair(rep, m, schedule, steps)
     for name, res in (("forward", result.forward), ("mirrored", result.mirrored)):
-        if res.leakage > _LEAKAGE_BOUND:
+        if not res.leakage <= _LEAKAGE_BOUND:  # NaN leakage warns too
             warnings.warn(LeakageWarning(
                 f"{name} run leaked {res.leakage:.3f} out of the tracked "
                 f"level; extracted phase is untrusted", res.leakage, _LEAKAGE_BOUND),
@@ -491,7 +494,7 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     """Final <Sigma_z> of the :func:`ramp_phase` run against the adiabatic
     polarization p(m, lambda0)."""
     run = ramp_phase(rep, m, lambda0, duration, shape, steps)
-    sz_adiabatic = labeled_spectrum(rep, lambda0).polarization(m)
+    sz_adiabatic = polarization(rep, m, lambda0)
     return RampResult(sz_final=run.sz_expectation, sz_adiabatic=sz_adiabatic,
                       deviation=run.sz_expectation - sz_adiabatic,
                       final_state=run.final_state)
@@ -502,8 +505,7 @@ def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
                               quad_points: int = 4097) -> float:
     """-int E(m, lambda(t)) dt along a coupling ramp (adiabatic reference)."""
     ts = _quad_grid(duration, quad_points)
-    energies, _ = _spectra(rep, _ramp(lambda0, duration, shape).lam(ts))
-    return _simpson(-energies[:, _label_index(rep, m)], ts)
+    return _simpson(-_level(rep, m, _ramp(lambda0, duration, shape).lam(ts))[1], ts)
 
 
 def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,

@@ -163,7 +163,8 @@ def bp_target_state() -> FourSpinState:
 
 
 def _beta_alpha_only(b_sq: float, lam0: float) -> float:
-    return _N_ALPHA * np.pi * (2.0 / np.sqrt(b_sq * lam0**2 + 4.0) - 1.0)
+    with np.errstate(over="ignore"):  # numpy's lam0**2 overflows to inf, Python's raises
+        return _N_ALPHA * np.pi * (2.0 / np.sqrt(b_sq * np.float64(lam0)**2 + 4.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,8 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     basis = symmetric_basis_m1()
     sector_pop = abs(basis.psi_21.overlap(final)) ** 2 + sum(
         abs(tower.overlap(final)) ** 2 for tower in basis.psi_11)
-    leakage = max(0.0, 1.0 - sector_pop)
-    if leakage > _SECTOR_LEAKAGE_BOUND:
+    leakage = np.maximum(1.0 - sector_pop, 0.0)  # a NaN state leaks NaN
+    if not leakage <= _SECTOR_LEAKAGE_BOUND:
         warnings.warn(LeakageWarning(f"four-spin cycle leaked {leakage:.2e} out of "
                                      f"the M = 1 symmetry sectors", leakage,
                                      _SECTOR_LEAKAGE_BOUND),
@@ -287,8 +288,8 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
     grid = _step_grid(rotation)
     blocks = []
     for rep in (spin_matrices(4), spin_matrices(2)):
-        h_of_ts = _block_hamiltonian(rep, 1.0, rotation, grid.nodes)[1]
-        u_rot = _run_propagator(h_of_ts(grid.nodes), grid.dts)
+        h_of_ts = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)[1]
+        u_rot = _run_propagator(h_of_ts(grid.nodes)[0], grid.dts)
         # the block is every other basis index, so M = 1 sits at index // 2
         blocks.append((_block_operators(rep, _block(rep, 1.0)), u_rot,
                        _label_index(rep, 1.0) // 2))

@@ -9,7 +9,8 @@ are labeled by the magnetic number m of the basis state they connect to
 as lambda -> 0.  For lambda != 0 each block is an unreduced tridiagonal
 (Jacobi) matrix: its eigenvalues are simple and never cross.  The level
 labeled m is therefore, for every real lambda, the eigenvalue of the same
-rank within its block, and one eigensolve per block labels a spectrum.
+rank within its block: a read of one level solves only its block
+(:func:`_level`), and only a whole spectrum solves both (:func:`_spectra`).
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def _block(rep: SpinRep, m: float) -> np.ndarray:
 
 
 def _block_operators(rep: SpinRep, sel: np.ndarray):
-    """Sigma_z and Sigma_x**2 on the basis indices ``sel`` of a block."""
-    block = np.ix_(sel, sel)
-    return rep.sigma_z[block], (rep.sigma_x @ rep.sigma_x)[block]
+    """Sigma_z and Sigma_x**2 on the evenly spaced basis indices ``sel`` of
+    a block (every other index for :func:`_block`), as strided slices."""
+    block = slice(sel[0], sel[-1] + 1, sel[1] - sel[0] if len(sel) > 1 else 1)
+    return rep.sigma_z[block, block], (rep.sigma_x @ rep.sigma_x)[block, block]
 
 
 def parity_blocks(h: ReducedHamiltonian) -> tuple[ParityBlock, ParityBlock]:
@@ -135,14 +137,7 @@ class LabeledSpectrum:
         return self.vectors[:, self.index_of(m)].copy()
 
     def polarization(self, m: float) -> float:
-        return float(_polarizations(self.rep, m, self.vectors))
-
-
-def _polarizations(rep: SpinRep, m: float, vectors) -> np.ndarray:
-    """p(m, lambda) = sum_k m_k v_k^2 of the level labeled m, from labeled
-    eigenvectors stacked as (..., dim, dim)."""
-    v = vectors[..., _label_index(rep, m)]
-    return np.sum(rep.m_values * v * v, axis=-1)
+        return polarization(self.rep, m, self.lam)
 
 
 def _finite(lams) -> np.ndarray:
@@ -168,12 +163,14 @@ def _block_spectra(rep: SpinRep, m: float, lams):
 
 
 def _level(rep: SpinRep, m: float, lams):
-    """Basis indices of level m's parity block, and the level's energies
-    and eigenvectors on them at every lambda of ``lams``: the eigenvalue of
-    m's rank within its block, from one stacked ``eigh`` of that block."""
+    """Basis indices ``sel`` of level m's parity block, and the level's
+    energies, eigenvectors on ``sel`` and polarizations p = sum_k m_k v_k^2
+    at every lambda of ``lams``: the eigenvalue of m's rank within its
+    block, from one stacked ``eigh`` of that block alone."""
     sel, w, v = _block_spectra(rep, m, _finite(lams))
     k = len(sel) - 1 - _label_index(rep, m) // 2
-    return sel, w[..., k], v[..., k]
+    v = v[..., k]
+    return sel, w[..., k], v, np.sum(rep.m_values[sel] * v * v, axis=-1)
 
 
 def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +203,7 @@ def labeled_spectrum(rep: SpinRep, lam: float) -> LabeledSpectrum:
 
 def polarization(rep: SpinRep, m: float, lam: float) -> float:
     """<Sigma_z> in the eigenstate labeled m (exact eigenvector expectation)."""
-    return labeled_spectrum(rep, lam).polarization(m)
+    return float(_level(rep, m, float(lam))[3])
 
 
 def _eigensystem(rep: SpinRep, lam: float):

@@ -25,9 +25,9 @@ one eigensystem, as the fields of one :class:`TransverseShift`.
 
 Every derivative here is an exact perturbation sum over the eigensystem
 at lambda itself, never a finite difference.  Delta_p and the
-longitudinal phase each make one stacked labelled-spectrum solve: Delta_p
-at lambda/(1+eta), lambda/(1-eta) and lambda, the longitudinal phase on
-its rescaled and its plain coupling grid.
+longitudinal phase read only level m, each from one stacked solve of its
+parity block: Delta_p at lambda/(1+eta), lambda/(1-eta) and lambda, the
+longitudinal phase on its rescaled and its plain coupling grid.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import (_eigensystem, _energy_derivatives, _label_index,
-                          _polarizations, _spectra)
+from .hamiltonian import _eigensystem, _energy_derivatives, _label_index, _level
 from .schedules import CycleSchedule
 from .spin_algebra import SpinRep
 
@@ -118,10 +117,9 @@ def delta_p(rep: SpinRep, m: float, lam: float, eta: float) -> float:
         if eta == 0.0:
             return 0.0
         return q_coefficient(rep, m, lam) * eta**2
-    energies, vectors = _spectra(rep, [lam / (1.0 + eta), lam / (1.0 - eta), lam])
-    i = _label_index(rep, m)
-    plus, minus = (1.0 + eta) * energies[0, i], (1.0 - eta) * energies[1, i]
-    return float((plus - minus) / (2.0 * eta) - _polarizations(rep, m, vectors[2]))
+    _, energies, _, p = _level(rep, m, [lam / (1.0 + eta), lam / (1.0 - eta), lam])
+    plus, minus = (1.0 + eta) * energies[0], (1.0 - eta) * energies[1]
+    return float((plus - minus) / (2.0 * eta) - p[2])
 
 
 def magic_lambda_fit(two_s: int, eta: float) -> float:
@@ -263,7 +261,7 @@ def longitudinal_phase(rep: SpinRep, m: float, schedule: CycleSchedule,
     bs = schedule.b(ts)
     lams = schedule.lam(ts)
 
-    energies, vectors = _spectra(rep, np.stack([lams / (1.0 - etas), lams]))
-    full = _simpson(-bs * (1.0 - etas) * energies[0, :, _label_index(rep, m)], ts)
-    first_order = _simpson(bs * etas * _polarizations(rep, m, vectors[1]), ts)
+    _, energies, _, p = _level(rep, m, np.stack([lams / (1.0 - etas), lams]))
+    full = _simpson(-bs * (1.0 - etas) * energies[0], ts)
+    first_order = _simpson(bs * etas * p[1], ts)
     return full, first_order

@@ -7,17 +7,19 @@ from spinberry import hamiltonian
 
 @pytest.fixture
 def spectra_calls(monkeypatch):
-    """The lambda arguments of every labelled-spectrum solve
-    (``hamiltonian._spectra``) made while the test runs, counted on each
-    spinberry module that holds its own reference to it."""
+    """The (block size, lambda argument) of every parity-block solve
+    (``hamiltonian._block_spectra``) made while the test runs, counted on
+    each spinberry module that holds its own reference to it: a labelled
+    spectrum of both blocks counts two, a read of one level one."""
     calls = []
-    solve = hamiltonian._spectra
+    solve = hamiltonian._block_spectra
 
-    def counted(rep, lams):
-        calls.append(lams)
-        return solve(rep, lams)
+    def counted(rep, m, lams):
+        sel, w, v = solve(rep, m, lams)
+        calls.append((len(sel), lams))
+        return sel, w, v
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("spinberry") and getattr(module, "_spectra", None) is solve:
-            monkeypatch.setattr(module, "_spectra", counted)
+        if name.startswith("spinberry") and getattr(module, "_block_spectra", None) is solve:
+            monkeypatch.setattr(module, "_block_spectra", counted)
     return calls

@@ -99,6 +99,47 @@ def test_gauge_field_values():
         -1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("two_s", [1, 4, 9, 12])
+def test_gauge_field_on_arrays_is_pointwise(two_s):
+    # one stacked solve over arrays of lambda and theta equals the scalar
+    # calls exactly, the gauge-sphere poles |lambda| = 230 included
+    rep = spin_matrices(two_s)
+    lams = np.array([-230.0, -10.0, -2.3, -1e-3, 0.0, 0.7, 1.0, 10.0, 300.0])
+    thetas = np.linspace(0.0, np.pi, len(lams))
+    for m in rep.m_values:
+        field = gauge_field(rep, m, lams, thetas)
+        points = [gauge_field(rep, m, lam, theta) for lam, theta in zip(lams, thetas)]
+        np.testing.assert_array_equal(field.a_phi, [g.a_phi for g in points])
+        np.testing.assert_array_equal(field.a_alpha, [g.a_alpha for g in points])
+
+
+@pytest.mark.parametrize("rep, m, sched", [
+    (S2, 1.0, phi_rotation_cycle(theta0=0.8, n_phi=1, duration=10.0, lambda0=0.9)),
+    (S2, 0.0, phi_rotation_cycle(theta0=2.2, n_phi=2, duration=10.0, lambda0=-1.3)),
+    (S2, 1.0, three_stage_cycle(-0.97, 5.0)),
+    (spin_matrices(9), -0.5, three_stage_cycle(0.8, 5.0, n_alpha=1)),
+], ids=["phi-s2-m1", "phi-s2-m0", "alpha-s2-m1", "alpha-s9half"])
+def test_berry_integrand_is_the_loop_expression(rep, m, sched, monkeypatch):
+    # A_phi phi_dot + A_alpha alpha_dot from gauge_field equals, bit for bit,
+    # the integrand written out: -(m - p cos theta) phi_dot - (m - p) alpha_dot
+    from spinberry import berry
+    from spinberry.hamiltonian import _level
+    simpson, seen = berry._simpson, []
+
+    def captured(y, ts):
+        seen.append((y, ts))
+        return simpson(y, ts)
+
+    monkeypatch.setattr(berry, "_simpson", captured)
+    berry_phase_adiabatic(rep, m, sched, quad_points=1001)
+    (y, ts), = seen
+    p = _level(rep, m, sched.lam(ts))[3]
+    want = (-(m - p * np.cos(sched.theta(ts))) * sched.phi_dot(ts)
+            - (m - p) * sched.alpha_dot(ts))
+    assert np.any(sched.phi_dot(ts)) or np.any(sched.alpha_dot(ts))
+    np.testing.assert_array_equal(y, want)
+
+
 def test_gauge_field_sphere():
     assert gauge_field_sphere(S2, 0.0, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
     # theta_tilde with lambda = 1: pi - arccot(1/2)

@@ -229,8 +229,8 @@ def test_stepper_matches_per_step_loop(steps):
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
             grid = _step_grid(cycle, steps)
-            sel, h_of_ts = _block_hamiltonian(rep, 1.0, cycle, grid.nodes)
-            block = _magnus_run(h_of_ts, start[sel], grid)
+            sel, h_of_ts = _block_hamiltonian(rep, 1.0, [cycle], grid.nodes)
+            block = _magnus_run(h_of_ts, start[sel][None], grid)[0]
             assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
             amps = multiplet[:, rows[0]]
@@ -787,8 +787,8 @@ def test_mirror_pair_is_two_tracked_runs(monkeypatch):
 
 def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_calls):
     # cycle --spin 2 --m 1: the references of the stacked pair come from one
-    # stacked eigh of m = 1's 2x2 block at the step ends and midpoints, with
-    # no labeled-spectrum solve of both blocks
+    # stacked eigh of m = 1's 2x2 block at the step ends and midpoints; the
+    # other (3x3) block is never solved
     from spinberry import dynamics
     from spinberry.cli import main
     eigh, references = np.linalg.eigh, dynamics._references
@@ -805,7 +805,7 @@ def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_
         try:
             return references(rep, m, schedule, grid)
         finally:
-            spectra.append(len(spectra_calls) - before)
+            spectra.append([size for size, _ in spectra_calls[before:]])
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(dynamics, "_references", counted_references)
@@ -819,8 +819,50 @@ def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_
                      "segment3.lambda_to = 0.0\n")
     assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
                  "--out", str(tmp_path / "cycle.json")]) == 0
-    assert len(inside) == 1 and spectra == [0]
+    assert len(inside) == 1 and spectra == [[2]]
     assert solves == [(len(inside[0].halves), 2, 2)]
+
+
+def test_bench_cycle_solves_two_blocks(tmp_path, spectra_calls):
+    # the benchmark's cycle schedule at spin 2, m = 1: the Berry quadrature
+    # and the references of the stacked mirror pair each solve m = 1's 2x2
+    # block once, and nothing else is diagonalized
+    from spinberry.cli import main
+    sched = tmp_path / "cycle.sched"
+    sched.write_text("lambda0 = 0.0\n"
+                     "segment1.kind = ramp\nsegment1.duration = 10\n"
+                     "segment1.shape = blackman\nsegment1.lambda_to = -1.1\n"
+                     "segment2.kind = rotate\nsegment2.duration = 20\n"
+                     "segment2.shape = blackman\nsegment2.alpha_half_turns = 1\n"
+                     "segment3.kind = ramp\nsegment3.duration = 10\n"
+                     "segment3.shape = blackman\nsegment3.lambda_to = 0.0\n")
+    assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
+                 "--out", str(tmp_path / "cycle.json")]) == 0
+    assert [size for size, _ in spectra_calls] == [2, 2]
+
+
+def test_mirror_pair_samples_shared_fields_once():
+    # the README cycle pair (S = 2, m = 0, 2,500 steps): lambda(t) and b(t)
+    # are sampled once at the 5,000 Gauss nodes for both runs, once at the
+    # 5,001 step ends and midpoints of the references, and lambda twice more
+    # by validate(); each run samples its own rotation rates
+    import dataclasses
+    sched = three_stage_cycle(-0.97, stage_duration=25.0)
+    counts = {}
+
+    def counted(name):
+        field = getattr(sched, name)
+
+        def sample(t):
+            counts[name] = counts.get(name, 0) + np.size(t)
+            return field(t)
+        return sample
+
+    names = ("lam", "b", "phi_dot", "theta_dot", "alpha_dot")
+    sched = dataclasses.replace(sched, **{name: counted(name) for name in names})
+    mirror_phase_difference(S2, 0.0, sched)
+    assert counts == {"lam": 10_003, "b": 10_001, "phi_dot": 10_000,
+                      "theta_dot": 10_000, "alpha_dot": 10_000}
 
 
 def test_cycle_reference_continuous_through_parent_zero():

@@ -193,6 +193,36 @@ def test_fast_cycle_triggers_adiabaticity_warning():
     assert 0.0 <= res.fidelity <= 1.0
 
 
+def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys):
+    # at lambda0 = 1e200 the closed-form steps overflow and the runs come out
+    # NaN: the leakages are NaN, which no bound accepts, so `cycle` fails its
+    # contract, and `entangle` exits 1 with one error line naming the coupling
+    from spinberry.cli import main
+    from spinberry.dynamics import _mirror_pair
+    from spinberry.spin_algebra import spin_matrices
+    sched = tmp_path / "cycle.sched"
+    sched.write_text("segment1.kind = ramp\nsegment1.duration = 2\n"
+                     "segment1.lambda_to = 1e200\n"
+                     "segment2.kind = rotate\nsegment2.duration = 2\n"
+                     "segment2.alpha_half_turns = 1\n"
+                     "segment3.kind = ramp\nsegment3.duration = 2\n"
+                     "segment3.lambda_to = 0\n")
+    with np.errstate(all="ignore"), pytest.warns(LeakageWarning) as record:
+        res = entangling_cycle(1e200, stage_duration=2.0)
+        pair = _mirror_pair(spin_matrices(4), 1.0, three_stage_cycle(1e200, 2.0))
+        assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
+                     "--out", str(tmp_path / "cycle.json")]) == 1
+    assert np.isnan(res.sector_leakage) and np.isnan(record[0].message.leakage)
+    assert np.isnan(pair.forward.leakage) and np.isnan(pair.mirrored.leakage)
+    assert closed_form_delta_beta(1e200).delta == 0.0
+    assert "adiabaticity contract failed" in capsys.readouterr().err
+    assert main(["entangle", "--lambda0", "1e200", "--T", "2",
+                 "--out", str(tmp_path / "ent.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda0=1e+200" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("stage", [15.0, 20.0, 25.0, 30.0])
 def test_tuned_stretch_is_an_interior_maximum(stage):
     # at stage 30 the best grid point sits at the window edge, on the flank
@@ -295,8 +325,8 @@ def test_two_level_block_matches_multiplet():
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
     start = np.eye(5)[1]  # M = 1
     grid = _step_grid(sched, steps)
-    sel, h_of_ts = _block_hamiltonian(spin_matrices(4), 1.0, sched, grid.nodes)
-    states = _magnus_run(h_of_ts, start[sel], grid)
+    sel, h_of_ts = _block_hamiltonian(spin_matrices(4), 1.0, [sched], grid.nodes)
+    states = _magnus_run(h_of_ts, start[sel][None], grid)[0]
     psi2 = states[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
     assert abs(tilted_back[1] - psi2[1]) < 1e-6
@@ -316,8 +346,8 @@ def test_bp_target_structure():
 def _ramp_propagator(rep, m, ramp):
     from spinberry.dynamics import _block_hamiltonian, _run_propagator, _step_grid
     grid = _step_grid(ramp)
-    sel, h_of_ts = _block_hamiltonian(rep, m, ramp, grid.nodes)
-    return sel, _run_propagator(h_of_ts(grid.nodes), grid.dts)
+    sel, h_of_ts = _block_hamiltonian(rep, m, [ramp], grid.nodes)
+    return sel, _run_propagator(h_of_ts(grid.nodes)[0], grid.dts)
 
 
 @pytest.mark.parametrize("shape", ["blackman", "linear"])

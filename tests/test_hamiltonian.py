@@ -391,21 +391,30 @@ def _parent_zeros(rep, i):
 
 @pytest.mark.parametrize("two_s", range(13))
 def test_level_solve_matches_spectra(two_s):
-    # the one-block solve of the tracked runs against the labeled spectrum,
-    # bit for bit: at 0, +-1e-3, the gauge-sphere poles +-230 and +-300, and
-    # where the parent component vanishes and eigh's own sign stands
+    # the one-block solve of every per-level read against the labeled
+    # spectrum, bit for bit: at 0, +-1e-3, the gauge-sphere poles +-230 and
+    # +-300, and where the parent component vanishes and eigh's own sign
+    # stands.  The polarization sums over the block, not over the zero-padded
+    # column: equal bit for bit while numpy sums a column of 2S + 1 <= 7
+    # terms in order, within 1e-15 where it sums 8 or more pairwise
     from spinberry.hamiltonian import _label_index, _level, _spectra
     rep = spin_matrices(two_s)
     for m in rep.m_values:
         i = _label_index(rep, m)
         zeros = _parent_zeros(rep, i)
-        lams = np.array([0.0, 1e-3, -1e-3, 0.7, -2.3, 230.0, -230.0, 300.0, -300.0]
-                        + zeros)
+        lams = np.array([0.0, 1e-3, -1e-3, 0.7, -2.3, 230.0, -230.0, 300.0, -300.0,
+                         *np.linspace(-10.0, 10.0, 41)] + zeros)
         energies, vectors = _spectra(rep, lams)
-        sel, level_energies, level_vectors = _level(rep, m, lams)
+        sel, level_energies, level_vectors, level_p = _level(rep, m, lams)
         np.testing.assert_array_equal(sel, _block(rep, m))
         np.testing.assert_array_equal(level_energies, energies[:, i])
         np.testing.assert_array_equal(level_vectors, vectors[:, sel, i])
+        column = vectors[..., i]
+        column_p = np.sum(rep.m_values * column * column, axis=-1)
+        if two_s <= 6:
+            np.testing.assert_array_equal(level_p, column_p)
+        else:
+            assert np.abs(level_p - column_p).max() <= 1e-15
         assert np.all(vectors[:, np.setdiff1d(np.arange(rep.dim), sel), i] == 0.0)
         if zeros:
             assert np.abs(vectors[len(lams) - len(zeros):, i, i]).max() < 1e-12

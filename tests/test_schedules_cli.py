@@ -325,11 +325,12 @@ def test_cli_transverse(tmp_path):
 
 
 @pytest.mark.parametrize("argv, solves", [
-    (["transverse", "--spin", "2", "--m", "0", "--n", "7"], 7),
+    (["transverse", "--spin", "2", "--m", "0", "--n", "7"], 14),
     (["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"], 1),
 ])
 def test_cli_spectrum_solves(argv, solves, tmp_path, spectra_calls):
-    # one labelled spectrum per transverse row; one for the whole sphere grid
+    # one labelled spectrum (two block solves) per transverse row; one solve
+    # of level m's block for the whole sphere grid
     code, _ = run_cli(argv, tmp_path, "out.csv")
     assert code == 0
     assert len(spectra_calls) == solves
@@ -467,6 +468,7 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["magic", "--spin", "3/2"],
     ["ramp", "--T", "1e16"],  # first allocation 1.73 EiB: fails at once
     ["entangle", "--T", "1e16"],  # 6.94 EiB
+    ["entangle", "--lambda0", "1e200", "--T", "2"],  # the steps overflow
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
