@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +62,17 @@ def _output(path):
     else:
         with open(path, "w", encoding="utf-8") as out:
             yield out
+
+
+@contextmanager
+def _finite(what: str):
+    """Raise on overflow and invalid operations in the block, as one
+    ValueError naming ``what``: a NaN result is an error, not an output."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} overflows the step arithmetic ({exc})") from None
 
 
 def _write_table(args, command, columns, rows, meta=()):
@@ -135,10 +147,11 @@ def cmd_magic(args) -> int:
 def cmd_ramp(args) -> int:
     rep = spin_matrices(args.spin)
     rows = []
-    for T in args.T:
-        res = ramp_fidelity(rep, args.m, args.lambda0, T, shape=args.shape,
-                            steps=args.steps)
-        rows.append([T, res.sz_final, res.deviation])
+    with _finite(f"the ramp to lambda0={args.lambda0:g}"):
+        for T in args.T:
+            res = ramp_fidelity(rep, args.m, args.lambda0, T, shape=args.shape,
+                                steps=args.steps)
+            rows.append([T, res.sz_final, res.deviation])
     _write_table(args, "ramp", ["gamma_B_T", "sz_final", "deviation"], rows,
                  meta=[("spin", _fmt(rep.s)), ("m", _fmt(args.m)),
                        ("lambda0", _fmt(args.lambda0)), ("shape", args.shape)])
@@ -163,8 +176,9 @@ def cmd_transverse(args) -> int:
 def cmd_cycle(args) -> int:
     rep = spin_matrices(args.spin)
     schedule = from_file(args.schedule)
-    quad = berry_phase_adiabatic(rep, args.m, schedule)
-    mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
+    with _finite(f"the cycle of {args.schedule}"):
+        quad = berry_phase_adiabatic(rep, args.m, schedule)
+        mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
     payload = {
         "command": "cycle",
         "spin": _fmt(rep.s),
@@ -186,15 +200,11 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # a NaN state is an error
-            stretch = (tune_stage_stretch(args.lambda0, args.T) if args.tune == "auto"
-                       else float(args.tune))
-            res = entangling_cycle(args.lambda0, stage_duration=args.T,
-                                   steps=args.steps, tune_factor=stretch)
-    except FloatingPointError as exc:
-        raise ValueError(f"the cycle at lambda0={args.lambda0:g} overflows "
-                         f"the step arithmetic ({exc})") from None
+    with _finite(f"the cycle at lambda0={args.lambda0:g}"):
+        stretch = (tune_stage_stretch(args.lambda0, args.T) if args.tune == "auto"
+                   else float(args.tune))
+        res = entangling_cycle(args.lambda0, stage_duration=args.T,
+                               steps=args.steps, tune_factor=stretch)
     amplitudes = [[_fmt(a.real), _fmt(a.imag)]
                   for a in res.final_state.amplitudes]
     payload = {
@@ -306,9 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused by every
+    later call in the process (no command mutates its parsed arguments)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScheduleError, ValueError, OSError, MemoryError,

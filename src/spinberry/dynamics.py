@@ -6,9 +6,13 @@ Every run goes through one fourth-order Magnus stepper:
 steps per unit time of each stage (:func:`_step_grid`).  Two-level steps
 are closed-form SU(2) rotations times a phase (:func:`_two_level_steps`);
 larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
-each.  Cycles, ramps and the four-spin cycle of :mod:`spinberry.entangle`
-are tracked runs in the paper's co-rotating frame, on the tracked level's
-parity block while phi and theta stand still (:func:`_tracked_runs`).
+each.  Where only a run's propagator is needed (the stretch tuner of
+:mod:`spinberry.entangle`), :func:`_run_propagator` multiplies the steps
+pairwise: two-level ones as Cayley-Klein pairs (a, b) and a phase, larger
+ones by stacked matrix products.  Cycles, ramps and the four-spin cycle
+of :mod:`spinberry.entangle` are tracked runs in the paper's co-rotating
+frame, on the tracked level's parity block while phi and theta stand
+still (:func:`_tracked_runs`).
 Their references solve only that block, and a cycle and its mirror image
 step as one run on one sample of lambda(t) and b(t).
 :func:`propagate` and :func:`lab_hamiltonian` are the references the tests
@@ -19,6 +23,7 @@ matrices stacked along the leading axes.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,10 +36,18 @@ from .hamiltonian import (_block, _block_operators, _level, _reduced, labeled_sp
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
+logger = logging.getLogger(__name__)
+
 # Steps whose propagators are formed by one stacked call: enough to
 # amortize the call, few enough that a block's Hamiltonians and propagators
 # stay small next to the trajectory.
 _BLOCK_STEPS = 512
+
+# Steps times stacked runs of two-level steps composed per block by
+# _run_propagator: enough that the tuner's scan of 25 ramps of up to 420
+# steps takes three blocks per spin, few enough that the scan's traced
+# memory peak stays near 2.4 MB (2.1 MB with 512 such steps per block).
+_STEP_RUNS = 4096
 
 # Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _magnus_run).
 _C_MINUS, _C_PLUS = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
@@ -126,6 +139,14 @@ def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
     return _grid(edges, counts)
 
 
+def _cf4_exponents(h_nodes):
+    """The CF4 step's two exponents (a+ H- + a- H+, a- H- + a+ H+), (..., dim,
+    dim) each, from the Hamiltonians ``h_nodes`` (..., 2, dim, dim) at its
+    Gauss nodes (see :func:`_cf4_propagators`); the first is applied first."""
+    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
+    return _A_PLUS * h_early + _A_MINUS * h_late, _A_MINUS * h_early + _A_PLUS * h_late
+
+
 def _cf4_propagators(h_nodes, dts):
     """Propagators (..., dim, dim) of CF4 steps of widths ``dts`` (...) from
     the Hamiltonians ``h_nodes`` (..., 2, dim, dim) at their Gauss nodes.
@@ -151,11 +172,9 @@ def _cf4_propagators(h_nodes, dts):
     norm drift over thousands of steps.  A step of width 0 with H = 0 is
     the identity.
     """
-    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
-    first = _A_PLUS * h_early + _A_MINUS * h_late
-    second = _A_MINUS * h_early + _A_PLUS * h_late
+    first, second = _cf4_exponents(h_nodes)
     if h_nodes.shape[-1] == 2:
-        return _two_level_steps(first, second, dts)
+        return _su2_matrices(*_two_level_steps(first, second, dts))
     w, u = np.linalg.eigh(np.stack([first, second]))
     applied_first, applied_second = (
         (u * np.exp(-1j * w * dts[..., None])[..., None, :]) @ u.conj().swapaxes(-1, -2))
@@ -165,15 +184,18 @@ def _cf4_propagators(h_nodes, dts):
 
 
 def _two_level_steps(first, second, dts):
-    """CF4 step propagators exp(-i dt second) exp(-i dt first) (..., 2, 2)
-    of 2x2 Hermitian ``first`` and ``second`` (..., 2, 2), in closed form.
+    """CF4 steps exp(-i dt second) exp(-i dt first) of 2x2 Hermitian
+    ``first`` and ``second`` (..., 2, 2), in closed form, as Cayley-Klein
+    parameters (phase, a, b) (...) of
+    U = exp(-i phase) [[a, -conj(b)], [b, conj(a)]], |a|^2 + |b|^2 = 1.
 
     Each exponent dt H = x0 + x . sigma gives
     exp(-i dt H) = exp(-i x0) (cos r - i sinc(r) x . sigma), r = |x|, whose
     rotation part is the unit quaternion (cos r, sinc(r) x); sinc is
     ``np.sinc(r / pi)``, exact at r = 0.  The two rotations multiply as
     quaternions, (c2, s2)(c1, s1) = (c2 c1 - s2 . s1, c2 s1 + c1 s2 + s2 x s1),
-    so each step is unitary to rounding without an eigensolve.
+    and the product (c, s) is a = c - i s_z, b = s_y - i s_x, so each step
+    is unitary to rounding without an eigensolve.
     """
     def rotation(h):
         h = h * dts[..., None, None]
@@ -189,33 +211,83 @@ def _two_level_steps(first, second, dts):
     sx = c2 * a1 + c1 * a2 + (b2 * z1 - z2 * b1)
     sy = c2 * b1 + c1 * b2 + (z2 * a1 - a2 * z1)
     sz = c2 * z1 + c1 * z2 + (a2 * b1 - b2 * a1)
-    props = np.empty(c.shape + (2, 2), dtype=complex)
-    props[..., 0, 0] = c - 1j * sz
-    props[..., 0, 1] = -sy - 1j * sx
-    props[..., 1, 0] = sy - 1j * sx
-    props[..., 1, 1] = c + 1j * sz
-    return props * np.exp(-1j * (x0_1 + x0_2))[..., None, None]
+    return x0_1 + x0_2, c - 1j * sz, sy - 1j * sx
+
+
+def _su2_matrices(phase, a, b):
+    """The matrices exp(-i phase) [[a, -conj(b)], [b, conj(a)]] (..., 2, 2)
+    of Cayley-Klein parameters (...) (see :func:`_two_level_steps`)."""
+    props = np.empty(a.shape + (2, 2), dtype=complex)
+    props[..., 0, 0] = a
+    props[..., 0, 1] = -b.conj()
+    props[..., 1, 0] = b
+    props[..., 1, 1] = a.conj()
+    return props * np.exp(-1j * phase)[..., None, None]
+
+
+def _two_level_product(h_nodes, dts):
+    """Time-ordered product (..., 2, 2) of the two-level CF4 steps of widths
+    ``dts`` (..., steps) from ``h_nodes`` (..., steps, 2, 2, 2), composed
+    as Cayley-Klein pairs: later (a, b) times earlier (a', b') is
+    (a a' - conj(b) b', b a' + conj(a) b'), and the phases add.  Pairs are
+    composed in a balanced tree, an identity step evening an odd count.
+    Each step is unitary to rounding, but over thousands of steps
+    |a|^2 + |b|^2 drifts from 1 as norm drift would; dividing (a, b) by its
+    root takes the nearest unitary, as the Newton-Schulz step does for eigh
+    steps."""
+    phase, a, b = _two_level_steps(*_cf4_exponents(h_nodes), dts)
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            a = np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
+            b = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
+        a_early, a_late, b_early, b_late = a[..., ::2], a[..., 1::2], b[..., ::2], b[..., 1::2]
+        a, b = (a_late * a_early - b_late.conj() * b_early,
+                b_late * a_early + a_late.conj() * b_early)
+    norm = np.sqrt(np.abs(a[..., 0]) ** 2 + np.abs(b[..., 0]) ** 2)
+    return _su2_matrices(np.sum(phase, axis=-1), a[..., 0] / norm, b[..., 0] / norm)
+
+
+def _matmul_product(h_nodes, dts):
+    """Time-ordered product (..., dim, dim) of the CF4 steps of widths
+    ``dts`` (..., steps) from ``h_nodes`` (..., steps, 2, dim, dim), by
+    pairwise stacked matrix products, an identity step evening an odd
+    count."""
+    props = _cf4_propagators(h_nodes, dts)
+    eye = np.eye(props.shape[-1])
+    while props.shape[-3] > 1:
+        if props.shape[-3] % 2:
+            props = np.concatenate(
+                [props, np.broadcast_to(eye, props[..., :1, :, :].shape)], axis=-3)
+        props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
+    return props[..., 0, :, :]
 
 
 def _run_propagator(h_nodes, dts):
     """Propagators (..., dim, dim) of runs of CF4 steps of widths ``dts``
     (..., steps) from the Hamiltonians ``h_nodes`` (..., steps, 2, dim, dim)
-    at their Gauss nodes (see :func:`_cf4_propagators`).  The step
-    propagators of all runs are formed about ``_BLOCK_STEPS`` at a time,
-    which bounds the memory a stack of runs takes, and multiplied in time
-    order by pairwise stacked matrix products."""
-    eye = np.eye(h_nodes.shape[-1])
-    block = max(1, _BLOCK_STEPS * dts.shape[-1] // dts.size)
-    total = eye
-    for first in range(0, dts.shape[-1], block):
-        props = _cf4_propagators(h_nodes[..., first:first + block, :, :, :],
-                                 dts[..., first:first + block])
-        while props.shape[-3] > 1:
-            if props.shape[-3] % 2:
-                props = np.concatenate(
-                    [props, np.broadcast_to(eye, props[..., :1, :, :].shape)], axis=-3)
-            props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
-        total = props[..., 0, :, :] @ total
+    at their Gauss nodes (see :func:`_cf4_propagators`).
+
+    The steps of all runs are formed and multiplied a block of steps at a
+    time, which bounds the memory a stack of runs takes, and the blocks'
+    products are multiplied in time order.  Two-level steps are composed
+    as Cayley-Klein pairs (:func:`_two_level_product`), about
+    ``_STEP_RUNS`` steps of all runs per block; larger ones are formed by
+    stacked ``eigh``, about ``_BLOCK_STEPS`` per block, and multiplied by
+    stacked matrix products (:func:`_matmul_product`).  The runs, steps,
+    blocks and path are logged at DEBUG level.
+    """
+    steps = dts.shape[-1]
+    runs = dts.size // steps
+    two_level = h_nodes.shape[-1] == 2
+    block = max(1, (_STEP_RUNS if two_level else _BLOCK_STEPS) // runs)
+    starts = range(0, steps, block)
+    logger.debug("_run_propagator: %d runs of %d steps in %d blocks of %d steps (%s)",
+                 runs, steps, len(starts), block, "Cayley-Klein" if two_level else "eigh")
+    product = _two_level_product if two_level else _matmul_product
+    total = np.eye(h_nodes.shape[-1])
+    for first in starts:
+        total = product(h_nodes[..., first:first + block, :, :, :],
+                        dts[..., first:first + block]) @ total
     return total
 
 

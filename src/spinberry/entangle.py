@@ -280,9 +280,10 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
     amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once here and
-    the ramps of all stretches are integrated in one stacked call, ragged
-    ends padded with identity steps.  The target's overlap with the cycled
-    Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
+    the ramps of all stretches are integrated in one stacked call per spin,
+    one spin after the other, on one sample of lambda(t), ragged ends padded
+    with identity steps.  The target's overlap with the cycled Phi^(1) is
+    (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
     rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
     grid = _step_grid(rotation)
@@ -298,16 +299,16 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
         ramps = [_ramp(lambda0, stage_duration * s, _SHAPE) for s in stretches]
         grids = [_step_grid(ramp) for ramp in ramps]
         dts = np.zeros((len(ramps), max(len(g.dts) for g in grids)))
-        # H = 0, dt = 0 pads the ragged ends with identity steps
-        h_nodes = [np.zeros(dts.shape + (2,) + u_rot.shape) for _, u_rot, _ in blocks]
+        lams = np.zeros(dts.shape + (2,))
         for j, (ramp, g) in enumerate(zip(ramps, grids)):
             dts[j, :len(g.dts)] = g.dts
-            lam = ramp.lam(g.nodes)[..., None, None]  # sampled once for both spins
-            for ((sz, sxsq), _, _), h in zip(blocks, h_nodes):
-                h[j, :len(g.dts)] = sz + lam * sxsq
+            lams[j, :len(g.dts)] = ramp.lam(g.nodes)
         amplitudes = []
-        for h, (_, u_rot, k) in zip(h_nodes, blocks):
-            up = _run_propagator(h, dts)[..., k]
+        for (sz, sxsq), u_rot, k in blocks:
+            h_nodes = lams[..., None, None] * sxsq
+            h_nodes += sz
+            h_nodes[dts == 0.0] = 0.0  # H = 0, dt = 0 pads the ragged ends with identity steps
+            up = _run_propagator(h_nodes, dts)[..., k]
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2

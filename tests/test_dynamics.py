@@ -427,6 +427,28 @@ def _eigh_cf4_steps(h_nodes, dts):
     return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
 
 
+def _matmul_run_propagator(h_nodes, dts, step_propagators=None):
+    """Run propagators as stacked matrix products of the CF4 step matrices
+    (by default those of ``_cf4_propagators``), about 512 steps of all runs
+    at a time, multiplied pairwise in time order: the reference of the
+    Cayley-Klein composition of two-level runs."""
+    from spinberry.dynamics import _cf4_propagators
+    step_propagators = step_propagators or _cf4_propagators
+    eye = np.eye(h_nodes.shape[-1])
+    block = max(1, 512 * dts.shape[-1] // dts.size)
+    total = eye
+    for first in range(0, dts.shape[-1], block):
+        props = step_propagators(h_nodes[..., first:first + block, :, :, :],
+                                 dts[..., first:first + block])
+        while props.shape[-3] > 1:
+            if props.shape[-3] % 2:
+                props = np.concatenate(
+                    [props, np.broadcast_to(eye, props[..., :1, :, :].shape)], axis=-3)
+            props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
+        total = props[..., 0, :, :] @ total
+    return total
+
+
 def _random_two_level_nodes(rng, n, complex_, norm_dts):
     """``n`` pairs of random 2x2 Hermitian node Hamiltonians and step widths
     that give each step max ||H|| dt = ``norm_dts``."""
@@ -449,6 +471,74 @@ def test_two_level_steps_match_eigh_steps(complex_):
     # the tuner pads ragged runs with H = 0, dt = 0, which must be the identity
     padding = _cf4_propagators(np.zeros((3, 2, 2, 2), dtype=h.dtype), np.zeros(3))
     np.testing.assert_array_equal(padding, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+def _two_level_runs(rng, runs, steps, complex_):
+    """``runs`` stacked runs of ``steps`` random two-level steps, with
+    ||H|| dt spread from 1e-9 to 50 in random order."""
+    norm_dts = rng.permutation(np.logspace(-9, np.log10(50.0), runs * steps))
+    h, dts = _random_two_level_nodes(rng, runs * steps, complex_, norm_dts)
+    return h.reshape(runs, steps, 2, 2, 2), dts.reshape(runs, steps)
+
+
+def _assert_unitary(props):
+    assert np.abs(props.conj().swapaxes(-1, -2) @ props - np.eye(2)).max() < 1e-14
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("runs, steps", [(1, 1), (1, 2), (3, 301), (40, 99)])
+def test_cayley_klein_runs_match_matmul_products(complex_, runs, steps):
+    from spinberry.dynamics import _run_propagator
+    h, dts = _two_level_runs(np.random.default_rng(18), runs, steps, complex_)
+    got = _run_propagator(h, dts)
+    assert got.shape == (runs, 2, 2)
+    assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
+    _assert_unitary(got)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_cayley_klein_runs_cross_block_boundaries(complex_):
+    # 5 runs of 2,000 steps make blocks of 819 steps: two boundaries per run
+    from spinberry.dynamics import _STEP_RUNS, _run_propagator
+    h, dts = _two_level_runs(np.random.default_rng(19), 5, 2000, complex_)
+    assert 2 * (_STEP_RUNS // 5) < 2000
+    got = _run_propagator(h, dts)
+    assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
+    _assert_unitary(got)
+    # each run alone is one block of 2,000 steps
+    alone = np.array([_run_propagator(h_run, dts_run) for h_run, dts_run in zip(h, dts)])
+    assert np.abs(got - alone).max() < 1e-13
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_cayley_klein_ragged_runs_pad_with_identity_steps(complex_):
+    # the tuner pads ragged runs with H = 0, dt = 0: padding steps are
+    # exactly the identity, so a run of padding alone is the identity bit
+    # for bit, and a padded run is the run alone
+    from spinberry.dynamics import _run_propagator
+    h, dts = _two_level_runs(np.random.default_rng(20), 4, 1500, complex_)
+    lengths = [1500, 977, 3, 0]
+    for k, n in enumerate(lengths):
+        h[k, n:], dts[k, n:] = 0.0, 0.0
+    got = _run_propagator(h, dts)
+    np.testing.assert_array_equal(got[-1], np.eye(2))
+    assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
+    _assert_unitary(got)
+    for k, n in enumerate(lengths[:-1]):
+        assert np.abs(got[k] - _run_propagator(h[k, :n], dts[k, :n])).max() < 1e-13
+
+
+def test_run_propagator_logs_what_it_did(caplog):
+    import logging
+    from spinberry.dynamics import _run_propagator
+    with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
+        _run_propagator(np.zeros((3, 1500, 2, 2, 2)), np.zeros((3, 1500)))
+        _run_propagator(np.zeros((2, 300, 2, 3, 3)), np.zeros((2, 300)))
+    assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
+                                                             logging.DEBUG)] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "_run_propagator: 3 runs of 1500 steps in 2 blocks of 1365 steps (Cayley-Klein)",
+        "_run_propagator: 2 runs of 300 steps in 2 blocks of 256 steps (eigh)"]
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -512,10 +602,11 @@ def test_spin_half_phi_cycle_matches_eigh_steps(monkeypatch):
 
 def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     # the tuner's stacked, identity-padded ramp propagators
-    from spinberry import dynamics, entangle
+    from spinberry import entangle
     stretches = np.linspace(0.88, 1.12, 7)
     ours = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
-    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    monkeypatch.setattr(entangle, "_run_propagator",
+                        lambda h, dts: _matmul_run_propagator(h, dts, _eigh_cf4_steps))
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
     assert np.abs(ours - ref).max() < 1e-12
 

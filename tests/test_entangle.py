@@ -195,8 +195,8 @@ def test_fast_cycle_triggers_adiabaticity_warning():
 
 def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys):
     # at lambda0 = 1e200 the closed-form steps overflow and the runs come out
-    # NaN: the leakages are NaN, which no bound accepts, so `cycle` fails its
-    # contract, and `entangle` exits 1 with one error line naming the coupling
+    # NaN: the leakages are NaN, which no bound accepts; `cycle` and
+    # `entangle` exit 1 with one error line naming the schedule or coupling
     from spinberry.cli import main
     from spinberry.dynamics import _mirror_pair
     from spinberry.spin_algebra import spin_matrices
@@ -210,12 +210,13 @@ def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys):
     with np.errstate(all="ignore"), pytest.warns(LeakageWarning) as record:
         res = entangling_cycle(1e200, stage_duration=2.0)
         pair = _mirror_pair(spin_matrices(4), 1.0, three_stage_cycle(1e200, 2.0))
-        assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
-                     "--out", str(tmp_path / "cycle.json")]) == 1
     assert np.isnan(res.sector_leakage) and np.isnan(record[0].message.leakage)
     assert np.isnan(pair.forward.leakage) and np.isnan(pair.mirrored.leakage)
     assert closed_form_delta_beta(1e200).delta == 0.0
-    assert "adiabaticity contract failed" in capsys.readouterr().err
+    assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
+                 "--out", str(tmp_path / "cycle.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the cycle of {sched} overflows") and err.count("\n") == 1
     assert main(["entangle", "--lambda0", "1e200", "--T", "2",
                  "--out", str(tmp_path / "ent.json")]) == 1
     err = capsys.readouterr().err
@@ -397,6 +398,27 @@ def test_tuner_logs_what_it_did(caplog):
     assert "best grid stretch" in message
     assert f"returned stretch {stretch:.10f}" in message
 
+
+
+def test_tuner_scan_forms_its_steps_in_few_blocks(monkeypatch):
+    # the --T 15 scan of 25 stretches (ramps of up to 420 steps) forms its
+    # two-level steps in at most 4 stacked calls per spin, every time
+    from spinberry import dynamics, entangle
+    fidelity = entangle._stretch_fidelity(lambda_max_solve(), 15.0)
+    steps, calls = dynamics._two_level_steps, []
+
+    def counted(first, second, dts):
+        calls.append(dts.shape)
+        return steps(first, second, dts)
+
+    monkeypatch.setattr(dynamics, "_two_level_steps", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        fidelity(np.linspace(0.88, 1.12, 25))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 4
+    assert all(shape[0] == 25 for shape in calls)
 
 
 def test_tuner_scan_samples_each_ramp_once(monkeypatch):

@@ -469,6 +469,8 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["ramp", "--T", "1e16"],  # first allocation 1.73 EiB: fails at once
     ["entangle", "--T", "1e16"],  # 6.94 EiB
     ["entangle", "--lambda0", "1e200", "--T", "2"],  # the steps overflow
+    ["ramp", "--m", "1", "--lambda0", "1e200", "--T", "2"],
+    ["cycle", "--schedule", "overflow.sched", "--m", "1"],
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
@@ -476,6 +478,10 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
                      "segment1.kind = rotate\n"
                      "segment1.duration = 4\n"
                      "segment1.alpha_half_turns = 1\n")
+    (tmp_path / "overflow.sched").write_text("segment1.kind = ramp\n"
+                                             "segment1.duration = 2\n"
+                                             "segment1.lambda_to = 1e200\n")
+    argv = [str(tmp_path / a) if a.endswith(".sched") else a for a in argv]
     required = {"cycle": ["--schedule", str(sched), "--spin", "2", "--m", "0"],
                 "entangle": ["--lambda0", "-0.97"],
                 "ramp": ["--spin", "2", "--m", "0", "--lambda0", "1"],
@@ -563,6 +569,39 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "spinberry" in proc.stdout
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # later calls in a process reuse the parser, and --version, --help and
+    # argparse errors exit as on the first call
+    from spinberry import __version__, cli
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    outcomes = []
+    try:
+        for _ in range(2):
+            outcome = [main(["spectrum", "--spin", "1", "--n", "2",
+                             "--out", str(tmp_path / "s.csv")])]
+            for argv in (["--version"], ["--help"], ["spectrum", "--spin", "1/0"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                outcome.append((exit_info.value.code, capsys.readouterr()))
+            outcomes.append(outcome)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outcomes[0] == outcomes[1]
+    code, version, help_, error = outcomes[0]
+    assert code == 0
+    assert version == (0, (f"spinberry {__version__}\n", ""))
+    assert help_[0] == 0 and help_[1].out.startswith("usage: spinberry")
+    assert error[0] == 2 and "error: argument --spin: spin must be" in error[1].err
 
 
 def _child_env():
@@ -672,6 +711,7 @@ def test_cli_output_unchanged_by_tuner_logging():
     assert plain.returncode == debug.returncode == 0
     assert plain.stderr == ""
     assert "objective evaluations" in debug.stderr
+    assert "DEBUG:spinberry.dynamics:_run_propagator: 25 runs of" in debug.stderr
     assert plain.stdout == debug.stdout
     assert json.loads(plain.stdout)["command"] == "entangle"
 
