@@ -1,18 +1,17 @@
 """Exact time-dependent Schroedinger integration.
 
-Every run goes through one fourth-order Magnus stepper:
-:func:`_cf4_propagators` forms the step propagators, which
-:func:`_magnus_run` applies to a state, by default at ``STEPS_PER_UNIT``
-steps per unit time of each stage (:func:`_step_grid`).  Two-level steps
-are closed-form SU(2) rotations times a phase (:func:`_two_level_steps`);
-larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
-each.  Where only a run's propagator is needed (the stretch tuner of
-:mod:`spinberry.entangle`), :func:`_run_propagator` multiplies the steps
-pairwise: two-level ones as Cayley-Klein pairs (a, b) and a phase, larger
-ones by stacked matrix products.  Cycles, ramps and the four-spin cycle
-of :mod:`spinberry.entangle` are tracked runs in the paper's co-rotating
-frame, on the tracked level's parity block while phi and theta stand
-still (:func:`_tracked_runs`).
+Every run goes through one fourth-order Magnus stepper, :func:`_magnus_run`,
+by default at ``STEPS_PER_UNIT`` steps per unit time of each stage
+(:func:`_step_grid`).  Two-level steps are closed-form SU(2) rotations times
+a phase (:func:`_two_level_steps`), whose prefix products a log-depth scan
+forms; larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
+each and applied in turn.  Where only a run's propagator is needed (the
+stretch tuner of :mod:`spinberry.entangle`), :func:`_run_propagator`
+multiplies the steps pairwise: two-level ones as Cayley-Klein pairs (a, b)
+and a phase, larger ones by stacked matrix products.  Cycles, ramps and the
+four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the
+paper's co-rotating frame, on the tracked level's parity block while phi
+and theta stand still (:func:`_tracked_runs`).
 Their references solve only that block, and a cycle and its mirror image
 step as one run on one sample of lambda(t) and b(t).
 :func:`propagate` and :func:`lab_hamiltonian` are the references the tests
@@ -43,8 +42,8 @@ logger = logging.getLogger(__name__)
 # stay small next to the trajectory.
 _BLOCK_STEPS = 512
 
-# Steps times stacked runs of two-level steps composed per block by
-# _run_propagator: enough that the tuner's scan of 25 ramps of up to 420
+# Steps times stacked runs of two-level steps per block of _run_propagator
+# and _magnus_run: enough that the tuner's scan of 25 ramps of up to 420
 # steps takes three blocks per spin, few enough that the scan's traced
 # memory peak stays near 2.4 MB (2.1 MB with 512 such steps per block).
 _STEP_RUNS = 4096
@@ -225,12 +224,17 @@ def _su2_matrices(phase, a, b):
     return props * np.exp(-1j * phase)[..., None, None]
 
 
+def _cayley_klein(a, b, a_early, b_early):
+    """The product of Cayley-Klein pairs, the later (a, b) times the earlier
+    (a', b'): (a a' - conj(b) b', b a' + conj(a) b')."""
+    return a * a_early - b.conj() * b_early, b * a_early + a.conj() * b_early
+
+
 def _two_level_product(h_nodes, dts):
     """Time-ordered product (..., 2, 2) of the two-level CF4 steps of widths
     ``dts`` (..., steps) from ``h_nodes`` (..., steps, 2, 2, 2), composed
-    as Cayley-Klein pairs: later (a, b) times earlier (a', b') is
-    (a a' - conj(b) b', b a' + conj(a) b'), and the phases add.  Pairs are
-    composed in a balanced tree, an identity step evening an odd count.
+    as Cayley-Klein pairs (:func:`_cayley_klein`) whose phases add, in a
+    balanced tree, an identity step evening an odd count.
     Each step is unitary to rounding, but over thousands of steps
     |a|^2 + |b|^2 drifts from 1 as norm drift would; dividing (a, b) by its
     root takes the nearest unitary, as the Newton-Schulz step does for eigh
@@ -240,9 +244,7 @@ def _two_level_product(h_nodes, dts):
         if a.shape[-1] % 2:
             a = np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
             b = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
-        a_early, a_late, b_early, b_late = a[..., ::2], a[..., 1::2], b[..., ::2], b[..., 1::2]
-        a, b = (a_late * a_early - b_late.conj() * b_early,
-                b_late * a_early + a_late.conj() * b_early)
+        a, b = _cayley_klein(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
     norm = np.sqrt(np.abs(a[..., 0]) ** 2 + np.abs(b[..., 0]) ** 2)
     return _su2_matrices(np.sum(phase, axis=-1), a[..., 0] / norm, b[..., 0] / norm)
 
@@ -296,11 +298,17 @@ def _magnus_run(h_of_ts, initial, grid: _Grid):
     (..., dim), stacked on its leading axes: shape (..., steps + 1, dim),
     where row k of a run is its state after k steps.
 
-    The steps are CF4 steps (:func:`_cf4_propagators`), applied in order,
-    one stacked matrix-vector product per step for all runs.
-    ``h_of_ts(ts)`` returns the Hermitian Hamiltonians (..., len(ts), dim,
-    dim) of every run at a 1-d array of times; it is sampled, and the step
-    propagators formed, ``_BLOCK_STEPS`` steps at a time.
+    The steps are CF4 steps (:func:`_cf4_propagators`).  ``h_of_ts(ts)``
+    returns the Hermitian Hamiltonians (..., len(ts), dim, dim) of every run
+    at a 1-d array of times; it is sampled, and the steps formed, a block at
+    a time.  A block of two-level steps (about ``_STEP_RUNS`` steps of all
+    runs) gives all its states at once: a log-depth (Hillis-Steele) scan of
+    :func:`_cayley_klein` and a cumulative product of phase factors (a sum
+    of phases would round to eps times the running phase) form the prefix
+    products, unrenormalized so that the norm drift is the integrator's
+    rounding.  Larger steps (``_BLOCK_STEPS`` per block) are applied in
+    turn, one stacked matrix-vector product per step for all runs.  The
+    runs, steps, blocks and path are logged at DEBUG level.
 
     The default density of ``STEPS_PER_UNIT`` steps per unit time assumes
     max ||H|| dt <~ 1; larger spins or couplings should pass more steps
@@ -309,11 +317,30 @@ def _magnus_run(h_of_ts, initial, grid: _Grid):
     psi = np.asarray(initial, dtype=complex)[..., None]
     states = np.empty((len(grid.dts) + 1,) + psi.shape, dtype=complex)
     states[0] = psi
-    for first in range(0, len(grid.dts), _BLOCK_STEPS):
-        block = slice(first, first + _BLOCK_STEPS)
+    runs, two_level = psi[..., 0, 0].size, psi.shape[-2] == 2
+    size = max(1, _STEP_RUNS // runs) if two_level else _BLOCK_STEPS
+    starts = range(0, len(grid.dts), size)
+    logger.debug("_magnus_run: %d runs of %d steps in %d blocks of %d steps (%s)",
+                 runs, len(grid.dts), len(starts), size,
+                 "Cayley-Klein scan" if two_level else "eigh loop")
+    for first in starts:
+        block = slice(first, first + size)
         nodes = grid.nodes[block]
         h_nodes = np.reshape(h_of_ts(nodes.ravel()),
                              psi.shape[:-2] + nodes.shape + psi.shape[-2:-1] * 2)
+        if two_level:
+            phase, a, b = _two_level_steps(*_cf4_exponents(h_nodes), grid.dts[block])
+            shift = 1
+            while shift < len(nodes):
+                a[..., shift:], b[..., shift:] = _cayley_klein(
+                    a[..., shift:], b[..., shift:], a[..., :-shift], b[..., :-shift])
+                shift *= 2
+            turn = np.cumprod(np.exp(-1j * phase), axis=-1)
+            up, down = _cayley_klein(a, b, psi[..., 0, :], psi[..., 1, :])  # U psi
+            ends = np.moveaxis(states[first + 1:first + 1 + len(nodes), ..., 0], 0, -2)
+            ends[..., 0], ends[..., 1] = turn * up, turn * down
+            psi = states[first + len(nodes)]
+            continue
         props = np.moveaxis(_cf4_propagators(h_nodes, grid.dts[block]), -3, 0)
         for k, prop in enumerate(props, first + 1):
             psi = prop @ psi

@@ -11,6 +11,8 @@ as lambda -> 0.  For lambda != 0 each block is an unreduced tridiagonal
 labeled m is therefore, for every real lambda, the eigenvalue of the same
 rank within its block: a read of one level solves only its block
 (:func:`_level`), and only a whole spectrum solves both (:func:`_spectra`).
+A two-state block is solved in closed form, a larger one by stacked
+``eigh`` (:func:`_block_spectra`).
 """
 
 from __future__ import annotations
@@ -150,13 +152,23 @@ def _finite(lams) -> np.ndarray:
 def _block_spectra(rep: SpinRep, m: float, lams):
     """Basis indices ``sel`` of level m's parity block, and the block's
     energies (..., n) and eigenvectors (..., n, n) at every lambda of
-    ``lams`` from one stacked ``eigh``: column k is the level of the block's
-    k-th lowest m (basis index ``sel[-1 - k]``), its sign fixed by a
-    positive parent component wherever that exceeds 1e-12 (it vanishes at
-    isolated lambdas, where eigh's own sign stands)."""
+    ``lams``, ascending: column k is the level of the block's k-th lowest m
+    (basis index ``sel[-1 - k]``), its sign fixed by a positive parent
+    component wherever that exceeds 1e-12 (it vanishes at isolated lambdas,
+    where eigh's own sign stands).  A block mean + [[half, off], [off, -half]]
+    of two states has energies mean -/+ hypot(half, off) and columns
+    (-sin f, cos f), (cos f, sin f), f = atan2(off, half) / 2, whose parent
+    components cos f are never negative; a larger one takes stacked ``eigh``."""
     sel = _block(rep, m)
     sz, sxsq = _block_operators(rep, sel)
-    w, v = np.linalg.eigh(sz + lams[..., None, None] * sxsq)
+    h = sz + lams[..., None, None] * sxsq
+    if len(sel) == 2:
+        mean, half = 0.5 * (h[..., 0, 0] + h[..., 1, 1]), 0.5 * (h[..., 0, 0] - h[..., 1, 1])
+        radius, f = np.hypot(half, h[..., 1, 0]), 0.5 * np.arctan2(h[..., 1, 0], half)
+        cos, sin = np.cos(f), np.sin(f)
+        v = np.moveaxis(np.array([[-sin, cos], [cos, sin]]), (0, 1), (-2, -1))
+        return sel, np.stack([mean - radius, mean + radius], axis=-1), v
+    w, v = np.linalg.eigh(h)
     parent = np.diagonal(v[..., ::-1, :], axis1=-2, axis2=-1)
     v *= np.where(parent < -1e-12, -1.0, 1.0)[..., None, :]
     return sel, w, v
@@ -166,7 +178,7 @@ def _level(rep: SpinRep, m: float, lams):
     """Basis indices ``sel`` of level m's parity block, and the level's
     energies, eigenvectors on ``sel`` and polarizations p = sum_k m_k v_k^2
     at every lambda of ``lams``: the eigenvalue of m's rank within its
-    block, from one stacked ``eigh`` of that block alone."""
+    block, from one stacked solve of that block alone."""
     sel, w, v = _block_spectra(rep, m, _finite(lams))
     k = len(sel) - 1 - _label_index(rep, m) // 2
     v = v[..., k]
@@ -178,8 +190,8 @@ def _spectra(rep: SpinRep, lams) -> tuple[np.ndarray, np.ndarray]:
 
     Returns arrays of shape ``shape(lams) + (dim,)`` and
     ``shape(lams) + (dim, dim)``, labels in basis (descending-m) order.
-    Each parity block is diagonalized for all lambdas in one stacked
-    ``eigh``; its k-th lowest eigenvalue belongs to its k-th lowest m.
+    Each parity block is solved for all lambdas in one stacked call
+    (:func:`_block_spectra`); its k-th lowest eigenvalue is its k-th lowest m.
     """
     lams = _finite(lams)
     energies = np.empty(lams.shape + (rep.dim,))

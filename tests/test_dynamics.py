@@ -541,6 +541,118 @@ def test_run_propagator_logs_what_it_did(caplog):
         "_run_propagator: 2 runs of 300 steps in 2 blocks of 256 steps (eigh)"]
 
 
+def _step_loop(step_propagators, calls):
+    """A ``_magnus_run`` that forms all steps of a run by
+    ``step_propagators`` and applies them one ``prop @ psi`` at a time, as
+    runs on more than two levels are stepped; each call appends the shape
+    of its initial states to ``calls``."""
+    def run(h_of_ts, initial, grid):
+        calls.append(np.shape(initial))
+        psi = np.asarray(initial, dtype=complex)[..., None]
+        h_nodes = np.reshape(h_of_ts(grid.nodes.ravel()),
+                             psi.shape[:-2] + grid.nodes.shape + psi.shape[-2:-1] * 2)
+        states = [psi]
+        for prop in np.moveaxis(step_propagators(h_nodes, grid.dts), -3, 0):
+            states.append(prop @ states[-1])
+        return np.moveaxis(np.array(states)[..., 0], 0, -2)
+    return run
+
+
+def _indexed_run(h_nodes, dts):
+    """``_magnus_run``'s arguments for stacked runs of given node
+    Hamiltonians ``h_nodes`` (..., steps, 2, dim, dim) and widths ``dts``
+    (steps,): the grid's node "times" index the samples."""
+    from spinberry.dynamics import _Grid
+    steps = len(dts)
+    nodes = np.arange(2.0 * steps).reshape(steps, 2)
+    flat = h_nodes.reshape(h_nodes.shape[:-4] + (2 * steps,) + h_nodes.shape[-2:])
+
+    def h_of_ts(ts):
+        return flat[..., ts.astype(int), :, :]
+    return h_of_ts, _Grid(dts, nodes, np.zeros(2 * steps + 1))
+
+
+def _run_drift(states):
+    """Largest norm deviation from the initial norm, over a stack of runs."""
+    norms = np.linalg.norm(states, axis=-1)
+    return np.abs(norms - norms[..., :1]).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape, steps", [((), 2), ((), 5000), ((2,), 1), ((2,), 2100),
+                                          ((3,), 1500), ((2, 2), 700)])
+def test_scan_matches_step_loop(complex_, shape, steps):
+    # the Cayley-Klein scan against the closed-form steps applied one at a
+    # time: one run, stacked mirror pairs and larger stacks, in one block or
+    # (5,000 steps of one run, 2,100 of two, 1,500 of three) across a block
+    # boundary, with ||H|| dt from 1e-9 to 50 and every seventh step of
+    # zero width
+    from spinberry.dynamics import _cf4_propagators, _magnus_run
+    rng = np.random.default_rng(21)
+    h, dts = _two_level_runs(rng, int(np.prod(shape)), steps, complex_)
+    # every run on the first run's widths, at its own ||H|| dt
+    h = (h * (dts / dts[0])[..., None, None, None]).reshape(shape + (steps, 2, 2, 2))
+    dts = dts[0].copy()
+    dts[::7] = 0.0
+    initial = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    initial /= np.linalg.norm(initial, axis=-1, keepdims=True)
+    h_of_ts, grid = _indexed_run(h, dts)
+    got = _magnus_run(h_of_ts, initial, grid)
+    ref = _step_loop(_cf4_propagators, [])(h_of_ts, initial, grid)
+    assert got.shape == shape + (steps + 1, 2)
+    np.testing.assert_array_equal(got[..., 0, :], initial)
+    assert np.abs(got - ref).max() < 1e-13
+    # not renormalized: the drift is the steps' rounding, a random walk of
+    # the loop's size (over seeds 21-24 the ratio of the largest drifts
+    # ran from 0.64 to 2.25, of the mean drifts from 0.44 to 2.29)
+    assert _run_drift(got) < 1e-13
+    assert _run_drift(got) <= 3.0 * _run_drift(ref) + 1e-15
+
+
+def test_magnus_run_logs_what_it_did(caplog):
+    import logging
+    from spinberry.dynamics import _magnus_run
+    with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
+        h_of_ts, grid = _indexed_run(np.zeros((2, 2100, 2, 2, 2)), np.zeros(2100))
+        _magnus_run(h_of_ts, np.ones((2, 2)), grid)
+        h_of_ts, grid = _indexed_run(np.zeros((600, 2, 3, 3)), np.zeros(600))
+        _magnus_run(h_of_ts, np.ones(3), grid)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
+                                                             logging.DEBUG)] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "_magnus_run: 2 runs of 2100 steps in 2 blocks of 2048 steps (Cayley-Klein scan)",
+        "_magnus_run: 1 runs of 600 steps in 2 blocks of 512 steps (eigh loop)"]
+
+
+def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
+    # the run records go to logging only: a two-level ramp and a three-level
+    # cycle write the same bytes with and without DEBUG records captured,
+    # and print nothing to stderr
+    import logging
+    from spinberry.cli import main
+    sched = tmp_path / "cycle.sched"
+    sched.write_text("lambda0 = 0.9\n"
+                     "segment1.kind = rotate\nsegment1.duration = 20\n"
+                     "segment1.alpha_half_turns = 1\n")
+    commands = [["ramp", "--spin", "2", "--m", "-1", "--lambda0", "1", "--T", "5,8"],
+                ["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0"]]
+    outputs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        caplog.clear()
+        with caplog.at_level(level, logger="spinberry.dynamics"):
+            for k, argv in enumerate(commands):
+                out = tmp_path / f"{level}-{k}.out"
+                assert main(argv + ["--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        outputs.append(capsys.readouterr())
+        assert outputs[-1].err == ""
+        paths = [r.getMessage().split("(")[-1] for r in caplog.records
+                 if r.getMessage().startswith("_magnus_run")]
+        assert paths == ([] if level == logging.WARNING
+                         else ["Cayley-Klein scan)"] * 2 + ["eigh loop)"])
+    assert outputs[:3] == outputs[3:]
+
+
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_two_level_steps_match_exact_exponentials(complex_):
     # up to ||H|| dt = 50, against the CF4 step at 40 digits: there the eigh
@@ -569,14 +681,16 @@ _TWO_LEVEL_BLOCKS = ([(2, m) for m in (1.0, -1.0)]
 @pytest.mark.parametrize("two_s, m", _TWO_LEVEL_BLOCKS)
 def test_two_level_block_runs_match_eigh_steps(two_s, m, monkeypatch):
     # every two-dimensional parity-block run, on a ramp and on an alpha-cycle,
-    # against the same run on eigh steps
+    # against the same run on eigh steps applied one at a time, with eigh
+    # references: the largest difference is 1.2e-14, in <Sigma_z>
+    from conftest import _eigh_block_spectra, _recorded_block_spectra
     from spinberry import dynamics
     rep = spin_matrices(two_s)
     schedules = [dynamics._ramp(-0.97, 12.0, "blackman"), alpha_rotation_cycle(0.8, 2, 6.0)]
-    dims = _magnus_dims(monkeypatch)
     ours = [dynamics._tracked_run(rep, m, sched) for sched in schedules]
-    assert dims == [2, 2]
-    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    calls = []
+    monkeypatch.setattr(dynamics, "_magnus_run", _step_loop(_eigh_cf4_steps, calls))
+    eigh_block_spectra = _recorded_block_spectra(monkeypatch, _eigh_block_spectra)
     for res, sched in zip(ours, schedules):
         ref = dynamics._tracked_run(rep, m, sched)
         assert np.abs(res.final_state - ref.final_state).max() < 1e-12
@@ -584,17 +698,19 @@ def test_two_level_block_runs_match_eigh_steps(two_s, m, monkeypatch):
         assert abs(res.geometric_phase - ref.geometric_phase) < 1e-12
         assert abs(res.sz_expectation - ref.sz_expectation) < 1e-12
         assert abs(res.leakage - ref.leakage) < 1e-12
+    assert calls == [(1, 2)] * 2
+    assert [size for size, _ in eigh_block_spectra] == [2] * 2
 
 
 def test_spin_half_phi_cycle_matches_eigh_steps(monkeypatch):
     # the complex full-dimension 2x2 run of a phi-cycle
     from spinberry import dynamics
     sched = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=8.0, lambda0=0.3)
-    dims = _magnus_dims(monkeypatch)
     ours = run_cycle(HALF, 0.5, sched)
-    assert dims == [2]
-    monkeypatch.setattr(dynamics, "_cf4_propagators", _eigh_cf4_steps)
+    calls = []
+    monkeypatch.setattr(dynamics, "_magnus_run", _step_loop(_eigh_cf4_steps, calls))
     ref = run_cycle(HALF, 0.5, sched)
+    assert calls == [(1, 2)]
     assert np.abs(ours.final_state - ref.final_state).max() < 1e-12
     assert abs(ours.total_phase - ref.total_phase) < 1e-12
     assert abs(ours.geometric_phase - ref.geometric_phase) < 1e-12
@@ -876,26 +992,27 @@ def test_mirror_pair_is_two_tracked_runs(monkeypatch):
                                               - pair.mirrored.geometric_phase)
 
 
-def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_calls):
-    # cycle --spin 2 --m 1: the references of the stacked pair come from one
-    # stacked eigh of m = 1's 2x2 block at the step ends and midpoints; the
-    # other (3x3) block is never solved
+def _cycle_solves(m, tmp_path, monkeypatch, spectra_calls):
+    """Run ``cycle --spin 2 --m m`` on a ramp-rotate-ramp schedule; return
+    the grid of each references call, the block sizes each solves, and every
+    eigh call as (inside the references, of Sigma_y, shape)."""
     from spinberry import dynamics
     from spinberry.cli import main
     eigh, references = np.linalg.eigh, dynamics._references
-    solves, spectra, inside = [], [], []
+    solves, spectra, grids, inside = [], [], [], []
 
     def counted_eigh(a, *args, **kwargs):
-        if inside:
-            solves.append(np.shape(a))
+        solves.append((bool(inside), np.array_equal(a, S2.sigma_y), np.shape(a)))
         return eigh(a, *args, **kwargs)
 
     def counted_references(rep, m, schedule, grid):
-        inside.append(grid)
+        grids.append(grid)
+        inside.append(True)
         before = len(spectra_calls)
         try:
             return references(rep, m, schedule, grid)
         finally:
+            inside.pop()
             spectra.append([size for size, _ in spectra_calls[before:]])
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -908,10 +1025,29 @@ def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_
                      "segment2.alpha_half_turns = 1\n"
                      "segment3.kind = ramp\nsegment3.duration = 10\n"
                      "segment3.lambda_to = 0.0\n")
-    assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
+    assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", str(m),
                  "--out", str(tmp_path / "cycle.json")]) == 0
-    assert len(inside) == 1 and spectra == [[2]]
-    assert solves == [(len(inside[0].halves), 2, 2)]
+    return grids, spectra, solves
+
+
+def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_calls):
+    # cycle --spin 2 --m 1: the references of the stacked pair solve only
+    # m = 1's parity block, once for all step ends and midpoints.  It has two
+    # states and is solved in closed form, as the steps are, so the command
+    # makes no eigh call but spin_matrices' one of Sigma_y (for the frames)
+    grids, spectra, solves = _cycle_solves(1, tmp_path, monkeypatch, spectra_calls)
+    assert len(grids) == 1 and spectra == [[2]]
+    assert solves == [(False, True, (5, 5))]
+
+
+def test_three_state_cycle_references_solve_one_eigh(tmp_path, monkeypatch, spectra_calls):
+    # cycle --spin 2 --m 0: m = 0's parity block has three states, and the
+    # references make exactly one stacked eigh of it at all step ends and
+    # midpoints; the other (2x2) block is never solved
+    grids, spectra, solves = _cycle_solves(0, tmp_path, monkeypatch, spectra_calls)
+    assert len(grids) == 1 and spectra == [[3]]
+    assert ([shape for within, _, shape in solves if within]
+            == [(len(grids[0].halves), 3, 3)])
 
 
 def test_bench_cycle_solves_two_blocks(tmp_path, spectra_calls):

@@ -418,3 +418,35 @@ def test_level_solve_matches_spectra(two_s):
         assert np.all(vectors[:, np.setdiff1d(np.arange(rep.dim), sel), i] == 0.0)
         if zeros:
             assert np.abs(vectors[len(lams) - len(zeros):, i, i]).max() < 1e-12
+
+
+_TWO_STATE_BLOCKS = [(two_s, m) for two_s in range(13) for m in spin_matrices(two_s).m_values
+                     if len(_block(spin_matrices(two_s), m)) == 2]
+
+
+@pytest.mark.parametrize("two_s, m", _TWO_STATE_BLOCKS)
+def test_two_state_blocks_match_eigh(two_s, m, monkeypatch):
+    # the closed-form two-state block against stacked eigh with the same
+    # sign rule, with no eigensolve of its own: energies within 1e-15 of the
+    # block's scale, vectors within 1e-15
+    from conftest import _eigh_block_spectra
+    from spinberry import hamiltonian
+    rep = spin_matrices(two_s)
+    lams = np.array([0.0, 1e-12, -1e-12, 0.43, -0.43, 1.0, -1.0, 300.0, -300.0])
+    want = _eigh_block_spectra(rep, m, lams)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("two-state block solved by eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    sel, energies, vectors = hamiltonian._block_spectra(rep, m, lams)
+    np.testing.assert_array_equal(sel, want[0])
+    scale = np.abs(want[1]).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(energies - want[1]) <= 1e-15 * scale)
+    assert np.abs(vectors - want[2]).max() <= 1e-15
+    assert np.all(np.diff(energies, axis=-1) > 0.0)  # ascending
+    assert np.all(np.diagonal(vectors[..., ::-1, :], axis1=-2, axis2=-1) > 0.0)
+    # scalar lambdas give one block, as the stacked ones do
+    scalar = hamiltonian._block_spectra(rep, m, np.float64(0.43))
+    np.testing.assert_array_equal(scalar[1], energies[3])
+    np.testing.assert_array_equal(scalar[2], vectors[3])
