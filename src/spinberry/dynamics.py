@@ -1,19 +1,24 @@
 """Exact time-dependent Schroedinger integration.
 
-Every run goes through one fourth-order Magnus stepper, :func:`_magnus_run`,
-by default at ``STEPS_PER_UNIT`` steps per unit time of each stage
+Every run takes fourth-order Magnus steps (:func:`_cf4_propagators`), by
+default at ``STEPS_PER_UNIT`` steps per unit time of each stage
 (:func:`_step_grid`).  Two-level steps are closed-form SU(2) rotations times
-a phase (:func:`_two_level_steps`), whose prefix products a log-depth scan
-forms; larger ones are formed by stacked ``eigh`` and one Newton-Schulz step
-each and applied in turn.  Where only a run's propagator is needed (the
-stretch tuner of :mod:`spinberry.entangle`), :func:`_run_propagator`
-multiplies the steps pairwise: two-level ones as Cayley-Klein pairs (a, b)
-and a phase, larger ones by stacked matrix products.  Cycles, ramps and the
-four-spin cycle of :mod:`spinberry.entangle` are tracked runs in the
-paper's co-rotating frame, on the tracked level's parity block while phi
-and theta stand still (:func:`_tracked_runs`).
-Their references solve only that block, and a cycle and its mirror image
-step as one run on one sample of lambda(t) and b(t).
+a phase (:func:`_two_level_steps`); larger ones are formed by stacked
+``eigh`` and one Newton-Schulz step each.  A run that needs its state at
+every step (:func:`_magnus_run`) forms two-level prefix products by a
+log-depth scan and applies larger steps in turn.  A run whose final state
+alone is needed is one propagator (:func:`_run_propagator`) that multiplies
+the steps pairwise: two-level ones as Cayley-Klein pairs (a, b) and a
+phase, larger ones by stacked matrix products.  The coupling ramps of
+:func:`ramp_fidelity` and of the stretch tuner of :mod:`spinberry.entangle`
+are such runs, sampled for many durations at once (:func:`_ramp_steps`)
+and integrated on a parity block (:func:`_ramp_propagators`).  Cycles, the
+ramps of :func:`ramp_phase` and the four-spin cycle of
+:mod:`spinberry.entangle` are tracked runs in the paper's co-rotating frame,
+on the tracked level's parity block while phi and theta stand still
+(:func:`_tracked_runs`).  Their references solve only that block, and a
+cycle and its mirror image step as one run on one sample of lambda(t) and
+b(t).
 :func:`propagate` and :func:`lab_hamiltonian` are the references the tests
 hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
 time (and of angles or couplings) take scalars or arrays; arrays give their
@@ -32,6 +37,7 @@ import numpy as np
 from .berry import _quad_grid, _simpson
 from .hamiltonian import (_block, _block_operators, _level, _reduced, labeled_spectrum,
                           polarization)
+from .pulses import PulseShape
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -588,15 +594,62 @@ def _ramp(lambda0: float, duration: float, shape: str) -> CycleSchedule:
     return from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
 
 
+def _ramp_steps(lambda0: float, durations, shape: str, steps: int | None = None):
+    """Step widths (runs, steps) and lambda at the Gauss nodes (runs, steps, 2)
+    of the ramps 0 -> lambda0 of ``durations`` (runs,), sampled for all of
+    them at once: run j is, to the bit, ``_step_grid(_ramp(lambda0, T_j,
+    shape), steps)`` and ``.lam`` at its nodes, and its ragged end is padded
+    with steps of dt = 0 and lambda = 0."""
+    durations = np.asarray(durations, dtype=float)
+    # one Segment checks lambda0, the shape and the first invalid duration
+    Segment("ramp", durations[np.argmin(np.isfinite(durations) & (durations > 0))], shape,
+            lambda_to=lambda0)
+    if steps is None:
+        counts = np.maximum(2, np.round(STEPS_PER_UNIT * durations)).astype(int)
+    elif steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+    else:
+        counts = np.full(durations.shape, steps)
+    k = np.arange(counts.max())
+    taken = k < counts[:, None]
+    dts = durations / counts
+    nodes = np.add.outer(k, [_C_MINUS, _C_PLUS]) * dts[:, None, None]
+    ends = durations[:, None, None]
+    fractions = PulseShape(shape).fraction(np.clip(np.clip(nodes, 0.0, ends) / ends, 0.0, 1.0))
+    return (np.where(taken, dts[:, None], 0.0),
+            np.where(taken[..., None], float(lambda0) * fractions, 0.0))
+
+
+def _ramp_propagators(sz, sxsq, dts, lams):
+    """Propagators (runs, n, n) on a parity block with operators ``sz`` and
+    ``sxsq`` of the ramps ``dts``, ``lams`` of :func:`_ramp_steps`.  A ramp
+    keeps b = 1 and the field axes fixed, so its frames are the identity and
+    its Hamiltonian is Sigma_z + lambda Sigma_x^2, which conserves parity;
+    the padding steps take H = 0 as well as dt = 0, so they are identities
+    to the bit."""
+    h_nodes = lams[..., None, None] * sxsq
+    h_nodes += sz
+    h_nodes[dts == 0.0] = 0.0
+    return _run_propagator(h_nodes, dts)
+
+
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
                   shape: str = "blackman", steps: int | None = None) -> RampResult:
-    """Final <Sigma_z> of the :func:`ramp_phase` run against the adiabatic
-    polarization p(m, lambda0)."""
-    run = ramp_phase(rep, m, lambda0, duration, shape, steps)
+    """Final <Sigma_z> of a coupling ramp 0 -> lambda0 from level m against
+    the adiabatic polarization p(m, lambda0).
+
+    The final state is the ramp's propagator on level m's parity block
+    (:func:`_ramp_propagators`) applied to level m at lambda = 0: the final
+    state of the :func:`ramp_phase` run, to rounding, with no references
+    and no per-step states."""
+    dts, lams = _ramp_steps(lambda0, [duration], shape, steps)
+    sel, _, initial, _ = _level(rep, m, 0.0)
+    psi = np.zeros(rep.dim, dtype=complex)
+    psi[sel] = _ramp_propagators(*_block_operators(rep, sel), dts, lams)[0] @ initial
+    sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = polarization(rep, m, lambda0)
-    return RampResult(sz_final=run.sz_expectation, sz_adiabatic=sz_adiabatic,
-                      deviation=run.sz_expectation - sz_adiabatic,
-                      final_state=run.final_state)
+    return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,
+                      deviation=sz_final - sz_adiabatic, final_state=psi)
 
 
 def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp,
-                       _run_propagator, _step_grid)
+from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_propagators,
+                       _ramp_steps, _run_propagator, _step_grid)
 from .hamiltonian import _block, _block_operators, _label_index
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
@@ -280,9 +280,11 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
     amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once here and
-    the ramps of all stretches are integrated in one stacked call per spin,
-    one spin after the other, on one sample of lambda(t), ragged ends padded
-    with identity steps.  The target's overlap with the cycled Phi^(1) is
+    the ramps of all stretches are integrated in one stacked call per spin
+    (:func:`spinberry.dynamics._ramp_propagators`), one spin after the
+    other, on one sample of lambda(t) for all stretches
+    (:func:`spinberry.dynamics._ramp_steps`), ragged ends padded with
+    identity steps.  The target's overlap with the cycled Phi^(1) is
     (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
     rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
@@ -296,19 +298,10 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
                        _label_index(rep, 1.0) // 2))
 
     def fidelity(stretches):
-        ramps = [_ramp(lambda0, stage_duration * s, _SHAPE) for s in stretches]
-        grids = [_step_grid(ramp) for ramp in ramps]
-        dts = np.zeros((len(ramps), max(len(g.dts) for g in grids)))
-        lams = np.zeros(dts.shape + (2,))
-        for j, (ramp, g) in enumerate(zip(ramps, grids)):
-            dts[j, :len(g.dts)] = g.dts
-            lams[j, :len(g.dts)] = ramp.lam(g.nodes)
+        dts, lams = _ramp_steps(lambda0, stage_duration * np.asarray(stretches), _SHAPE)
         amplitudes = []
-        for (sz, sxsq), u_rot, k in blocks:
-            h_nodes = lams[..., None, None] * sxsq
-            h_nodes += sz
-            h_nodes[dts == 0.0] = 0.0  # H = 0, dt = 0 pads the ragged ends with identity steps
-            up = _run_propagator(h_nodes, dts)[..., k]
+        for operators, u_rot, k in blocks:
+            up = _ramp_propagators(*operators, dts, lams)[..., k]
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2

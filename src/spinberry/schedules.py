@@ -70,12 +70,11 @@ class CycleSchedule:
         T = self.duration
         if not (np.isfinite(T) and T > 0):
             raise ScheduleError(f"duration must be positive, got {T}")
-        checks = [
-            ("theta", self.theta(T) - self.theta(0.0)),
-            ("lambda", self.lam(T) - self.lam(0.0)),
-            ("phi", self.phi(T) - self.phi(0.0) - 2 * np.pi * self.n_phi),
-            ("alpha", self.alpha(T) - self.alpha(0.0) - np.pi * self.n_alpha),
-        ]
+        ends = np.array([0.0, T])  # one array sample per parameter
+        checks = [(name, np.diff(f(ends))[0] - winding) for name, f, winding in (
+            ("theta", self.theta, 0.0), ("lambda", self.lam, 0.0),
+            ("phi", self.phi, 2 * np.pi * self.n_phi),
+            ("alpha", self.alpha, np.pi * self.n_alpha))]
         for name, residual in checks:
             if abs(residual) > _BOUNDARY_TOL:
                 raise ScheduleError(

@@ -625,9 +625,10 @@ def test_magnus_run_logs_what_it_did(caplog):
 
 
 def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
-    # the run records go to logging only: a two-level ramp and a three-level
-    # cycle write the same bytes with and without DEBUG records captured,
-    # and print nothing to stderr
+    # the run records go to logging only: a two-level ramp (one run
+    # propagator per duration) and a three-level cycle (one stepped run)
+    # write the same bytes with and without DEBUG records captured, and
+    # print nothing to stderr
     import logging
     from spinberry.cli import main
     sched = tmp_path / "cycle.sched"
@@ -646,10 +647,11 @@ def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
                 outputs.append(out.read_bytes())
         outputs.append(capsys.readouterr())
         assert outputs[-1].err == ""
-        paths = [r.getMessage().split("(")[-1] for r in caplog.records
-                 if r.getMessage().startswith("_magnus_run")]
+        paths = [(r.getMessage().split(":")[0], r.getMessage().split("(")[-1])
+                 for r in caplog.records]
         assert paths == ([] if level == logging.WARNING
-                         else ["Cayley-Klein scan)"] * 2 + ["eigh loop)"])
+                         else [("_run_propagator", "Cayley-Klein)")] * 2
+                         + [("_magnus_run", "eigh loop)")])
     assert outputs[:3] == outputs[3:]
 
 
@@ -718,11 +720,12 @@ def test_spin_half_phi_cycle_matches_eigh_steps(monkeypatch):
 
 def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     # the tuner's stacked, identity-padded ramp propagators
-    from spinberry import entangle
+    from spinberry import dynamics, entangle
     stretches = np.linspace(0.88, 1.12, 7)
     ours = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
-    monkeypatch.setattr(entangle, "_run_propagator",
-                        lambda h, dts: _matmul_run_propagator(h, dts, _eigh_cf4_steps))
+    for module in (dynamics, entangle):  # the ramps' and the rotation's
+        monkeypatch.setattr(module, "_run_propagator",
+                            lambda h, dts: _matmul_run_propagator(h, dts, _eigh_cf4_steps))
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
     assert np.abs(ours - ref).max() < 1e-12
 
@@ -874,6 +877,60 @@ def test_ramp_fidelity_blackman_vs_linear_short():
     assert res_b.sz_adiabatic == pytest.approx(-2 / np.sqrt(13), abs=1e-10)
     assert abs(res_b.deviation) < 0.01
     assert abs(res_l.deviation) > 2 * abs(res_b.deviation)
+
+
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_ramp_fidelity_matches_ramp_phase(two_s):
+    # the final state from the block's run propagator against the tracked
+    # ramp_phase run, for every level, coupling, shape and step grid
+    import itertools
+    rep = spin_matrices(two_s)
+    for m, lambda0, shape, duration, steps in itertools.product(
+            rep.m_values, (-1.5, 1.0, 5.0), ("linear", "blackman"), (3.0, 7.0, 10.3),
+            (None, 300)):
+        ours = ramp_fidelity(rep, m, lambda0, duration, shape, steps)
+        ref = ramp_phase(rep, m, lambda0, duration, shape, steps)
+        assert np.abs(ours.final_state - ref.final_state).max() < 1e-13
+        assert abs(ours.sz_final - ref.sz_expectation) < 1e-13
+
+
+@pytest.mark.parametrize("steps", [None, 300])
+@pytest.mark.parametrize("shape", ["linear", "blackman"])
+def test_ramp_steps_sample_the_ramp_schedules(shape, steps, monkeypatch):
+    # one vectorised sample of all durations is each ramp's step grid and
+    # lambda(t) at its nodes, to the bit; the padding is dt = 0 and H = 0
+    from spinberry import dynamics
+    from spinberry.hamiltonian import _block, _block_operators
+    durations = np.array([10.3, 25.0, 7.0, 19.6, 12.5, 30.4, 0.02])
+    dts, lams = dynamics._ramp_steps(-0.97, durations, shape, steps)
+    counts = []
+    for j, duration in enumerate(durations):
+        ramp = dynamics._ramp(-0.97, duration, shape)
+        grid = dynamics._step_grid(ramp, steps)
+        n = len(grid.dts)
+        counts.append(n)
+        assert dts[j, :n].tobytes() == grid.dts.tobytes()
+        assert lams[j, :n].tobytes() == ramp.lam(grid.nodes).tobytes()
+        assert not np.any(dts[j, n:]) and not np.any(lams[j, n:])
+    assert dts.shape == (len(durations), max(counts)) and lams.shape == dts.shape + (2,)
+    assert len(set(counts)) == (1 if steps else len(durations))
+    run, samples = dynamics._run_propagator, []
+
+    def recorded(h_nodes, step_dts):
+        samples.append(h_nodes.copy())
+        return run(h_nodes, step_dts)
+
+    monkeypatch.setattr(dynamics, "_run_propagator", recorded)
+    for m in (0.0, 1.0):  # a 3-state and a 2-state block
+        sz, sxsq = _block_operators(S2, _block(S2, m))
+        props = dynamics._ramp_propagators(sz, sxsq, dts, lams)
+        h_nodes = samples[-1]
+        assert not np.any(h_nodes[dts == 0.0])
+        taken = dts > 0.0
+        assert np.array_equal(h_nodes[taken], lams[taken][..., None, None] * sxsq + sz)
+        for j, n in enumerate(counts):  # each padded run against its own
+            alone = run(h_nodes[j:j + 1, :n], dts[j:j + 1, :n])[0]
+            assert np.abs(props[j] - alone).max() < 1e-14
 
 
 def _argmax_tracked_phases(h_of_ts, states, duration):

@@ -422,24 +422,22 @@ def test_tuner_scan_forms_its_steps_in_few_blocks(monkeypatch):
 
 
 def test_tuner_scan_samples_each_ramp_once(monkeypatch):
-    # the tuner's 25-stretch scan samples each stretch's ramp once, lambda(t)
-    # only, and builds both spins' block Hamiltonians from those samples
-    import dataclasses
-    from spinberry import entangle
-    ramp, samples = entangle._ramp, []
+    # the tuner's 25-stretch scan samples the ramps of all stretches in one
+    # vectorised call, shared by both spins, and builds no ramp schedule
+    from spinberry import dynamics, entangle, schedules
+    fidelity = entangle._stretch_fidelity(lambda_max_solve(), 25.0)
+    ramp_steps, calls = entangle._ramp_steps, []
 
-    def counted_ramp(*args):
-        schedule = ramp(*args)
+    def counted(lambda0, durations, shape, steps=None):
+        calls.append(np.array(durations))
+        return ramp_steps(lambda0, durations, shape, steps)
 
-        def counted(name, f):
-            def sampled(t):
-                samples.append(name)
-                return f(t)
-            return sampled
-        return dataclasses.replace(schedule, **{
-            f.name: counted(f.name, getattr(schedule, f.name))
-            for f in dataclasses.fields(schedule) if callable(getattr(schedule, f.name))})
+    def building(*args, **kwargs):
+        raise AssertionError("the scan built a schedule")
 
-    monkeypatch.setattr(entangle, "_ramp", counted_ramp)
-    entangle._stretch_fidelity(lambda_max_solve(), 25.0)(np.linspace(0.88, 1.12, 25))
-    assert samples == ["lam"] * 25
+    monkeypatch.setattr(entangle, "_ramp_steps", counted)
+    for module in (dynamics, schedules):
+        monkeypatch.setattr(module, "from_segments", building)
+    stretches = np.linspace(0.88, 1.12, 25)
+    fidelity(stretches)
+    assert len(calls) == 1 and np.array_equal(calls[0], 25.0 * stretches)

@@ -121,6 +121,31 @@ def test_validate_catches_open_cycles():
         replace(good, n_alpha=2).validate()
 
 
+@pytest.mark.parametrize("name", ["theta", "lambda", "phi", "alpha"])
+def test_validate_names_each_failing_parameter(name):
+    # each parameter is sampled once, at t = 0 and T together, and an open
+    # cycle in any one of them is reported by name with its residual
+    from dataclasses import replace
+    good = three_stage_cycle(0.5, stage_duration=2.0)
+    fields = {"theta": "theta", "lambda": "lam", "phi": "phi", "alpha": "alpha"}
+    samples = []
+
+    def sampled(field, shift):
+        f = getattr(good, field)
+
+        def sample(t):
+            samples.append((field, np.size(t)))
+            return f(t) + shift * np.asarray(t) / good.duration
+        return sample
+
+    bad = replace(good, **{field: sampled(field, 0.25 if key == name else 0.0)
+                           for key, field in fields.items()})
+    with pytest.raises(ScheduleError,
+                       match=rf"^boundary condition violated for {name}: residual 2\.500e-01$"):
+        bad.validate()
+    assert samples == [(field, 2) for field in fields.values()]
+
+
 def test_eta_of_schedule():
     sched = three_stage_cycle(0.5, stage_duration=2.0)
     t_mid = sched.duration / 2
