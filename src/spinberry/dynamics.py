@@ -1,25 +1,26 @@
 """Exact time-dependent Schroedinger integration.
 
-Every run takes fourth-order Magnus steps (:func:`_cf4_propagators`), by
-default at ``STEPS_PER_UNIT`` steps per unit time of each stage
-(:func:`_step_grid`).  Two-level steps are closed-form SU(2) rotations times
-a phase (:func:`_two_level_steps`); larger ones are formed by stacked
+Every run's Hamiltonian is sum_k c_k(t) O_k over K <= 4 fixed operators:
+Sigma_z and Sigma_x^2 of a parity block, plus Sigma_x and Sigma_y while phi
+or theta moves.  The coefficients are sampled once at the Gauss nodes of
+fourth-order Magnus steps (:func:`_cf4_propagators`), by default
+``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), and
+the steps' exponents are formed on them: on two levels as Pauli
+components, whose closed-form SU(2) rotations times a phase build no matrix
+(:func:`_two_level_steps`), on more as matrices exponentiated by stacked
 ``eigh`` and one Newton-Schulz step each.  A run that needs its state at
 every step (:func:`_magnus_run`) forms two-level prefix products by a
 log-depth scan and applies larger steps in turn.  A run whose final state
 alone is needed is one propagator (:func:`_run_propagator`) that multiplies
-the steps pairwise: two-level ones as Cayley-Klein pairs (a, b) and a
-phase, larger ones by stacked matrix products.  The coupling ramps of
-:func:`ramp_fidelity` and of the stretch tuner of :mod:`spinberry.entangle`
-are such runs, sampled for many durations at once (:func:`_ramp_steps`)
-and integrated on a parity block (:func:`_ramp_propagators`).  Cycles, the
-ramps of :func:`ramp_phase` and the four-spin cycle of
-:mod:`spinberry.entangle` are tracked runs in the paper's co-rotating frame,
-on the tracked level's parity block while phi and theta stand still
-(:func:`_tracked_runs`).  Their references solve only that block, and a
-cycle and its mirror image step as one run on one sample of lambda(t) and
-b(t).
-:func:`propagate` and :func:`lab_hamiltonian` are the references the tests
+the steps pairwise, as Cayley-Klein pairs (a, b) and a phase or as stacked
+matrices: the coupling ramps of :func:`ramp_fidelity` and of the stretch
+tuner of :mod:`spinberry.entangle`, sampled for many durations at once
+(:func:`_ramp_steps`).  Cycles, the ramps of :func:`ramp_phase` and the
+four-spin cycle are tracked runs in the paper's co-rotating frame
+(:func:`_tracked_runs`), whose references solve only the tracked level's
+parity block; a cycle and its mirror image step as one run on one sample
+of lambda(t) and b(t).  :func:`propagate` (any h(t), as coefficients of the
+n**2 matrix units) and :func:`lab_hamiltonian` are the references the tests
 hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
 time (and of angles or couplings) take scalars or arrays; arrays give their
 matrices stacked along the leading axes.
@@ -44,7 +45,7 @@ from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 logger = logging.getLogger(__name__)
 
 # Steps whose propagators are formed by one stacked call: enough to
-# amortize the call, few enough that a block's Hamiltonians and propagators
+# amortize the call, few enough that a block's exponents and propagators
 # stay small next to the trajectory.
 _BLOCK_STEPS = 512
 
@@ -57,9 +58,13 @@ _STEP_RUNS = 4096
 # Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _magnus_run).
 _C_MINUS, _C_PLUS = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
 _A_MINUS, _A_PLUS = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
+_CF4_WEIGHTS = np.array([[_A_PLUS, _A_MINUS], [_A_MINUS, _A_PLUS]])
 
 # The one default step density of every run (steps per unit time).
 STEPS_PER_UNIT = 25
+
+# Most steps one run may take, so that an overlong run fails before it allocates.
+_MAX_STEPS = 1_000_000
 
 # Leakage above which a mirror extraction is untrusted (``cycle`` exits 1).
 _LEAKAGE_BOUND = 0.01
@@ -113,6 +118,7 @@ def _grid(edges, counts) -> _Grid:
     """
     if sum(counts) < 2:
         raise ValueError(f"steps must be at least 2, got {sum(counts)}")
+    _bounded(edges[-1] - edges[0], sum(counts))
     pieces = []  # [start, dt, steps] of each run of equal steps
     for start, end, n in zip(edges[:-1], edges[1:], counts):
         dt = (end - start) / n
@@ -127,6 +133,13 @@ def _grid(edges, counts) -> _Grid:
     halves = np.concatenate([start + 0.5 * dt * np.arange(2 * n)
                              for start, dt, n in pieces] + [end])
     return _Grid(dts, nodes, halves)
+
+
+def _bounded(duration, count):
+    """Raise if a run of ``duration`` takes ``count`` > ``_MAX_STEPS`` steps."""
+    if not count <= _MAX_STEPS:
+        raise ValueError(f"a run of duration {duration:g} at {count / duration:g} steps per "
+                         f"unit time takes {count:,.0f} steps, more than {_MAX_STEPS:,}")
 
 
 def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
@@ -144,17 +157,29 @@ def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
     return _grid(edges, counts)
 
 
-def _cf4_exponents(h_nodes):
-    """The CF4 step's two exponents (a+ H- + a- H+, a- H- + a+ H+), (..., dim,
-    dim) each, from the Hamiltonians ``h_nodes`` (..., 2, dim, dim) at its
-    Gauss nodes (see :func:`_cf4_propagators`); the first is applied first."""
-    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
-    return _A_PLUS * h_early + _A_MINUS * h_late, _A_MINUS * h_early + _A_PLUS * h_late
+def _pauli(ops):
+    """Components (x0, x) (K, 4) of 2x2 operators ``ops`` (K, 2, 2),
+    O = x0 + x . sigma: real where every O is Hermitian."""
+    (o00, o01), (o10, o11) = np.moveaxis(ops, 0, -1)
+    pauli = 0.5 * np.stack([o00 + o11, o01 + o10, 1j * (o01 - o10), o00 - o11], axis=-1)
+    return pauli if pauli.imag.any() else pauli.real
 
 
-def _cf4_propagators(h_nodes, dts):
-    """Propagators (..., dim, dim) of CF4 steps of widths ``dts`` (...) from
-    the Hamiltonians ``h_nodes`` (..., 2, dim, dim) at their Gauss nodes.
+def _cf4_exponents(basis, coeffs):
+    """The CF4 step's two exponents (a+ H- + a- H+, a- H- + a+ H+), stacked
+    (2, B, ...), the first applied first (see :func:`_cf4_propagators`), from
+    the coefficients ``coeffs`` (..., 2, K) of its node Hamiltonians on
+    ``basis`` (K, B): the operators' Pauli components (:func:`_pauli`) or the
+    operators flattened.  Weights and basis act as one matrix on all steps."""
+    weights = np.einsum("en,kb->ebnk", _CF4_WEIGHTS, basis).reshape(2 * basis.shape[1], -1)
+    return (weights @ coeffs.reshape(-1, weights.shape[1]).T).reshape(
+        (2, basis.shape[1]) + coeffs.shape[:-2])
+
+
+def _cf4_propagators(ops, coeffs, dts):
+    """Propagators (..., n, n) of CF4 steps of widths ``dts`` (...) of the
+    Hamiltonians sum_k c_k O_k of operators ``ops`` (K, n, n), given by
+    their coefficients ``coeffs`` (..., 2, K) at the steps' Gauss nodes.
 
     The scheme is the fourth-order commutator-free Magnus integrator CF4:2
     of Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) (see also
@@ -166,49 +191,46 @@ def _cf4_propagators(h_nodes, dts):
         exp(-i dt (a- H- + a+ H+)) exp(-i dt (a+ H- + a- H+)),
 
     a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
-    node (the other order is only second order).  Two-level Hamiltonians
-    take the closed form of :func:`_two_level_steps`.  Larger ones form
-    each exponential from an eigendecomposition, all of them by one stacked
-    ``numpy.linalg.eigh``, so every step is unitary to rounding and phases
-    are not polluted by norm drift.  One Newton-Schulz step
-    P (3 - P^dag P) / 2 makes each eigh step propagator unitary to second
-    order in its error: eigh's eigenvectors fall slightly but
-    systematically short of orthonormal, which would otherwise build up as
-    norm drift over thousands of steps.  A step of width 0 with H = 0 is
-    the identity.
+    node (the other order is only second order).  The exponents are linear
+    in H, so they are formed on the coefficients (:func:`_cf4_exponents`),
+    and exponentiated by one stacked ``numpy.linalg.eigh`` (two-level runs
+    take the closed form of :func:`_two_level_steps`), so every step is
+    unitary to rounding.  One Newton-Schulz step P (3 - P^dag P) / 2 makes
+    each step unitary to second order in its error: eigh's eigenvectors
+    fall slightly but systematically short of orthonormal, which would
+    build up as norm drift over thousands of steps.  A step of width 0 with
+    H = 0 is the identity.
     """
-    first, second = _cf4_exponents(h_nodes)
-    if h_nodes.shape[-1] == 2:
-        return _su2_matrices(*_two_level_steps(first, second, dts))
-    w, u = np.linalg.eigh(np.stack([first, second]))
-    applied_first, applied_second = (
-        (u * np.exp(-1j * w * dts[..., None])[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    n = ops.shape[-1]
+    exponents = np.moveaxis(_cf4_exponents(ops.reshape(len(ops), n * n), coeffs), 1, -1)
+    w, u = np.linalg.eigh(exponents.reshape(exponents.shape[:-1] + (n, n)))
+    phase, back = w * dts[..., None], u.conj().swapaxes(-1, -2)  # real for real exponents
+    applied_first, applied_second = ((u * np.cos(phase)[..., None, :]) @ back
+                                     - 1j * ((u * np.sin(phase)[..., None, :]) @ back))
     props = applied_second @ applied_first
-    eye = np.eye(props.shape[-1])
-    return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+    return props @ (1.5 * np.eye(n) - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
 
 
 def _two_level_steps(first, second, dts):
     """CF4 steps exp(-i dt second) exp(-i dt first) of 2x2 Hermitian
-    ``first`` and ``second`` (..., 2, 2), in closed form, as Cayley-Klein
+    exponents given by their Pauli components ``first`` and ``second``
+    (4, ...) (:func:`_cf4_exponents`), in closed form, as Cayley-Klein
     parameters (phase, a, b) (...) of
     U = exp(-i phase) [[a, -conj(b)], [b, conj(a)]], |a|^2 + |b|^2 = 1.
 
     Each exponent dt H = x0 + x . sigma gives
     exp(-i dt H) = exp(-i x0) (cos r - i sinc(r) x . sigma), r = |x|, whose
-    rotation part is the unit quaternion (cos r, sinc(r) x); sinc is
-    ``np.sinc(r / pi)``, exact at r = 0.  The two rotations multiply as
-    quaternions, (c2, s2)(c1, s1) = (c2 c1 - s2 . s1, c2 s1 + c1 s2 + s2 x s1),
+    rotation part is the unit quaternion (cos r, sinc(r) x), where
+    sinc(r) = sin(r) / r is taken as 0 at r = 0 (x = 0).  The rotations multiply
+    as quaternions, (c2, s2)(c1, s1) = (c2 c1 - s2 . s1, c2 s1 + c1 s2 + s2 x s1),
     and the product (c, s) is a = c - i s_z, b = s_y - i s_x, so each step
     is unitary to rounding without an eigensolve.
     """
     def rotation(h):
-        h = h * dts[..., None, None]
-        x = (h[..., 1, 0].real, h[..., 1, 0].imag,
-             0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+        x0, *x = np.real(h) * dts
         r = np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-        sinc = np.sinc(r / np.pi)
-        return 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real, np.cos(r), [sinc * xk for xk in x]
+        sinc = np.sin(r) / np.where(r > 0.0, r, 1.0)
+        return x0, np.cos(r), [sinc * xk for xk in x]
 
     x0_1, c1, (a1, b1, z1) = rotation(first)
     x0_2, c2, (a2, b2, z2) = rotation(second)
@@ -222,11 +244,7 @@ def _two_level_steps(first, second, dts):
 def _su2_matrices(phase, a, b):
     """The matrices exp(-i phase) [[a, -conj(b)], [b, conj(a)]] (..., 2, 2)
     of Cayley-Klein parameters (...) (see :func:`_two_level_steps`)."""
-    props = np.empty(a.shape + (2, 2), dtype=complex)
-    props[..., 0, 0] = a
-    props[..., 0, 1] = -b.conj()
-    props[..., 1, 0] = b
-    props[..., 1, 1] = a.conj()
+    props = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(a.shape + (2, 2))
     return props * np.exp(-1j * phase)[..., None, None]
 
 
@@ -236,16 +254,15 @@ def _cayley_klein(a, b, a_early, b_early):
     return a * a_early - b.conj() * b_early, b * a_early + a.conj() * b_early
 
 
-def _two_level_product(h_nodes, dts):
+def _two_level_product(pauli, coeffs, dts):
     """Time-ordered product (..., 2, 2) of the two-level CF4 steps of widths
-    ``dts`` (..., steps) from ``h_nodes`` (..., steps, 2, 2, 2), composed
-    as Cayley-Klein pairs (:func:`_cayley_klein`) whose phases add, in a
-    balanced tree, an identity step evening an odd count.
-    Each step is unitary to rounding, but over thousands of steps
+    ``dts`` (..., steps) of coefficients ``coeffs`` (..., steps, 2, K) on
+    Pauli components ``pauli`` (:func:`_pauli`): Cayley-Klein pairs
+    (:func:`_cayley_klein`) composed in a balanced tree, phases added, an
+    identity step evening an odd count.  Over thousands of steps
     |a|^2 + |b|^2 drifts from 1 as norm drift would; dividing (a, b) by its
-    root takes the nearest unitary, as the Newton-Schulz step does for eigh
-    steps."""
-    phase, a, b = _two_level_steps(*_cf4_exponents(h_nodes), dts)
+    root takes the nearest unitary, as the Newton-Schulz step does."""
+    phase, a, b = _two_level_steps(*_cf4_exponents(pauli, coeffs), dts)
     while a.shape[-1] > 1:
         if a.shape[-1] % 2:
             a = np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
@@ -255,12 +272,11 @@ def _two_level_product(h_nodes, dts):
     return _su2_matrices(np.sum(phase, axis=-1), a[..., 0] / norm, b[..., 0] / norm)
 
 
-def _matmul_product(h_nodes, dts):
-    """Time-ordered product (..., dim, dim) of the CF4 steps of widths
-    ``dts`` (..., steps) from ``h_nodes`` (..., steps, 2, dim, dim), by
-    pairwise stacked matrix products, an identity step evening an odd
-    count."""
-    props = _cf4_propagators(h_nodes, dts)
+def _matmul_product(ops, coeffs, dts):
+    """Time-ordered product (..., n, n) of the CF4 steps of widths ``dts``
+    (..., steps) of coefficients ``coeffs`` (..., steps, 2, K) on ``ops``, by
+    pairwise stacked matrix products, an identity step evening an odd count."""
+    props = _cf4_propagators(ops, coeffs, dts)
     eye = np.eye(props.shape[-1])
     while props.shape[-3] > 1:
         if props.shape[-3] % 2:
@@ -270,100 +286,92 @@ def _matmul_product(h_nodes, dts):
     return props[..., 0, :, :]
 
 
-def _run_propagator(h_nodes, dts):
-    """Propagators (..., dim, dim) of runs of CF4 steps of widths ``dts``
-    (..., steps) from the Hamiltonians ``h_nodes`` (..., steps, 2, dim, dim)
-    at their Gauss nodes (see :func:`_cf4_propagators`).
+def _log_run(name, ops, coeffs, dts, blocks, block, path):
+    """Log a run at DEBUG level with its number K of operators and the bound
+    sum_k |c_k| ||O_k|| dt on max ||H|| dt, ||O_k|| <= its largest row sum."""
+    if logger.isEnabledFor(logging.DEBUG):
+        with np.errstate(all="ignore"):
+            bound = np.max(np.abs(coeffs) @ np.abs(ops).sum(axis=-1).max(axis=-1)
+                           * dts[..., None], initial=0.0)
+        logger.debug("%s: %d runs of %d steps in %d blocks of %d steps, K = %d, "
+                     "max ||H|| dt <= %.3g (%s)", name, coeffs[..., 0, 0, 0].size,
+                     dts.shape[-1], blocks, block, len(ops), bound, path)
 
-    The steps of all runs are formed and multiplied a block of steps at a
-    time, which bounds the memory a stack of runs takes, and the blocks'
-    products are multiplied in time order.  Two-level steps are composed
-    as Cayley-Klein pairs (:func:`_two_level_product`), about
-    ``_STEP_RUNS`` steps of all runs per block; larger ones are formed by
-    stacked ``eigh``, about ``_BLOCK_STEPS`` per block, and multiplied by
-    stacked matrix products (:func:`_matmul_product`).  The runs, steps,
-    blocks and path are logged at DEBUG level.
-    """
+
+def _run_propagator(ops, coeffs, dts):
+    """Propagators (..., n, n) of runs of CF4 steps of widths ``dts``
+    (..., steps) of the Hamiltonians sum_k c_k O_k of ``ops`` (K, n, n),
+    given by their coefficients ``coeffs`` (..., steps, 2, K) at the Gauss
+    nodes (see :func:`_cf4_propagators`).  The steps of all runs are formed
+    and multiplied a block at a time, which bounds the memory a stack of
+    runs takes: as Cayley-Klein pairs on two levels, about ``_STEP_RUNS``
+    steps of all runs per block (:func:`_two_level_product`), else by
+    stacked ``eigh`` and matrix products, about ``_BLOCK_STEPS`` per block
+    (:func:`_matmul_product`).  The run is logged (:func:`_log_run`)."""
     steps = dts.shape[-1]
-    runs = dts.size // steps
-    two_level = h_nodes.shape[-1] == 2
-    block = max(1, (_STEP_RUNS if two_level else _BLOCK_STEPS) // runs)
+    two_level = ops.shape[-1] == 2
+    block = max(1, (_STEP_RUNS if two_level else _BLOCK_STEPS) * steps // dts.size)
     starts = range(0, steps, block)
-    logger.debug("_run_propagator: %d runs of %d steps in %d blocks of %d steps (%s)",
-                 runs, steps, len(starts), block, "Cayley-Klein" if two_level else "eigh")
-    product = _two_level_product if two_level else _matmul_product
-    total = np.eye(h_nodes.shape[-1])
+    _log_run("_run_propagator", ops, coeffs, dts, len(starts), block,
+             "Cayley-Klein" if two_level else "eigh")
+    product, basis = (_two_level_product, _pauli(ops)) if two_level else (_matmul_product, ops)
+    total = np.eye(ops.shape[-1])
     for first in starts:
-        total = product(h_nodes[..., first:first + block, :, :, :],
+        total = product(basis, coeffs[..., first:first + block, :, :],
                         dts[..., first:first + block]) @ total
     return total
 
 
-def _magnus_run(h_of_ts, initial, grid: _Grid):
-    """States at the step ends of ``grid`` of runs from ``initial``
-    (..., dim), stacked on its leading axes: shape (..., steps + 1, dim),
-    where row k of a run is its state after k steps.
+def _magnus_run(ops, coeffs, dts, initial):
+    """States at the step ends of runs of CF4 steps (:func:`_cf4_propagators`)
+    of widths ``dts`` (steps,) from ``initial`` (..., n), stacked on its
+    leading axes: shape (..., steps + 1, n), where row k of a run is its
+    state after k steps.  Run j's Hamiltonians are sum_k c_k O_k of ``ops``
+    (K, n, n), given by their coefficients ``coeffs[j]`` (steps, 2, K) at
+    the Gauss nodes.  The steps are formed a block at a time.
 
-    The steps are CF4 steps (:func:`_cf4_propagators`).  ``h_of_ts(ts)``
-    returns the Hermitian Hamiltonians (..., len(ts), dim, dim) of every run
-    at a 1-d array of times; it is sampled, and the steps formed, a block at
-    a time.  A block of two-level steps (about ``_STEP_RUNS`` steps of all
-    runs) gives all its states at once: a log-depth (Hillis-Steele) scan of
+    A block of two-level steps (about ``_STEP_RUNS`` steps of all runs)
+    gives all its states at once: a log-depth (Hillis-Steele) scan of
     :func:`_cayley_klein` and a cumulative product of phase factors (a sum
     of phases would round to eps times the running phase) form the prefix
     products, unrenormalized so that the norm drift is the integrator's
-    rounding.  Larger steps (``_BLOCK_STEPS`` per block) are applied in
-    turn, one stacked matrix-vector product per step for all runs.  The
-    runs, steps, blocks and path are logged at DEBUG level.
-
-    The default density of ``STEPS_PER_UNIT`` steps per unit time assumes
-    max ||H|| dt <~ 1; larger spins or couplings should pass more steps
-    (``--steps`` on the command line).
+    rounding.  Larger steps
+    (``_BLOCK_STEPS`` per block) are applied in turn, one stacked
+    matrix-vector product per step for all runs.  The run is logged with a
+    bound on max ||H|| dt (:func:`_log_run`), which the default density
+    assumes <~ 1: larger spins or couplings should pass more ``--steps``.
     """
     psi = np.asarray(initial, dtype=complex)[..., None]
-    states = np.empty((len(grid.dts) + 1,) + psi.shape, dtype=complex)
+    states = np.empty((len(dts) + 1,) + psi.shape, dtype=complex)
     states[0] = psi
-    runs, two_level = psi[..., 0, 0].size, psi.shape[-2] == 2
-    size = max(1, _STEP_RUNS // runs) if two_level else _BLOCK_STEPS
-    starts = range(0, len(grid.dts), size)
-    logger.debug("_magnus_run: %d runs of %d steps in %d blocks of %d steps (%s)",
-                 runs, len(grid.dts), len(starts), size,
-                 "Cayley-Klein scan" if two_level else "eigh loop")
+    two_level = psi.shape[-2] == 2
+    size = max(1, _STEP_RUNS // psi[..., 0, 0].size) if two_level else _BLOCK_STEPS
+    starts = range(0, len(dts), size)
+    _log_run("_magnus_run", ops, coeffs, dts, len(starts), size,
+             "Cayley-Klein scan" if two_level else "eigh loop")
+    pauli = _pauli(ops) if two_level else None
     for first in starts:
         block = slice(first, first + size)
-        nodes = grid.nodes[block]
-        h_nodes = np.reshape(h_of_ts(nodes.ravel()),
-                             psi.shape[:-2] + nodes.shape + psi.shape[-2:-1] * 2)
+        steps = len(dts[block])
         if two_level:
-            phase, a, b = _two_level_steps(*_cf4_exponents(h_nodes), grid.dts[block])
+            phase, a, b = _two_level_steps(*_cf4_exponents(pauli, coeffs[..., block, :, :]),
+                                           dts[block])
             shift = 1
-            while shift < len(nodes):
+            while shift < steps:
                 a[..., shift:], b[..., shift:] = _cayley_klein(
                     a[..., shift:], b[..., shift:], a[..., :-shift], b[..., :-shift])
                 shift *= 2
             turn = np.cumprod(np.exp(-1j * phase), axis=-1)
             up, down = _cayley_klein(a, b, psi[..., 0, :], psi[..., 1, :])  # U psi
-            ends = np.moveaxis(states[first + 1:first + 1 + len(nodes), ..., 0], 0, -2)
+            ends = np.moveaxis(states[first + 1:first + 1 + steps, ..., 0], 0, -2)
             ends[..., 0], ends[..., 1] = turn * up, turn * down
-            psi = states[first + len(nodes)]
+            psi = states[first + steps]
             continue
-        props = np.moveaxis(_cf4_propagators(h_nodes, grid.dts[block]), -3, 0)
+        props = np.moveaxis(_cf4_propagators(ops, coeffs[..., block, :, :], dts[block]), -3, 0)
         for k, prop in enumerate(props, first + 1):
             psi = prop @ psi
             states[k] = psi
     return np.moveaxis(states[..., 0], 0, -2)
-
-
-def _checked(h_of_ts):
-    """A caller's h(ts) for the kernel; rejects non-Hermitian samples."""
-    def checked(ts):
-        h = np.asarray(h_of_ts(ts))
-        scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-        skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        if np.any(skew > 1e-12 * scale):
-            raise ValueError("Hamiltonian is not Hermitian")
-        return h
-    return checked
 
 
 def _norm_drift(states):
@@ -376,12 +384,20 @@ def propagate(h_of_ts, initial, duration, steps):
     """Fourth-order Magnus run of ``steps`` equal steps (see
     :func:`_magnus_run`); returns (times, final state, norm_drift).
 
-    ``h_of_ts(ts)`` takes an array of times and returns the Hamiltonians
-    at those times stacked along the first axis.
+    ``h_of_ts(ts)`` takes an array of times and returns the Hermitian
+    Hamiltonians at those times stacked along the first axis; the run takes
+    them as coefficients of the n**2 matrix units.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    states = _magnus_run(_checked(h_of_ts), initial, _grid([0.0, duration], [steps]))
+    grid = _grid([0.0, duration], [steps])
+    h = np.asarray(h_of_ts(grid.nodes.ravel()))
+    skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(skew > 1e-12 * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))):
+        raise ValueError("Hamiltonian is not Hermitian")
+    n = h.shape[-1]
+    states = _magnus_run(np.eye(n * n).reshape(n * n, n, n),
+                         h.reshape(len(grid.dts), 2, n * n), grid.dts, initial)
     return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
 
 
@@ -416,35 +432,37 @@ def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                       @ u.conj().swapaxes(-1, -2))
 
 
-def _coriolis_term(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
-    """The Coriolis field of the frame rotation rates (:func:`coriolis_operators`)."""
-    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t), schedule.alpha(t))
-    return (_stacked(schedule.alpha_dot(t)) * d_alpha + _stacked(schedule.phi_dot(t)) * d_phi
-            + _stacked(schedule.theta_dot(t)) * d_theta)
-
-
 def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
-    """Co-rotating-frame Hamiltonian: reduced part plus the Coriolis field."""
+    """Co-rotating-frame Hamiltonian: reduced part less the Coriolis field of
+    the frame rotation rates (:func:`coriolis_operators`)."""
+    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t), schedule.alpha(t))
     return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
-            - _coriolis_term(rep, schedule, t))
+            - (_stacked(schedule.alpha_dot(t)) * d_alpha + _stacked(schedule.phi_dot(t)) * d_phi
+               + _stacked(schedule.theta_dot(t)) * d_theta))
 
 
 def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
-    """Basis indices and h(ts), (len(schedules), len(ts), n, n), of the
-    co-rotating-frame Hamiltonians of runs from level m that sample
-    ``nodes`` and share lambda(t) and b(t): b (Sigma_z + lambda Sigma_x^2)
-    is sampled once, and each run subtracts its own Coriolis term.  While
-    phi and theta stand still at every node, that is alpha_dot Sigma_z,
-    which conserves the parity (-1)^(S-m), and only m's real block is kept."""
-    moving = any(np.any(s.phi_dot(nodes)) or np.any(s.theta_dot(nodes)) for s in schedules)
+    """Basis indices, operators O_k (K, n, n) and coefficients
+    (len(schedules), steps, 2, K) at ``nodes`` of the co-rotating-frame
+    Hamiltonians sum_k c_k O_k of runs from level m that share lambda(t) and
+    b(t), less each run's Coriolis term (:func:`coriolis_operators`).  While
+    phi and theta stand still at every node, that is (b - alpha_dot) Sigma_z
+    + b lambda Sigma_x^2, which conserves the parity (-1)^(S-m), and only
+    m's real block is kept; else phi and theta add Sigma_x and Sigma_y."""
+    b, lam = schedules[0].b(nodes), schedules[0].lam(nodes)
+    rates = [(s.alpha_dot(nodes), s.phi_dot(nodes), s.theta_dot(nodes)) for s in schedules]
+    moving = any(np.any(rate[1:]) for rate in rates)
     sel = np.arange(rep.dim) if moving else _block(rep, m)
-    sz, sxsq = _block_operators(rep, sel)
-
-    def h_of_ts(ts):
-        shared = _stacked(schedules[0].b(ts)) * (sz + _stacked(schedules[0].lam(ts)) * sxsq)
-        return np.stack([shared - (_coriolis_term(rep, s, ts) if moving
-                                   else _stacked(s.alpha_dot(ts)) * sz) for s in schedules])
-    return sel, h_of_ts
+    ops = _block_operators(rep, sel) + ((rep.sigma_x, rep.sigma_y) if moving else ())
+    coeffs = np.empty((len(schedules),) + np.shape(nodes) + (len(ops),))
+    for c, s, (alpha_dot, phi_dot, theta_dot) in zip(coeffs, schedules, rates):
+        c[..., 0], c[..., 1] = b - alpha_dot, b * lam
+        if moving:
+            theta, alpha = s.theta(nodes), s.alpha(nodes)
+            c[..., 0] -= phi_dot * np.cos(theta)
+            c[..., 2] = phi_dot * np.sin(theta) * np.cos(alpha) - theta_dot * np.sin(alpha)
+            c[..., 3] = -phi_dot * np.sin(theta) * np.sin(alpha) - theta_dot * np.cos(alpha)
+    return sel, np.stack(ops), coeffs
 
 
 def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
@@ -478,9 +496,9 @@ def _tracked_runs(rep: SpinRep, m: float, schedules, steps: int | None = None):
     non-finite run leaks NaN, which no bound accepts."""
     grid = _step_grid(schedules[0], steps)
     step_phases, refs = _references(rep, m, schedules[0], grid)
-    sel, h_of_ts = _block_hamiltonian(rep, m, schedules, grid.nodes)
-    runs = _magnus_run(h_of_ts, np.broadcast_to(refs[0, sel], (len(schedules), len(sel))),
-                       grid)
+    sel, ops, coeffs = _block_hamiltonian(rep, m, schedules, grid.nodes)
+    runs = _magnus_run(ops, coeffs, grid.dts,
+                       np.broadcast_to(refs[0, sel], (len(schedules), len(sel))))
     dynamical = float(np.sum(step_phases))
     results = []
     for schedule, states in zip(schedules, runs):
@@ -605,11 +623,12 @@ def _ramp_steps(lambda0: float, durations, shape: str, steps: int | None = None)
     Segment("ramp", durations[np.argmin(np.isfinite(durations) & (durations > 0))], shape,
             lambda_to=lambda0)
     if steps is None:
-        counts = np.maximum(2, np.round(STEPS_PER_UNIT * durations)).astype(int)
+        counts = np.maximum(2, np.round(STEPS_PER_UNIT * durations))
     elif steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     else:
         counts = np.full(durations.shape, steps)
+    _bounded(durations[np.argmax(counts)], counts.max())
     k = np.arange(counts.max())
     taken = k < counts[:, None]
     dts = durations / counts
@@ -620,17 +639,14 @@ def _ramp_steps(lambda0: float, durations, shape: str, steps: int | None = None)
             np.where(taken[..., None], float(lambda0) * fractions, 0.0))
 
 
-def _ramp_propagators(sz, sxsq, dts, lams):
-    """Propagators (runs, n, n) on a parity block with operators ``sz`` and
-    ``sxsq`` of the ramps ``dts``, ``lams`` of :func:`_ramp_steps`.  A ramp
-    keeps b = 1 and the field axes fixed, so its frames are the identity and
-    its Hamiltonian is Sigma_z + lambda Sigma_x^2, which conserves parity;
-    the padding steps take H = 0 as well as dt = 0, so they are identities
-    to the bit."""
-    h_nodes = lams[..., None, None] * sxsq
-    h_nodes += sz
-    h_nodes[dts == 0.0] = 0.0
-    return _run_propagator(h_nodes, dts)
+def _ramp_propagators(ops, dts, lams):
+    """Propagators (runs, n, n) of the ramps ``dts``, ``lams`` of
+    :func:`_ramp_steps` on a parity block of operators ``ops`` (Sigma_z,
+    Sigma_x^2).  A ramp keeps b = 1 and its field axes, so its frames are the
+    identity and its coefficients (1, lambda); padding steps take H = 0 as
+    well as dt = 0, so they are identities to the bit."""
+    coeffs = np.stack(np.broadcast_arrays(dts[..., None] > 0.0, lams), axis=-1)
+    return _run_propagator(ops, coeffs, dts)
 
 
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
@@ -645,7 +661,7 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     dts, lams = _ramp_steps(lambda0, [duration], shape, steps)
     sel, _, initial, _ = _level(rep, m, 0.0)
     psi = np.zeros(rep.dim, dtype=complex)
-    psi[sel] = _ramp_propagators(*_block_operators(rep, sel), dts, lams)[0] @ initial
+    psi[sel] = _ramp_propagators(np.stack(_block_operators(rep, sel)), dts, lams)[0] @ initial
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = polarization(rep, m, lambda0)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_propagators,
                        _ramp_steps, _run_propagator, _step_grid)
-from .hamiltonian import _block, _block_operators, _label_index
+from .hamiltonian import _label_index
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -291,17 +291,17 @@ def _stretch_fidelity(lambda0: float, stage_duration: float):
     grid = _step_grid(rotation)
     blocks = []
     for rep in (spin_matrices(4), spin_matrices(2)):
-        h_of_ts = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)[1]
-        u_rot = _run_propagator(h_of_ts(grid.nodes)[0], grid.dts)
-        # the block is every other basis index, so M = 1 sits at index // 2
-        blocks.append((_block_operators(rep, _block(rep, 1.0)), u_rot,
+        _, ops, coeffs = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)
+        # the block is every other basis index, so M = 1 sits at index // 2;
+        # its operators (Sigma_z, Sigma_x^2) are the ramps' too
+        blocks.append((ops, _run_propagator(ops, coeffs[0], grid.dts),
                        _label_index(rep, 1.0) // 2))
 
     def fidelity(stretches):
         dts, lams = _ramp_steps(lambda0, stage_duration * np.asarray(stretches), _SHAPE)
         amplitudes = []
-        for operators, u_rot, k in blocks:
-            up = _ramp_propagators(*operators, dts, lams)[..., k]
+        for ops, u_rot, k in blocks:
+            up = _ramp_propagators(ops, dts, lams)[..., k]
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2

@@ -140,8 +140,9 @@ class _PiecewiseParam:
         self.durations = np.asarray(durations, dtype=float)
         self.base_values = np.asarray(base_values, dtype=float)
         self.deltas = np.asarray(deltas, dtype=float)
-        self.kinds = np.array(kinds)
-        self.pulses = {kind: PulseShape(kind) for kind in kinds}
+        names = list(dict.fromkeys(kinds))
+        self.pulses = [PulseShape(name) for name in names]
+        self.pulse_index = np.array([names.index(kind) for kind in kinds])
         self.total = starts[-1] + durations[-1]
 
     def _shaped(self, method, t):
@@ -151,9 +152,12 @@ class _PiecewiseParam:
         i = np.clip(np.searchsorted(self.starts, t, side="right") - 1,
                     0, len(self.starts) - 1)
         s = np.clip((t - self.starts[i]) / self.durations[i], 0.0, 1.0)
+        if len(self.pulses) == 1:
+            return i, getattr(self.pulses[0], method)(s)
         out = np.empty(np.shape(s))
-        for kind, pulse in self.pulses.items():
-            sel = self.kinds[i] == kind
+        index = self.pulse_index[i]
+        for k, pulse in enumerate(self.pulses):
+            sel = index == k
             out[sel] = getattr(pulse, method)(s[sel])
         return i, out
 

@@ -229,8 +229,8 @@ def test_stepper_matches_per_step_loop(steps):
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
             grid = _step_grid(cycle, steps)
-            sel, h_of_ts = _block_hamiltonian(rep, 1.0, [cycle], grid.nodes)
-            block = _magnus_run(h_of_ts, start[sel][None], grid)[0]
+            sel, ops, coeffs = _block_hamiltonian(rep, 1.0, [cycle], grid.nodes)
+            block = _magnus_run(ops, coeffs, grid.dts, start[sel][None])[0]
             assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
             amps = multiplet[:, rows[0]]
@@ -244,9 +244,9 @@ def _magnus_dims(monkeypatch):
     from spinberry import dynamics
     dims, run = [], dynamics._magnus_run
 
-    def recording(h_of_ts, initial, grid):
+    def recording(ops, coeffs, dts, initial):
         dims.append(np.shape(initial)[-1])
-        return run(h_of_ts, initial, grid)
+        return run(ops, coeffs, dts, initial)
 
     monkeypatch.setattr(dynamics, "_magnus_run", recording)
     return dims
@@ -427,13 +427,44 @@ def _eigh_cf4_steps(h_nodes, dts):
     return props @ (1.5 * eye - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
 
 
-def _matmul_run_propagator(h_nodes, dts, step_propagators=None):
+_PAULI_OPS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]])
+
+
+def _coefficients(h_nodes):
+    """Operators and coefficients (..., K) of sampled Hermitian Hamiltonians
+    ``h_nodes`` (..., n, n): on two levels the real Pauli components on
+    (1, sigma_x, sigma_y, sigma_z), on more the n**2 matrix units."""
+    n = h_nodes.shape[-1]
+    if n == 2:
+        return _PAULI_OPS, np.stack([0.5 * (h_nodes[..., 0, 0] + h_nodes[..., 1, 1]).real,
+                                     h_nodes[..., 1, 0].real, h_nodes[..., 1, 0].imag,
+                                     0.5 * (h_nodes[..., 0, 0] - h_nodes[..., 1, 1]).real],
+                                    axis=-1)
+    return np.eye(n * n).reshape(n * n, n, n), h_nodes.reshape(h_nodes.shape[:-2] + (n * n,))
+
+
+def _matrices(ops, coeffs):
+    """The Hamiltonians sum_k c_k O_k (..., n, n) of coefficients (..., K)."""
+    return np.tensordot(coeffs, ops, axes=(-1, 0))
+
+
+def _library_steps(h_nodes, dts):
+    """The library's CF4 step propagators of sampled matrices, from their
+    coefficients: the closed form on two levels, else ``_cf4_propagators``."""
+    from spinberry.dynamics import (_cf4_exponents, _cf4_propagators, _pauli, _su2_matrices,
+                                    _two_level_steps)
+    ops, coeffs = _coefficients(h_nodes)
+    if h_nodes.shape[-1] == 2:
+        return _su2_matrices(*_two_level_steps(*_cf4_exponents(_pauli(ops), coeffs), dts))
+    return _cf4_propagators(ops, coeffs, dts)
+
+
+def _matmul_run_propagator(h_nodes, dts, step_propagators=_library_steps):
     """Run propagators as stacked matrix products of the CF4 step matrices
     (by default those of ``_cf4_propagators``), about 512 steps of all runs
     at a time, multiplied pairwise in time order: the reference of the
     Cayley-Klein composition of two-level runs."""
-    from spinberry.dynamics import _cf4_propagators
-    step_propagators = step_propagators or _cf4_propagators
     eye = np.eye(h_nodes.shape[-1])
     block = max(1, 512 * dts.shape[-1] // dts.size)
     total = eye
@@ -461,15 +492,14 @@ def _random_two_level_nodes(rng, n, complex_, norm_dts):
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_two_level_steps_match_eigh_steps(complex_):
-    from spinberry.dynamics import _cf4_propagators
     rng = np.random.default_rng(15)
     # ||H|| dt, and with it r = |x|, from 1e-9 to 10
     h, dts = _random_two_level_nodes(rng, 4000, complex_, np.logspace(-9, 1, 4000))
-    got = _cf4_propagators(h, dts)
+    got = _library_steps(h, dts)
     assert np.abs(got - _eigh_cf4_steps(h, dts)).max() < 1e-14
     assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(2)).max() < 1e-14
     # the tuner pads ragged runs with H = 0, dt = 0, which must be the identity
-    padding = _cf4_propagators(np.zeros((3, 2, 2, 2), dtype=h.dtype), np.zeros(3))
+    padding = _library_steps(np.zeros((3, 2, 2, 2), dtype=h.dtype), np.zeros(3))
     np.testing.assert_array_equal(padding, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
@@ -490,7 +520,7 @@ def _assert_unitary(props):
 def test_cayley_klein_runs_match_matmul_products(complex_, runs, steps):
     from spinberry.dynamics import _run_propagator
     h, dts = _two_level_runs(np.random.default_rng(18), runs, steps, complex_)
-    got = _run_propagator(h, dts)
+    got = _run_propagator(*_coefficients(h), dts)
     assert got.shape == (runs, 2, 2)
     assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
     _assert_unitary(got)
@@ -502,11 +532,12 @@ def test_cayley_klein_runs_cross_block_boundaries(complex_):
     from spinberry.dynamics import _STEP_RUNS, _run_propagator
     h, dts = _two_level_runs(np.random.default_rng(19), 5, 2000, complex_)
     assert 2 * (_STEP_RUNS // 5) < 2000
-    got = _run_propagator(h, dts)
+    got = _run_propagator(*_coefficients(h), dts)
     assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
     _assert_unitary(got)
     # each run alone is one block of 2,000 steps
-    alone = np.array([_run_propagator(h_run, dts_run) for h_run, dts_run in zip(h, dts)])
+    alone = np.array([_run_propagator(*_coefficients(h_run), dts_run)
+                      for h_run, dts_run in zip(h, dts)])
     assert np.abs(got - alone).max() < 1e-13
 
 
@@ -520,56 +551,51 @@ def test_cayley_klein_ragged_runs_pad_with_identity_steps(complex_):
     lengths = [1500, 977, 3, 0]
     for k, n in enumerate(lengths):
         h[k, n:], dts[k, n:] = 0.0, 0.0
-    got = _run_propagator(h, dts)
+    got = _run_propagator(*_coefficients(h), dts)
     np.testing.assert_array_equal(got[-1], np.eye(2))
     assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
     _assert_unitary(got)
     for k, n in enumerate(lengths[:-1]):
-        assert np.abs(got[k] - _run_propagator(h[k, :n], dts[k, :n])).max() < 1e-13
+        alone = _run_propagator(*_coefficients(h[k, :n]), dts[k, :n])
+        assert np.abs(got[k] - alone).max() < 1e-13
 
 
 def test_run_propagator_logs_what_it_did(caplog):
     import logging
     from spinberry.dynamics import _run_propagator
+    # the bound on max ||H|| dt is sum_k |c_k| ||O_k|| dt: (0.5 + 0.5) * 0.04
+    # on (1, sigma_x, sigma_y, sigma_z) with one node at c = -0.5 and 0.5 for
+    # sigma_x and sigma_y, and (0.5 + 2 * 1.5) * 0.1 on two 3x3 operators of
+    # largest absolute row sums 1 and 1.5
+    dts = np.full((3, 1500), 0.04)
+    coeffs = np.zeros((3, 1500, 2, 4))
+    coeffs[1, 7, 1, 1:3] = -0.5, 0.5
+    ops = np.array([np.diag([1.0, 0.0, -1.0]), np.full((3, 3), 0.5)])
     with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
-        _run_propagator(np.zeros((3, 1500, 2, 2, 2)), np.zeros((3, 1500)))
-        _run_propagator(np.zeros((2, 300, 2, 3, 3)), np.zeros((2, 300)))
+        _run_propagator(_PAULI_OPS, coeffs, dts)
+        _run_propagator(ops, np.tile([0.5, -2.0], (2, 300, 2, 1)), np.full((2, 300), 0.1))
     assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
                                                              logging.DEBUG)] * 2
     assert [r.getMessage() for r in caplog.records] == [
-        "_run_propagator: 3 runs of 1500 steps in 2 blocks of 1365 steps (Cayley-Klein)",
-        "_run_propagator: 2 runs of 300 steps in 2 blocks of 256 steps (eigh)"]
+        "_run_propagator: 3 runs of 1500 steps in 2 blocks of 1365 steps, K = 4, "
+        "max ||H|| dt <= 0.04 (Cayley-Klein)",
+        "_run_propagator: 2 runs of 300 steps in 2 blocks of 256 steps, K = 2, "
+        "max ||H|| dt <= 0.35 (eigh)"]
 
 
 def _step_loop(step_propagators, calls):
     """A ``_magnus_run`` that forms all steps of a run by
-    ``step_propagators`` and applies them one ``prop @ psi`` at a time, as
-    runs on more than two levels are stepped; each call appends the shape
-    of its initial states to ``calls``."""
-    def run(h_of_ts, initial, grid):
+    ``step_propagators`` on the sampled matrices sum_k c_k O_k and applies
+    them one ``prop @ psi`` at a time, as runs on more than two levels are
+    stepped; each call appends the shape of its initial states to
+    ``calls``."""
+    def run(ops, coeffs, dts, initial):
         calls.append(np.shape(initial))
-        psi = np.asarray(initial, dtype=complex)[..., None]
-        h_nodes = np.reshape(h_of_ts(grid.nodes.ravel()),
-                             psi.shape[:-2] + grid.nodes.shape + psi.shape[-2:-1] * 2)
-        states = [psi]
-        for prop in np.moveaxis(step_propagators(h_nodes, grid.dts), -3, 0):
+        states = [np.asarray(initial, dtype=complex)[..., None]]
+        for prop in np.moveaxis(step_propagators(_matrices(ops, coeffs), dts), -3, 0):
             states.append(prop @ states[-1])
         return np.moveaxis(np.array(states)[..., 0], 0, -2)
     return run
-
-
-def _indexed_run(h_nodes, dts):
-    """``_magnus_run``'s arguments for stacked runs of given node
-    Hamiltonians ``h_nodes`` (..., steps, 2, dim, dim) and widths ``dts``
-    (steps,): the grid's node "times" index the samples."""
-    from spinberry.dynamics import _Grid
-    steps = len(dts)
-    nodes = np.arange(2.0 * steps).reshape(steps, 2)
-    flat = h_nodes.reshape(h_nodes.shape[:-4] + (2 * steps,) + h_nodes.shape[-2:])
-
-    def h_of_ts(ts):
-        return flat[..., ts.astype(int), :, :]
-    return h_of_ts, _Grid(dts, nodes, np.zeros(2 * steps + 1))
 
 
 def _run_drift(states):
@@ -587,7 +613,7 @@ def test_scan_matches_step_loop(complex_, shape, steps):
     # (5,000 steps of one run, 2,100 of two, 1,500 of three) across a block
     # boundary, with ||H|| dt from 1e-9 to 50 and every seventh step of
     # zero width
-    from spinberry.dynamics import _cf4_propagators, _magnus_run
+    from spinberry.dynamics import _magnus_run
     rng = np.random.default_rng(21)
     h, dts = _two_level_runs(rng, int(np.prod(shape)), steps, complex_)
     # every run on the first run's widths, at its own ||H|| dt
@@ -596,9 +622,9 @@ def test_scan_matches_step_loop(complex_, shape, steps):
     dts[::7] = 0.0
     initial = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
     initial /= np.linalg.norm(initial, axis=-1, keepdims=True)
-    h_of_ts, grid = _indexed_run(h, dts)
-    got = _magnus_run(h_of_ts, initial, grid)
-    ref = _step_loop(_cf4_propagators, [])(h_of_ts, initial, grid)
+    ops, coeffs = _coefficients(h)
+    got = _magnus_run(ops, coeffs, dts, initial)
+    ref = _step_loop(_library_steps, [])(ops, coeffs, dts, initial)
     assert got.shape == shape + (steps + 1, 2)
     np.testing.assert_array_equal(got[..., 0, :], initial)
     assert np.abs(got - ref).max() < 1e-13
@@ -612,16 +638,18 @@ def test_scan_matches_step_loop(complex_, shape, steps):
 def test_magnus_run_logs_what_it_did(caplog):
     import logging
     from spinberry.dynamics import _magnus_run
+    # a zero run bounds max ||H|| dt by 0; the 3x3 one by |-3| * 2 * 0.01
     with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
-        h_of_ts, grid = _indexed_run(np.zeros((2, 2100, 2, 2, 2)), np.zeros(2100))
-        _magnus_run(h_of_ts, np.ones((2, 2)), grid)
-        h_of_ts, grid = _indexed_run(np.zeros((600, 2, 3, 3)), np.zeros(600))
-        _magnus_run(h_of_ts, np.ones(3), grid)
+        _magnus_run(_PAULI_OPS[:2], np.zeros((2, 2100, 2, 2)), np.zeros(2100), np.ones((2, 2)))
+        _magnus_run(np.eye(3)[None] * [2.0, 1.0, 0.5], np.full((600, 2, 1), -3.0),
+                    np.full(600, 0.01), np.ones(3))
     assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
                                                              logging.DEBUG)] * 2
     assert [r.getMessage() for r in caplog.records] == [
-        "_magnus_run: 2 runs of 2100 steps in 2 blocks of 2048 steps (Cayley-Klein scan)",
-        "_magnus_run: 1 runs of 600 steps in 2 blocks of 512 steps (eigh loop)"]
+        "_magnus_run: 2 runs of 2100 steps in 2 blocks of 2048 steps, K = 2, "
+        "max ||H|| dt <= 0 (Cayley-Klein scan)",
+        "_magnus_run: 1 runs of 600 steps in 2 blocks of 512 steps, K = 1, "
+        "max ||H|| dt <= 0.06 (eigh loop)"]
 
 
 def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
@@ -647,11 +675,11 @@ def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
                 outputs.append(out.read_bytes())
         outputs.append(capsys.readouterr())
         assert outputs[-1].err == ""
-        paths = [(r.getMessage().split(":")[0], r.getMessage().split("(")[-1])
-                 for r in caplog.records]
+        paths = [(r.getMessage().split(":")[0], r.getMessage().split(", ")[1],
+                  r.getMessage().split("(")[-1]) for r in caplog.records]
         assert paths == ([] if level == logging.WARNING
-                         else [("_run_propagator", "Cayley-Klein)")] * 2
-                         + [("_magnus_run", "eigh loop)")])
+                         else [("_run_propagator", "K = 2", "Cayley-Klein)")] * 2
+                         + [("_magnus_run", "K = 2", "eigh loop)")])
     assert outputs[:3] == outputs[3:]
 
 
@@ -660,10 +688,10 @@ def test_two_level_steps_match_exact_exponentials(complex_):
     # up to ||H|| dt = 50, against the CF4 step at 40 digits: there the eigh
     # step itself is off by about 1e-14
     mpmath = pytest.importorskip("mpmath")
-    from spinberry.dynamics import _A_MINUS, _A_PLUS, _cf4_propagators
+    from spinberry.dynamics import _A_MINUS, _A_PLUS
     rng = np.random.default_rng(16)
     h, dts = _random_two_level_nodes(rng, 60, complex_, np.linspace(10.0, 50.0, 60))
-    got = _cf4_propagators(h, dts)
+    got = _library_steps(h, dts)
     with mpmath.workdps(40):
         a_minus = mpmath.mpf(1) / 4 - mpmath.sqrt(3) / 6
         a_plus = mpmath.mpf(1) / 4 + mpmath.sqrt(3) / 6
@@ -723,10 +751,15 @@ def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     from spinberry import dynamics, entangle
     stretches = np.linspace(0.88, 1.12, 7)
     ours = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
+    calls = []
+
+    def eigh_run(ops, coeffs, dts):
+        calls.append(dts.shape)
+        return _matmul_run_propagator(_matrices(ops, coeffs), dts, _eigh_cf4_steps)
     for module in (dynamics, entangle):  # the ramps' and the rotation's
-        monkeypatch.setattr(module, "_run_propagator",
-                            lambda h, dts: _matmul_run_propagator(h, dts, _eigh_cf4_steps))
+        monkeypatch.setattr(module, "_run_propagator", eigh_run)
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
+    assert len(calls) == 4  # the rotation and the stacked ramps, per spin
     assert np.abs(ours - ref).max() < 1e-12
 
 
@@ -894,6 +927,47 @@ def test_ramp_fidelity_matches_ramp_phase(two_s):
         assert abs(ours.sz_final - ref.sz_expectation) < 1e-13
 
 
+def test_step_count_is_bounded_before_allocating(capsys):
+    # an overlong run fails with its duration, density and count before any
+    # step array exists: the traced peak stays below 1 MB, where one
+    # 1,000,001-step sample would take 8 MB
+    import re
+    import tracemalloc
+    from spinberry import dynamics
+    from spinberry.cli import main
+    over = dynamics._MAX_STEPS + 1
+    calls = [
+        (lambda: dynamics._ramp_steps(1.0, [2.0, 1e9], "blackman"),
+         "duration 1e+09 at 25 steps per unit time takes 25,000,000,000 steps"),
+        (lambda: dynamics._ramp_steps(1.0, [2.0, 4.0], "linear", steps=over),
+         "duration 2 at 500000 steps per unit time takes 1,000,001 steps"),
+        (lambda: dynamics._step_grid(dynamics._ramp(1.0, 1e20, "linear")),
+         "duration 1e+20 at 25 steps per unit time takes 2,500,000,000,000,000,000,000 steps"),
+        (lambda: dynamics._step_grid(three_stage_cycle(0.9, 1.0), steps=over),
+         "duration 4 at 250000 steps per unit time takes 1,000,001 steps"),
+        (lambda: propagate(_constant(HALF.sigma_z), np.array([1.0, 0.0]), 0.5, over),
+         "duration 0.5 at 2e+06 steps per unit time takes 1,000,001 steps"),
+        (lambda: main(["ramp", "--spin", "2", "--m", "0", "--lambda0", "1", "--T", "3,1e9"]),
+         None)]
+    tracemalloc.start()
+    try:
+        for call, message in calls:
+            if message is None:
+                assert call() == 1
+                continue
+            pattern = re.escape(f"{message}, more than 1,000,000") + "$"
+            with pytest.raises(ValueError, match=pattern):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert capsys.readouterr().err == ("error: a run of duration 1e+09 at 25 steps per unit "
+                                       "time takes 25,000,000,000 steps, more than 1,000,000\n")
+    # the longest allowed run passes the bound
+    assert dynamics._ramp_steps(1.0, [4e4], "linear")[0].shape == (1, dynamics._MAX_STEPS)
+
+
 @pytest.mark.parametrize("steps", [None, 300])
 @pytest.mark.parametrize("shape", ["linear", "blackman"])
 def test_ramp_steps_sample_the_ramp_schedules(shape, steps, monkeypatch):
@@ -916,21 +990,23 @@ def test_ramp_steps_sample_the_ramp_schedules(shape, steps, monkeypatch):
     assert len(set(counts)) == (1 if steps else len(durations))
     run, samples = dynamics._run_propagator, []
 
-    def recorded(h_nodes, step_dts):
-        samples.append(h_nodes.copy())
-        return run(h_nodes, step_dts)
+    def recorded(ops, coeffs, step_dts):
+        samples.append(coeffs.copy())
+        return run(ops, coeffs, step_dts)
 
     monkeypatch.setattr(dynamics, "_run_propagator", recorded)
     for m in (0.0, 1.0):  # a 3-state and a 2-state block
-        sz, sxsq = _block_operators(S2, _block(S2, m))
-        props = dynamics._ramp_propagators(sz, sxsq, dts, lams)
-        h_nodes = samples[-1]
-        assert not np.any(h_nodes[dts == 0.0])
+        ops = np.stack(_block_operators(S2, _block(S2, m)))
+        props = dynamics._ramp_propagators(ops, dts, lams)
+        coeffs = samples[-1]
+        assert not np.any(coeffs[dts == 0.0])
         taken = dts > 0.0
-        assert np.array_equal(h_nodes[taken], lams[taken][..., None, None] * sxsq + sz)
+        assert np.array_equal(coeffs[taken][..., 0], np.ones_like(lams[taken]))
+        assert np.array_equal(coeffs[taken][..., 1], lams[taken])
         for j, n in enumerate(counts):  # each padded run against its own
-            alone = run(h_nodes[j:j + 1, :n], dts[j:j + 1, :n])[0]
+            alone = run(ops, coeffs[j:j + 1, :n], dts[j:j + 1, :n])[0]
             assert np.abs(props[j] - alone).max() < 1e-14
+    assert len(samples) == 2
 
 
 def _argmax_tracked_phases(h_of_ts, states, duration):
@@ -975,7 +1051,10 @@ def test_ramp_phase_matches_argmax_tracking(duration, shape):
     res = ramp_phase(S2, -1.0, 1.0, duration, shape=shape)
     psi0 = np.zeros(5, dtype=complex)
     psi0[3] = 1.0
-    states = _magnus_run(h, psi0, _grid([0.0, duration], [round(STEPS_PER_UNIT * duration)]))
+    grid = _grid([0.0, duration], [round(STEPS_PER_UNIT * duration)])
+    fractions = pulse.fraction(grid.nodes / duration)
+    states = _magnus_run(np.array([S2.sigma_z, S2.sigma_x @ S2.sigma_x]),
+                         np.stack([np.ones_like(fractions), fractions], axis=-1), grid.dts, psi0)
     total, dynamical = _argmax_tracked_phases(h, states, duration)
     assert np.abs(res.final_state - states[-1]).max() < 1e-12
     assert abs(res.total_phase - total) < 1e-12
@@ -1278,3 +1357,158 @@ def test_stage_grid_matches_a_denser_run():
     staged = mirror_phase_difference(S2, 1.0, sched)
     dense = mirror_phase_difference(S2, 1.0, sched, steps=4064)
     assert abs(staged.extracted_phase - dense.extracted_phase) < 5e-9
+
+
+# --- the coefficient path against the matrix path it replaced ------------------
+
+
+def _matrix_two_level_steps(h_nodes, dts):
+    """Cayley-Klein steps (phase, a, b) of sampled 2x2 node Hamiltonians, as
+    they were formed from matrices: the CF4 exponents as matrices, each
+    scaled by dt, and their Pauli components read back out of it."""
+    from spinberry.dynamics import _A_MINUS, _A_PLUS
+    h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
+
+    def rotation(h):
+        h = h * dts[..., None, None]
+        x = (h[..., 1, 0].real, h[..., 1, 0].imag, 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+        r = np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        sinc = np.sinc(r / np.pi)
+        return 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real, np.cos(r), [sinc * xk for xk in x]
+
+    x0_1, c1, (a1, b1, z1) = rotation(_A_PLUS * h_early + _A_MINUS * h_late)
+    x0_2, c2, (a2, b2, z2) = rotation(_A_MINUS * h_early + _A_PLUS * h_late)
+    c = c2 * c1 - (a2 * a1 + b2 * b1 + z2 * z1)
+    sx = c2 * a1 + c1 * a2 + (b2 * z1 - z2 * b1)
+    sy = c2 * b1 + c1 * b2 + (z2 * a1 - a2 * z1)
+    sz = c2 * z1 + c1 * z2 + (a2 * b1 - b2 * a1)
+    return x0_1 + x0_2, c - 1j * sz, sy - 1j * sx
+
+
+def _matrix_run_propagator(h_nodes, dts):
+    """Run propagators of sampled node Hamiltonians (..., steps, 2, n, n) in
+    blocks as before: Cayley-Klein trees of the matrix-path steps on two
+    levels, pairwise products of eigh steps on more."""
+    from spinberry.dynamics import _cayley_klein, _su2_matrices
+    n, steps = h_nodes.shape[-1], dts.shape[-1]
+    block = max(1, (4096 if n == 2 else 512) // (dts.size // steps))
+    total = np.eye(n)
+    for first in range(0, steps, block):
+        h, d = h_nodes[..., first:first + block, :, :, :], dts[..., first:first + block]
+        if n != 2:
+            total = _matmul_run_propagator(h, d, _eigh_cf4_steps) @ total
+            continue
+        phase, a, b = _matrix_two_level_steps(h, d)
+        while a.shape[-1] > 1:
+            if a.shape[-1] % 2:
+                a = np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
+                b = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
+            a, b = _cayley_klein(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
+        norm = np.sqrt(np.abs(a[..., 0]) ** 2 + np.abs(b[..., 0]) ** 2)
+        total = _su2_matrices(np.sum(phase, axis=-1), a[..., 0] / norm, b[..., 0] / norm) @ total
+    return total
+
+
+def _matrix_magnus_run(h_nodes, dts, initial):
+    """Step-end states of runs of sampled node Hamiltonians (..., steps, 2,
+    n, n) as before: the prefix products of the matrix-path Cayley-Klein
+    steps on two levels, eigh steps applied in turn on more."""
+    from spinberry.dynamics import _cayley_klein
+    psi = np.asarray(initial, dtype=complex)
+    if psi.shape[-1] != 2:
+        props = np.moveaxis(_eigh_cf4_steps(h_nodes, dts), -3, 0)
+        states = [psi]
+        for prop in props:
+            states.append(np.einsum("...ij,...j->...i", prop, states[-1]))
+        return np.moveaxis(np.array(states), 0, -2)
+    phase, a, b = _matrix_two_level_steps(h_nodes, dts)
+    up, down = [], []
+    for k in range(len(dts)):  # the prefix products in turn
+        pa, pb = (a[..., 0], b[..., 0]) if k == 0 else _cayley_klein(
+            a[..., k], b[..., k], pa, pb)
+        up.append(pa * psi[..., 0] - pb.conj() * psi[..., 1])
+        down.append(pb * psi[..., 0] + pa.conj() * psi[..., 1])
+    turn = np.cumprod(np.exp(-1j * phase), axis=-1)
+    ends = np.stack([turn * np.moveaxis(up, 0, -1), turn * np.moveaxis(down, 0, -1)], axis=-1)
+    return np.concatenate([psi[..., None, :], ends], axis=-2)
+
+
+_CROSS_LAMBDAS = [0.0, 0.43, -0.43, 1.0, -1.0, 300.0, -300.0]
+
+
+def _cross_run(rep, lam):
+    """Duration and steps of the cross-checks at coupling ``lam``: ||H|| T
+    up to about 10 rad, so that the phase a run accumulates, and with it
+    its rounding, stays small, and max ||H|| dt near 1 or less."""
+    scale = (1.0 + abs(lam)) * rep.s ** 2
+    duration = min(4.0, 10.0 / scale)
+    return duration, max(50, int(np.ceil(duration * scale)))
+
+
+@pytest.mark.parametrize("lam", _CROSS_LAMBDAS)
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_coefficient_path_matches_matrix_path(two_s, lam):
+    # every level of 2S = 1..8 at lambda0 in {0, +-0.43, +-1, +-300}: ramps
+    # (stacked and identity-padded), and an alpha-cycle and its mirror image
+    # (b = 1.3, tilted axis), on the level's parity block, against the
+    # matrix path on the sampled node Hamiltonians: propagators and step-end
+    # states agree to 4.8e-15 at most
+    from spinberry import dynamics
+    from spinberry.hamiltonian import _block, _block_operators
+    from spinberry.schedules import Segment, from_segments
+    rep = spin_matrices(two_s)
+    duration, steps = _cross_run(rep, lam)
+    dts, lams = dynamics._ramp_steps(lam, [duration, 0.7 * duration], "blackman", steps)
+    dts[1, steps // 2:], lams[1, steps // 2:] = 0.0, 0.0  # a padded run
+    cycle = from_segments([Segment(kind="rotate", duration=duration, alpha_half_turns=2)],
+                          theta0=0.7, lambda0=lam, b=1.3)
+    grid = dynamics._step_grid(cycle, steps)
+    worst = 0.0
+    for m in rep.m_values:
+        sel = _block(rep, m)
+        sz, sxsq = _block_operators(rep, sel)
+        h_ramps = lams[..., None, None] * sxsq + sz
+        h_ramps[dts == 0.0] = 0.0
+        ours = dynamics._ramp_propagators(np.stack([sz, sxsq]), dts, lams)
+        worst = max(worst, np.abs(ours - _matrix_run_propagator(h_ramps, dts)).max())
+
+        pair = [cycle, cycle.mirror()]
+        block, ops, coeffs = dynamics._block_hamiltonian(rep, m, pair, grid.nodes)
+        assert np.array_equal(block, sel) and ops.shape == (2, len(sel), len(sel))
+        h_pair = np.array([rotating_frame_hamiltonian(rep, s, grid.nodes)[..., sel[:, None], sel]
+                           for s in pair])
+        initial = np.full((2, len(sel)), 1.0 / np.sqrt(len(sel)))
+        states = dynamics._magnus_run(ops, coeffs, grid.dts, initial)
+        worst = max(worst, np.abs(states - _matrix_magnus_run(h_pair, grid.dts, initial)).max())
+        pair_dts = np.broadcast_to(grid.dts, (2, len(grid.dts)))
+        props = dynamics._run_propagator(ops, coeffs, pair_dts)
+        worst = max(worst, np.abs(props - _matrix_run_propagator(h_pair, pair_dts)).max())
+    assert worst < 1e-14, worst
+
+
+@pytest.mark.parametrize("lam", _CROSS_LAMBDAS)
+def test_moving_coefficient_path_matches_matrix_path(lam):
+    # runs whose phi (S = 1/2, tilted alpha) or theta, phi and alpha (S = 1)
+    # move keep the whole multiplet, with Sigma_x and Sigma_y among their
+    # operators (agreement to 1.1e-15 at most)
+    from spinberry import dynamics
+    from spinberry.schedules import Segment, from_segments, from_table
+    duration, steps = _cross_run(S1, lam)
+    t = np.linspace(0.0, duration, 61)
+    s = 2 * np.pi * t / duration
+    theta_cycle = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=0.4 * np.sin(s),
+                             alpha=0.5 * s, lam=lam + 0.1 * np.sin(s), n_alpha=1)
+    phi_cycle = from_segments([Segment(kind="rotate", duration=duration, phi_turns=1)],
+                              theta0=0.9, alpha0=0.6, lambda0=lam)
+    worst = 0.0
+    for rep, cycle in ((HALF, phi_cycle), (S1, theta_cycle)):
+        grid = dynamics._step_grid(cycle, steps)
+        sel, ops, coeffs = dynamics._block_hamiltonian(rep, rep.s, [cycle], grid.nodes)
+        assert len(sel) == rep.dim and ops.shape == (4, rep.dim, rep.dim)
+        h = rotating_frame_hamiltonian(rep, cycle, grid.nodes)[None]
+        initial = np.full((1, rep.dim), 1.0 / np.sqrt(rep.dim))
+        states = dynamics._magnus_run(ops, coeffs, grid.dts, initial)
+        worst = max(worst, np.abs(states - _matrix_magnus_run(h, grid.dts, initial)).max())
+        props = dynamics._run_propagator(ops, coeffs[0], grid.dts)
+        worst = max(worst, np.abs(props - _matrix_run_propagator(h[0], grid.dts)).max())
+    assert worst < 1e-14, worst

@@ -326,8 +326,8 @@ def test_two_level_block_matches_multiplet():
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
     start = np.eye(5)[1]  # M = 1
     grid = _step_grid(sched, steps)
-    sel, h_of_ts = _block_hamiltonian(spin_matrices(4), 1.0, [sched], grid.nodes)
-    states = _magnus_run(h_of_ts, start[sel][None], grid)[0]
+    sel, ops, coeffs = _block_hamiltonian(spin_matrices(4), 1.0, [sched], grid.nodes)
+    states = _magnus_run(ops, coeffs, grid.dts, start[sel][None])[0]
     psi2 = states[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
     assert abs(tilted_back[1] - psi2[1]) < 1e-6
@@ -347,8 +347,8 @@ def test_bp_target_structure():
 def _ramp_propagator(rep, m, ramp):
     from spinberry.dynamics import _block_hamiltonian, _run_propagator, _step_grid
     grid = _step_grid(ramp)
-    sel, h_of_ts = _block_hamiltonian(rep, m, [ramp], grid.nodes)
-    return sel, _run_propagator(h_of_ts(grid.nodes)[0], grid.dts)
+    sel, ops, coeffs = _block_hamiltonian(rep, m, [ramp], grid.nodes)
+    return sel, _run_propagator(ops, coeffs[0], grid.dts)
 
 
 @pytest.mark.parametrize("shape", ["blackman", "linear"])

@@ -181,7 +181,7 @@ def _bisect_eval(param, t, method):
     t = min(max(t, 0.0), param.total)
     i = max(0, min(bisect.bisect_right(starts, t) - 1, len(starts) - 1))
     s = min(max((t - starts[i]) / param.durations[i], 0.0), 1.0)
-    pulse = PulseShape(str(param.kinds[i]))
+    pulse = param.pulses[param.pulse_index[i]]
     if method == "value":
         if param.deltas[i] == 0.0:
             return param.base_values[i]
@@ -224,6 +224,49 @@ def test_segment_schedule_array_matches_scalar_and_bisect():
         assert np.array_equal(getattr(sched, name)(ts), want), name
     mirror = sched.mirror().scaled_field(2.0)
     _assert_array_matches_scalar(mirror, ts)
+
+
+def _string_mask_eval(param, method, t):
+    """A segment parameter's value or rate as evaluated when each segment's
+    shape was held as a string and every shape was masked on every call."""
+    kinds = np.array([param.pulses[k].kind for k in param.pulse_index])
+    t = np.clip(t, 0.0, param.total)
+    i = np.clip(np.searchsorted(param.starts, t, side="right") - 1, 0, len(param.starts) - 1)
+    s = np.clip((t - param.starts[i]) / param.durations[i], 0.0, 1.0)
+    out = np.empty(np.shape(s))
+    for kind in dict.fromkeys(kinds):
+        sel = kinds[i] == kind
+        out[sel] = getattr(PulseShape(kind), "fraction" if method == "value" else "rate")(s[sel])
+    if method == "value":
+        return (param.base_values[i] + param.deltas[i] * out)[()]
+    return (param.deltas[i] * out / param.durations[i])[()]
+
+
+@pytest.mark.parametrize("shapes", [("blackman",) * 3, ("linear",) * 3,
+                                    ("linear", "blackman", "linear")])
+def test_segment_evaluation_matches_string_masks(shapes):
+    # one shape for all segments skips the masks; mixed shapes mask by index
+    rng = np.random.default_rng(len(set(shapes)) + len(shapes[0]))
+    segs = [Segment(kind="ramp", duration=2.7, shape=shapes[0], lambda_to=-0.9),
+            Segment(kind="rotate", duration=5.1, shape=shapes[1], phi_turns=1,
+                    alpha_half_turns=-3),
+            Segment(kind="ramp", duration=1.9, shape=shapes[2], lambda_to=0.4)]
+    sched = from_segments(segs, phi0=0.3, alpha0=-0.2, lambda0=0.1)
+    joints = np.cumsum([0.0] + [seg.duration for seg in segs])
+    ts = np.concatenate([rng.uniform(-1.0, sched.duration + 1.0, 4097), joints])
+    for name, method in (("lam", "value"), ("phi", "value"), ("alpha", "value"),
+                         ("lam_dot", "rate"), ("phi_dot", "rate"), ("alpha_dot", "rate")):
+        param = getattr(sched, name).__self__
+        assert getattr(param, method) == getattr(sched, name)
+        for t in (ts, ts[:60].reshape(3, 20)):
+            got, want = getattr(param, method)(t), _string_mask_eval(param, method, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        for t in ts[::97]:
+            got, want = getattr(param, method)(t), _string_mask_eval(param, method, t)
+            assert type(got) is type(want) is np.float64 and got.tobytes() == want.tobytes()
+        for t in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="fraction must lie in"):
+                getattr(param, method)(t)
 
 
 def test_table_schedule_array_matches_scalar():
