@@ -4,25 +4,21 @@ Every run's Hamiltonian is sum_k c_k(t) O_k over K <= 4 fixed operators:
 Sigma_z and Sigma_x^2 of a parity block, plus Sigma_x and Sigma_y while phi
 or theta moves.  The coefficients are sampled once at the Gauss nodes of
 fourth-order Magnus steps (:func:`_cf4_propagators`), by default
-``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), and
-the steps' exponents are formed on them: on two levels as Pauli
-components, whose closed-form SU(2) rotations times a phase build no matrix
-(:func:`_two_level_steps`), on more as matrices exponentiated by stacked
-``eigh`` and one Newton-Schulz step each.  A run that needs its state at
-every step (:func:`_magnus_run`) forms two-level prefix products by a
-log-depth scan and applies larger steps in turn.  A run whose final state
-alone is needed is one propagator (:func:`_run_propagator`) that multiplies
-the steps pairwise, as Cayley-Klein pairs (a, b) and a phase or as stacked
-matrices: the coupling ramps of :func:`ramp_fidelity` and of the stretch
-tuner of :mod:`spinberry.entangle`, sampled for many durations at once
-(:func:`_ramp_steps`).  Cycles, the ramps of :func:`ramp_phase` and the
-four-spin cycle are tracked runs in the paper's co-rotating frame
-(:func:`_tracked_runs`), whose references solve only the tracked level's
-parity block; a cycle and its mirror image step as one run on one sample
-of lambda(t) and b(t).  :func:`propagate` (any h(t), as coefficients of the
-n**2 matrix units) and :func:`lab_hamiltonian` are the references the tests
-hold them to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of
-time (and of angles or couplings) take scalars or arrays; arrays give their
+``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`): on two
+levels a step is a closed-form SU(2) rotation times a phase
+(:func:`_two_level_steps`), on more a matrix by stacked ``eigh``.  One
+kernel composes the steps of every run (:func:`_sweep`) as a prefix scan:
+its up-sweep gives the run propagator (:func:`_run_propagator`), for the
+coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
+:mod:`spinberry.entangle` (:func:`_ramp_steps`), and its down-sweep every
+step-end state (:func:`_magnus_run`), for the runs tracked in the paper's
+co-rotating frame (:func:`_tracked_runs`): cycles, the ramps of
+:func:`ramp_phase` and the four-spin cycle, whose references solve only the
+tracked level's parity block, a cycle and its mirror image stepped as one
+run.  :func:`propagate` (any h(t), as coefficients of the n**2 matrix
+units) and :func:`lab_hamiltonian` are the references the tests hold them
+to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of time
+(and of angles or couplings) take scalars or arrays; arrays give their
 matrices stacked along the leading axes.
 """
 
@@ -44,18 +40,13 @@ from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
 logger = logging.getLogger(__name__)
 
-# Steps whose propagators are formed by one stacked call: enough to
-# amortize the call, few enough that a block's exponents and propagators
-# stay small next to the trajectory.
-_BLOCK_STEPS = 512
-
-# Steps times stacked runs of two-level steps per block of _run_propagator
-# and _magnus_run: enough that the tuner's scan of 25 ramps of up to 420
-# steps takes three blocks per spin, few enough that the scan's traced
-# memory peak stays near 2.4 MB (2.1 MB with 512 such steps per block).
+# Steps times stacked runs of two-level steps per block of _sweep,
+# whose n-level blocks hold as many state entries (2 / n as many steps):
+# enough to amortize a block's calls, few enough that a block's steps and
+# tree stay small next to the states.
 _STEP_RUNS = 4096
 
-# Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _magnus_run).
+# Gauss nodes c-/+ and weights a-/+ of the CF4 step (see _cf4_propagators).
 _C_MINUS, _C_PLUS = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
 _A_MINUS, _A_PLUS = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
 _CF4_WEIGHTS = np.array([[_A_PLUS, _A_MINUS], [_A_MINUS, _A_PLUS]])
@@ -170,10 +161,12 @@ def _cf4_exponents(basis, coeffs):
     (2, B, ...), the first applied first (see :func:`_cf4_propagators`), from
     the coefficients ``coeffs`` (..., 2, K) of its node Hamiltonians on
     ``basis`` (K, B): the operators' Pauli components (:func:`_pauli`) or the
-    operators flattened.  Weights and basis act as one matrix on all steps."""
+    operators flattened.  Weights and basis act as one matrix on each run's
+    steps apart: a product's rounding may depend on its size."""
     weights = np.einsum("en,kb->ebnk", _CF4_WEIGHTS, basis).reshape(2 * basis.shape[1], -1)
-    return (weights @ coeffs.reshape(-1, weights.shape[1]).T).reshape(
-        (2, basis.shape[1]) + coeffs.shape[:-2])
+    runs = weights @ np.swapaxes(coeffs.reshape(coeffs.shape[:-2] + (-1,)), -1, -2)
+    return np.ascontiguousarray(
+        np.moveaxis(runs.reshape(runs.shape[:-2] + (2, -1, runs.shape[-1])), (-3, -2), (0, 1)))
 
 
 def _cf4_propagators(ops, coeffs, dts):
@@ -207,8 +200,14 @@ def _cf4_propagators(ops, coeffs, dts):
     phase, back = w * dts[..., None], u.conj().swapaxes(-1, -2)  # real for real exponents
     applied_first, applied_second = ((u * np.cos(phase)[..., None, :]) @ back
                                      - 1j * ((u * np.sin(phase)[..., None, :]) @ back))
-    props = applied_second @ applied_first
-    return props @ (1.5 * np.eye(n) - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+    return _newton_schulz(applied_second @ applied_first)
+
+
+def _newton_schulz(props):
+    """One Newton-Schulz step P (3 - P^dag P) / 2 towards the nearest unitary
+    of each nearly unitary P (..., n, n): its error falls to second order."""
+    return props @ (1.5 * np.eye(props.shape[-1])
+                    - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
 
 
 def _two_level_steps(first, second, dts):
@@ -241,137 +240,122 @@ def _two_level_steps(first, second, dts):
     return x0_1 + x0_2, c - 1j * sz, sy - 1j * sx
 
 
-def _su2_matrices(phase, a, b):
-    """The matrices exp(-i phase) [[a, -conj(b)], [b, conj(a)]] (..., 2, 2)
-    of Cayley-Klein parameters (...) (see :func:`_two_level_steps`)."""
-    props = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(a.shape + (2, 2))
-    return props * np.exp(-1j * phase)[..., None, None]
-
-
-def _cayley_klein(a, b, a_early, b_early):
-    """The product of Cayley-Klein pairs, the later (a, b) times the earlier
-    (a', b'): (a a' - conj(b) b', b a' + conj(a) b')."""
-    return a * a_early - b.conj() * b_early, b * a_early + a.conj() * b_early
-
-
-def _two_level_product(pauli, coeffs, dts):
-    """Time-ordered product (..., 2, 2) of the two-level CF4 steps of widths
-    ``dts`` (..., steps) of coefficients ``coeffs`` (..., steps, 2, K) on
-    Pauli components ``pauli`` (:func:`_pauli`): Cayley-Klein pairs
-    (:func:`_cayley_klein`) composed in a balanced tree, phases added, an
-    identity step evening an odd count.  Over thousands of steps
-    |a|^2 + |b|^2 drifts from 1 as norm drift would; dividing (a, b) by its
-    root takes the nearest unitary, as the Newton-Schulz step does."""
+def _cayley_klein_steps(pauli, coeffs, dts):
+    """Two-level CF4 steps (:func:`_two_level_steps`) as elements (z, a, b)
+    (steps, ..., 3) of z [[a, -conj(b)], [b, conj(a)]], z = exp(-i phase):
+    factors, since a sum of phases would round to eps times the phase."""
     phase, a, b = _two_level_steps(*_cf4_exponents(pauli, coeffs), dts)
-    while a.shape[-1] > 1:
-        if a.shape[-1] % 2:
-            a = np.concatenate([a, np.ones_like(a[..., :1])], axis=-1)
-            b = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
-        a, b = _cayley_klein(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
-    norm = np.sqrt(np.abs(a[..., 0]) ** 2 + np.abs(b[..., 0]) ** 2)
-    return _su2_matrices(np.sum(phase, axis=-1), a[..., 0] / norm, b[..., 0] / norm)
+    steps = np.empty((a.shape[-1],) + a.shape[:-1] + (3,), dtype=complex)
+    for k, x in enumerate((np.exp(-1j * phase), a, b)):
+        steps[..., k] = np.moveaxis(x, -1, 0)
+    return steps
 
 
-def _matmul_product(ops, coeffs, dts):
-    """Time-ordered product (..., n, n) of the CF4 steps of widths ``dts``
-    (..., steps) of coefficients ``coeffs`` (..., steps, 2, K) on ``ops``, by
-    pairwise stacked matrix products, an identity step evening an odd count."""
-    props = _cf4_propagators(ops, coeffs, dts)
-    eye = np.eye(props.shape[-1])
-    while props.shape[-3] > 1:
-        if props.shape[-3] % 2:
-            props = np.concatenate(
-                [props, np.broadcast_to(eye, props[..., :1, :, :].shape)], axis=-3)
-        props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
-    return props[..., 0, :, :]
+def _cayley_klein_product(late, early):
+    """Products of elements (z, a, b), the later times the earlier: the
+    later applied to the earlier's first column (a', b'), times z z'."""
+    product = np.empty(late.shape, dtype=complex)
+    np.multiply(late[..., 0], early[..., 0], out=product[..., 0])
+    np.add(late[..., 1:] * early[..., 1:2], _turned(late) * early[..., 2:], out=product[..., 1:])
+    return product
 
 
-def _log_run(name, ops, coeffs, dts, blocks, block, path):
-    """Log a run at DEBUG level with its number K of operators and the bound
-    sum_k |c_k| ||O_k|| dt on max ||H|| dt, ||O_k|| <= its largest row sum."""
+def _cayley_klein_apply(steps, psi):
+    """Elements (z, a, b) applied to vectors ``psi`` (..., 2): z times each
+    column weighted by its component of ``psi``."""
+    return (steps[..., 1:] * psi[..., :1] + _turned(steps) * psi[..., 1:]) * steps[..., :1]
+
+
+def _turned(steps):
+    """The second columns (-conj(b), conj(a)) of elements (z, a, b)."""
+    turned = steps[..., :0:-1].conj()
+    turned[..., 0] *= -1.0
+    return turned
+
+
+def _log_run(ops, coeffs, dts, blocks, block, element, states):
+    """Log a :func:`_sweep` at DEBUG level under its entry's name, with the
+    bound sum_k |c_k| ||O_k|| dt on max ||H|| dt (||O_k|| <= its largest row
+    sum), its output and element type, and "loop" for a down-sweep."""
     if logger.isEnabledFor(logging.DEBUG):
         with np.errstate(all="ignore"):
             bound = np.max(np.abs(coeffs) @ np.abs(ops).sum(axis=-1).max(axis=-1)
                            * dts[..., None], initial=0.0)
         logger.debug("%s: %d runs of %d steps in %d blocks of %d steps, K = %d, "
-                     "max ||H|| dt <= %.3g (%s)", name, coeffs[..., 0, 0, 0].size,
-                     dts.shape[-1], blocks, block, len(ops), bound, path)
+                     "max ||H|| dt <= %.3g, %s (%s%s)",
+                     "_magnus_run" if states else "_run_propagator",
+                     coeffs[..., 0, 0, 0].size, dts.shape[-1], blocks, block, len(ops), bound,
+                     "states" if states else "propagators", element, " loop" if states else "")
+
+
+def _sweep(ops, coeffs, dts, initial=None):
+    """States (..., steps + 1, n) at the step ends of runs from ``initial``
+    (..., n), row k after k steps, or without ``initial`` the propagators
+    (..., n, n), of CF4 steps of widths ``dts`` (..., steps) of
+    sum_k c_k O_k on ``ops`` (K, n, n), given by their coefficients
+    ``coeffs`` (..., steps, 2, K) at the Gauss nodes (:func:`_cf4_propagators`).
+
+    The steps are formed a block at a time, a power of two near
+    ``_STEP_RUNS`` steps of all runs on two levels (as many state entries on
+    more): its trees are subtrees of larger blocks', so a run's states do
+    not depend on the runs stacked with it.  A block's steps, Cayley-Klein
+    elements on two levels (:func:`_cayley_klein_steps`) or matrices, enter
+    a work-efficient prefix scan (G. E. Blelloch, CMU-CS-90-190, 1990).  Its
+    up-sweep multiplies them pairwise (an odd one out passes up as if paired
+    with the identity) into the propagator that carries the running vectors,
+    for a propagator the identity's columns, over the block; one
+    Newton-Schulz step ends a run propagator's drift from unitary.  Its
+    down-sweep walks the tree back, a right child starting where its left
+    sibling ends: each state is one left child applied to one vector,
+    written in place and not renormalized.  The default density assumes
+    the logged bound on max ||H|| dt (:func:`_log_run`) <~ 1.
+    """
+    n, states = ops.shape[-1], initial is not None
+    if not states:  # the identity's columns, as n vectors of every run
+        coeffs, dts, initial = coeffs[..., None, :, :, :], dts[..., None, :], np.eye(n)
+    steps = dts.shape[-1]
+    block = 1 << (max(1, 2 * _STEP_RUNS // (coeffs[..., 0, 0, 0].size * n)) - 1).bit_length()
+    starts = range(0, steps, block)
+    if n == 2:
+        element, basis = "Cayley-Klein", _pauli(ops)
+        form, multiply, apply = _cayley_klein_steps, _cayley_klein_product, _cayley_klein_apply
+    else:
+        element, basis, multiply = "eigh", ops, np.matmul
+        form = lambda *args: np.moveaxis(_cf4_propagators(*args), -3, 0)  # noqa: E731
+        apply = lambda props, psi: (props @ psi[..., None])[..., 0]  # noqa: E731
+    _log_run(ops, coeffs, dts, len(starts), block, element, states)
+    psi = np.asarray(initial, dtype=complex)
+    if states:
+        out = np.empty((steps + 1,) + psi.shape, dtype=complex)
+        out[0] = psi
+    for first in starts:
+        levels = [form(basis, coeffs[..., first:first + block, :, :],
+                       dts[..., first:first + block])]
+        while len(levels[-1]) > 1:
+            x = levels[-1]
+            pairs = multiply(x[1::2], x[:-1:2])
+            levels.append(np.concatenate([pairs, x[-1:]]) if len(x) % 2 else pairs)
+        if not states:
+            psi = apply(levels[-1][0], psi)
+            continue
+        end = first + len(levels[0])
+        for level in reversed(range(len(levels[0]).bit_length())):
+            stride = 2 ** level
+            right = out[first + stride:end + 1:2 * stride]
+            right[...] = apply(levels[level][:2 * len(right):2],
+                               out[first:end + 1 - stride:2 * stride])
+    return np.moveaxis(out, 0, -2) if states else _newton_schulz(psi.swapaxes(-1, -2))
 
 
 def _run_propagator(ops, coeffs, dts):
-    """Propagators (..., n, n) of runs of CF4 steps of widths ``dts``
-    (..., steps) of the Hamiltonians sum_k c_k O_k of ``ops`` (K, n, n),
-    given by their coefficients ``coeffs`` (..., steps, 2, K) at the Gauss
-    nodes (see :func:`_cf4_propagators`).  The steps of all runs are formed
-    and multiplied a block at a time, which bounds the memory a stack of
-    runs takes: as Cayley-Klein pairs on two levels, about ``_STEP_RUNS``
-    steps of all runs per block (:func:`_two_level_product`), else by
-    stacked ``eigh`` and matrix products, about ``_BLOCK_STEPS`` per block
-    (:func:`_matmul_product`).  The run is logged (:func:`_log_run`)."""
-    steps = dts.shape[-1]
-    two_level = ops.shape[-1] == 2
-    block = max(1, (_STEP_RUNS if two_level else _BLOCK_STEPS) * steps // dts.size)
-    starts = range(0, steps, block)
-    _log_run("_run_propagator", ops, coeffs, dts, len(starts), block,
-             "Cayley-Klein" if two_level else "eigh")
-    product, basis = (_two_level_product, _pauli(ops)) if two_level else (_matmul_product, ops)
-    total = np.eye(ops.shape[-1])
-    for first in starts:
-        total = product(basis, coeffs[..., first:first + block, :, :],
-                        dts[..., first:first + block]) @ total
-    return total
+    """Propagators (..., n, n) of runs of CF4 steps (:func:`_sweep`)."""
+    return _sweep(ops, coeffs, dts)
 
 
 def _magnus_run(ops, coeffs, dts, initial):
-    """States at the step ends of runs of CF4 steps (:func:`_cf4_propagators`)
-    of widths ``dts`` (steps,) from ``initial`` (..., n), stacked on its
-    leading axes: shape (..., steps + 1, n), where row k of a run is its
-    state after k steps.  Run j's Hamiltonians are sum_k c_k O_k of ``ops``
-    (K, n, n), given by their coefficients ``coeffs[j]`` (steps, 2, K) at
-    the Gauss nodes.  The steps are formed a block at a time.
-
-    A block of two-level steps (about ``_STEP_RUNS`` steps of all runs)
-    gives all its states at once: a log-depth (Hillis-Steele) scan of
-    :func:`_cayley_klein` and a cumulative product of phase factors (a sum
-    of phases would round to eps times the running phase) form the prefix
-    products, unrenormalized so that the norm drift is the integrator's
-    rounding.  Larger steps
-    (``_BLOCK_STEPS`` per block) are applied in turn, one stacked
-    matrix-vector product per step for all runs.  The run is logged with a
-    bound on max ||H|| dt (:func:`_log_run`), which the default density
-    assumes <~ 1: larger spins or couplings should pass more ``--steps``.
-    """
-    psi = np.asarray(initial, dtype=complex)[..., None]
-    states = np.empty((len(dts) + 1,) + psi.shape, dtype=complex)
-    states[0] = psi
-    two_level = psi.shape[-2] == 2
-    size = max(1, _STEP_RUNS // psi[..., 0, 0].size) if two_level else _BLOCK_STEPS
-    starts = range(0, len(dts), size)
-    _log_run("_magnus_run", ops, coeffs, dts, len(starts), size,
-             "Cayley-Klein scan" if two_level else "eigh loop")
-    pauli = _pauli(ops) if two_level else None
-    for first in starts:
-        block = slice(first, first + size)
-        steps = len(dts[block])
-        if two_level:
-            phase, a, b = _two_level_steps(*_cf4_exponents(pauli, coeffs[..., block, :, :]),
-                                           dts[block])
-            shift = 1
-            while shift < steps:
-                a[..., shift:], b[..., shift:] = _cayley_klein(
-                    a[..., shift:], b[..., shift:], a[..., :-shift], b[..., :-shift])
-                shift *= 2
-            turn = np.cumprod(np.exp(-1j * phase), axis=-1)
-            up, down = _cayley_klein(a, b, psi[..., 0, :], psi[..., 1, :])  # U psi
-            ends = np.moveaxis(states[first + 1:first + 1 + steps, ..., 0], 0, -2)
-            ends[..., 0], ends[..., 1] = turn * up, turn * down
-            psi = states[first + steps]
-            continue
-        props = np.moveaxis(_cf4_propagators(ops, coeffs[..., block, :, :], dts[block]), -3, 0)
-        for k, prop in enumerate(props, first + 1):
-            psi = prop @ psi
-            states[k] = psi
-    return np.moveaxis(states[..., 0], 0, -2)
+    """States (..., steps + 1, n) at the step ends of runs of CF4 steps from
+    ``initial`` (..., n) (:func:`_sweep`)."""
+    return _sweep(ops, coeffs, dts, initial)
 
 
 def _norm_drift(states):

@@ -134,6 +134,8 @@ def magic_lambda_fit(two_s: int, eta: float) -> float:
     if coeffs is None:
         raise ValueError(f"no magic fit for spin {two_s / 2:g}: fits are tabulated for "
                          f"spin {' and '.join(map(str, MAGIC_LAMBDA_FIT_COEFFS))} only")
+    if not abs(eta) <= 0.5:  # NaN too
+        raise ValueError(f"|eta| <= 0.5 required, got {eta}")
     return float(sum(c * eta ** (2 * k) for k, c in enumerate(coeffs)))
 
 
@@ -146,7 +148,7 @@ def magic_lambda(rep: SpinRep, eta: float) -> float:
     """
     if rep.two_s % 2 != 0:
         raise ValueError("magic coupling needs an m = 0 level (integer spin)")
-    if abs(eta) > 0.5:
+    if not abs(eta) <= 0.5:  # NaN too
         raise ValueError(f"|eta| <= 0.5 required, got {eta}")
 
     if abs(eta) < _ETA_SERIES_THRESHOLD:

@@ -200,8 +200,8 @@ def _reference_cycle(rep, m, sched, steps):
 
 @pytest.mark.parametrize("steps", [511, 513, 1537])
 def test_stepper_matches_per_step_loop(steps):
-    # step counts straddle the eigh block size, so partial blocks and block
-    # joins are both exercised
+    # step counts around powers of two, so that odd elements pass up the
+    # sweep's tree at many levels (block joins: test_scan_matches_step_loop)
     from spinberry.dynamics import _block_hamiltonian, _magnus_run, _step_grid
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
@@ -449,11 +449,23 @@ def _matrices(ops, coeffs):
     return np.tensordot(coeffs, ops, axes=(-1, 0))
 
 
+def _cayley_klein(a, b, a_early, b_early):
+    """The product of Cayley-Klein pairs, the later (a, b) times the earlier
+    (a', b'): (a a' - conj(b) b', b a' + conj(a) b')."""
+    return a * a_early - b.conj() * b_early, b * a_early + a.conj() * b_early
+
+
+def _su2_matrices(phase, a, b):
+    """The matrices exp(-i phase) [[a, -conj(b)], [b, conj(a)]] (..., 2, 2)
+    of Cayley-Klein parameters (...) (see ``_two_level_steps``)."""
+    props = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(a.shape + (2, 2))
+    return props * np.exp(-1j * phase)[..., None, None]
+
+
 def _library_steps(h_nodes, dts):
     """The library's CF4 step propagators of sampled matrices, from their
     coefficients: the closed form on two levels, else ``_cf4_propagators``."""
-    from spinberry.dynamics import (_cf4_exponents, _cf4_propagators, _pauli, _su2_matrices,
-                                    _two_level_steps)
+    from spinberry.dynamics import _cf4_exponents, _cf4_propagators, _pauli, _two_level_steps
     ops, coeffs = _coefficients(h_nodes)
     if h_nodes.shape[-1] == 2:
         return _su2_matrices(*_two_level_steps(*_cf4_exponents(_pauli(ops), coeffs), dts))
@@ -480,10 +492,10 @@ def _matmul_run_propagator(h_nodes, dts, step_propagators=_library_steps):
     return total
 
 
-def _random_two_level_nodes(rng, n, complex_, norm_dts):
-    """``n`` pairs of random 2x2 Hermitian node Hamiltonians and step widths
-    that give each step max ||H|| dt = ``norm_dts``."""
-    a = rng.normal(size=(n, 2, 2, 2))
+def _random_nodes(rng, n, complex_, norm_dts, levels=2):
+    """``n`` pairs of random Hermitian node Hamiltonians on ``levels`` levels
+    and step widths that give each step max ||H|| dt = ``norm_dts``."""
+    a = rng.normal(size=(n, 2, levels, levels))
     if complex_:
         a = a + 1j * rng.normal(size=a.shape)
     h = a + a.conj().swapaxes(-1, -2)
@@ -494,7 +506,7 @@ def _random_two_level_nodes(rng, n, complex_, norm_dts):
 def test_two_level_steps_match_eigh_steps(complex_):
     rng = np.random.default_rng(15)
     # ||H|| dt, and with it r = |x|, from 1e-9 to 10
-    h, dts = _random_two_level_nodes(rng, 4000, complex_, np.logspace(-9, 1, 4000))
+    h, dts = _random_nodes(rng, 4000, complex_, np.logspace(-9, 1, 4000))
     got = _library_steps(h, dts)
     assert np.abs(got - _eigh_cf4_steps(h, dts)).max() < 1e-14
     assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(2)).max() < 1e-14
@@ -503,12 +515,12 @@ def test_two_level_steps_match_eigh_steps(complex_):
     np.testing.assert_array_equal(padding, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
-def _two_level_runs(rng, runs, steps, complex_):
-    """``runs`` stacked runs of ``steps`` random two-level steps, with
-    ||H|| dt spread from 1e-9 to 50 in random order."""
+def _random_runs(rng, runs, steps, complex_, levels=2):
+    """``runs`` stacked runs of ``steps`` random steps on ``levels`` levels,
+    with ||H|| dt spread from 1e-9 to 50 in random order."""
     norm_dts = rng.permutation(np.logspace(-9, np.log10(50.0), runs * steps))
-    h, dts = _random_two_level_nodes(rng, runs * steps, complex_, norm_dts)
-    return h.reshape(runs, steps, 2, 2, 2), dts.reshape(runs, steps)
+    h, dts = _random_nodes(rng, runs * steps, complex_, norm_dts, levels)
+    return h.reshape(runs, steps, 2, levels, levels), dts.reshape(runs, steps)
 
 
 def _assert_unitary(props):
@@ -519,7 +531,7 @@ def _assert_unitary(props):
 @pytest.mark.parametrize("runs, steps", [(1, 1), (1, 2), (3, 301), (40, 99)])
 def test_cayley_klein_runs_match_matmul_products(complex_, runs, steps):
     from spinberry.dynamics import _run_propagator
-    h, dts = _two_level_runs(np.random.default_rng(18), runs, steps, complex_)
+    h, dts = _random_runs(np.random.default_rng(18), runs, steps, complex_)
     got = _run_propagator(*_coefficients(h), dts)
     assert got.shape == (runs, 2, 2)
     assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
@@ -528,9 +540,9 @@ def test_cayley_klein_runs_match_matmul_products(complex_, runs, steps):
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_cayley_klein_runs_cross_block_boundaries(complex_):
-    # 5 runs of 2,000 steps make blocks of 819 steps: two boundaries per run
+    # 5 runs of 2,000 steps make blocks of 1,024 steps: a boundary per run
     from spinberry.dynamics import _STEP_RUNS, _run_propagator
-    h, dts = _two_level_runs(np.random.default_rng(19), 5, 2000, complex_)
+    h, dts = _random_runs(np.random.default_rng(19), 5, 2000, complex_)
     assert 2 * (_STEP_RUNS // 5) < 2000
     got = _run_propagator(*_coefficients(h), dts)
     assert np.abs(got - _matmul_run_propagator(h, dts)).max() < 1e-13
@@ -547,7 +559,7 @@ def test_cayley_klein_ragged_runs_pad_with_identity_steps(complex_):
     # exactly the identity, so a run of padding alone is the identity bit
     # for bit, and a padded run is the run alone
     from spinberry.dynamics import _run_propagator
-    h, dts = _two_level_runs(np.random.default_rng(20), 4, 1500, complex_)
+    h, dts = _random_runs(np.random.default_rng(20), 4, 1500, complex_)
     lengths = [1500, 977, 3, 0]
     for k, n in enumerate(lengths):
         h[k, n:], dts[k, n:] = 0.0, 0.0
@@ -567,20 +579,20 @@ def test_run_propagator_logs_what_it_did(caplog):
     # on (1, sigma_x, sigma_y, sigma_z) with one node at c = -0.5 and 0.5 for
     # sigma_x and sigma_y, and (0.5 + 2 * 1.5) * 0.1 on two 3x3 operators of
     # largest absolute row sums 1 and 1.5
-    dts = np.full((3, 1500), 0.04)
-    coeffs = np.zeros((3, 1500, 2, 4))
+    dts = np.full((3, 2500), 0.04)
+    coeffs = np.zeros((3, 2500, 2, 4))
     coeffs[1, 7, 1, 1:3] = -0.5, 0.5
     ops = np.array([np.diag([1.0, 0.0, -1.0]), np.full((3, 3), 0.5)])
     with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
         _run_propagator(_PAULI_OPS, coeffs, dts)
-        _run_propagator(ops, np.tile([0.5, -2.0], (2, 300, 2, 1)), np.full((2, 300), 0.1))
+        _run_propagator(ops, np.tile([0.5, -2.0], (2, 2500, 2, 1)), np.full((2, 2500), 0.1))
     assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
                                                              logging.DEBUG)] * 2
     assert [r.getMessage() for r in caplog.records] == [
-        "_run_propagator: 3 runs of 1500 steps in 2 blocks of 1365 steps, K = 4, "
-        "max ||H|| dt <= 0.04 (Cayley-Klein)",
-        "_run_propagator: 2 runs of 300 steps in 2 blocks of 256 steps, K = 2, "
-        "max ||H|| dt <= 0.35 (eigh)"]
+        "_run_propagator: 3 runs of 2500 steps in 2 blocks of 2048 steps, K = 4, "
+        "max ||H|| dt <= 0.04, propagators (Cayley-Klein)",
+        "_run_propagator: 2 runs of 2500 steps in 2 blocks of 2048 steps, K = 2, "
+        "max ||H|| dt <= 0.35, propagators (eigh)"]
 
 
 def _step_loop(step_propagators, calls):
@@ -604,28 +616,40 @@ def _run_drift(states):
     return np.abs(norms - norms[..., :1]).max()
 
 
+_SCAN_RUNS = [((), 2), ((), 5000), ((2,), 1), ((2,), 2100), ((3,), 1500), ((2, 2), 700)]
+_SCAN_RUNS_ALONE = [((), steps) for steps in (1, 3, 5, 63, 65, 1023, 1025)]
+
+
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("shape, steps", [((), 2), ((), 5000), ((2,), 1), ((2,), 2100),
-                                          ((3,), 1500), ((2, 2), 700)])
-def test_scan_matches_step_loop(complex_, shape, steps):
-    # the Cayley-Klein scan against the closed-form steps applied one at a
-    # time: one run, stacked mirror pairs and larger stacks, in one block or
-    # (5,000 steps of one run, 2,100 of two, 1,500 of three) across a block
-    # boundary, with ||H|| dt from 1e-9 to 50 and every seventh step of
-    # zero width
+@pytest.mark.parametrize("shape, steps, levels", [
+    pytest.param(shape, steps, 2, id=f"shape{k}-{steps}")
+    for k, (shape, steps) in enumerate(_SCAN_RUNS)
+] + [
+    pytest.param(shape, steps, levels, id=f"{levels}-levels-{len(shape)}d-{steps}")
+    for levels in (2, 3, 5)
+    for shape, steps in _SCAN_RUNS_ALONE + (_SCAN_RUNS if levels > 2 else [])
+])
+def test_scan_matches_step_loop(complex_, shape, steps, levels):
+    # the sweep's step-end states against the library's steps applied one at
+    # a time: one run of 1, 2, 3 and 5 steps, of 2**k +- 1 steps (an odd
+    # element out at every level of the tree), stacked mirror pairs and
+    # larger stacks, in one block or (5,000 steps of one run, 2,100 of two,
+    # 1,500 of three, and every stack on 3 and 5 levels) across a block
+    # boundary, with ||H|| dt from 1e-9 to 50 and every seventh step of zero
+    # width
     from spinberry.dynamics import _magnus_run
     rng = np.random.default_rng(21)
-    h, dts = _two_level_runs(rng, int(np.prod(shape)), steps, complex_)
+    h, dts = _random_runs(rng, int(np.prod(shape)), steps, complex_, levels)
     # every run on the first run's widths, at its own ||H|| dt
-    h = (h * (dts / dts[0])[..., None, None, None]).reshape(shape + (steps, 2, 2, 2))
+    h = (h * (dts / dts[0])[..., None, None, None]).reshape(shape + (steps, 2, levels, levels))
     dts = dts[0].copy()
     dts[::7] = 0.0
-    initial = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    initial = rng.normal(size=shape + (levels,)) + 1j * rng.normal(size=shape + (levels,))
     initial /= np.linalg.norm(initial, axis=-1, keepdims=True)
     ops, coeffs = _coefficients(h)
     got = _magnus_run(ops, coeffs, dts, initial)
     ref = _step_loop(_library_steps, [])(ops, coeffs, dts, initial)
-    assert got.shape == shape + (steps + 1, 2)
+    assert got.shape == shape + (steps + 1, levels)
     np.testing.assert_array_equal(got[..., 0, :], initial)
     assert np.abs(got - ref).max() < 1e-13
     # not renormalized: the drift is the steps' rounding, a random walk of
@@ -635,21 +659,43 @@ def test_scan_matches_step_loop(complex_, shape, steps):
     assert _run_drift(got) <= 3.0 * _run_drift(ref) + 1e-15
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("levels", [2, 3, 5])
+def test_last_state_is_propagator_applied(complex_, levels):
+    # the down-sweep's last state and the up-sweep's root are the same
+    # product, over three stacked runs of 3,001 steps across block
+    # boundaries.  The propagator is made unitary and the states keep their
+    # norm drift (up to about 2e-14 here over seeds 22-39; the directions agree
+    # to 5e-15), so the state is held to the propagator at its own norm.
+    from spinberry.dynamics import _magnus_run, _run_propagator
+    rng = np.random.default_rng(22)
+    h, dts = _random_runs(rng, 3, 3001, complex_, levels)
+    h = h * (dts / dts[0])[..., None, None, None]
+    initial = rng.normal(size=(3, levels)) + 1j * rng.normal(size=(3, levels))
+    initial /= np.linalg.norm(initial, axis=-1, keepdims=True)
+    ops, coeffs = _coefficients(h)
+    states = _magnus_run(ops, coeffs, dts[0], initial)
+    props = _run_propagator(ops, coeffs, np.broadcast_to(dts[0], dts.shape))
+    last, applied = states[:, -1], np.einsum("rij,rj->ri", props, initial)
+    assert np.abs(last - np.linalg.norm(last, axis=-1, keepdims=True) * applied).max() < 1e-14
+    assert np.abs(last - applied).max() < 1e-14 + _run_drift(states)
+
+
 def test_magnus_run_logs_what_it_did(caplog):
     import logging
     from spinberry.dynamics import _magnus_run
     # a zero run bounds max ||H|| dt by 0; the 3x3 one by |-3| * 2 * 0.01
     with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
         _magnus_run(_PAULI_OPS[:2], np.zeros((2, 2100, 2, 2)), np.zeros(2100), np.ones((2, 2)))
-        _magnus_run(np.eye(3)[None] * [2.0, 1.0, 0.5], np.full((600, 2, 1), -3.0),
-                    np.full(600, 0.01), np.ones(3))
+        _magnus_run(np.eye(3)[None] * [2.0, 1.0, 0.5], np.full((5000, 2, 1), -3.0),
+                    np.full(5000, 0.01), np.ones(3))
     assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
                                                              logging.DEBUG)] * 2
     assert [r.getMessage() for r in caplog.records] == [
         "_magnus_run: 2 runs of 2100 steps in 2 blocks of 2048 steps, K = 2, "
-        "max ||H|| dt <= 0 (Cayley-Klein scan)",
-        "_magnus_run: 1 runs of 600 steps in 2 blocks of 512 steps, K = 1, "
-        "max ||H|| dt <= 0.06 (eigh loop)"]
+        "max ||H|| dt <= 0, states (Cayley-Klein loop)",
+        "_magnus_run: 1 runs of 5000 steps in 2 blocks of 4096 steps, K = 1, "
+        "max ||H|| dt <= 0.06, states (eigh loop)"]
 
 
 def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
@@ -690,7 +736,7 @@ def test_two_level_steps_match_exact_exponentials(complex_):
     mpmath = pytest.importorskip("mpmath")
     from spinberry.dynamics import _A_MINUS, _A_PLUS
     rng = np.random.default_rng(16)
-    h, dts = _random_two_level_nodes(rng, 60, complex_, np.linspace(10.0, 50.0, 60))
+    h, dts = _random_nodes(rng, 60, complex_, np.linspace(10.0, 50.0, 60))
     got = _library_steps(h, dts)
     with mpmath.workdps(40):
         a_minus = mpmath.mpf(1) / 4 - mpmath.sqrt(3) / 6
@@ -1389,7 +1435,6 @@ def _matrix_run_propagator(h_nodes, dts):
     """Run propagators of sampled node Hamiltonians (..., steps, 2, n, n) in
     blocks as before: Cayley-Klein trees of the matrix-path steps on two
     levels, pairwise products of eigh steps on more."""
-    from spinberry.dynamics import _cayley_klein, _su2_matrices
     n, steps = h_nodes.shape[-1], dts.shape[-1]
     block = max(1, (4096 if n == 2 else 512) // (dts.size // steps))
     total = np.eye(n)
@@ -1413,7 +1458,6 @@ def _matrix_magnus_run(h_nodes, dts, initial):
     """Step-end states of runs of sampled node Hamiltonians (..., steps, 2,
     n, n) as before: the prefix products of the matrix-path Cayley-Klein
     steps on two levels, eigh steps applied in turn on more."""
-    from spinberry.dynamics import _cayley_klein
     psi = np.asarray(initial, dtype=complex)
     if psi.shape[-1] != 2:
         props = np.moveaxis(_eigh_cf4_steps(h_nodes, dts), -3, 0)

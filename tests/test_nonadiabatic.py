@@ -284,6 +284,14 @@ def test_magic_lambda_validation():
         magic_lambda(S1, 0.2)
 
 
+def test_magic_coupling_rejects_nan_eta():
+    # NaN fails every comparison, so the window check is "not |eta| <= 0.5"
+    for call in (lambda: magic_lambda(S2, float("nan")),
+                 lambda: magic_lambda_fit(4, float("nan"))):
+        with pytest.raises(ValueError, match=r"\|eta\| <= 0.5 required, got nan"):
+            call()
+
+
 def test_magic_fit_polynomial_values():
     assert magic_lambda_fit(4, 0.0) == 0.838213
     assert magic_lambda_fit(8, 0.0) == 0.509982

@@ -502,6 +502,16 @@ def test_cli_cycle_missing_schedule_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_magic_rejects_nan_eta(tmp_path, capsys):
+    # the message names eta, the bad value, not a lambda derived from it
+    out = tmp_path / "magic.csv"
+    code = main(["magic", "--spin", "2", "--eta-min", "nan", "--eta-max", "0.3", "--n", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: |eta| <= 0.5 required, got nan\n"
+    assert not out.exists()
+
+
 def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     # the S = 2 doublet (m = 2, m = 1) collapses below the gap threshold
     out = tmp_path / "tv.csv"
