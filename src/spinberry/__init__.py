@@ -20,7 +20,7 @@ from .berry import (BerryPhaseResult, GaugeField, berry_phase_adiabatic,
                     gauge_field, gauge_field_sphere, gauge_invariance_check)
 from .dynamics import (CycleResult, LeakageWarning, MirrorResult, RampResult,
                        mirror_phase_difference, ramp_fidelity, run_cycle,
-                       rotating_basis_transform, two_level_rotating_hamiltonian)
+                       two_level_rotating_hamiltonian)
 from .entangle import (DeltaBeta, EntangleResult, FourSpinState,
                        SymmetricBasis, closed_form_delta_beta,
                        collective_hamiltonian, entangling_cycle,

@@ -4,10 +4,10 @@ Every run's Hamiltonian is sum_k c_k(t) O_k over K <= 4 fixed operators:
 Sigma_z and Sigma_x^2 of a parity block, plus Sigma_x and Sigma_y while phi
 or theta moves.  The coefficients are sampled once at the Gauss nodes of
 fourth-order Magnus steps (:func:`_cf4_propagators`), by default
-``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`): on two
-levels a step is a closed-form SU(2) rotation times a phase
-(:func:`_two_level_steps`), on more a matrix by stacked ``eigh``.  One
-kernel composes the steps of every run (:func:`_sweep`) as a prefix scan:
+``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), as
+step matrices: closed-form SU(2) rotations times a phase on two levels
+(:func:`_two_level_steps`), stacked ``eigh`` on more.  One kernel composes
+them for every run (:func:`_sweep`, every product one :func:`_compose`):
 its up-sweep gives the run propagator (:func:`_run_propagator`), for the
 coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
 :mod:`spinberry.entangle` (:func:`_ramp_steps`), and its down-sweep every
@@ -32,8 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import (_block, _block_operators, _level, _reduced, labeled_spectrum,
-                          polarization)
+from .hamiltonian import _block, _block_operators, _level, _reduced, polarization
 from .pulses import PulseShape
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
@@ -148,31 +147,49 @@ def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
     return _grid(edges, counts)
 
 
-def _pauli(ops):
-    """Components (x0, x) (K, 4) of 2x2 operators ``ops`` (K, 2, 2),
-    O = x0 + x . sigma: real where every O is Hermitian."""
+def _exponent_basis(ops):
+    """The basis (K, n**2) of :func:`_cf4_exponents` for operators ``ops`` (K,
+    n, n): on two levels their Pauli components (x0, x), O = x0 + x . sigma,
+    real where every O is Hermitian; on more the operators flattened."""
+    n = ops.shape[-1]
+    if n != 2:
+        return ops.reshape(len(ops), n * n)
     (o00, o01), (o10, o11) = np.moveaxis(ops, 0, -1)
     pauli = 0.5 * np.stack([o00 + o11, o01 + o10, 1j * (o01 - o10), o00 - o11], axis=-1)
     return pauli if pauli.imag.any() else pauli.real
+
+
+def _compose(late, early):
+    """Products ``late @ early`` of stacked (..., n, k) and (..., k, m): for
+    k, m <= 4 the sum of k broadcast outer products, whose elementwise passes
+    cost less than matmul's per-matrix calls on a run's small stacks."""
+    k = early.shape[-2]
+    if max(k, early.shape[-1]) > 4:
+        return np.matmul(late, early)
+    product = late[..., :1] * early[..., :1, :]
+    for j in range(1, k):
+        product += late[..., j:j + 1] * early[..., j:j + 1, :]
+    return product
 
 
 def _cf4_exponents(basis, coeffs):
     """The CF4 step's two exponents (a+ H- + a- H+, a- H- + a+ H+), stacked
     (2, B, ...), the first applied first (see :func:`_cf4_propagators`), from
     the coefficients ``coeffs`` (..., 2, K) of its node Hamiltonians on
-    ``basis`` (K, B): the operators' Pauli components (:func:`_pauli`) or the
-    operators flattened.  Weights and basis act as one matrix on each run's
-    steps apart: a product's rounding may depend on its size."""
+    ``basis`` (K, B) (:func:`_exponent_basis`).  Weights and basis act as
+    one matrix on each run's steps apart: a product's rounding may depend on
+    its size."""
     weights = np.einsum("en,kb->ebnk", _CF4_WEIGHTS, basis).reshape(2 * basis.shape[1], -1)
-    runs = weights @ np.swapaxes(coeffs.reshape(coeffs.shape[:-2] + (-1,)), -1, -2)
+    runs = _compose(weights, np.swapaxes(coeffs.reshape(coeffs.shape[:-2] + (-1,)), -1, -2))
     return np.ascontiguousarray(
         np.moveaxis(runs.reshape(runs.shape[:-2] + (2, -1, runs.shape[-1])), (-3, -2), (0, 1)))
 
 
-def _cf4_propagators(ops, coeffs, dts):
-    """Propagators (..., n, n) of CF4 steps of widths ``dts`` (...) of the
-    Hamiltonians sum_k c_k O_k of operators ``ops`` (K, n, n), given by
-    their coefficients ``coeffs`` (..., 2, K) at the steps' Gauss nodes.
+def _cf4_propagators(basis, coeffs, dts):
+    """Propagators (steps, ..., n, n), step axis first, of CF4 steps of
+    widths ``dts`` (..., steps) of the Hamiltonians sum_k c_k O_k given by
+    their coefficients ``coeffs`` (..., steps, 2, K) at the steps' Gauss
+    nodes, on the operators' ``basis`` (:func:`_exponent_basis`).
 
     The scheme is the fourth-order commutator-free Magnus integrator CF4:2
     of Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006) (see also
@@ -186,28 +203,33 @@ def _cf4_propagators(ops, coeffs, dts):
     a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
     node (the other order is only second order).  The exponents are linear
     in H, so they are formed on the coefficients (:func:`_cf4_exponents`),
-    and exponentiated by one stacked ``numpy.linalg.eigh`` (two-level runs
-    take the closed form of :func:`_two_level_steps`), so every step is
+    and exponentiated in closed form on two levels (:func:`_two_level_steps`)
+    and by one stacked ``numpy.linalg.eigh`` on more, so every step is
     unitary to rounding.  One Newton-Schulz step P (3 - P^dag P) / 2 makes
-    each step unitary to second order in its error: eigh's eigenvectors
-    fall slightly but systematically short of orthonormal, which would
-    build up as norm drift over thousands of steps.  A step of width 0 with
-    H = 0 is the identity.
+    each eigh step unitary to second order in its error: eigh's
+    eigenvectors fall slightly but systematically short of orthonormal,
+    which would build up as norm drift over thousands of steps.  A step of
+    width 0 with H = 0 is the identity.
     """
-    n = ops.shape[-1]
-    exponents = np.moveaxis(_cf4_exponents(ops.reshape(len(ops), n * n), coeffs), 1, -1)
+    n = round(basis.shape[1] ** 0.5)
+    if n == 2:  # z [[a, -conj(b)], [b, conj(a)]], z = exp(-i phase)
+        phase, a, b = _two_level_steps(*_cf4_exponents(basis, coeffs), dts)
+        z = np.exp(-1j * phase)
+        steps = np.stack([z * a, -z * b.conj(), z * b, z * a.conj()], axis=-1)
+        return np.moveaxis(steps.reshape(steps.shape[:-1] + (2, 2)), -3, 0)
+    exponents = np.moveaxis(_cf4_exponents(basis, coeffs), 1, -1)
     w, u = np.linalg.eigh(exponents.reshape(exponents.shape[:-1] + (n, n)))
     phase, back = w * dts[..., None], u.conj().swapaxes(-1, -2)  # real for real exponents
-    applied_first, applied_second = ((u * np.cos(phase)[..., None, :]) @ back
-                                     - 1j * ((u * np.sin(phase)[..., None, :]) @ back))
-    return _newton_schulz(applied_second @ applied_first)
+    applied_first, applied_second = (_compose(u * np.cos(phase)[..., None, :], back)
+                                     - 1j * _compose(u * np.sin(phase)[..., None, :], back))
+    return np.moveaxis(_newton_schulz(_compose(applied_second, applied_first)), -3, 0)
 
 
 def _newton_schulz(props):
     """One Newton-Schulz step P (3 - P^dag P) / 2 towards the nearest unitary
     of each nearly unitary P (..., n, n): its error falls to second order."""
-    return props @ (1.5 * np.eye(props.shape[-1])
-                    - 0.5 * (props.conj().swapaxes(-1, -2) @ props))
+    return _compose(props, 1.5 * np.eye(props.shape[-1])
+                    - 0.5 * _compose(props.conj().swapaxes(-1, -2), props))
 
 
 def _two_level_steps(first, second, dts):
@@ -240,54 +262,6 @@ def _two_level_steps(first, second, dts):
     return x0_1 + x0_2, c - 1j * sz, sy - 1j * sx
 
 
-def _cayley_klein_steps(pauli, coeffs, dts):
-    """Two-level CF4 steps (:func:`_two_level_steps`) as elements (z, a, b)
-    (steps, ..., 3) of z [[a, -conj(b)], [b, conj(a)]], z = exp(-i phase):
-    factors, since a sum of phases would round to eps times the phase."""
-    phase, a, b = _two_level_steps(*_cf4_exponents(pauli, coeffs), dts)
-    steps = np.empty((a.shape[-1],) + a.shape[:-1] + (3,), dtype=complex)
-    for k, x in enumerate((np.exp(-1j * phase), a, b)):
-        steps[..., k] = np.moveaxis(x, -1, 0)
-    return steps
-
-
-def _cayley_klein_product(late, early):
-    """Products of elements (z, a, b), the later times the earlier: the
-    later applied to the earlier's first column (a', b'), times z z'."""
-    product = np.empty(late.shape, dtype=complex)
-    np.multiply(late[..., 0], early[..., 0], out=product[..., 0])
-    np.add(late[..., 1:] * early[..., 1:2], _turned(late) * early[..., 2:], out=product[..., 1:])
-    return product
-
-
-def _cayley_klein_apply(steps, psi):
-    """Elements (z, a, b) applied to vectors ``psi`` (..., 2): z times each
-    column weighted by its component of ``psi``."""
-    return (steps[..., 1:] * psi[..., :1] + _turned(steps) * psi[..., 1:]) * steps[..., :1]
-
-
-def _turned(steps):
-    """The second columns (-conj(b), conj(a)) of elements (z, a, b)."""
-    turned = steps[..., :0:-1].conj()
-    turned[..., 0] *= -1.0
-    return turned
-
-
-def _log_run(ops, coeffs, dts, blocks, block, element, states):
-    """Log a :func:`_sweep` at DEBUG level under its entry's name, with the
-    bound sum_k |c_k| ||O_k|| dt on max ||H|| dt (||O_k|| <= its largest row
-    sum), its output and element type, and "loop" for a down-sweep."""
-    if logger.isEnabledFor(logging.DEBUG):
-        with np.errstate(all="ignore"):
-            bound = np.max(np.abs(coeffs) @ np.abs(ops).sum(axis=-1).max(axis=-1)
-                           * dts[..., None], initial=0.0)
-        logger.debug("%s: %d runs of %d steps in %d blocks of %d steps, K = %d, "
-                     "max ||H|| dt <= %.3g, %s (%s%s)",
-                     "_magnus_run" if states else "_run_propagator",
-                     coeffs[..., 0, 0, 0].size, dts.shape[-1], blocks, block, len(ops), bound,
-                     "states" if states else "propagators", element, " loop" if states else "")
-
-
 def _sweep(ops, coeffs, dts, initial=None):
     """States (..., steps + 1, n) at the step ends of runs from ``initial``
     (..., n), row k after k steps, or without ``initial`` the propagators
@@ -295,56 +269,68 @@ def _sweep(ops, coeffs, dts, initial=None):
     sum_k c_k O_k on ``ops`` (K, n, n), given by their coefficients
     ``coeffs`` (..., steps, 2, K) at the Gauss nodes (:func:`_cf4_propagators`).
 
-    The steps are formed a block at a time, a power of two near
+    The step matrices are formed a block at a time, a power of two near
     ``_STEP_RUNS`` steps of all runs on two levels (as many state entries on
-    more): its trees are subtrees of larger blocks', so a run's states do
-    not depend on the runs stacked with it.  A block's steps, Cayley-Klein
-    elements on two levels (:func:`_cayley_klein_steps`) or matrices, enter
-    a work-efficient prefix scan (G. E. Blelloch, CMU-CS-90-190, 1990).  Its
-    up-sweep multiplies them pairwise (an odd one out passes up as if paired
-    with the identity) into the propagator that carries the running vectors,
-    for a propagator the identity's columns, over the block; one
-    Newton-Schulz step ends a run propagator's drift from unitary.  Its
-    down-sweep walks the tree back, a right child starting where its left
-    sibling ends: each state is one left child applied to one vector,
-    written in place and not renormalized.  The default density assumes
-    the logged bound on max ||H|| dt (:func:`_log_run`) <~ 1.
+    more), whose trees are subtrees of larger blocks', so a run's states do
+    not depend on the runs stacked with it.  They enter a work-efficient
+    prefix scan (G. E. Blelloch, CMU-CS-90-190, 1990), every product one
+    :func:`_compose`.  Its up-sweep multiplies them pairwise (an odd one out
+    passes up as if paired with the identity) into the propagator that
+    carries the running (n, 1) vectors, for a propagator the identity's
+    columns, over the block; one Newton-Schulz step ends a run
+    propagator's drift from unitary.  Its down-sweep walks the tree back, a
+    right child starting where its left sibling ends: each state is one
+    left child applied to one vector, written in place and not
+    renormalized.  The bound sum_k |c_k| ||O_k|| dt on max ||H|| dt
+    (||O_k|| <= its largest row sum), logged at DEBUG level with the run's
+    sizes and step form, should be <~ 1; above 2**52,
+    where a step phase's float spacing reaches 1 rad, the run raises
+    ValueError (a NaN bound passes, for the leakage contracts to reject).
     """
     n, states = ops.shape[-1], initial is not None
+    with np.errstate(all="ignore"):  # sum_k |c_k| ||O_k|| at the nodes, times dt
+        node = np.abs(coeffs.reshape(-1, len(ops))) @ np.abs(ops).sum(axis=-1).max(axis=-1)
+        node = node.reshape(coeffs.shape[:-1])
+        bound = np.max(np.maximum(node[..., 0], node[..., 1]) * dts, initial=0.0)
+    del node  # not held through the sweep
     if not states:  # the identity's columns, as n vectors of every run
         coeffs, dts, initial = coeffs[..., None, :, :, :], dts[..., None, :], np.eye(n)
+    if bound > 2.0 ** 52:
+        raise ValueError(f"the step bound sum_k |c_k| ||O_k|| dt = {bound:.3g} is above 2**52, "
+                         f"where the float spacing of a step phase reaches 1 rad")
     steps = dts.shape[-1]
     block = 1 << (max(1, 2 * _STEP_RUNS // (coeffs[..., 0, 0, 0].size * n)) - 1).bit_length()
     starts = range(0, steps, block)
-    if n == 2:
-        element, basis = "Cayley-Klein", _pauli(ops)
-        form, multiply, apply = _cayley_klein_steps, _cayley_klein_product, _cayley_klein_apply
-    else:
-        element, basis, multiply = "eigh", ops, np.matmul
-        form = lambda *args: np.moveaxis(_cf4_propagators(*args), -3, 0)  # noqa: E731
-        apply = lambda props, psi: (props @ psi[..., None])[..., 0]  # noqa: E731
-    _log_run(ops, coeffs, dts, len(starts), block, element, states)
-    psi = np.asarray(initial, dtype=complex)
+    logger.debug("%s: %d runs of %d steps in %d blocks of %d steps, K = %d, "
+                 "max ||H|| dt <= %.3g, %s (%s%s)",
+                 "_magnus_run" if states else "_run_propagator",
+                 coeffs[..., 0, 0, 0].size, steps, len(starts), block, len(ops), bound,
+                 "states" if states else "propagators",
+                 "Cayley-Klein" if n == 2 else "eigh", " loop" if states else "")
+    basis = _exponent_basis(ops)
+    psi = np.asarray(initial, dtype=complex)[..., None]
     if states:
         out = np.empty((steps + 1,) + psi.shape, dtype=complex)
         out[0] = psi
     for first in starts:
-        levels = [form(basis, coeffs[..., first:first + block, :, :],
-                       dts[..., first:first + block])]
-        while len(levels[-1]) > 1:
-            x = levels[-1]
-            pairs = multiply(x[1::2], x[:-1:2])
+        levels = [_cf4_propagators(basis, coeffs[..., first:first + block, :, :],
+                                   dts[..., first:first + block])]
+        while len(levels[-1]) > 1:  # a propagator keeps only the top level
+            x = levels[-1] if states else levels.pop()
+            pairs = _compose(x[1::2], x[:-1:2])
             levels.append(np.concatenate([pairs, x[-1:]]) if len(x) % 2 else pairs)
         if not states:
-            psi = apply(levels[-1][0], psi)
+            psi = _compose(levels[-1][0], psi)
             continue
         end = first + len(levels[0])
         for level in reversed(range(len(levels[0]).bit_length())):
             stride = 2 ** level
             right = out[first + stride:end + 1:2 * stride]
-            right[...] = apply(levels[level][:2 * len(right):2],
-                               out[first:end + 1 - stride:2 * stride])
-    return np.moveaxis(out, 0, -2) if states else _newton_schulz(psi.swapaxes(-1, -2))
+            right[...] = _compose(levels[level][:2 * len(right):2],
+                                  out[first:end + 1 - stride:2 * stride])
+    if states:
+        return np.moveaxis(out[..., 0], 0, -2)
+    return _newton_schulz(psi[..., 0].swapaxes(-1, -2))
 
 
 def _run_propagator(ops, coeffs, dts):
@@ -412,8 +398,8 @@ def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
     """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag
     (the reference for the co-rotating runs)."""
     u = _frames(rep, schedule, t)
-    return _stacked(schedule.b(t)) * (u @ _reduced(rep, schedule.lam(t))
-                                      @ u.conj().swapaxes(-1, -2))
+    return _stacked(schedule.b(t)) * _compose(_compose(u, _reduced(rep, schedule.lam(t))),
+                                              u.conj().swapaxes(-1, -2))
 
 
 def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
@@ -666,11 +652,3 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
     field axes, whose level labeled m is tracked as in :func:`run_cycle`."""
     return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
 
-
-def rotating_basis_transform(rep: SpinRep, lam: float) -> np.ndarray:
-    """Real orthogonal matrix whose columns are the labeled eigenvectors.
-
-    V diagonalizes the reduced Hamiltonian: V^T H(lambda) V has the labeled
-    energies on the diagonal in descending-m order.
-    """
-    return labeled_spectrum(rep, lam).vectors.copy()

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from spinberry import (alpha_rotation_cycle, berry_phase_adiabatic, blackman,
                        labeled_spectrum, magic_lambda,
                        mirror_phase_difference, phi_rotation_cycle,
-                       ramp_fidelity, rotating_basis_transform, run_cycle,
+                       ramp_fidelity, run_cycle,
                        spin_matrices, three_stage_cycle,
                        two_level_rotating_hamiltonian)
 from spinberry.dynamics import (lab_hamiltonian, propagate, ramp_phase,
@@ -457,19 +457,18 @@ def _cayley_klein(a, b, a_early, b_early):
 
 def _su2_matrices(phase, a, b):
     """The matrices exp(-i phase) [[a, -conj(b)], [b, conj(a)]] (..., 2, 2)
-    of Cayley-Klein parameters (...) (see ``_two_level_steps``)."""
+    of Cayley-Klein parameters (...)."""
     props = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(a.shape + (2, 2))
     return props * np.exp(-1j * phase)[..., None, None]
 
 
 def _library_steps(h_nodes, dts):
-    """The library's CF4 step propagators of sampled matrices, from their
-    coefficients: the closed form on two levels, else ``_cf4_propagators``."""
-    from spinberry.dynamics import _cf4_exponents, _cf4_propagators, _pauli, _two_level_steps
+    """The library's CF4 step propagators (..., steps, n, n) of sampled
+    matrices, from their coefficients (``_cf4_propagators``: the closed form
+    on two levels, else eigh)."""
+    from spinberry.dynamics import _cf4_propagators, _exponent_basis
     ops, coeffs = _coefficients(h_nodes)
-    if h_nodes.shape[-1] == 2:
-        return _su2_matrices(*_two_level_steps(*_cf4_exponents(_pauli(ops), coeffs), dts))
-    return _cf4_propagators(ops, coeffs, dts)
+    return np.moveaxis(_cf4_propagators(_exponent_basis(ops), coeffs, dts), 0, -3)
 
 
 def _matmul_run_propagator(h_nodes, dts, step_propagators=_library_steps):
@@ -490,6 +489,29 @@ def _matmul_run_propagator(h_nodes, dts, step_propagators=_library_steps):
             props = props[..., 1::2, :, :] @ props[..., ::2, :, :]
         total = props[..., 0, :, :] @ total
     return total
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_compose_matches_matmul(complex_, k):
+    # inner sizes on both sides of the switch from broadcast outer products
+    # to matmul (k = 4), for the tree's matrix products, the down-sweep's
+    # matrix-vector products, a propagator's root (..., 1, k, k) applied to
+    # the identity's columns (k, k, 1) and the CF4 weights applied to each
+    # run's coefficients (300 columns, matmul at every k), each entry to
+    # 1e-15 of the sum of its terms' magnitudes
+    from spinberry.dynamics import _compose
+    rng = np.random.default_rng(23)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_ else x
+
+    for late, early in ((draw(5, 3, k, k), draw(5, 3, k, k)), (draw(7, k, k), draw(7, k, 1)),
+                        (draw(4, 1, k, k), np.eye(k)[..., None]), (draw(8, k), draw(3, k, 300))):
+        got, ref = _compose(late, early), np.matmul(late, early)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.all(np.abs(got - ref) <= 1e-15 * (np.abs(late) @ np.abs(early)))
 
 
 def _random_nodes(rng, n, complex_, norm_dts, levels=2):
@@ -1322,9 +1344,9 @@ def test_slower_cycles_reduce_extraction_error():
 
 
 def test_rotating_basis_transform_properties():
-    v0 = rotating_basis_transform(S2, 0.0)
+    v0 = labeled_spectrum(S2, 0.0).vectors
     assert np.abs(v0 - np.eye(5)).max() == 0.0
-    v = rotating_basis_transform(S2, 1.0)
+    v = labeled_spectrum(S2, 1.0).vectors
     assert np.abs(v.T @ v - np.eye(5)).max() < 1e-12
     h = S2.sigma_z + 1.0 * (S2.sigma_x @ S2.sigma_x)
     d = v.T @ h @ v

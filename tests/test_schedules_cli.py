@@ -546,9 +546,11 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["magic", "--spin", "3/2"],
     ["ramp", "--T", "1e16"],  # first allocation 1.73 EiB: fails at once
     ["entangle", "--T", "1e16"],  # 6.94 EiB
-    ["entangle", "--lambda0", "1e200", "--T", "2"],  # the steps overflow
+    ["entangle", "--lambda0", "1e200", "--T", "2"],  # step bound ~1.6e199
     ["ramp", "--m", "1", "--lambda0", "1e200", "--T", "2"],
     ["cycle", "--schedule", "overflow.sched", "--m", "1"],
+    ["ramp", "--m", "0", "--lambda0", "1e200", "--T", "2"],  # step bound ~2.2e199
+    ["ramp", "--m", "-1", "--lambda0", "1e20", "--T", "2"],  # step bound ~1.6e19
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     sched = tmp_path / "alpha.sched"
@@ -747,6 +749,34 @@ def test_readme_output_unchanged_under_scipy_simpson(argv, tmp_path, monkeypatch
     code, reference = run_cli(argv, tmp_path, "scipy.out")
     assert code == 0
     assert private == reference
+
+
+def test_readme_library_quick_start():
+    # the README's "Library quick start" block, run statement by statement:
+    # every "# -> value" comment holds to its printed digits ("..." marks a
+    # truncated value, and pi is held to 1e-14)
+    import ast
+    import math
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines, namespace, checked = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        comment = lines[node.end_lineno - 1].partition("# -> ")[2].strip()
+        if not comment:
+            exec(source, namespace)
+            continue
+        got = np.atleast_1d(eval(source, namespace))
+        for value, text in zip(got, comment.split(", "), strict=True):
+            if text == "pi":
+                assert abs(value - math.pi) < 1e-14
+            elif text.endswith("..."):
+                assert repr(float(value)).startswith(text[:-3]), (value, text)
+            else:
+                assert round(float(value), len(text.partition(".")[2])) == float(text)
+            checked.append(text)
+    assert checked == ["2.0", "1.0", "pi", "0.838213...", "0.999999993"]
 
 
 def test_cli_spin_parsing(tmp_path):
