@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
-from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, mirror_phase_difference,
-                       ramp_fidelity)
+from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, _StepBoundError,
+                       mirror_phase_difference, ramp_fidelity)
 from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
 from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, delta_p,
@@ -66,12 +66,13 @@ def _output(path):
 
 @contextmanager
 def _finite(what: str):
-    """Raise on overflow and invalid operations in the block, as one
-    ValueError naming ``what``: a NaN result is an error, not an output."""
+    """Raise on overflow and invalid operations in the block, and on a run
+    whose step bound is above 2**52, as one ValueError naming ``what``: a
+    NaN result is an error, not an output."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, _StepBoundError) as exc:
         raise ValueError(f"{what} overflows the step arithmetic ({exc})") from None
 
 

@@ -70,6 +70,11 @@ class LeakageWarning(UserWarning):
         self.bound = bound
 
 
+class _StepBoundError(ValueError):
+    """A run's step bound is above 2**52 (:func:`_sweep`): its step
+    arithmetic fails as an overflowing one does."""
+
+
 @dataclass
 class CycleResult:
     """Outcome of one integrated run against its adiabatic reference.
@@ -296,8 +301,8 @@ def _sweep(ops, coeffs, dts, initial=None):
     if not states:  # the identity's columns, as n vectors of every run
         coeffs, dts, initial = coeffs[..., None, :, :, :], dts[..., None, :], np.eye(n)
     if bound > 2.0 ** 52:
-        raise ValueError(f"the step bound sum_k |c_k| ||O_k|| dt = {bound:.3g} is above 2**52, "
-                         f"where the float spacing of a step phase reaches 1 rad")
+        raise _StepBoundError(f"the step bound sum_k |c_k| ||O_k|| dt = {bound:.3g} is above "
+                              f"2**52, where the float spacing of a step phase reaches 1 rad")
     steps = dts.shape[-1]
     block = 1 << (max(1, 2 * _STEP_RUNS // (coeffs[..., 0, 0, 0].size * n)) - 1).bit_length()
     starts = range(0, steps, block)

@@ -25,9 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .berry import _quad_grid, _simpson
 from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_propagators,
                        _ramp_steps, _run_propagator, _step_grid)
-from .hamiltonian import _label_index
+from .hamiltonian import _label_index, _level
+from .pulses import PulseShape
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -45,6 +47,14 @@ _SHAPE = "blackman"
 
 # Window of ramp stretches searched by tune_stage_stretch.
 _STRETCH_BOUNDS = (0.88, 1.12)
+
+# Grid maxima of the adiabatic fidelity prediction within this margin of its
+# best are polished on the exact fidelity: the prediction misses the exact
+# fidelity on the 25-stretch grid at lambda_max by up to 7.8e-3 at T = 15.
+_CANDIDATE_MARGIN = 0.02
+
+# Simpson nodes of the ramp's dynamical phase (error about 3e-11 rad at lambda_max).
+_PHASE_QUAD_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -270,40 +280,75 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
                           lambda0=float(lambda0))
 
 
-def _stretch_fidelity(lambda0: float, stage_duration: float):
+def _rotation_blocks(lambda0: float, stage_duration: float):
+    """(rep, operators, U_rot, k) of the S = 2 and S = 1 multiplets: the
+    rotation stage's propagator on the M = 1 parity block, whose operators
+    (Sigma_z, Sigma_x^2) are the ramps' too, and M = 1's index k in it.
+    The stage does not depend on the stretch, so the tuner forms it once for
+    both its objective and its prediction."""
+    rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
+    grid = _step_grid(rotation)
+    blocks = []
+    for rep in (spin_matrices(4), spin_matrices(2)):
+        _, ops, coeffs = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)
+        # the block is every other basis index, so M = 1 sits at index // 2
+        blocks.append((rep, ops, _run_propagator(ops, coeffs[0], grid.dts),
+                       _label_index(rep, 1.0) // 2))
+    return tuple(blocks)
+
+
+def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
     """The fidelity of :func:`entangling_cycle` at the default step grid, as
-    a function of an array of stage stretches (the tuner's objective).
+    a function of an array of stage stretches (the tuner's exact objective).
 
     The cycle's ramps have the real symmetric co-rotating Hamiltonian
     Sigma_z + lambda Sigma_x^2, and the ramp down is the ramp up reversed in
     time, so its propagator is U_up^T: step by step, the transposed CF4 step
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
-    amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once here and
-    the ramps of all stretches are integrated in one stacked call per spin
-    (:func:`spinberry.dynamics._ramp_propagators`), one spin after the
-    other, on one sample of lambda(t) for all stretches
-    (:func:`spinberry.dynamics._ramp_steps`), ragged ends padded with
-    identity steps.  The target's overlap with the cycled Phi^(1) is
+    amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once, or taken
+    from ``blocks`` (:func:`_rotation_blocks`), and the ramps of all
+    stretches are integrated in one stacked call per spin
+    (:func:`spinberry.dynamics._ramp_propagators`) on one sample of lambda(t)
+    for all stretches (:func:`spinberry.dynamics._ramp_steps`), ragged ends
+    padded with identity steps.  The target's overlap with the cycled Phi^(1) is
     (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
-    rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
-    grid = _step_grid(rotation)
-    blocks = []
-    for rep in (spin_matrices(4), spin_matrices(2)):
-        _, ops, coeffs = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)
-        # the block is every other basis index, so M = 1 sits at index // 2;
-        # its operators (Sigma_z, Sigma_x^2) are the ramps' too
-        blocks.append((ops, _run_propagator(ops, coeffs[0], grid.dts),
-                       _label_index(rep, 1.0) // 2))
+    blocks = blocks or _rotation_blocks(lambda0, stage_duration)
 
     def fidelity(stretches):
         dts, lams = _ramp_steps(lambda0, stage_duration * np.asarray(stretches), _SHAPE)
         amplitudes = []
-        for ops, u_rot, k in blocks:
+        for _, ops, u_rot, k in blocks:
             up = _ramp_propagators(ops, dts, lams)[..., k]
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
+        return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
+    return fidelity
+
+
+def _adiabatic_fidelity(lambda0: float, stage_duration: float, blocks=None):
+    """The adiabatic prediction of :func:`_stretch_fidelity`, as a function
+    of an array of stage stretches.
+
+    A ramp of duration s T that follows the M = 1 level adiabatically takes
+    |1> to exp(-i s T theta) psi, with psi the level at lambda0 and
+    theta = int_0^1 E(M = 1, lambda0 f(tau)) dtau along the ramp's profile f
+    (a real Hamiltonian adds no Berry phase).  So a(S, 1) is
+    exp(-2 i s T theta_S) psi_S^T U_rot psi_S: one closed form per
+    multiplet, with no ramp integrated (U_rot as in :func:`_stretch_fidelity`).
+    """
+    tau = _quad_grid(1.0, _PHASE_QUAD_POINTS)
+    lams = lambda0 * PulseShape(_SHAPE).fraction(tau)
+    thetas, overlaps = [], []
+    for rep, _, u_rot, _ in blocks or _rotation_blocks(lambda0, stage_duration):
+        thetas.append(_simpson(_level(rep, 1.0, lams)[1], tau))
+        psi = _level(rep, 1.0, lambda0)[2]
+        overlaps.append(psi @ u_rot @ psi)
+
+    def fidelity(stretches):
+        a21, a11 = (overlap * np.exp(-2j * stage_duration * theta * np.asarray(stretches))
+                    for theta, overlap in zip(thetas, overlaps))
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
     return fidelity
 
@@ -312,43 +357,45 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0) -> float:
     """Ramp-duration stretch that maximizes the entangled-state fidelity.
 
     The objective is the fidelity that :func:`entangling_cycle` reports at
-    its default step grid, evaluated from one ramp propagator per spin and
-    stretch (:func:`_stretch_fidelity`).  The stretch window spans more than
-    one full period of the relative dynamical phase, so a coarse scan of 25
-    stretches (one stacked evaluation) plus a bounded polish always finds
-    the global optimum of the (near-sinusoidal) fidelity.  The best grid
-    point may sit at a window edge on the flank of a maximum outside the
-    window, so the best interior grid maximum is polished too.  Maxima one
-    period apart reach nearly the same fidelity, so of the polished
-    stretches within 1e-6 of the best fidelity the one nearest 1 is
-    returned, and a rounding-level change cannot make the result jump.
-    The number of objective evaluations, the best grid stretch and the
-    returned stretch, with their fidelities, are logged at DEBUG level.
+    its default step grid, evaluated from one ramp propagator per spin
+    (:func:`_stretch_fidelity`).  The stretch window spans more than one full
+    period of the relative dynamical phase.  Where its maxima lie comes from
+    the adiabatic prediction (:func:`_adiabatic_fidelity`) on a grid of 25
+    stretches: every grid maximum (a window edge counts) whose predicted
+    fidelity is within ``_CANDIDATE_MARGIN`` of the predicted best is
+    polished on the exact objective by a bounded search between its grid
+    neighbours.  A maximum may sit at a window edge on the flank of one
+    outside the window, so an interior maximum nearly as good is polished
+    too.  Maxima one period apart reach nearly the same fidelity, so of the
+    polished stretches within 1e-6 of the best fidelity the one nearest 1
+    is returned, and a rounding-level change cannot make the result jump.
+    The number of objective evaluations, of candidates polished and of
+    predicted grid maxima, and the returned stretch with its predicted and
+    exact fidelity, are logged at DEBUG level.
     """
     from scipy.optimize import minimize_scalar  # on demand, as in lambda_max_solve
 
-    fidelity = _stretch_fidelity(lambda0, stage_duration)
+    blocks = _rotation_blocks(lambda0, stage_duration)
+    fidelity = _stretch_fidelity(lambda0, stage_duration, blocks)
+    predicted = _adiabatic_fidelity(lambda0, stage_duration, blocks)
 
     def objective(s):
         return -float(fidelity(np.array([s]))[0])
 
     grid = np.linspace(*_STRETCH_BOUNDS, 25)
-    values = -fidelity(grid)
-    interior = [k for k in range(1, len(grid) - 1)
-                if values[k] <= min(values[k - 1], values[k + 1])]
-    best_k = int(np.argmin(values))
-    starts = {best_k}
-    if interior:
-        starts.add(min(interior, key=lambda k: values[k]))
+    values = predicted(grid)
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    maxima = [k for k in range(len(grid)) if values[k] >= max(padded[k], padded[k + 2])]
+    starts = [k for k in maxima if values[k] >= values.max() - _CANDIDATE_MARGIN]
     polished = [minimize_scalar(objective, bounds=(grid[max(0, k - 1)],
                                                    grid[min(len(grid) - 1, k + 1)]),
                                 method="bounded", options={"xatol": 1e-6})
-                for k in sorted(starts)]
+                for k in starts]
     best = min(res.fun for res in polished)
     chosen = min((res for res in polished if res.fun <= best + 1e-6),
                  key=lambda res: abs(res.x - 1.0))
-    logger.debug("tune_stage_stretch: %d objective evaluations; best grid "
-                 "stretch %.6f (fidelity %.12f); returned stretch %.10f "
-                 "(fidelity %.12f)", len(grid) + sum(res.nfev for res in polished),
-                 grid[best_k], -values[best_k], chosen.x, -chosen.fun)
+    logger.debug("tune_stage_stretch: %d objective evaluations polishing %d of %d "
+                 "predicted grid maxima; returned stretch %.10f (predicted fidelity "
+                 "%.12f, fidelity %.12f)", sum(res.nfev for res in polished), len(starts),
+                 len(maxima), chosen.x, predicted(np.array([chosen.x]))[0], -chosen.fun)
     return float(chosen.x)

@@ -196,7 +196,8 @@ def test_fast_cycle_triggers_adiabaticity_warning():
 def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys, monkeypatch):
     # at lambda0 = 1e200 the step bound sum_k |c_k| ||O_k|| dt (about 1e199)
     # is far above 2**52, so the runs raise before they step, and `cycle` and
-    # `entangle` exit 1 with one error line naming the bound.  A run that
+    # `entangle` exit 1 with one error line naming the schedule file or the
+    # coupling, and the bound.  A run that
     # still comes out NaN (here from NaN coefficients, whose NaN bound
     # passes) leaks NaN, which no leakage bound accepts
     from spinberry import dynamics
@@ -216,12 +217,14 @@ def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys, monkeypa
             with pytest.raises(ValueError, match=r"step bound .* = 1\.\d+e\+199 is above 2\*\*52"):
                 run()
     assert closed_form_delta_beta(1e200).delta == 0.0
-    for argv in (["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1"],
-                 ["entangle", "--lambda0", "1e200", "--T", "2"]):
+    for argv, what in ((["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1"],
+                        f"the cycle of {sched}"),
+                       (["entangle", "--lambda0", "1e200", "--T", "2"],
+                        "the cycle at lambda0=1e+200")):
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the step bound") and "e+199 is above 2**52" in err
-        assert err.count("\n") == 1
+        assert err.startswith(f"error: {what} overflows the step arithmetic (the step bound")
+        assert "e+199 is above 2**52" in err and err.count("\n") == 1
     block_hamiltonian = dynamics._block_hamiltonian
 
     def nan_coefficients(*args):
@@ -263,8 +266,9 @@ def test_tuner_prefers_the_maximum_nearest_unit_stretch(monkeypatch):
                 - 5e-7 * (stretch - 0.881) / 0.15)
 
     with monkeypatch.context() as patch:
-        patch.setattr(entangle, "_stretch_fidelity",
-                      lambda lambda0, stage_duration: two_maxima)
+        # the same function is the exact objective and its prediction
+        for name in ("_stretch_fidelity", "_adiabatic_fidelity"):
+            patch.setattr(entangle, name, lambda lambda0, stage_duration, blocks: two_maxima)
         assert tune_stage_stretch(-0.97, 25.0) == pytest.approx(1.031, abs=1e-4)
     # at the README parameters the two candidates are 0.881239 and 1.064154
     assert tune_stage_stretch(-0.9699, 25.0) == pytest.approx(1.06415, abs=1e-4)
@@ -398,22 +402,84 @@ def test_stretch_fidelity_is_the_reported_fidelity(lam0, stage, stretch):
 
 def test_tuner_logs_what_it_did(caplog):
     import logging
+
+    from spinberry.entangle import _adiabatic_fidelity, _stretch_fidelity
+    lam_max = lambda_max_solve()
     with caplog.at_level(logging.DEBUG, logger="spinberry.entangle"):
-        stretch = tune_stage_stretch(lambda_max_solve(), 15.0)
+        stretch = tune_stage_stretch(lam_max, 15.0)
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     assert record.name == "spinberry.entangle"
     message = record.getMessage()
     evaluations = int(message.split(":")[1].split()[0])
-    assert evaluations > 25  # the grid scan and the polish
-    assert "best grid stretch" in message
+    assert 0 < evaluations <= 10  # the polish alone, from one candidate here
+    assert " polishing 1 of " in message and " predicted grid maxima; " in message
     assert f"returned stretch {stretch:.10f}" in message
+    predicted = _adiabatic_fidelity(lam_max, 15.0)(np.array([stretch]))[0]
+    exact = _stretch_fidelity(lam_max, 15.0)(np.array([stretch]))[0]
+    assert f"(predicted fidelity {predicted:.12f}, fidelity {exact:.12f})" in message
+
+
+def _scan_tuned_stretch(lambda0, stage_duration):
+    """Reference of the tuner's candidate search: a scan of the exact
+    objective at 25 stretches, whose best point and best interior maximum
+    are polished as the tuner polishes its candidates."""
+    from scipy.optimize import minimize_scalar
+
+    from spinberry.entangle import _stretch_fidelity
+    fidelity = _stretch_fidelity(lambda0, stage_duration)
+
+    def objective(s):
+        return -float(fidelity(np.array([s]))[0])
+
+    grid = np.linspace(0.88, 1.12, 25)
+    values = -fidelity(grid)
+    interior = [k for k in range(1, len(grid) - 1)
+                if values[k] <= min(values[k - 1], values[k + 1])]
+    starts = {int(np.argmin(values))}
+    if interior:
+        starts.add(min(interior, key=lambda k: values[k]))
+    polished = [minimize_scalar(objective, bounds=(grid[max(0, k - 1)],
+                                                   grid[min(len(grid) - 1, k + 1)]),
+                                method="bounded", options={"xatol": 1e-6})
+                for k in sorted(starts)]
+    best = min(res.fun for res in polished)
+    return float(min((res for res in polished if res.fun <= best + 1e-6),
+                     key=lambda res: abs(res.x - 1.0)).x)
+
+
+@pytest.mark.parametrize("stage", [8.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0])
+def test_tuner_matches_the_exact_scan(stage):
+    # the candidates from the adiabatic prediction reach the fidelity of the
+    # exact 25-stretch scan (at worst 4.0e-9 lower over this grid), and at
+    # the bench and README parameters the very same stretch
+    from spinberry.entangle import _stretch_fidelity
+    lam_max = lambda_max_solve()
+    for lam0 in [*np.linspace(-1.3, -0.6, 15), lam_max, -0.97, -0.9699]:
+        reference = _scan_tuned_stretch(lam0, stage)
+        stretch = tune_stage_stretch(lam0, stage)
+        ours, ref = _stretch_fidelity(lam0, stage)(np.array([stretch, reference]))
+        assert ours >= ref - 1e-6, (lam0, stretch, reference)
+        if (lam0, stage) in ((lam_max, 15.0), (lam_max, 25.0), (-0.9699, 25.0)):
+            assert stretch == reference
+
+
+@pytest.mark.parametrize("stage", [15.0, 25.0, 40.0])
+def test_adiabatic_fidelity_predicts_the_exact_one(stage):
+    # measured at most 7.8e-3, 4.7e-3 and 3.0e-3 over the grid: within half
+    # the tuner's candidate margin, so no exact maximum is left unpolished
+    from spinberry.entangle import _CANDIDATE_MARGIN, _adiabatic_fidelity, _stretch_fidelity
+    lam_max, grid = lambda_max_solve(), np.linspace(0.88, 1.12, 25)
+    error = np.abs(_adiabatic_fidelity(lam_max, stage)(grid)
+                   - _stretch_fidelity(lam_max, stage)(grid)).max()
+    assert error < 0.01 <= _CANDIDATE_MARGIN / 2
 
 
 
 def test_tuner_scan_forms_its_steps_in_few_blocks(monkeypatch):
-    # the --T 15 scan of 25 stretches (ramps of up to 420 steps) forms its
-    # two-level steps in at most 4 stacked calls per spin, every time
+    # the objective at 25 stretches and --T 15 (the reference scan; ramps of
+    # up to 420 steps) forms its two-level steps in at most 4 stacked calls
+    # per spin, every time
     from spinberry import dynamics, entangle
     fidelity = entangle._stretch_fidelity(lambda_max_solve(), 15.0)
     steps, calls = dynamics._two_level_steps, []
@@ -433,8 +499,9 @@ def test_tuner_scan_forms_its_steps_in_few_blocks(monkeypatch):
 
 
 def test_tuner_scan_samples_each_ramp_once(monkeypatch):
-    # the tuner's 25-stretch scan samples the ramps of all stretches in one
-    # vectorised call, shared by both spins, and builds no ramp schedule
+    # the objective at 25 stretches (the reference scan) samples the ramps of
+    # all stretches in one vectorised call, shared by both spins, and builds
+    # no ramp schedule
     from spinberry import dynamics, entangle, schedules
     fidelity = entangle._stretch_fidelity(lambda_max_solve(), 25.0)
     ramp_steps, calls = entangle._ramp_steps, []

@@ -524,6 +524,15 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     assert not out.exists()
 
 
+# the runs whose step bound is above 2**52 name their coupling, as an overflow does
+_STEP_BOUND_CONTEXT = {
+    ("entangle", "--lambda0", "1e200", "--T", "2"): "the cycle at lambda0=1e+200",
+    ("ramp", "--m", "1", "--lambda0", "1e200", "--T", "2"): "the ramp to lambda0=1e+200",
+    ("ramp", "--m", "0", "--lambda0", "1e200", "--T", "2"): "the ramp to lambda0=1e+200",
+    ("ramp", "--m", "-1", "--lambda0", "1e20", "--T", "2"): "the ramp to lambda0=1e+20",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["cycle", "--steps", "0"],
     ["cycle", "--steps", "-3"],
@@ -553,6 +562,7 @@ def test_cli_transverse_near_degeneracy(tmp_path, capsys):
     ["ramp", "--m", "-1", "--lambda0", "1e20", "--T", "2"],  # step bound ~1.6e19
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
+    context = _STEP_BOUND_CONTEXT.get(tuple(argv))
     sched = tmp_path / "alpha.sched"
     sched.write_text("lambda0 = 1.0\n"
                      "segment1.kind = rotate\n"
@@ -574,6 +584,8 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or out.read_text() == ""
+    if context is not None:
+        assert err.startswith(f"error: {context} overflows the step arithmetic (the step bound")
 
 
 @pytest.mark.parametrize("argv", [
@@ -819,7 +831,7 @@ def test_cli_output_unchanged_by_tuner_logging():
     assert plain.returncode == debug.returncode == 0
     assert plain.stderr == ""
     assert "objective evaluations" in debug.stderr
-    assert "DEBUG:spinberry.dynamics:_run_propagator: 25 runs of" in debug.stderr
+    assert "DEBUG:spinberry.dynamics:_run_propagator: 1 runs of" in debug.stderr
     assert plain.stdout == debug.stdout
     assert json.loads(plain.stdout)["command"] == "entangle"
 
