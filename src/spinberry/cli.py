@@ -24,7 +24,7 @@ from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretc
 from .hamiltonian import _spectra
 from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, delta_p,
                            magic_lambda, magic_lambda_fit, transverse_second_order)
-from .schedules import ScheduleError, from_file
+from .schedules import ScheduleError, _number, from_file
 from .spin_algebra import spin_matrices
 
 _HEADER_UNITS = "time in 1/(gamma_S*B0); phases in radians; energies reduced"
@@ -176,10 +176,13 @@ def cmd_transverse(args) -> int:
 
 def cmd_cycle(args) -> int:
     rep = spin_matrices(args.spin)
-    schedule = from_file(args.schedule)
-    with _finite(f"the cycle of {args.schedule}"):
-        quad = berry_phase_adiabatic(rep, args.m, schedule)
-        mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
+    schedule = from_file(args.schedule)  # whose errors name the file
+    try:
+        with _finite(f"the cycle of {args.schedule}"):
+            quad = berry_phase_adiabatic(rep, args.m, schedule)
+            mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
+    except ScheduleError as exc:  # the cycle's boundary conditions
+        raise ScheduleError(f"{args.schedule}: {exc}") from None
     payload = {
         "command": "cycle",
         "spin": _fmt(rep.s),
@@ -203,7 +206,7 @@ def cmd_cycle(args) -> int:
 def cmd_entangle(args) -> int:
     with _finite(f"the cycle at lambda0={args.lambda0:g}"):
         stretch = (tune_stage_stretch(args.lambda0, args.T) if args.tune == "auto"
-                   else float(args.tune))
+                   else _number("--tune", args.tune))
         res = entangling_cycle(args.lambda0, stage_duration=args.T,
                                steps=args.steps, tune_factor=stretch)
     amplitudes = [[_fmt(a.real), _fmt(a.imag)]

@@ -10,16 +10,17 @@ step matrices: closed-form SU(2) rotations times a phase on two levels
 them for every run (:func:`_sweep`, every product one :func:`_compose`):
 its up-sweep gives the run propagator (:func:`_run_propagator`), for the
 coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
-:mod:`spinberry.entangle` (:func:`_ramp_steps`), and its down-sweep every
-step-end state (:func:`_magnus_run`), for the runs tracked in the paper's
-co-rotating frame (:func:`_tracked_runs`): cycles, the ramps of
-:func:`ramp_phase` and the four-spin cycle, whose references solve only the
-tracked level's parity block, a cycle and its mirror image stepped as one
-run.  :func:`propagate` (any h(t), as coefficients of the n**2 matrix
-units) and :func:`lab_hamiltonian` are the references the tests hold them
-to.  Time is in units of 1/(gamma_S B0) throughout.  Functions of time
-(and of angles or couplings) take scalars or arrays; arrays give their
-matrices stacked along the leading axes.
+:mod:`spinberry.entangle`, each sampled from its schedule like every other
+run (:func:`_ramp_run`), and its down-sweep every step-end state
+(:func:`_magnus_run`), for the runs tracked in the paper's co-rotating frame
+(:func:`_tracked_runs`): cycles, the ramps of :func:`ramp_phase` and the
+four-spin cycle, whose references solve only the tracked level's parity
+block, a cycle and its mirror image stepped as one run.  :func:`propagate`
+(any h(t), as coefficients of the n**2 matrix units) and
+:func:`lab_hamiltonian` are the references the tests hold them to.  Time is
+in units of 1/(gamma_S B0) throughout.  Functions of time (and of angles or
+couplings) take scalars or arrays; arrays give their matrices stacked along
+the leading axes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .berry import _quad_grid, _simpson
 from .hamiltonian import _block, _block_operators, _level, _reduced, polarization
-from .pulses import PulseShape
 from .schedules import CycleSchedule, Segment, from_segments
 from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
 
@@ -111,9 +111,12 @@ def _grid(edges, counts) -> _Grid:
     start + k dt, so stages of integer duration at ``STEPS_PER_UNIT`` give
     the uniform grid k dt to the bit.
     """
-    if sum(counts) < 2:
-        raise ValueError(f"steps must be at least 2, got {sum(counts)}")
-    _bounded(edges[-1] - edges[0], sum(counts))
+    count, duration = sum(counts), edges[-1] - edges[0]
+    if count < 2:
+        raise ValueError(f"steps must be at least 2, got {count}")
+    if not count <= _MAX_STEPS:  # before any step array is allocated
+        raise ValueError(f"a run of duration {duration:g} at {count / duration:g} steps per "
+                         f"unit time takes {count:,.0f} steps, more than {_MAX_STEPS:,}")
     pieces = []  # [start, dt, steps] of each run of equal steps
     for start, end, n in zip(edges[:-1], edges[1:], counts):
         dt = (end - start) / n
@@ -128,13 +131,6 @@ def _grid(edges, counts) -> _Grid:
     halves = np.concatenate([start + 0.5 * dt * np.arange(2 * n)
                              for start, dt, n in pieces] + [end])
     return _Grid(dts, nodes, halves)
-
-
-def _bounded(duration, count):
-    """Raise if a run of ``duration`` takes ``count`` > ``_MAX_STEPS`` steps."""
-    if not count <= _MAX_STEPS:
-        raise ValueError(f"a run of duration {duration:g} at {count / duration:g} steps per "
-                         f"unit time takes {count:,.0f} steps, more than {_MAX_STEPS:,}")
 
 
 def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
@@ -587,41 +583,17 @@ def _ramp(lambda0: float, duration: float, shape: str) -> CycleSchedule:
     return from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
 
 
-def _ramp_steps(lambda0: float, durations, shape: str, steps: int | None = None):
-    """Step widths (runs, steps) and lambda at the Gauss nodes (runs, steps, 2)
-    of the ramps 0 -> lambda0 of ``durations`` (runs,), sampled for all of
-    them at once: run j is, to the bit, ``_step_grid(_ramp(lambda0, T_j,
-    shape), steps)`` and ``.lam`` at its nodes, and its ragged end is padded
-    with steps of dt = 0 and lambda = 0."""
-    durations = np.asarray(durations, dtype=float)
-    # one Segment checks lambda0, the shape and the first invalid duration
-    Segment("ramp", durations[np.argmin(np.isfinite(durations) & (durations > 0))], shape,
-            lambda_to=lambda0)
-    if steps is None:
-        counts = np.maximum(2, np.round(STEPS_PER_UNIT * durations))
-    elif steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
-    else:
-        counts = np.full(durations.shape, steps)
-    _bounded(durations[np.argmax(counts)], counts.max())
-    k = np.arange(counts.max())
-    taken = k < counts[:, None]
-    dts = durations / counts
-    nodes = np.add.outer(k, [_C_MINUS, _C_PLUS]) * dts[:, None, None]
-    ends = durations[:, None, None]
-    fractions = PulseShape(shape).fraction(np.clip(np.clip(nodes, 0.0, ends) / ends, 0.0, 1.0))
-    return (np.where(taken, dts[:, None], 0.0),
-            np.where(taken[..., None], float(lambda0) * fractions, 0.0))
-
-
-def _ramp_propagators(ops, dts, lams):
-    """Propagators (runs, n, n) of the ramps ``dts``, ``lams`` of
-    :func:`_ramp_steps` on a parity block of operators ``ops`` (Sigma_z,
-    Sigma_x^2).  A ramp keeps b = 1 and its field axes, so its frames are the
-    identity and its coefficients (1, lambda); padding steps take H = 0 as
-    well as dt = 0, so they are identities to the bit."""
-    coeffs = np.stack(np.broadcast_arrays(dts[..., None] > 0.0, lams), axis=-1)
-    return _run_propagator(ops, coeffs, dts)
+def _ramp_run(rep: SpinRep, m: float, lambda0: float, duration: float, shape: str,
+              steps: int | None = None):
+    """Basis indices, operators O_k, coefficients (1, steps, 2, K) and step
+    widths of the coupling ramp 0 -> lambda0 from level m, sampled as every
+    run is: the step grid (:func:`_step_grid`) and block Hamiltonian
+    (:func:`_block_hamiltonian`) of its schedule (:func:`_ramp`).  A ramp
+    keeps b = 1 and its field axes, so its coefficients are (1, lambda) on
+    every parity block."""
+    ramp = _ramp(lambda0, duration, shape)
+    grid = _step_grid(ramp, steps)
+    return (*_block_hamiltonian(rep, m, [ramp], grid.nodes), grid.dts)
 
 
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
@@ -630,13 +602,12 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
     the adiabatic polarization p(m, lambda0).
 
     The final state is the ramp's propagator on level m's parity block
-    (:func:`_ramp_propagators`) applied to level m at lambda = 0: the final
-    state of the :func:`ramp_phase` run, to rounding, with no references
-    and no per-step states."""
-    dts, lams = _ramp_steps(lambda0, [duration], shape, steps)
-    sel, _, initial, _ = _level(rep, m, 0.0)
+    (:func:`_ramp_run`, :func:`_run_propagator`) applied to level m at
+    lambda = 0: the final state of the :func:`ramp_phase` run, to rounding,
+    with no references and no per-step states."""
+    sel, ops, coeffs, dts = _ramp_run(rep, m, lambda0, duration, shape, steps)
     psi = np.zeros(rep.dim, dtype=complex)
-    psi[sel] = _ramp_propagators(np.stack(_block_operators(rep, sel)), dts, lams)[0] @ initial
+    psi[sel] = _run_propagator(ops, coeffs, dts)[0] @ _level(rep, m, 0.0)[2]
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = polarization(rep, m, lambda0)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,

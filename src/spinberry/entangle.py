@@ -26,10 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_propagators,
-                       _ramp_steps, _run_propagator, _step_grid)
+from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp, _ramp_run,
+                       _run_propagator, _step_grid)
 from .hamiltonian import _label_index, _level
-from .pulses import PulseShape
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -307,23 +306,27 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
     amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once, or taken
-    from ``blocks`` (:func:`_rotation_blocks`), and the ramps of all
-    stretches are integrated in one stacked call per spin
-    (:func:`spinberry.dynamics._ramp_propagators`) on one sample of lambda(t)
-    for all stretches (:func:`spinberry.dynamics._ramp_steps`), ragged ends
-    padded with identity steps.  The target's overlap with the cycled Phi^(1) is
-    (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
+    from ``blocks`` (:func:`_rotation_blocks`).  Each stretch's ramp is one
+    run propagator per spin, sampled once from its schedule for both
+    (:func:`spinberry.dynamics._ramp_run`): the S = 2 and S = 1 blocks share
+    its coefficients (1, lambda) and differ only in their operators.  The
+    target's overlap with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in
+    these amplitudes.
     """
     blocks = blocks or _rotation_blocks(lambda0, stage_duration)
 
-    def fidelity(stretches):
-        dts, lams = _ramp_steps(lambda0, stage_duration * np.asarray(stretches), _SHAPE)
+    def one(stretch):
+        *_, coeffs, dts = _ramp_run(blocks[0][0], 1.0, lambda0, stage_duration * stretch,
+                                    _SHAPE)
         amplitudes = []
         for _, ops, u_rot, k in blocks:
-            up = _ramp_propagators(ops, dts, lams)[..., k]
+            up = _run_propagator(ops, coeffs, dts)[..., k]  # a one-row stack
             amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
         a21, a11 = amplitudes
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
+
+    def fidelity(stretches):
+        return np.concatenate([one(stretch) for stretch in np.asarray(stretches)])
     return fidelity
 
 
@@ -339,7 +342,7 @@ def _adiabatic_fidelity(lambda0: float, stage_duration: float, blocks=None):
     multiplet, with no ramp integrated (U_rot as in :func:`_stretch_fidelity`).
     """
     tau = _quad_grid(1.0, _PHASE_QUAD_POINTS)
-    lams = lambda0 * PulseShape(_SHAPE).fraction(tau)
+    lams = _ramp(lambda0, 1.0, _SHAPE).lam(tau)
     thetas, overlaps = [], []
     for rep, _, u_rot, _ in blocks or _rotation_blocks(lambda0, stage_duration):
         thetas.append(_simpson(_level(rep, 1.0, lams)[1], tau))

@@ -187,7 +187,8 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
     t = starts[-1] + durations[-1]
 
     def build(initial, delta_of):
-        # delta_of(seg, value) -> change over the segment given the running value
+        """(value, rate) of a parameter, constant if no segment changes it;
+        delta_of(seg, value) is the change over a segment from ``value``."""
         bases, deltas = [], []
         value = initial
         for seg in segments:
@@ -195,24 +196,27 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
             bases.append(value)
             deltas.append(d)
             value += d
-        return _PiecewiseParam(starts, durations, bases, deltas,
-                               [seg.shape for seg in segments])
+        if not any(deltas):
+            return _const(initial), _const(0.0)
+        param = _PiecewiseParam(starts, durations, bases, deltas,
+                                [seg.shape for seg in segments])
+        return param.value, param.rate
 
-    lam = build(lambda0, lambda seg, v: float(seg.lambda_to) - v
-                if seg.kind == "ramp" else 0.0)
-    phi = build(phi0, lambda seg, v: 2 * np.pi * seg.phi_turns
-                if seg.kind == "rotate" else 0.0)
-    alpha = build(alpha0, lambda seg, v: np.pi * seg.alpha_half_turns
-                  if seg.kind == "rotate" else 0.0)
+    lam, lam_dot = build(lambda0, lambda seg, v: float(seg.lambda_to) - v
+                         if seg.kind == "ramp" else 0.0)
+    phi, phi_dot = build(phi0, lambda seg, v: 2 * np.pi * seg.phi_turns
+                         if seg.kind == "rotate" else 0.0)
+    alpha, alpha_dot = build(alpha0, lambda seg, v: np.pi * seg.alpha_half_turns
+                             if seg.kind == "rotate" else 0.0)
 
     n_phi = sum(seg.phi_turns for seg in segments if seg.kind == "rotate")
     n_alpha = sum(seg.alpha_half_turns for seg in segments if seg.kind == "rotate")
 
     return CycleSchedule(
         duration=t,
-        theta=_const(theta0), phi=phi.value, alpha=alpha.value, lam=lam.value,
-        theta_dot=_const(0.0), phi_dot=phi.rate if phi.deltas.any() else _const(0.0),
-        alpha_dot=alpha.rate, lam_dot=lam.rate, n_phi=n_phi, n_alpha=n_alpha,
+        theta=_const(theta0), phi=phi, alpha=alpha, lam=lam,
+        theta_dot=_const(0.0), phi_dot=phi_dot, alpha_dot=alpha_dot, lam_dot=lam_dot,
+        n_phi=n_phi, n_alpha=n_alpha,
         b=_const(b), boundaries=tuple(starts[1:]))
 
 
@@ -299,13 +303,22 @@ def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
         n_phi=n_phi, n_alpha=n_alpha, b=value.get("b", _const(1.0)))
 
 
+def _number(key: str, raw, kind=float):
+    """``kind(raw)``, or a ValueError naming ``key`` if it is no such number."""
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {raw!r}") from None
+
+
 def from_dict(entries: dict) -> CycleSchedule:
     """Build a schedule from flat key-value entries (see :func:`from_file`)."""
     scalars = {"theta0": 0.0, "phi0": 0.0, "alpha0": 0.0, "lambda0": 0.0, "b": 1.0}
     seg_fields: dict[int, dict] = {}
     for key, raw in entries.items():
         if key in scalars:
-            scalars[key] = float(raw)
+            scalars[key] = _number(key, raw)
             continue
         if key.startswith("segment"):
             head, _, fieldname = key.partition(".")
@@ -332,11 +345,13 @@ def from_dict(entries: dict) -> CycleSchedule:
             raise ScheduleError(f"segment{i} is missing its kind")
         seg = Segment(
             kind=kind,
-            duration=float(f.get("duration", 0.0)),
+            duration=_number(f"segment{i}.duration", f.get("duration", 0.0)),
             shape=f.get("shape", "blackman"),
-            lambda_to=float(f["lambda_to"]) if "lambda_to" in f else None,
-            phi_turns=int(f.get("phi_turns", 0)),
-            alpha_half_turns=int(f.get("alpha_half_turns", 0)))
+            lambda_to=(_number(f"segment{i}.lambda_to", f["lambda_to"])
+                       if "lambda_to" in f else None),
+            phi_turns=_number(f"segment{i}.phi_turns", f.get("phi_turns", 0), int),
+            alpha_half_turns=_number(f"segment{i}.alpha_half_turns",
+                                     f.get("alpha_half_turns", 0), int))
         segments.append(seg)
     return from_segments(segments, theta0=scalars["theta0"], phi0=scalars["phi0"],
                          alpha0=scalars["alpha0"], lambda0=scalars["lambda0"],
@@ -346,7 +361,8 @@ def from_dict(entries: dict) -> CycleSchedule:
 def from_file(path) -> CycleSchedule:
     """Load a schedule from a flat ``key = value`` text file.
 
-    Lines starting with ``#`` (or inline ``#`` tails) are comments.  Keys:
+    Every error names the file.  Lines starting with ``#`` (or inline ``#``
+    tails) are comments.  Keys:
     ``theta0 phi0 alpha0 lambda0 b`` plus numbered segments, e.g.::
 
         lambda0 = 0.0
@@ -376,4 +392,7 @@ def from_file(path) -> CycleSchedule:
             if key in entries:
                 raise ScheduleError(f"{path}:{lineno}: duplicate key {key!r}")
             entries[key] = value
-    return from_dict(entries)
+    try:
+        return from_dict(entries)
+    except ValueError as exc:  # a ScheduleError, a bad number or an unknown pulse shape
+        raise ScheduleError(f"{path}: {exc}") from None

@@ -815,8 +815,8 @@ def test_spin_half_phi_cycle_matches_eigh_steps(monkeypatch):
 
 
 def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
-    # the tuner's stacked, identity-padded ramp propagators
-    from spinberry import dynamics, entangle
+    # the tuner's rotation and ramp propagators
+    from spinberry import entangle
     stretches = np.linspace(0.88, 1.12, 7)
     ours = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
     calls = []
@@ -824,10 +824,9 @@ def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     def eigh_run(ops, coeffs, dts):
         calls.append(dts.shape)
         return _matmul_run_propagator(_matrices(ops, coeffs), dts, _eigh_cf4_steps)
-    for module in (dynamics, entangle):  # the ramps' and the rotation's
-        monkeypatch.setattr(module, "_run_propagator", eigh_run)
+    monkeypatch.setattr(entangle, "_run_propagator", eigh_run)
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
-    assert len(calls) == 4  # the rotation and the stacked ramps, per spin
+    assert len(calls) == 2 * (1 + len(stretches))  # the rotation and each ramp, per spin
     assert np.abs(ours - ref).max() < 1e-12
 
 
@@ -1005,9 +1004,9 @@ def test_step_count_is_bounded_before_allocating(capsys):
     from spinberry.cli import main
     over = dynamics._MAX_STEPS + 1
     calls = [
-        (lambda: dynamics._ramp_steps(1.0, [2.0, 1e9], "blackman"),
+        (lambda: ramp_fidelity(S2, 0.0, 1.0, 1e9),
          "duration 1e+09 at 25 steps per unit time takes 25,000,000,000 steps"),
-        (lambda: dynamics._ramp_steps(1.0, [2.0, 4.0], "linear", steps=over),
+        (lambda: ramp_fidelity(S2, 0.0, 1.0, 2.0, "linear", steps=over),
          "duration 2 at 500000 steps per unit time takes 1,000,001 steps"),
         (lambda: dynamics._step_grid(dynamics._ramp(1.0, 1e20, "linear")),
          "duration 1e+20 at 25 steps per unit time takes 2,500,000,000,000,000,000,000 steps"),
@@ -1033,48 +1032,8 @@ def test_step_count_is_bounded_before_allocating(capsys):
     assert capsys.readouterr().err == ("error: a run of duration 1e+09 at 25 steps per unit "
                                        "time takes 25,000,000,000 steps, more than 1,000,000\n")
     # the longest allowed run passes the bound
-    assert dynamics._ramp_steps(1.0, [4e4], "linear")[0].shape == (1, dynamics._MAX_STEPS)
-
-
-@pytest.mark.parametrize("steps", [None, 300])
-@pytest.mark.parametrize("shape", ["linear", "blackman"])
-def test_ramp_steps_sample_the_ramp_schedules(shape, steps, monkeypatch):
-    # one vectorised sample of all durations is each ramp's step grid and
-    # lambda(t) at its nodes, to the bit; the padding is dt = 0 and H = 0
-    from spinberry import dynamics
-    from spinberry.hamiltonian import _block, _block_operators
-    durations = np.array([10.3, 25.0, 7.0, 19.6, 12.5, 30.4, 0.02])
-    dts, lams = dynamics._ramp_steps(-0.97, durations, shape, steps)
-    counts = []
-    for j, duration in enumerate(durations):
-        ramp = dynamics._ramp(-0.97, duration, shape)
-        grid = dynamics._step_grid(ramp, steps)
-        n = len(grid.dts)
-        counts.append(n)
-        assert dts[j, :n].tobytes() == grid.dts.tobytes()
-        assert lams[j, :n].tobytes() == ramp.lam(grid.nodes).tobytes()
-        assert not np.any(dts[j, n:]) and not np.any(lams[j, n:])
-    assert dts.shape == (len(durations), max(counts)) and lams.shape == dts.shape + (2,)
-    assert len(set(counts)) == (1 if steps else len(durations))
-    run, samples = dynamics._run_propagator, []
-
-    def recorded(ops, coeffs, step_dts):
-        samples.append(coeffs.copy())
-        return run(ops, coeffs, step_dts)
-
-    monkeypatch.setattr(dynamics, "_run_propagator", recorded)
-    for m in (0.0, 1.0):  # a 3-state and a 2-state block
-        ops = np.stack(_block_operators(S2, _block(S2, m)))
-        props = dynamics._ramp_propagators(ops, dts, lams)
-        coeffs = samples[-1]
-        assert not np.any(coeffs[dts == 0.0])
-        taken = dts > 0.0
-        assert np.array_equal(coeffs[taken][..., 0], np.ones_like(lams[taken]))
-        assert np.array_equal(coeffs[taken][..., 1], lams[taken])
-        for j, n in enumerate(counts):  # each padded run against its own
-            alone = run(ops, coeffs[j:j + 1, :n], dts[j:j + 1, :n])[0]
-            assert np.abs(props[j] - alone).max() < 1e-14
-    assert len(samples) == 2
+    ramp = dynamics._ramp(1.0, 4e4, "linear")
+    assert dynamics._step_grid(ramp).dts.shape == (dynamics._MAX_STEPS,)
 
 
 def _argmax_tracked_phases(h_of_ts, states, duration):
@@ -1514,18 +1473,17 @@ def _cross_run(rep, lam):
 @pytest.mark.parametrize("lam", _CROSS_LAMBDAS)
 @pytest.mark.parametrize("two_s", range(1, 9))
 def test_coefficient_path_matches_matrix_path(two_s, lam):
-    # every level of 2S = 1..8 at lambda0 in {0, +-0.43, +-1, +-300}: ramps
-    # (stacked and identity-padded), and an alpha-cycle and its mirror image
-    # (b = 1.3, tilted axis), on the level's parity block, against the
-    # matrix path on the sampled node Hamiltonians: propagators and step-end
-    # states agree to 4.8e-15 at most
+    # every level of 2S = 1..8 at lambda0 in {0, +-0.43, +-1, +-300}: two
+    # ramps, and an alpha-cycle and its mirror image (b = 1.3, tilted axis),
+    # on the level's parity block, against the matrix path on the sampled
+    # node Hamiltonians: propagators and step-end states agree to 6.7e-15 at
+    # most
     from spinberry import dynamics
     from spinberry.hamiltonian import _block, _block_operators
     from spinberry.schedules import Segment, from_segments
     rep = spin_matrices(two_s)
     duration, steps = _cross_run(rep, lam)
-    dts, lams = dynamics._ramp_steps(lam, [duration, 0.7 * duration], "blackman", steps)
-    dts[1, steps // 2:], lams[1, steps // 2:] = 0.0, 0.0  # a padded run
+    ramps = [dynamics._ramp(lam, T, "blackman") for T in (duration, 0.7 * duration)]
     cycle = from_segments([Segment(kind="rotate", duration=duration, alpha_half_turns=2)],
                           theta0=0.7, lambda0=lam, b=1.3)
     grid = dynamics._step_grid(cycle, steps)
@@ -1533,10 +1491,12 @@ def test_coefficient_path_matches_matrix_path(two_s, lam):
     for m in rep.m_values:
         sel = _block(rep, m)
         sz, sxsq = _block_operators(rep, sel)
-        h_ramps = lams[..., None, None] * sxsq + sz
-        h_ramps[dts == 0.0] = 0.0
-        ours = dynamics._ramp_propagators(np.stack([sz, sxsq]), dts, lams)
-        worst = max(worst, np.abs(ours - _matrix_run_propagator(h_ramps, dts)).max())
+        for ramp in ramps:
+            ramp_grid = dynamics._step_grid(ramp, steps)
+            _, ops, coeffs = dynamics._block_hamiltonian(rep, m, [ramp], ramp_grid.nodes)
+            ours = dynamics._run_propagator(ops, coeffs, ramp_grid.dts)[0]
+            h_ramp = ramp.lam(ramp_grid.nodes)[..., None, None] * sxsq + sz
+            worst = max(worst, np.abs(ours - _matrix_run_propagator(h_ramp, ramp_grid.dts)).max())
 
         pair = [cycle, cycle.mirror()]
         block, ops, coeffs = dynamics._block_hamiltonian(rep, m, pair, grid.nodes)

@@ -476,46 +476,25 @@ def test_adiabatic_fidelity_predicts_the_exact_one(stage):
 
 
 
-def test_tuner_scan_forms_its_steps_in_few_blocks(monkeypatch):
-    # the objective at 25 stretches and --T 15 (the reference scan; ramps of
-    # up to 420 steps) forms its two-level steps in at most 4 stacked calls
-    # per spin, every time
+def test_stretch_objective_samples_its_ramp_once(monkeypatch):
+    # one evaluation of the tuner's exact objective builds one ramp schedule
+    # and samples lambda(t) once, at its Gauss nodes, for both spins
+    import dataclasses
     from spinberry import dynamics, entangle
-    fidelity = entangle._stretch_fidelity(lambda_max_solve(), 15.0)
-    steps, calls = dynamics._two_level_steps, []
-
-    def counted(first, second, dts):
-        calls.append(dts.shape)
-        return steps(first, second, dts)
-
-    monkeypatch.setattr(dynamics, "_two_level_steps", counted)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        fidelity(np.linspace(0.88, 1.12, 25))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2 * 4
-    assert all(shape[0] == 25 for shape in calls)
-
-
-def test_tuner_scan_samples_each_ramp_once(monkeypatch):
-    # the objective at 25 stretches (the reference scan) samples the ramps of
-    # all stretches in one vectorised call, shared by both spins, and builds
-    # no ramp schedule
-    from spinberry import dynamics, entangle, schedules
     fidelity = entangle._stretch_fidelity(lambda_max_solve(), 25.0)
-    ramp_steps, calls = entangle._ramp_steps, []
+    expected = fidelity(np.array([1.03]))
+    ramp, built, samples = dynamics._ramp, [], []
 
-    def counted(lambda0, durations, shape, steps=None):
-        calls.append(np.array(durations))
-        return ramp_steps(lambda0, durations, shape, steps)
+    def counted(lambda0, duration, shape):
+        schedule = ramp(lambda0, duration, shape)
+        built.append(schedule)
 
-    def building(*args, **kwargs):
-        raise AssertionError("the scan built a schedule")
+        def lam(t):
+            samples.append(np.shape(t))
+            return schedule.lam(t)
+        return dataclasses.replace(schedule, lam=lam)
 
-    monkeypatch.setattr(entangle, "_ramp_steps", counted)
-    for module in (dynamics, schedules):
-        monkeypatch.setattr(module, "from_segments", building)
-    stretches = np.linspace(0.88, 1.12, 25)
-    fidelity(stretches)
-    assert len(calls) == 1 and np.array_equal(calls[0], 25.0 * stretches)
+    monkeypatch.setattr(dynamics, "_ramp", counted)
+    assert fidelity(np.array([1.03])).tobytes() == expected.tobytes()
+    assert len(built) == 1 and built[0].duration == 25.0 * 1.03
+    assert samples == [dynamics._step_grid(built[0]).nodes.shape]

@@ -471,15 +471,27 @@ def test_cli_cycle(tmp_path):
     assert float(data["leakage"]) < 1e-3
 
 
-@pytest.mark.parametrize("text", [
-    "segment1.kind = rotate\nsegment1.duration = ten\nsegment1.alpha_half_turns = 1\n",
-    "segment1.kind = rotate\nsegment1.duration = 4\nsegment1.shape = welch\n"
-    "segment1.alpha_half_turns = 1\n",
-    "segment1.kind = ramp\nsegment1.duration = 10\nsegment1.lambda_to = 0.5\n",
-    "segment1.kind = rotate\nsegment1.duration = nan\nsegment1.alpha_half_turns = 1\n",
-    "b = 0\nsegment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n",
-], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field"])
-def test_cli_cycle_rejects_bad_schedule(text, tmp_path, capsys):
+@pytest.mark.parametrize("text, named", [
+    ("segment1.kind = rotate\nsegment1.duration = ten\nsegment1.alpha_half_turns = 1\n",
+     "segment1.duration must be a number, got 'ten'"),
+    ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.shape = welch\n"
+     "segment1.alpha_half_turns = 1\n", "unknown pulse shape 'welch'"),
+    ("segment1.kind = ramp\nsegment1.duration = 10\nsegment1.lambda_to = 0.5\n",
+     "boundary condition violated for lambda"),
+    ("segment1.kind = rotate\nsegment1.duration = nan\nsegment1.alpha_half_turns = 1\n",
+     "got nan"),
+    ("b = 0\nsegment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n",
+     "b must be positive"),
+    ("segment1.kind = ramp\nsegment1.duration = 2\nsegment1.lambda_to = 1e200\n",
+     "boundary condition violated for lambda: residual 1.000e+200"),
+    ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1.5\n",
+     "segment1.alpha_half_turns must be an integer, got '1.5'"),
+    ("lambda0 = x\nsegment1.kind = rotate\nsegment1.duration = 4\n"
+     "segment1.alpha_half_turns = 1\n", "lambda0 must be a number, got 'x'"),
+], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field",
+        "open-overflow", "fractional-turns", "non-numeric-scalar"])
+def test_cli_cycle_rejects_bad_schedule(text, named, tmp_path, capsys):
+    # one error line, naming the file once and the offending key or condition
     sched = tmp_path / "bad.sched"
     sched.write_text(text)
     out = tmp_path / "x.json"
@@ -487,7 +499,8 @@ def test_cli_cycle_rejects_bad_schedule(text, tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {sched}: ") and err.count(str(sched)) == 1
+    assert named in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
@@ -539,6 +552,7 @@ _STEP_BOUND_CONTEXT = {
     ["entangle", "--steps", "0"],
     ["entangle", "--steps", "-3"],
     ["entangle", "--tune", "-1"],
+    ["entangle", "--tune", "abc"],
     ["entangle", "--T", "0", "--tune", "auto"],
     ["ramp", "--T", "inf"],
     ["ramp", "--T", "nan"],
@@ -586,6 +600,8 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     assert not out.exists() or out.read_text() == ""
     if context is not None:
         assert err.startswith(f"error: {context} overflows the step arithmetic (the step bound")
+    if "abc" in argv:
+        assert err == "error: --tune must be a number, got 'abc'\n"
 
 
 @pytest.mark.parametrize("argv", [
