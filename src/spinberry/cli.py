@@ -245,6 +245,52 @@ def _count(text: str) -> int:
     return value
 
 
+_SPIN = ("--spin", dict(type=_parse_spin, required=True))
+_M = ("--m", dict(type=float, required=True))
+_STEPS = ("--steps", dict(type=int, default=None, help=_STEPS_HELP))
+_COMMON = (("--out", dict(default="-", help="output path (default stdout)")),
+           ("--format", dict(choices=("csv", "json"), default="csv")))
+
+# Each command's help, handler and own arguments (--out and --format follow).
+_COMMANDS = {
+    "spectrum": ("energies and polarizations vs lambda", cmd_spectrum, (
+        _SPIN, ("--lambda-min", dict(type=float, default=0.0)),
+        ("--lambda-max", dict(type=float, default=2.0)),
+        ("--n", dict(dest="n_points", type=_count, default=81)))),
+    "gauge-sphere": ("gauge field on the spherical section", cmd_gauge_sphere, (
+        _SPIN, _M, ("--n", dict(dest="n_points", type=_count, default=181)))),
+    "magic": ("magic coupling vs rotation-rate ratio", cmd_magic, (
+        _SPIN, ("--eta-min", dict(type=float, default=0.0)),
+        ("--eta-max", dict(type=float, default=0.5)),
+        ("--n", dict(dest="n_points", type=_count, default=11)))),
+    "ramp": ("coupling-ramp fidelity vs ramp time", cmd_ramp, (
+        _SPIN, _M, ("--lambda0", dict(type=float, required=True)),
+        ("--shape", dict(choices=("linear", "blackman"), default="blackman")),
+        ("--T", dict(type=_float_list, required=True,
+                     help="comma-separated ramp durations")), _STEPS)),
+    "transverse": ("second-order transverse coefficients", cmd_transverse, (
+        _SPIN, _M, ("--lambda-min", dict(type=float, default=0.7)),
+        ("--lambda-max", dict(type=float, default=1.2)),
+        ("--n", dict(dest="n_points", type=_count, default=26)))),
+    "cycle": ("geometric phase of a schedule file", cmd_cycle, (
+        ("--schedule", dict(required=True, help="schedule file path")),
+        _SPIN, _M, _STEPS)),
+    "entangle": ("four-spin entangling cycle", cmd_entangle, (
+        ("--lambda0", dict(type=float, required=True)),
+        ("--T", dict(type=float, default=25.0, help="stage duration")), _STEPS,
+        ("--tune", dict(default="1.0",
+                        help="ramp-stretch factor, or 'auto' to optimize")))),
+}
+
+
+def _add_command(parser, name):
+    _, handler, arguments = _COMMANDS[name]
+    for flag, kwargs in arguments + _COMMON:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=handler, command=name)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinberry",
@@ -253,82 +299,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"spinberry {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", default="-", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("spectrum", help="energies and polarizations vs lambda")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--lambda-min", type=float, default=0.0)
-    p.add_argument("--lambda-max", type=float, default=2.0)
-    p.add_argument("--n", dest="n_points", type=_count, default=81)
-    add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("gauge-sphere", help="gauge field on the spherical section")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--n", dest="n_points", type=_count, default=181)
-    add_common(p)
-    p.set_defaults(func=cmd_gauge_sphere)
-
-    p = sub.add_parser("magic", help="magic coupling vs rotation-rate ratio")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--eta-min", type=float, default=0.0)
-    p.add_argument("--eta-max", type=float, default=0.5)
-    p.add_argument("--n", dest="n_points", type=_count, default=11)
-    add_common(p)
-    p.set_defaults(func=cmd_magic)
-
-    p = sub.add_parser("ramp", help="coupling-ramp fidelity vs ramp time")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--shape", choices=("linear", "blackman"), default="blackman")
-    p.add_argument("--T", type=_float_list, required=True,
-                   help="comma-separated ramp durations")
-    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
-    add_common(p)
-    p.set_defaults(func=cmd_ramp)
-
-    p = sub.add_parser("transverse", help="second-order transverse coefficients")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--lambda-min", type=float, default=0.7)
-    p.add_argument("--lambda-max", type=float, default=1.2)
-    p.add_argument("--n", dest="n_points", type=_count, default=26)
-    add_common(p)
-    p.set_defaults(func=cmd_transverse)
-
-    p = sub.add_parser("cycle", help="geometric phase of a schedule file")
-    p.add_argument("--schedule", required=True, help="schedule file path")
-    p.add_argument("--spin", type=_parse_spin, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
-    add_common(p)
-    p.set_defaults(func=cmd_cycle)
-
-    p = sub.add_parser("entangle", help="four-spin entangling cycle")
-    p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--T", type=float, default=25.0, help="stage duration")
-    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
-    p.add_argument("--tune", default="1.0",
-                   help="ramp-stretch factor, or 'auto' to optimize")
-    add_common(p)
-    p.set_defaults(func=cmd_entangle)
+    for name, (help_, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call and reused by every
-    later call in the process (no command mutates its parsed arguments)."""
-    return build_parser()
+@lru_cache(maxsize=None)
+def _parser(command=None) -> argparse.ArgumentParser:
+    """Main's parser of ``command``, read as build_parser's sub-parser, or for
+    None the whole one; built once per process (no command mutates its args)."""
+    if command is None:
+        return build_parser()
+    return _add_command(argparse.ArgumentParser(prog=f"spinberry {command}"), command)
+
+
+def _parse(argv):
+    """Parse with only the named command's parser; the whole parser takes
+    --help, --version, a bad command and unknown arguments, in its words."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ScheduleError, ValueError, OSError, MemoryError,

@@ -272,21 +272,24 @@ def _sweep(ops, coeffs, dts, initial=None):
 
     The step matrices are formed a block at a time, a power of two near
     ``_STEP_RUNS`` steps of all runs on two levels (as many state entries on
-    more), whose trees are subtrees of larger blocks', so a run's states do
-    not depend on the runs stacked with it.  They enter a work-efficient
-    prefix scan (G. E. Blelloch, CMU-CS-90-190, 1990), every product one
-    :func:`_compose`.  Its up-sweep multiplies them pairwise (an odd one out
-    passes up as if paired with the identity) into the propagator that
-    carries the running (n, 1) vectors, for a propagator the identity's
-    columns, over the block; one Newton-Schulz step ends a run
-    propagator's drift from unitary.  Its down-sweep walks the tree back, a
-    right child starting where its left sibling ends: each state is one
-    left child applied to one vector, written in place and not
-    renormalized.  The bound sum_k |c_k| ||O_k|| dt on max ||H|| dt
+    more).  They enter a work-efficient prefix scan (G. E. Blelloch,
+    CMU-CS-90-190, 1990), every product one :func:`_compose`.  Its up-sweep
+    multiplies them pairwise (an odd one out passes up as if paired with the
+    identity) into the propagator that carries the running (n, 1) vectors,
+    for a propagator the identity's columns, over the block; one
+    Newton-Schulz step ends a run propagator's drift from unitary.  Its
+    down-sweep walks the tree back, a right child starting where its left
+    sibling ends: each state is one left child applied to one vector,
+    written in place and not renormalized.  The runs stacked with a run set
+    the block size, and a block's tree is a subtree of a larger block's, so
+    they change a run's results only where its blocks join: not at all, to
+    the bit, in at most two blocks; at rounding level in more, where a block
+    past the second starts from the previous block's end rather than from a
+    larger tree's product.  The bound sum_k |c_k| ||O_k|| dt on max ||H|| dt
     (||O_k|| <= its largest row sum), logged at DEBUG level with the run's
-    sizes and step form, should be <~ 1; above 2**52,
-    where a step phase's float spacing reaches 1 rad, the run raises
-    ValueError (a NaN bound passes, for the leakage contracts to reject).
+    sizes and step form, should be <~ 1; above 2**52, where a step phase's
+    float spacing reaches 1 rad, the run raises ValueError (a NaN bound
+    passes, for the leakage contracts to reject).
     """
     n, states = ops.shape[-1], initial is not None
     with np.errstate(all="ignore"):  # sum_k |c_k| ||O_k|| at the nodes, times dt

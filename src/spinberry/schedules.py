@@ -328,6 +328,8 @@ def from_dict(entries: dict) -> CycleSchedule:
                 index = int(head[len("segment"):])
             except ValueError:
                 raise ScheduleError(f"malformed segment key {key!r}") from None
+            if fieldname not in Segment.__dataclass_fields__:
+                raise ScheduleError(f"unknown schedule key {key!r}")
             seg_fields.setdefault(index, {})[fieldname] = raw
             continue
         raise ScheduleError(f"unknown schedule key {key!r}")

@@ -8,7 +8,8 @@ and Sigma_y is purely imaginary antisymmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class SpinRep:
     sigma_x: np.ndarray
     sigma_y: np.ndarray
     sigma_z: np.ndarray
-    _sy_eig: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def s(self) -> float:
@@ -50,9 +50,10 @@ class SpinRep:
         """m quantum numbers in basis order (descending)."""
         return (self.two_s - 2 * np.arange(self.dim)) / 2.0
 
+    @cached_property
     def sy_eigensystem(self):
-        """Cached eigendecomposition of Sigma_y, used by rotation_unitary."""
-        return self._sy_eig
+        """Eigendecomposition (w, v) of Sigma_y, solved on first use."""
+        return np.linalg.eigh(self.sigma_y)
 
 
 def spin_matrices(two_s: int) -> SpinRep:
@@ -69,9 +70,7 @@ def spin_matrices(two_s: int) -> SpinRep:
     sx = (raising + raising.T) / 2.0
     sy = (raising - raising.T) / 2j
     sz = np.diag(m)
-    w, v = np.linalg.eigh(sy)
-    return SpinRep(two_s=two_s, dim=dim, sigma_x=sx, sigma_y=sy, sigma_z=sz,
-                   _sy_eig=(w, v))
+    return SpinRep(two_s=two_s, dim=dim, sigma_x=sx, sigma_y=sy, sigma_z=sz)
 
 
 def m_parity(two_s: int, m: float) -> int:
@@ -96,7 +95,7 @@ def rotation_unitary(rep: SpinRep, angles: EulerAngles) -> np.ndarray:
     left = np.exp(np.multiply.outer(angles.phi, -1j * m))
     right = np.exp(np.multiply.outer(angles.alpha, -1j * m))
     if np.any(angles.theta):
-        w, v = rep.sy_eigensystem()
+        w, v = rep.sy_eigensystem
         mid = v * np.exp(np.multiply.outer(angles.theta, -1j * w))[..., None, :]
         mid = mid @ v.conj().T
     else:

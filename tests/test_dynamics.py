@@ -1196,11 +1196,12 @@ def _cycle_solves(m, tmp_path, monkeypatch, spectra_calls):
 def test_cycle_references_solve_one_parity_block(tmp_path, monkeypatch, spectra_calls):
     # cycle --spin 2 --m 1: the references of the stacked pair solve only
     # m = 1's parity block, once for all step ends and midpoints.  It has two
-    # states and is solved in closed form, as the steps are, so the command
-    # makes no eigh call but spin_matrices' one of Sigma_y (for the frames)
+    # states and is solved in closed form, as the steps are, and the alpha
+    # cycle's frames have no y-factor, so the command makes no eigh call at
+    # all, not even of Sigma_y
     grids, spectra, solves = _cycle_solves(1, tmp_path, monkeypatch, spectra_calls)
     assert len(grids) == 1 and spectra == [[2]]
-    assert solves == [(False, True, (5, 5))]
+    assert solves == []
 
 
 def test_three_state_cycle_references_solve_one_eigh(tmp_path, monkeypatch, spectra_calls):
@@ -1229,6 +1230,44 @@ def test_bench_cycle_solves_two_blocks(tmp_path, spectra_calls):
     assert main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "1",
                  "--out", str(tmp_path / "cycle.json")]) == 0
     assert [size for size, _ in spectra_calls] == [2, 2]
+
+
+@pytest.mark.parametrize("two_s, m", [(4, 1), (4, 0), (8, 1), (8, 0), (12, 1), (12, 0)],
+                         ids=[f"{n}-states" for n in range(2, 8)])
+def test_stacked_runs_change_a_runs_states_only_where_blocks_join(two_s, m, caplog):
+    # an alpha cycle of 500 steps from its level at lambda = 1, stacked
+    # with copies of itself as in the mirror pair: the stack changes the
+    # block size, yet a run split in at most two blocks has the states of
+    # the run alone to the bit, and one split in more within 2e-15
+    import logging
+    import re
+    from spinberry import dynamics
+    from spinberry.hamiltonian import _level
+    from spinberry.schedules import Segment, from_segments
+    rep = spin_matrices(two_s)
+    cycle = from_segments([Segment("rotate", 20.0, alpha_half_turns=1)], lambda0=1.0)
+    grid = dynamics._step_grid(cycle)
+    _, _, vectors, _ = _level(rep, m, np.array([1.0]))
+
+    def stacked(count):
+        sel, ops, coeffs = dynamics._block_hamiltonian(rep, m, [cycle] * count, grid.nodes)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
+            runs = dynamics._magnus_run(ops, coeffs, grid.dts,
+                                        np.broadcast_to(vectors[0], (count, len(sel))))
+        return runs, int(re.search(r" in (\d+) blocks", caplog.messages[-1]).group(1))
+
+    (alone,), blocks = stacked(1)
+    assert len(grid.dts) == 500 and blocks == 1
+    split = []
+    for count in (2, 3, 4, 8, 25, 64):
+        runs, blocks = stacked(count)
+        if blocks <= 2:
+            np.testing.assert_array_equal(runs, np.broadcast_to(alone, runs.shape))
+        else:
+            split.append(count)
+            assert np.abs(runs - alone).max() <= 2e-15
+    assert split[0] > 2 and split[-1] == 64
 
 
 def test_mirror_pair_samples_shared_fields_once():

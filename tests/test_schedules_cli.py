@@ -488,8 +488,13 @@ def test_cli_cycle(tmp_path):
      "segment1.alpha_half_turns must be an integer, got '1.5'"),
     ("lambda0 = x\nsegment1.kind = rotate\nsegment1.duration = 4\n"
      "segment1.alpha_half_turns = 1\n", "lambda0 must be a number, got 'x'"),
+    ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.shpe = linear\n"
+     "segment1.alpha_half_turns = 1\n", "unknown schedule key 'segment1.shpe'"),
+    ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turn = 1\n",
+     "unknown schedule key 'segment1.alpha_half_turn'"),
 ], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field",
-        "open-overflow", "fractional-turns", "non-numeric-scalar"])
+        "open-overflow", "fractional-turns", "non-numeric-scalar", "misspelt-shape",
+        "misspelt-turns"])
 def test_cli_cycle_rejects_bad_schedule(text, named, tmp_path, capsys):
     # one error line, naming the file once and the offending key or condition
     sched = tmp_path / "bad.sched"
@@ -679,23 +684,33 @@ def test_cli_entry_point_runs():
     assert "spinberry" in proc.stdout
 
 
-def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    # later calls in a process reuse the parser, and --version, --help and
-    # argparse errors exit as on the first call
-    from spinberry import __version__, cli
-    build, built = cli.build_parser, []
+def test_cli_builds_each_parser_once_per_command_per_process(tmp_path, capsys, monkeypatch):
+    # a call builds only its command's parser, the first time that command
+    # runs in the process; --version, --help and unknown commands build the
+    # whole parser, once; later calls exit as the first did
+    from collections import Counter
 
-    def counted():
-        built.append(1)
+    from spinberry import __version__, cli
+    build, add, built = cli.build_parser, cli._add_command, Counter()
+
+    def counted_build():
+        built["whole"] += 1
         return build()
 
-    monkeypatch.setattr(cli, "build_parser", counted)
+    def counted_add(parser, name):
+        built[name] += 1
+        return add(parser, name)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "_add_command", counted_add)
     cli._parser.cache_clear()
     outcomes = []
     try:
         for _ in range(2):
             outcome = [main(["spectrum", "--spin", "1", "--n", "2",
                              "--out", str(tmp_path / "s.csv")])]
+            if not outcomes:
+                assert built == {"spectrum": 1}
             for argv in (["--version"], ["--help"], ["spectrum", "--spin", "1/0"]):
                 with pytest.raises(SystemExit) as exit_info:
                     main(argv)
@@ -703,13 +718,70 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
             outcomes.append(outcome)
     finally:
         cli._parser.cache_clear()
-    assert len(built) == 1
+    # the whole parser adds every command once, spectrum's as a sub-parser
+    assert built == {"whole": 1, "spectrum": 2, **{name: 1 for name in cli._COMMANDS
+                                                   if name != "spectrum"}}
     assert outcomes[0] == outcomes[1]
     code, version, help_, error = outcomes[0]
     assert code == 0
     assert version == (0, (f"spinberry {__version__}\n", ""))
     assert help_[0] == 0 and help_[1].out.startswith("usage: spinberry")
     assert error[0] == 2 and "error: argument --spin: spin must be" in error[1].err
+
+
+# A valid call of each command, not run: only parsed.
+_COMMAND_ARGS = {
+    "spectrum": ["--spin", "2", "--lambda-max", "1.5", "--n", "5"],
+    "gauge-sphere": ["--spin", "3/2", "--m", "0.5", "--format", "json"],
+    "magic": ["--spin", "2", "--eta-min", "0.1", "--eta-max", "0.3", "--n", "4"],
+    "ramp": ["--spin", "2", "--m", "-1", "--lambda0", "1", "--shape", "linear",
+             "--T", "10,25", "--steps", "300"],
+    "transverse": ["--spin", "2", "--m", "0", "--lambda-min", "0.8", "--out", "tv.csv"],
+    "cycle": ["--schedule", "cycle.sched", "--spin", "2", "--m", "0"],
+    "entangle": ["--lambda0", "-0.97", "--T", "15", "--tune", "auto"],
+}
+
+
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_command_parser_matches_the_whole_parsers_sub_parser(command, capsys):
+    # main parses a command with that command's parser alone: its help,
+    # usage, parsed arguments and argparse errors (exit 2) are those of the
+    # command's sub-parser in the whole parser
+    import argparse
+
+    from spinberry import cli
+    whole = cli.build_parser()
+    sub_parsers = next(a for a in whole._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    assert list(sub_parsers.choices) == list(_COMMAND_ARGS)
+    alone = cli._parser(command)
+    assert alone.format_help() == sub_parsers.choices[command].format_help()
+    assert alone.format_usage() == sub_parsers.choices[command].format_usage()
+    argv = [command, *_COMMAND_ARGS[command]]
+    assert vars(cli._parse(argv)) == vars(whole.parse_args(argv))
+    for trial in ([command, "--help"], [command], *(argv + bad for bad in (
+            ["--spin", "1/0"], ["--lambda0", "x"], ["--n", "0"], ["--format", "xml"],
+            ["--bogus"], ["--version"], ["--", "x"]))):
+        expected = _exit_of(whole.parse_args, trial, capsys)
+        assert expected[0] == (0 if trial[1:] == ["--help"] else 2)
+        assert _exit_of(main, trial, capsys) == expected
+
+
+def test_main_without_arguments_reads_the_command_line(tmp_path, monkeypatch):
+    from spinberry import __version__
+    out = tmp_path / "s.csv"
+    monkeypatch.setattr(sys, "argv", ["spinberry", "spectrum", "--spin", "1", "--n", "2",
+                                      "--out", str(out)])
+    assert main() == 0
+    assert out.read_text().startswith(f"# spinberry {__version__} spectrum\n")
 
 
 def _child_env():
