@@ -5,9 +5,11 @@ Sigma_z and Sigma_x^2 of a parity block, plus Sigma_x and Sigma_y while phi
 or theta moves.  The coefficients are sampled once at the Gauss nodes of
 fourth-order Magnus steps (:func:`_cf4_propagators`), by default
 ``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), as
-step matrices: closed-form SU(2) rotations times a phase on two levels
-(:func:`_two_level_steps`), stacked ``eigh`` on more.  One kernel composes
-them for every run (:func:`_sweep`, every product one :func:`_compose`):
+step matrices in one of three forms: closed-form SU(2) rotations times a
+phase on two levels (:func:`_two_level_steps`), a closed form at the roots
+of the characteristic cubic on three (:func:`_three_level_exponentials`),
+stacked ``eigh`` on more.  One kernel composes them for every run
+(:func:`_sweep`, every product one :func:`_compose`):
 its up-sweep gives the run propagator (:func:`_run_propagator`), for the
 coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
 :mod:`spinberry.entangle`, each sampled from its schedule like every other
@@ -204,13 +206,18 @@ def _cf4_propagators(basis, coeffs, dts):
     a-/+ = 1/4 -/+ sqrt(3)/6: the factor applied first weights the earlier
     node (the other order is only second order).  The exponents are linear
     in H, so they are formed on the coefficients (:func:`_cf4_exponents`),
-    and exponentiated in closed form on two levels (:func:`_two_level_steps`)
-    and by one stacked ``numpy.linalg.eigh`` on more, so every step is
-    unitary to rounding.  One Newton-Schulz step P (3 - P^dag P) / 2 makes
-    each eigh step unitary to second order in its error: eigh's
-    eigenvectors fall slightly but systematically short of orthonormal,
-    which would build up as norm drift over thousands of steps.  A step of
-    width 0 with H = 0 is the identity.
+    and exponentiated in one of three forms (:func:`_step_form`): on two
+    levels as SU(2) rotations (:func:`_two_level_steps`, Cayley-Klein), on
+    three in closed form from the roots of the characteristic cubic
+    (:func:`_three_level_exponentials`), and by one stacked
+    ``numpy.linalg.eigh`` on more.  Two-level steps are unitary to
+    rounding.  On more, one Newton-Schulz step P (3 - P^dag P) / 2 makes
+    each step unitary to second order in its error, which would build up
+    as norm drift over thousands of steps: eigh's eigenvectors fall
+    slightly but systematically short of orthonormal, and a closed-form
+    step is unitary only to about 5e-15 ||H|| dt, since its roots carry
+    the rounding of ||H|| dt.  A step of width 0 with H = 0 is the
+    identity.
     """
     n = round(basis.shape[1] ** 0.5)
     if n == 2:  # z [[a, -conj(b)], [b, conj(a)]], z = exp(-i phase)
@@ -219,11 +226,74 @@ def _cf4_propagators(basis, coeffs, dts):
         steps = np.stack([z * a, -z * b.conj(), z * b, z * a.conj()], axis=-1)
         return np.moveaxis(steps.reshape(steps.shape[:-1] + (2, 2)), -3, 0)
     exponents = np.moveaxis(_cf4_exponents(basis, coeffs), 1, -1)
-    w, u = np.linalg.eigh(exponents.reshape(exponents.shape[:-1] + (n, n)))
-    phase, back = w * dts[..., None], u.conj().swapaxes(-1, -2)  # real for real exponents
-    applied_first, applied_second = (_compose(u * np.cos(phase)[..., None, :], back)
-                                     - 1j * _compose(u * np.sin(phase)[..., None, :], back))
+    exponents = exponents.reshape(exponents.shape[:-1] + (n, n))
+    if n == 3:
+        applied_first, applied_second = _three_level_exponentials(exponents, dts)
+    else:
+        w, u = np.linalg.eigh(exponents)
+        phase, back = w * dts[..., None], u.conj().swapaxes(-1, -2)  # real for real exponents
+        applied_first, applied_second = (_compose(u * np.cos(phase)[..., None, :], back)
+                                         - 1j * _compose(u * np.sin(phase)[..., None, :], back))
     return np.moveaxis(_newton_schulz(_compose(applied_second, applied_first)), -3, 0)
+
+
+def _step_form(n):
+    """How :func:`_cf4_propagators` forms the step exponentials on n levels."""
+    return {2: "Cayley-Klein", 3: "closed form"}.get(n, "eigh")
+
+
+def _three_level_exponentials(exponents, dts):
+    """exp(-i dt E) (..., 3, 3) of 3x3 Hermitian exponents E (..., 3, 3),
+    real or complex, and step widths ``dts`` (...), in closed form.
+
+    With t = tr(E) / 3, the eigenvalues e1 <= e2 <= e3 of E - t are the
+    trigonometric roots 2 p cos(phi + 2 pi k / 3) of its characteristic
+    cubic e**3 - 3 p**2 e - det(E - t), p**2 = tr((E - t)**2) / 6,
+    cos(3 phi) = det(E - t) / (2 p**3).  At the nodes x_k = dt (t + e_k),
+    the eigenvalues of X = dt E, Newton's interpolation of f(x) = exp(-i x)
+    gives
+
+        exp(-i X) = f[x1] + f[x1, x2] (X - x1) + f[x1, x2, x3] (X - x1) (X - x2)
+
+    exactly, by Cayley-Hamilton, with f[a, b] = -i exp(-i (a + b) / 2)
+    sinc((a - b) / 2) and f[x1, x2, x3] = (f[x2, x3] - f[x1, x2]) / (x3 - x1),
+    where x3 - x1 >= 3 p dt is the largest gap (J. Kopp, Int. J. Mod. Phys.
+    C 19, 523, 2008, for the roots).  Where roots nearly coincide, arccos
+    leaves each of them uncertain, but their symmetric functions, and so
+    the formula, stay those of E to rounding: no eigenvector and no
+    ``eigh`` fallback is needed.  With coinciding nodes the divided
+    differences stay finite, and the (X - x1) (X - x2) term shrinks with
+    the gaps.  E = c I (and dt = 0) gives exp(-i c dt) I.
+    """
+    tiny = np.finfo(float).tiny
+    a0, a1, a2 = np.moveaxis(exponents.diagonal(0, -2, -1).real, -1, 0)
+    t = (a0 + a1 + a2) / 3.0
+    a0, a1, a2 = a0 - t, a1 - t, a2 - t
+    u, v, w = exponents[..., 0, 1], exponents[..., 0, 2], exponents[..., 1, 2]
+    uu, vv, ww = (np.real(z * z.conj()) for z in (u, v, w))
+    p = np.sqrt((0.5 * (a0 * a0 + a1 * a1 + a2 * a2) + (uu + vv + ww)) / 3.0)
+    det = a0 * (a1 * a2 - ww) - a1 * vv - a2 * uu + 2.0 * np.real(u * w * v.conj())
+    phi = np.arccos(np.clip(det / np.maximum(2.0 * p * p * p, tiny), -1.0, 1.0)) / 3.0
+    e1, e3 = 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), 2.0 * p * np.cos(phi)
+    e2 = -(e1 + e3)
+    x1, half12, half23 = dts * (t + e1), 0.5 * dts * (e2 - e1), 0.5 * dts * (e3 - e2)
+
+    def divided(phase, half):  # f[a, b] = -i exp(-i phase) sinc(half), half >= 0
+        half = np.maximum(half, tiny)
+        return -1j * np.exp(-1j * phase) * (np.sin(half) / half)
+
+    f12 = divided(x1 + half12, half12)
+    f123 = ((divided(x1 + 2.0 * half12 + half23, half23) - f12)
+            / np.maximum(dts * (e3 - e1), tiny))
+    shifted = exponents.copy(order="K")  # E - t - e1 = (X - x1) / dt, in E's layout
+    for k, ak in enumerate((a0, a1, a2)):
+        shifted[..., k, k] = ak - e1
+    product = _compose(shifted, shifted) - (e2 - e1)[..., None, None] * shifted
+    steps = (f12 * dts)[..., None, None] * shifted + (f123 * dts * dts)[..., None, None] * product
+    f1 = np.exp(-1j * x1)
+    for k in range(3):
+        steps[..., k, k] += f1
+    return steps
 
 
 def _newton_schulz(props):
@@ -287,9 +357,9 @@ def _sweep(ops, coeffs, dts, initial=None):
     past the second starts from the previous block's end rather than from a
     larger tree's product.  The bound sum_k |c_k| ||O_k|| dt on max ||H|| dt
     (||O_k|| <= its largest row sum), logged at DEBUG level with the run's
-    sizes and step form, should be <~ 1; above 2**52, where a step phase's
-    float spacing reaches 1 rad, the run raises ValueError (a NaN bound
-    passes, for the leakage contracts to reject).
+    sizes and step form (:func:`_step_form`), should be <~ 1; above 2**52,
+    where a step phase's float spacing reaches 1 rad, the run raises
+    ValueError (a NaN bound passes, for the leakage contracts to reject).
     """
     n, states = ops.shape[-1], initial is not None
     with np.errstate(all="ignore"):  # sum_k |c_k| ||O_k|| at the nodes, times dt
@@ -310,7 +380,7 @@ def _sweep(ops, coeffs, dts, initial=None):
                  "_magnus_run" if states else "_run_propagator",
                  coeffs[..., 0, 0, 0].size, steps, len(starts), block, len(ops), bound,
                  "states" if states else "propagators",
-                 "Cayley-Klein" if n == 2 else "eigh", " loop" if states else "")
+                 _step_form(n), " loop" if states else "")
     basis = _exponent_basis(ops)
     psi = np.asarray(initial, dtype=complex)[..., None]
     if states:

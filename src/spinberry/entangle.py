@@ -47,13 +47,17 @@ _SHAPE = "blackman"
 # Window of ramp stretches searched by tune_stage_stretch.
 _STRETCH_BOUNDS = (0.88, 1.12)
 
-# Grid maxima of the adiabatic fidelity prediction within this margin of its
-# best are polished on the exact fidelity: the prediction misses the exact
-# fidelity on the 25-stretch grid at lambda_max by up to 7.8e-3 at T = 15.
-_CANDIDATE_MARGIN = 0.02
-
 # Simpson nodes of the ramp's dynamical phase (error about 3e-11 rad at lambda_max).
 _PHASE_QUAD_POINTS = 257
+
+
+def _candidate_margin(stage_duration: float) -> float:
+    """Margin below its best within which a grid maximum of the adiabatic
+    fidelity prediction is polished on the exact fidelity: twice the
+    prediction's miss, which on the 25-stretch grid at lambda_max is
+    0.107 / T to 0.128 / T for every stage length T from 7 to 50 (7.8e-3
+    at T = 15), and at least 0.02, the margin from T = 13 up."""
+    return max(0.02, 0.26 / stage_duration)
 
 
 @dataclass(frozen=True)
@@ -365,9 +369,12 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0) -> float:
     period of the relative dynamical phase.  Where its maxima lie comes from
     the adiabatic prediction (:func:`_adiabatic_fidelity`) on a grid of 25
     stretches: every grid maximum (a window edge counts) whose predicted
-    fidelity is within ``_CANDIDATE_MARGIN`` of the predicted best is
+    fidelity is within :func:`_candidate_margin` of the predicted best is
     polished on the exact objective by a bounded search between its grid
-    neighbours.  A maximum may sit at a window edge on the flank of one
+    neighbours.  Below T = 7 the prediction's miss outgrows that margin
+    (5.8e-2 at T = 6 against a margin of 4.3e-2), so there a true maximum
+    can go unpolished and the stretch returned may be a lesser maximum of
+    the exact fidelity.  A maximum may sit at a window edge on the flank of one
     outside the window, so an interior maximum nearly as good is polished
     too.  Maxima one period apart reach nearly the same fidelity, so of the
     polished stretches within 1e-6 of the best fidelity the one nearest 1
@@ -389,7 +396,8 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0) -> float:
     values = predicted(grid)
     padded = np.pad(values, 1, constant_values=-np.inf)
     maxima = [k for k in range(len(grid)) if values[k] >= max(padded[k], padded[k + 2])]
-    starts = [k for k in maxima if values[k] >= values.max() - _CANDIDATE_MARGIN]
+    starts = [k for k in maxima
+              if values[k] >= values.max() - _candidate_margin(stage_duration)]
     polished = [minimize_scalar(objective, bounds=(grid[max(0, k - 1)],
                                                    grid[min(len(grid) - 1, k + 1)]),
                                 method="bounded", options={"xatol": 1e-6})

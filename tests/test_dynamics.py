@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from spinberry import (alpha_rotation_cycle, berry_phase_adiabatic, blackman,
@@ -414,7 +416,7 @@ def test_unitarity_drift_bound():
 
 def _eigh_cf4_steps(h_nodes, dts):
     """The CF4 step propagators by stacked eigh plus one Newton-Schulz step,
-    as steps of more than two levels are formed: the reference of the
+    as steps of more than three levels are formed: the reference of the
     closed-form cross-checks below."""
     from spinberry.dynamics import _A_MINUS, _A_PLUS
     h_early, h_late = h_nodes[..., 0, :, :], h_nodes[..., 1, :, :]
@@ -464,8 +466,8 @@ def _su2_matrices(phase, a, b):
 
 def _library_steps(h_nodes, dts):
     """The library's CF4 step propagators (..., steps, n, n) of sampled
-    matrices, from their coefficients (``_cf4_propagators``: the closed form
-    on two levels, else eigh)."""
+    matrices, from their coefficients (``_cf4_propagators``: closed forms
+    on two and three levels, else eigh)."""
     from spinberry.dynamics import _cf4_propagators, _exponent_basis
     ops, coeffs = _coefficients(h_nodes)
     return np.moveaxis(_cf4_propagators(_exponent_basis(ops), coeffs, dts), 0, -3)
@@ -600,7 +602,8 @@ def test_run_propagator_logs_what_it_did(caplog):
     # the bound on max ||H|| dt is sum_k |c_k| ||O_k|| dt: (0.5 + 0.5) * 0.04
     # on (1, sigma_x, sigma_y, sigma_z) with one node at c = -0.5 and 0.5 for
     # sigma_x and sigma_y, and (0.5 + 2 * 1.5) * 0.1 on two 3x3 operators of
-    # largest absolute row sums 1 and 1.5
+    # largest absolute row sums 1 and 1.5, and 2 * 0.1 on the 4x4 identity;
+    # each names its step form
     dts = np.full((3, 2500), 0.04)
     coeffs = np.zeros((3, 2500, 2, 4))
     coeffs[1, 7, 1, 1:3] = -0.5, 0.5
@@ -608,13 +611,16 @@ def test_run_propagator_logs_what_it_did(caplog):
     with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
         _run_propagator(_PAULI_OPS, coeffs, dts)
         _run_propagator(ops, np.tile([0.5, -2.0], (2, 2500, 2, 1)), np.full((2, 2500), 0.1))
+        _run_propagator(np.eye(4)[None], np.full((1, 100, 2, 1), 2.0), np.full((1, 100), 0.1))
     assert [(r.name, r.levelno) for r in caplog.records] == [("spinberry.dynamics",
-                                                             logging.DEBUG)] * 2
+                                                             logging.DEBUG)] * 3
     assert [r.getMessage() for r in caplog.records] == [
         "_run_propagator: 3 runs of 2500 steps in 2 blocks of 2048 steps, K = 4, "
         "max ||H|| dt <= 0.04, propagators (Cayley-Klein)",
         "_run_propagator: 2 runs of 2500 steps in 2 blocks of 2048 steps, K = 2, "
-        "max ||H|| dt <= 0.35, propagators (eigh)"]
+        "max ||H|| dt <= 0.35, propagators (closed form)",
+        "_run_propagator: 1 runs of 100 steps in 1 blocks of 2048 steps, K = 1, "
+        "max ||H|| dt <= 0.2, propagators (eigh)"]
 
 
 def _step_loop(step_propagators, calls):
@@ -717,7 +723,7 @@ def test_magnus_run_logs_what_it_did(caplog):
         "_magnus_run: 2 runs of 2100 steps in 2 blocks of 2048 steps, K = 2, "
         "max ||H|| dt <= 0, states (Cayley-Klein loop)",
         "_magnus_run: 1 runs of 5000 steps in 2 blocks of 4096 steps, K = 1, "
-        "max ||H|| dt <= 0.06, states (eigh loop)"]
+        "max ||H|| dt <= 0.06, states (closed form loop)"]
 
 
 def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
@@ -747,7 +753,7 @@ def test_debug_logging_leaves_output_unchanged(tmp_path, capsys, caplog):
                   r.getMessage().split("(")[-1]) for r in caplog.records]
         assert paths == ([] if level == logging.WARNING
                          else [("_run_propagator", "K = 2", "Cayley-Klein)")] * 2
-                         + [("_magnus_run", "K = 2", "eigh loop)")])
+                         + [("_magnus_run", "K = 2", "closed form loop)")])
     assert outputs[:3] == outputs[3:]
 
 
@@ -828,6 +834,175 @@ def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
     assert len(calls) == 2 * (1 + len(stretches))  # the rotation and each ramp, per spin
     assert np.abs(ours - ref).max() < 1e-12
+
+
+# --- closed-form three-level steps -------------------------------------------
+
+
+def _three_level(x):
+    """The library's closed-form exp(-i X) of 3x3 Hermitian X (..., 3, 3)."""
+    from spinberry.dynamics import _three_level_exponentials
+    x = np.asarray(x)
+    return _three_level_exponentials(x, np.ones(x.shape[:-2]))
+
+
+def _assert_matches_expm(x):
+    # each exp(-i X) against scipy's to 1e-14 max(1, ||X||)
+    from scipy.linalg import expm
+    x = np.asarray(x).reshape(-1, 3, 3)
+    got = _three_level(x)
+    want = np.array([expm(-1j * xk) for xk in x])
+    bound = 1e-14 * np.maximum(1.0, np.linalg.norm(x, ord=2, axis=(-2, -1)))
+    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= bound)
+
+
+def test_three_level_exponential_of_a_multiple_of_the_identity():
+    # X = 0 is the identity to the bit; X = c I is exp(-i c) I
+    np.testing.assert_array_equal(_three_level(np.zeros((4, 3, 3))),
+                                  np.broadcast_to(np.eye(3), (4, 3, 3)))
+    cs = np.array([0.0, 1e-300, 1e-9, 1.0, -7.5, 10.0])
+    x = cs[:, None, None] * np.eye(3)
+    got = _three_level(x)
+    assert np.abs(got - np.exp(-1j * cs)[:, None, None] * np.eye(3)).max() < 1e-15
+    _assert_matches_expm(x)
+    _assert_matches_expm(x.astype(complex))
+
+
+@pytest.mark.parametrize("center", [0.0, 1.0, -3.7])
+def test_three_level_exponential_of_nearly_degenerate_diagonals(center):
+    # gaps from 1e-15 to 1e-4: all three levels close, two close and one far
+    for gap in np.logspace(-15, -4, 12):
+        for levels in ([0.0, gap, 2.0 * gap], [0.0, gap, 1.0], [0.0, 1.0, 1.0 + gap],
+                       [gap, 0.0, -gap]):
+            _assert_matches_expm(np.diag(center + np.array(levels)))
+
+
+def _clustered_hermitian(draw_seed, complex_, center, gaps):
+    """A random real symmetric or complex Hermitian 3x3 matrix with the
+    eigenvalues center, center + gaps[0] and center + gaps[0] + gaps[1]."""
+    rng = np.random.default_rng(draw_seed)
+    a = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_ else 0.0)
+    q = np.linalg.qr(a)[0]
+    x = (q * (center + np.array([0.0, gaps[0], gaps[0] + gaps[1]]))) @ q.conj().T
+    return 0.5 * (x + x.conj().T)
+
+
+_GAPS = st.tuples(st.floats(1.0, 9.99), st.integers(-16, 0)).map(lambda g: g[0] * 10.0 ** g[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
+       center=st.floats(-4.0, 4.0), gaps=st.tuples(_GAPS | st.just(0.0), _GAPS | st.just(0.0)))
+def test_three_level_exponential_matches_expm(seed, complex_, center, gaps):
+    # clustered eigenvalues at every scale from coinciding to ||X|| = 10
+    gaps = tuple(min(g, 3.0) for g in gaps)
+    _assert_matches_expm(_clustered_hermitian(seed, complex_, center, gaps))
+
+
+def _three_state_blocks():
+    """(label, operators (K, 3, 3)) of every three-state parity block of
+    the paper's spins: S = 2, m = 0; both blocks of S = 5/2; the even block
+    of S = 3."""
+    from spinberry.hamiltonian import _block, _block_operators
+    blocks = [("S=2 m=0", 4, 0.0), ("S=5/2 m=5/2", 5, 2.5), ("S=5/2 m=3/2", 5, 1.5),
+              ("S=3 m=0", 6, 0.0)]
+    return [(label, np.stack(_block_operators(spin_matrices(two_s),
+                                              _block(spin_matrices(two_s), m))))
+            for label, two_s, m in blocks]
+
+
+@pytest.mark.parametrize("density", [25, 400])
+def test_three_level_steps_match_eigh_steps(density):
+    # the closed-form CF4 steps against stacked eigh plus Newton-Schulz, the
+    # path they replace, to 1e-14 in every entry: each 3-state block over
+    # lambda in [-3, 3] (the m = 0 / m = 2 avoided crossing near 0.43 among
+    # them) with (b - alpha_dot) = 1, 0 (near-degenerate exponents) and
+    # -0.5, and the whole S = 1 multiplet of a cycle on which phi and theta
+    # both move (complex exponents on four operators)
+    from spinberry.dynamics import _block_hamiltonian, _cf4_propagators, _exponent_basis, _grid
+    from spinberry.schedules import from_table
+    dt = 1.0 / density
+    lams = np.append(np.linspace(-3.0, 3.0, 601), [0.43, 0.4317])
+    runs = []
+    for label, ops in _three_state_blocks():
+        for rate in (1.0, 0.0, -0.5):
+            coeffs = np.empty((len(lams), 2, 2))
+            coeffs[..., 0] = rate
+            coeffs[:, 0, 1], coeffs[:, 1, 1] = lams, lams + 0.3 * dt
+            runs.append((f"{label}, b - alpha_dot = {rate}", ops, coeffs,
+                         np.full(len(lams), dt)))
+    t = np.linspace(0.0, 4.0, 81)
+    s = 2 * np.pi * t / 4.0
+    sched = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=s, alpha=0.5 * s,
+                       lam=0.3 + 2.5 * np.sin(s), n_phi=1, n_alpha=1)
+    grid = _grid([0.0, sched.duration], [4 * density])
+    _, ops, coeffs = _block_hamiltonian(S1, 1.0, [sched], grid.nodes)
+    assert ops.shape == (4, 3, 3) and np.iscomplexobj(_exponent_basis(ops))
+    runs.append(("S=1 phi and theta", ops, coeffs[0], grid.dts))
+    for label, ops, coeffs, dts in runs:
+        got = np.moveaxis(_cf4_propagators(_exponent_basis(ops), coeffs, dts), 0, -3)
+        assert np.abs(got - _eigh_cf4_steps(_matrices(ops, coeffs), dts)).max() <= 1e-14, label
+
+
+def test_spin_one_phi_cycle_matches_eigh_steps_and_propagate(monkeypatch):
+    # the complex 3-state steps of an S = 1 phi-turn cycle: the tracked run
+    # against the same run on eigh steps, and its final state against the
+    # lab-frame reference propagate (also on 3-state steps), which it meets
+    # to 4.7e-12 at 800 steps against 4,000
+    from spinberry import dynamics
+    sched = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=8.0, lambda0=0.3)
+    ours = run_cycle(S1, 1.0, sched, steps=800)
+    psi0 = (dynamics._frames(S1, sched, 0.0)
+            @ labeled_spectrum(S1, 0.3).vector(1.0).astype(complex))
+    _, lab, drift = propagate(lambda ts: lab_hamiltonian(S1, sched, ts), psi0,
+                              sched.duration, 4000)
+    assert drift < 1e-12
+    assert np.abs(ours.final_state - lab).max() < 1e-10
+    calls = []
+    monkeypatch.setattr(dynamics, "_magnus_run", _step_loop(_eigh_cf4_steps, calls))
+    ref = run_cycle(S1, 1.0, sched, steps=800)
+    assert calls == [(1, 3)]
+    assert np.abs(ours.final_state - ref.final_state).max() < 1e-12
+    assert abs(ours.total_phase - ref.total_phase) < 1e-12
+    assert abs(ours.geometric_phase - ref.geometric_phase) < 1e-12
+
+
+@pytest.mark.parametrize("steps, bound", [(8000, 1e-12), (40000, 2e-12)])
+def test_three_state_norm_drift_on_long_cycles(steps, bound):
+    # S = 2, m = 0 cycles on closed-form steps: 1.5e-13 to 1.7e-13 at 8,000
+    # steps and 8.3e-13 to 1.25e-12 at 40,000, where eigh steps read 2.5e-14
+    # to 3.8e-14 and 1.2e-13 to 7.0e-13.  Each step's Newton-Schulz step
+    # adds a bias of about 2e-17 per step; without it these runs drift less,
+    # but a closed-form step is unitary only to about 5e-15 ||H|| dt, which
+    # the random runs of test_scan_matches_step_loop (||H|| dt up to 50) show
+    for lam in (-1.1655059345201522, 0.9, 2.5):
+        sched = three_stage_cycle(lam, stage_duration=10.0, n_alpha=1)
+        assert run_cycle(S2, 0.0, sched, steps=steps).norm_drift < bound
+
+
+def _eigh_calls(monkeypatch):
+    """Record the shape of every numpy.linalg.eigh call."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    return calls
+
+
+def test_three_state_ramp_steps_make_no_eigh(monkeypatch):
+    # an m = 0 ramp of S = 2: its steps are closed-form, so the only eigh
+    # calls are the two single-lambda spectra of its 3-state block, the
+    # initial level at lambda = 0 and the adiabatic polarization at lambda0;
+    # a 5-state block (S = 4, m = 0) still steps by stacked eigh
+    calls = _eigh_calls(monkeypatch)
+    ramp_fidelity(S2, 0.0, 0.85, 10.0)
+    assert calls == [(3, 3)] * 2
+    calls.clear()
+    ramp_fidelity(spin_matrices(8), 0.0, 0.5, 4.0)
+    assert [shape for shape in calls if len(shape) > 2] == [(2, 1, 1, 100, 5, 5)]
 
 
 # --- frames -----------------------------------------------------------------

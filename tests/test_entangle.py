@@ -464,15 +464,17 @@ def test_tuner_matches_the_exact_scan(stage):
             assert stretch == reference
 
 
-@pytest.mark.parametrize("stage", [15.0, 25.0, 40.0])
+@pytest.mark.parametrize("stage", [8.0, 10.0, 12.0, 15.0, 25.0, 40.0])
 def test_adiabatic_fidelity_predicts_the_exact_one(stage):
-    # measured at most 7.8e-3, 4.7e-3 and 3.0e-3 over the grid: within half
-    # the tuner's candidate margin, so no exact maximum is left unpolished
-    from spinberry.entangle import _CANDIDATE_MARGIN, _adiabatic_fidelity, _stretch_fidelity
+    # measured at most 1.53e-2, 1.11e-2, 1.06e-2, 7.8e-3, 4.7e-3 and 3.0e-3
+    # over the grid: within half the tuner's candidate margin at each stage
+    # length, so no exact maximum is left unpolished
+    from spinberry.entangle import _adiabatic_fidelity, _candidate_margin, _stretch_fidelity
     lam_max, grid = lambda_max_solve(), np.linspace(0.88, 1.12, 25)
     error = np.abs(_adiabatic_fidelity(lam_max, stage)(grid)
                    - _stretch_fidelity(lam_max, stage)(grid)).max()
-    assert error < 0.01 <= _CANDIDATE_MARGIN / 2
+    assert error < _candidate_margin(stage) / 2
+    assert _candidate_margin(stage) == (0.02 if stage >= 13.0 else 0.26 / stage)
 
 
 
