@@ -19,18 +19,16 @@ __version__ = "0.1.0"
 from .berry import (BerryPhaseResult, GaugeField, berry_phase_adiabatic,
                     gauge_field, gauge_field_sphere, gauge_invariance_check)
 from .dynamics import (CycleResult, LeakageWarning, MirrorResult, RampResult,
-                       mirror_phase_difference, ramp_fidelity, run_cycle,
-                       two_level_rotating_hamiltonian)
+                       mirror_phase_difference, ramp_fidelity, run_cycle)
 from .entangle import (DeltaBeta, EntangleResult, FourSpinState,
                        SymmetricBasis, closed_form_delta_beta,
-                       collective_hamiltonian, entangling_cycle,
-                       lambda_max_solve, symmetric_basis_m1,
-                       tune_stage_stretch)
+                       entangling_cycle, lambda_max_solve,
+                       symmetric_basis_m1, tune_stage_stretch)
 from .hamiltonian import (LabeledSpectrum, ParityBlock, ReducedHamiltonian,
                           characteristic_polynomial, energy_derivative,
                           labeled_spectrum, parity_blocks,
                           perturbative_polarization_m0, polarization,
-                          polarization_hellmann_feynman, reduced_hamiltonian)
+                          reduced_hamiltonian)
 from .nonadiabatic import (CoriolisParams, NearDegeneracyError, NoRootError,
                            TransverseShift, delta_p, longitudinal_phase,
                            magic_lambda, magic_lambda_fit, q_coefficient,
@@ -38,9 +36,8 @@ from .nonadiabatic import (CoriolisParams, NearDegeneracyError, NoRootError,
 from .pulses import PulseShape, blackman, blackman_integral
 from .schedules import (CycleSchedule, ScheduleError, Segment,
                         alpha_rotation_cycle, from_dict, from_file,
-                        from_segments, from_table, phi_rotation_cycle,
-                        three_stage_cycle)
-from .spin_algebra import (EulerAngles, SpinRep, m_parity, rotation_matrix_3d,
-                           rotation_unitary, spin_matrices)
+                        from_segments, phi_rotation_cycle, three_stage_cycle)
+from .spin_algebra import (EulerAngles, SpinRep, m_parity, rotation_unitary,
+                           spin_matrices)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

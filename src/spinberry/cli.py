@@ -104,9 +104,20 @@ def _write_json(args, payload):
         out.write("\n")
 
 
+def _grid_points(args, name: str) -> np.ndarray:
+    """``args.n_points`` points from --<name>-min to --<name>-max, once both
+    bounds and their span are finite (numpy's linspace warns and makes NaN
+    points of an infinite bound or span)."""
+    low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    if np.isinf(low) or np.isinf(high) or np.isinf(high - low):
+        raise ValueError(f"--{name}-min and --{name}-max must span a finite interval, "
+                         f"got {low!r} and {high!r}")
+    return np.linspace(low, high, args.n_points)
+
+
 def cmd_spectrum(args) -> int:
     rep = spin_matrices(args.spin)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
+    lams = _grid_points(args, "lambda")
     mlabels = rep.m_values
     columns = (["lambda"] + [f"E_m{_label(m)}" for m in mlabels]
                + [f"p_m{_label(m)}" for m in mlabels])
@@ -134,7 +145,7 @@ def cmd_gauge_sphere(args) -> int:
 
 def cmd_magic(args) -> int:
     rep = spin_matrices(args.spin)
-    etas = np.linspace(args.eta_min, args.eta_max, args.n_points)
+    etas = _grid_points(args, "eta")
     rows = []
     for eta in etas:
         fit = magic_lambda_fit(rep.two_s, eta)
@@ -161,7 +172,7 @@ def cmd_ramp(args) -> int:
 
 def cmd_transverse(args) -> int:
     rep = spin_matrices(args.spin)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.n_points)
+    lams = _grid_points(args, "lambda")
     shifts = [transverse_second_order(rep, args.m, lam) for lam in lams]
     for lam, shift in zip(lams, shifts):
         if shift.large_correction:

@@ -15,14 +15,11 @@ coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
 :mod:`spinberry.entangle`, each sampled from its schedule like every other
 run (:func:`_ramp_run`), and its down-sweep every step-end state
 (:func:`_magnus_run`), for the runs tracked in the paper's co-rotating frame
-(:func:`_tracked_runs`): cycles, the ramps of :func:`ramp_phase` and the
-four-spin cycle, whose references solve only the tracked level's parity
-block, a cycle and its mirror image stepped as one run.  :func:`propagate`
-(any h(t), as coefficients of the n**2 matrix units) and
-:func:`lab_hamiltonian` are the references the tests hold them to.  Time is
-in units of 1/(gamma_S B0) throughout.  Functions of time (and of angles or
-couplings) take scalars or arrays; arrays give their matrices stacked along
-the leading axes.
+(:func:`_tracked_runs`): cycles and the four-spin cycle, whose references
+solve only the tracked level's parity block, a cycle and its mirror image
+stepped as one run.  Time is in units of 1/(gamma_S B0) throughout.
+Functions of time (and of couplings) take scalars or arrays; arrays give
+their matrices stacked along the leading axes.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .berry import _quad_grid, _simpson
-from .hamiltonian import _block, _block_operators, _level, _reduced, polarization
+from .hamiltonian import _block, _block_operators, _level, polarization
 from .schedules import CycleSchedule, Segment, from_segments
-from .spin_algebra import EulerAngles, SpinRep, rotation_unitary, spin_matrices
+from .spin_algebra import EulerAngles, SpinRep, rotation_unitary
 
 logger = logging.getLogger(__name__)
 
@@ -424,32 +421,6 @@ def _norm_drift(states):
     return float(np.abs(norms - norms[0]).max())
 
 
-def propagate(h_of_ts, initial, duration, steps):
-    """Fourth-order Magnus run of ``steps`` equal steps (see
-    :func:`_magnus_run`); returns (times, final state, norm_drift).
-
-    ``h_of_ts(ts)`` takes an array of times and returns the Hermitian
-    Hamiltonians at those times stacked along the first axis; the run takes
-    them as coefficients of the n**2 matrix units.
-    """
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    grid = _grid([0.0, duration], [steps])
-    h = np.asarray(h_of_ts(grid.nodes.ravel()))
-    skew = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    if np.any(skew > 1e-12 * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))):
-        raise ValueError("Hamiltonian is not Hermitian")
-    n = h.shape[-1]
-    states = _magnus_run(np.eye(n * n).reshape(n * n, n, n),
-                         h.reshape(len(grid.dts), 2, n * n), grid.dts, initial)
-    return np.linspace(0.0, duration, steps + 1), states[-1], _norm_drift(states)
-
-
-def _stacked(x):
-    """Scalar or array x as coefficients of (stacked) matrices."""
-    return np.asarray(x)[..., None, None]
-
-
 def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
     """Rotation unitaries U(R(t)) of the schedule's field axes."""
     return rotation_unitary(rep, EulerAngles(theta=schedule.theta(t),
@@ -457,39 +428,14 @@ def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                              alpha=schedule.alpha(t)))
 
 
-def coriolis_operators(rep: SpinRep, theta, alpha):
-    """Generators (D_theta, D_phi, D_alpha) of the frame rotation rates."""
-    theta, alpha = _stacked(theta), _stacked(alpha)
-    d_alpha = rep.sigma_z
-    d_phi = (rep.sigma_z * np.cos(theta)
-             + np.sin(theta) * (-rep.sigma_x * np.cos(alpha)
-                                + rep.sigma_y * np.sin(alpha)))
-    d_theta = rep.sigma_y * np.cos(alpha) + rep.sigma_x * np.sin(alpha)
-    return d_theta, d_phi, d_alpha
-
-
-def lab_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
-    """Laboratory-frame Hamiltonian b U(R) (Sigma_z + lambda Sigma_x^2) U(R)^dag
-    (the reference for the co-rotating runs)."""
-    u = _frames(rep, schedule, t)
-    return _stacked(schedule.b(t)) * _compose(_compose(u, _reduced(rep, schedule.lam(t))),
-                                              u.conj().swapaxes(-1, -2))
-
-
-def rotating_frame_hamiltonian(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
-    """Co-rotating-frame Hamiltonian: reduced part less the Coriolis field of
-    the frame rotation rates (:func:`coriolis_operators`)."""
-    d_theta, d_phi, d_alpha = coriolis_operators(rep, schedule.theta(t), schedule.alpha(t))
-    return (_stacked(schedule.b(t)) * _reduced(rep, schedule.lam(t))
-            - (_stacked(schedule.alpha_dot(t)) * d_alpha + _stacked(schedule.phi_dot(t)) * d_phi
-               + _stacked(schedule.theta_dot(t)) * d_theta))
-
-
 def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
     """Basis indices, operators O_k (K, n, n) and coefficients
     (len(schedules), steps, 2, K) at ``nodes`` of the co-rotating-frame
     Hamiltonians sum_k c_k O_k of runs from level m that share lambda(t) and
-    b(t), less each run's Coriolis term (:func:`coriolis_operators`).  While
+    b(t), less each run's Coriolis term alpha_dot D_alpha + phi_dot D_phi
+    + theta_dot D_theta, with D_alpha = Sigma_z, D_phi = cos(theta) Sigma_z
+    + sin(theta) (sin(alpha) Sigma_y - cos(alpha) Sigma_x) and
+    D_theta = cos(alpha) Sigma_y + sin(alpha) Sigma_x.  While
     phi and theta stand still at every node, that is (b - alpha_dot) Sigma_z
     + b lambda Sigma_x^2, which conserves the parity (-1)^(S-m), and only
     m's real block is kept; else phi and theta add Sigma_x and Sigma_y."""
@@ -614,32 +560,6 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     return result
 
 
-def two_level_rotating_hamiltonian(s_branch: str, lam: float,
-                                   lam_dot: float) -> np.ndarray:
-    """Rotating-basis 2x2 Hamiltonian of an odd parity doublet under ramping.
-
-    On the (m = 1, m = -1) doublet of spin S = 1 (``"S1"``) or S = 2
-    (``"S2"``), Sigma_z + lambda Sigma_x^2 is
-    d lambda * 1 + sigma_z + c lambda sigma_x with d = <1|Sigma_x^2|1> and
-    c = <1|Sigma_x^2|-1>, read off m = 1's parity block (d, c = 1/2, 1/2 for
-    S = 1 and 5/2, 3/2 for S = 2).  With tan(zeta) = c lambda, the basis
-    rotating with zeta turns it into
-    d lambda * 1 + sec(zeta) sigma_z - (zeta_dot / 2) sigma_y.
-    """
-    if s_branch not in ("S1", "S2"):
-        raise ValueError(f"s_branch must be 'S1' or 'S2', got {s_branch!r}")
-    rep = spin_matrices(2 * int(s_branch[1]))
-    d, c = _block_operators(rep, _block(rep, 1.0))[1][0]
-    tan_zeta = c * lam
-    zeta = np.arctan(tan_zeta)
-    zeta_dot = c * lam_dot / (1.0 + tan_zeta**2)
-    offset = d * lam
-    sec_zeta = 1.0 / np.cos(zeta)
-    return np.moveaxis(np.array([[offset + sec_zeta, 0.5j * zeta_dot],
-                                 [-0.5j * zeta_dot, offset - sec_zeta]]),
-                       (0, 1), (-2, -1))
-
-
 @dataclass(frozen=True)
 class RampResult:
     """Final <Sigma_z> of a coupling ramp against the adiabatic prediction."""
@@ -676,8 +596,7 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
 
     The final state is the ramp's propagator on level m's parity block
     (:func:`_ramp_run`, :func:`_run_propagator`) applied to level m at
-    lambda = 0: the final state of the :func:`ramp_phase` run, to rounding,
-    with no references and no per-step states."""
+    lambda = 0, with no references and no per-step states."""
     sel, ops, coeffs, dts = _ramp_run(rep, m, lambda0, duration, shape, steps)
     psi = np.zeros(rep.dim, dtype=complex)
     psi[sel] = _run_propagator(ops, coeffs, dts)[0] @ _level(rep, m, 0.0)[2]
@@ -690,14 +609,8 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
 def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
                               duration: float, shape: str = "blackman",
                               quad_points: int = 4097) -> float:
-    """-int E(m, lambda(t)) dt along a coupling ramp (adiabatic reference)."""
+    """-int E(m, lambda(t)) dt along a coupling ramp: the dynamical phase of
+    level m followed adiabatically (the stretch tuner's prediction takes it
+    on a ramp of unit duration)."""
     ts = _quad_grid(duration, quad_points)
     return _simpson(-_level(rep, m, _ramp(lambda0, duration, shape).lam(ts))[1], ts)
-
-
-def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
-               shape: str = "blackman", steps: int | None = None) -> CycleResult:
-    """Exact phase bookkeeping of a coupling ramp 0 -> lambda0 with fixed
-    field axes, whose level labeled m is tracked as in :func:`run_cycle`."""
-    return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
-

@@ -25,9 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .berry import _quad_grid, _simpson
-from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp, _ramp_run,
-                       _run_propagator, _step_grid)
+from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_run,
+                       _run_propagator, _step_grid, adiabatic_dynamical_phase)
 from .hamiltonian import _label_index, _level
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
@@ -100,28 +99,6 @@ def collective_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             total = total + term
         totals.append(total)
     return tuple(totals)
-
-
-def collective_hamiltonian(lam: float) -> np.ndarray:
-    """16 x 16 collective Hamiltonian S_z + lambda S_x^2 (real symmetric)."""
-    sx, _, sz = collective_spin()
-    return (sz + lam * (sx @ sx)).real
-
-
-def permutation_operator(perm) -> np.ndarray:
-    """Operator permuting the four tensor factors: site i <- perm[i]."""
-    perm = tuple(perm)
-    if sorted(perm) != [0, 1, 2, 3]:
-        raise ValueError(f"not a permutation of 0..3: {perm}")
-    op = np.zeros((_DIM, _DIM))
-    for idx in range(_DIM):
-        bits = [(idx >> (_N_SPINS - 1 - k)) & 1 for k in range(_N_SPINS)]
-        new_bits = [bits[perm[k]] for k in range(_N_SPINS)]
-        new_idx = 0
-        for b in new_bits:
-            new_idx = (new_idx << 1) | b
-        op[new_idx, idx] = 1.0
-    return op
 
 
 def _one_flip_states() -> list[np.ndarray]:
@@ -340,16 +317,17 @@ def _adiabatic_fidelity(lambda0: float, stage_duration: float, blocks=None):
 
     A ramp of duration s T that follows the M = 1 level adiabatically takes
     |1> to exp(-i s T theta) psi, with psi the level at lambda0 and
-    theta = int_0^1 E(M = 1, lambda0 f(tau)) dtau along the ramp's profile f
-    (a real Hamiltonian adds no Berry phase).  So a(S, 1) is
+    theta = int_0^1 E(M = 1, lambda0 f(tau)) dtau along the ramp's profile f,
+    the dynamical phase of the unit-length ramp with its sign turned
+    (:func:`spinberry.dynamics.adiabatic_dynamical_phase`; a real
+    Hamiltonian adds no Berry phase).  So a(S, 1) is
     exp(-2 i s T theta_S) psi_S^T U_rot psi_S: one closed form per
     multiplet, with no ramp integrated (U_rot as in :func:`_stretch_fidelity`).
     """
-    tau = _quad_grid(1.0, _PHASE_QUAD_POINTS)
-    lams = _ramp(lambda0, 1.0, _SHAPE).lam(tau)
     thetas, overlaps = [], []
     for rep, _, u_rot, _ in blocks or _rotation_blocks(lambda0, stage_duration):
-        thetas.append(_simpson(_level(rep, 1.0, lams)[1], tau))
+        thetas.append(-adiabatic_dynamical_phase(rep, 1.0, lambda0, 1.0, _SHAPE,
+                                                 _PHASE_QUAD_POINTS))
         psi = _level(rep, 1.0, lambda0)[2]
         overlaps.append(psi @ u_rot @ psi)
 

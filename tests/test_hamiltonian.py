@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import polarization_hellmann_feynman
 from spinberry import (characteristic_polynomial,
                        energy_derivative, labeled_spectrum, parity_blocks,
                        perturbative_polarization_m0, polarization,
-                       polarization_hellmann_feynman, reduced_hamiltonian,
-                       spin_matrices)
+                       reduced_hamiltonian, spin_matrices)
 from spinberry.hamiltonian import _block
 from spinberry.spin_algebra import m_parity
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import polarization_hellmann_feynman
 from spinberry import (CoriolisParams, NearDegeneracyError, NoRootError,
                        alpha_rotation_cycle, delta_p, energy_derivative,
                        labeled_spectrum, longitudinal_phase, magic_lambda,
-                       magic_lambda_fit, polarization,
-                       polarization_hellmann_feynman, q_coefficient,
+                       magic_lambda_fit, polarization, q_coefficient,
                        reduced_hamiltonian, spin_matrices,
                        transverse_second_order)
 from spinberry.berry import berry_phase_adiabatic

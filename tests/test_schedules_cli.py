@@ -3,16 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reference import from_table
 from spinberry import lambda_max_solve
 from spinberry.cli import main
 from spinberry.pulses import PulseShape, blackman, blackman_integral
 from spinberry.schedules import (ScheduleError, Segment, from_dict, from_file,
-                                 from_segments, from_table, three_stage_cycle)
+                                 from_segments, three_stage_cycle)
 
 SCHEDULE_TEXT = """\
 # three-stage entangling cycle
@@ -551,6 +553,29 @@ _STEP_BOUND_CONTEXT = {
 }
 
 
+# grid bounds that are infinite, or whose span overflows, name both flags
+_GRID_BOUND_ERRORS = {
+    ("spectrum", "--lambda-max", "inf"): "--lambda-min and --lambda-max must span a "
+                                         "finite interval, got 0.0 and inf",
+    ("spectrum", "--lambda-min=-inf"): "--lambda-min and --lambda-max must span a "
+                                       "finite interval, got -inf and 2.0",
+    ("spectrum", "--lambda-min=-1e308", "--lambda-max", "1e308"):
+        "--lambda-min and --lambda-max must span a finite interval, got -1e+308 and 1e+308",
+    ("transverse", "--lambda-max", "inf"): "--lambda-min and --lambda-max must span a "
+                                           "finite interval, got 0.7 and inf",
+    ("transverse", "--lambda-min=-inf"): "--lambda-min and --lambda-max must span a "
+                                         "finite interval, got -inf and 1.2",
+    ("transverse", "--lambda-min=-1e308", "--lambda-max", "1e308"):
+        "--lambda-min and --lambda-max must span a finite interval, got -1e+308 and 1e+308",
+    ("magic", "--spin", "2", "--eta-max", "inf"): "--eta-min and --eta-max must span a "
+                                                  "finite interval, got 0.0 and inf",
+    ("magic", "--spin", "2", "--eta-min=-inf"): "--eta-min and --eta-max must span a "
+                                                "finite interval, got -inf and 0.5",
+    ("magic", "--spin", "2", "--eta-min=-1e308", "--eta-max", "1e308"):
+        "--eta-min and --eta-max must span a finite interval, got -1e+308 and 1e+308",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["cycle", "--steps", "0"],
     ["cycle", "--steps", "-3"],
@@ -579,9 +604,11 @@ _STEP_BOUND_CONTEXT = {
     ["cycle", "--schedule", "overflow.sched", "--m", "1"],
     ["ramp", "--m", "0", "--lambda0", "1e200", "--T", "2"],  # step bound ~2.2e199
     ["ramp", "--m", "-1", "--lambda0", "1e20", "--T", "2"],  # step bound ~1.6e19
+    *map(list, _GRID_BOUND_ERRORS),
 ])
 def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
     context = _STEP_BOUND_CONTEXT.get(tuple(argv))
+    grid_error = _GRID_BOUND_ERRORS.get(tuple(argv))
     sched = tmp_path / "alpha.sched"
     sched.write_text("lambda0 = 1.0\n"
                      "segment1.kind = rotate\n"
@@ -595,9 +622,13 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
                 "entangle": ["--lambda0", "-0.97"],
                 "ramp": ["--spin", "2", "--m", "0", "--lambda0", "1"],
                 "gauge-sphere": ["--spin", "2", "--n", "3"],
-                "magic": ["--n", "2"]}[argv[0]]
+                "magic": ["--n", "2"],
+                "spectrum": ["--spin", "2", "--n", "3"],
+                "transverse": ["--spin", "2", "--m", "0", "--n", "3"]}[argv[0]]
     out = tmp_path / "out.json"
-    code = main([argv[0], *required, *argv[1:], "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would write more than the error line
+        code = main([argv[0], *required, *argv[1:], "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -607,6 +638,8 @@ def test_cli_rejects_bad_steps_and_stretch(argv, tmp_path, capsys):
         assert err.startswith(f"error: {context} overflows the step arithmetic (the step bound")
     if "abc" in argv:
         assert err == "error: --tune must be a number, got 'abc'\n"
+    if grid_error is not None:
+        assert err == f"error: {grid_error}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -810,7 +843,7 @@ print(json.dumps([after_import, codes, scipy_modules()]))
 
 
 def test_cli_start_up_and_scipy_free_commands_load_no_scipy(tmp_path):
-    # only magic, entangle --tune auto and table schedules import scipy
+    # of the commands, only magic and entangle --tune auto import scipy
     sched = tmp_path / "alpha.sched"
     sched.write_text("lambda0 = 1.0\n"
                      "segment1.kind = rotate\n"

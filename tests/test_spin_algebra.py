@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinberry import (EulerAngles, m_parity, rotation_matrix_3d,
-                       rotation_unitary, spin_matrices)
+from reference import rotation_matrix_3d
+from spinberry import EulerAngles, m_parity, rotation_unitary, spin_matrices
 
 
 def ladder_sx(two_s):
