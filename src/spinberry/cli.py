@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
-from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, _StepBoundError,
+from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, LeakageWarning, _StepBoundError,
                        mirror_phase_difference, ramp_fidelity)
 from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
@@ -62,6 +62,16 @@ def _output(path):
     else:
         with open(path, "w", encoding="utf-8") as out:
             yield out
+
+
+@contextmanager
+def _no_leakage_warnings():
+    """Silence :class:`LeakageWarning` in the block: the command checks the
+    leakage itself and reports it on one line."""
+    import warnings  # loaded with the package (dynamics): no import-time cost
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LeakageWarning)
+        yield
 
 
 @contextmanager
@@ -115,9 +125,23 @@ def _grid_points(args, name: str) -> np.ndarray:
     return np.linspace(low, high, args.n_points)
 
 
+def _couplings(args, rep) -> np.ndarray:
+    """The --lambda-min to --lambda-max grid, once |lambda| is small enough
+    that sums and differences of two energies stay finite: an energy is at
+    most |lambda| times the largest row sum of |Sigma_x^2| (plus S) from 0."""
+    lams = _grid_points(args, "lambda")
+    rows = float(np.abs(rep.sigma_x @ rep.sigma_x).sum(axis=1).max())
+    limit = sys.float_info.max / (2.0 * rows) if rows else np.inf
+    low, high = args.lambda_min, args.lambda_max
+    if max(abs(low), abs(high)) > limit:
+        raise ValueError(f"--lambda-min and --lambda-max must lie within +-{limit:.3g} "
+                         f"at spin {_fmt(rep.s)}, got {low!r} and {high!r}")
+    return lams
+
+
 def cmd_spectrum(args) -> int:
     rep = spin_matrices(args.spin)
-    lams = _grid_points(args, "lambda")
+    lams = _couplings(args, rep)
     mlabels = rep.m_values
     columns = (["lambda"] + [f"E_m{_label(m)}" for m in mlabels]
                + [f"p_m{_label(m)}" for m in mlabels])
@@ -172,7 +196,7 @@ def cmd_ramp(args) -> int:
 
 def cmd_transverse(args) -> int:
     rep = spin_matrices(args.spin)
-    lams = _grid_points(args, "lambda")
+    lams = _couplings(args, rep)
     shifts = [transverse_second_order(rep, args.m, lam) for lam in lams]
     for lam, shift in zip(lams, shifts):
         if shift.large_correction:
@@ -189,7 +213,7 @@ def cmd_cycle(args) -> int:
     rep = spin_matrices(args.spin)
     schedule = from_file(args.schedule)  # whose errors name the file
     try:
-        with _finite(f"the cycle of {args.schedule}"):
+        with _finite(f"the cycle of {args.schedule}"), _no_leakage_warnings():
             quad = berry_phase_adiabatic(rep, args.m, schedule)
             mirror = mirror_phase_difference(rep, args.m, schedule, steps=args.steps)
     except ScheduleError as exc:  # the cycle's boundary conditions
@@ -207,15 +231,16 @@ def cmd_cycle(args) -> int:
         "norm_drift": _fmt(mirror.forward.norm_drift),
     }
     _write_json(args, payload)
-    if not all(run.leakage <= _LEAKAGE_BOUND for run in (mirror.forward, mirror.mirrored)):
-        print(f"adiabaticity contract failed: leakage exceeds {_LEAKAGE_BOUND}",
-              file=sys.stderr)
+    leakage = np.max([mirror.forward.leakage, mirror.mirrored.leakage])  # NaN fails
+    if not leakage <= _LEAKAGE_BOUND:
+        print(f"adiabaticity contract failed: leakage {leakage:.2e} exceeds "
+              f"{_LEAKAGE_BOUND}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_entangle(args) -> int:
-    with _finite(f"the cycle at lambda0={args.lambda0:g}"):
+    with _finite(f"the cycle at lambda0={args.lambda0:g}"), _no_leakage_warnings():
         stretch = (tune_stage_stretch(args.lambda0, args.T) if args.tune == "auto"
                    else _number("--tune", args.tune))
         res = entangling_cycle(args.lambda0, stage_duration=args.T,
@@ -236,8 +261,8 @@ def cmd_entangle(args) -> int:
     _write_json(args, payload)
     if not res.sector_leakage <= _SECTOR_LEAKAGE_BOUND:
         bound = np.format_float_scientific(_SECTOR_LEAKAGE_BOUND, trim="-", exp_digits=1)
-        print(f"adiabaticity contract failed: sector leakage exceeds {bound}",
-              file=sys.stderr)
+        print(f"adiabaticity contract failed: sector leakage {res.sector_leakage:.2e} "
+              f"exceeds {bound}", file=sys.stderr)
         return 1
     return 0
 
@@ -259,10 +284,12 @@ def _count(text: str) -> int:
 _SPIN = ("--spin", dict(type=_parse_spin, required=True))
 _M = ("--m", dict(type=float, required=True))
 _STEPS = ("--steps", dict(type=int, default=None, help=_STEPS_HELP))
-_COMMON = (("--out", dict(default="-", help="output path (default stdout)")),
-           ("--format", dict(choices=("csv", "json"), default="csv")))
+_COMMON = (("--out", dict(default="-", help="output path (default stdout)")),)
+_FORMAT = ("--format", dict(choices=("csv", "json"), default="csv"))
+_BUNDLES = ("cycle", "entangle")  # write JSON only, so take no --format
 
-# Each command's help, handler and own arguments (--out and --format follow).
+# Each command's help, handler and own arguments (--out follows, then
+# --format for every command but the bundles).
 _COMMANDS = {
     "spectrum": ("energies and polarizations vs lambda", cmd_spectrum, (
         _SPIN, ("--lambda-min", dict(type=float, default=0.0)),
@@ -296,7 +323,7 @@ _COMMANDS = {
 
 def _add_command(parser, name):
     _, handler, arguments = _COMMANDS[name]
-    for flag, kwargs in arguments + _COMMON:
+    for flag, kwargs in arguments + _COMMON + (() if name in _BUNDLES else (_FORMAT,)):
         parser.add_argument(flag, **kwargs)
     parser.set_defaults(func=handler, command=name)
     return parser

@@ -139,7 +139,11 @@ class LabeledSpectrum:
         return self.vectors[:, self.index_of(m)].copy()
 
     def polarization(self, m: float) -> float:
-        return polarization(self.rep, m, self.lam)
+        """<Sigma_z> in level m, summed over m's parity block (where its
+        eigenvector lives) as :func:`polarization` sums it."""
+        sel = _block(self.rep, m)
+        v = self.vectors[sel, self.index_of(m)]
+        return float(np.sum(self.rep.m_values[sel] * v * v))
 
 
 def _finite(lams) -> np.ndarray:

@@ -224,16 +224,18 @@ def transverse_second_order(rep: SpinRep, m: float,
     g = np.divide(v, energies - energies[:, None], out=np.zeros_like(v),
                   where=same & ~np.eye(rep.dim, dtype=bool))
     dgap = v[i, i] - np.diagonal(v)[opposite]
+    with np.errstate(over="ignore"):  # only where the quotients underflow to 0
+        gap_sq = gap**2
     terms = []  # (elements, shift, d shift / d lambda) for x, then y
     for op in (rep.sigma_x, (rep.sigma_y / 1j).real):  # Sigma_y = i * real
         a = vectors.T @ op @ vectors
         x, dx = a[opposite, i], (g.T @ a + a @ g)[opposite, i]
-        terms.append((x, x @ (x / gap), x @ (2 * dx / gap - x * dgap / gap**2)))
+        terms.append((x, x @ (x / gap), x @ (2 * dx / gap - x * dgap / gap_sq)))
     (x, ex, dex), (y, ey, dey) = terms
     value = 0.5 * (ex + ey)
     return TransverseShift(value=float(value), ex=float(ex), ey=float(ey),
                            p2=float(value + lam * ((dex + dey) / 2)),
-                           c_xy=float(np.sum(-x * y / gap**2)),
+                           c_xy=float(np.sum(-x * y / gap_sq)),
                            min_gap=min_gap,
                            large_correction=min_gap < _GAP_WARN)
 

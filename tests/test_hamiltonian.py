@@ -420,6 +420,19 @@ def test_level_solve_matches_spectra(two_s):
             assert np.abs(vectors[len(lams) - len(zeros):, i, i]).max() < 1e-12
 
 
+def test_labeled_polarization_reads_the_held_vectors(spectra_calls):
+    # every level of 2S = 0..12 at 41 couplings: bit for bit polarization(),
+    # with no solve beyond the labelled spectrum's own
+    for two_s in range(13):
+        rep = spin_matrices(two_s)
+        for lam in np.linspace(-5.0, 5.0, 41):
+            spec = labeled_spectrum(rep, lam)
+            solves = len(spectra_calls)
+            held = [spec.polarization(m) for m in rep.m_values]
+            assert len(spectra_calls) == solves
+            assert held == [polarization(rep, m, lam) for m in rep.m_values]
+
+
 _TWO_STATE_BLOCKS = [(two_s, m) for two_s in range(13) for m in spin_matrices(two_s).m_values
                      if len(_block(spin_matrices(two_s), m)) == 2]
 

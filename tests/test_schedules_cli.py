@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from reference import from_table
-from spinberry import lambda_max_solve
 from spinberry.cli import main
 from spinberry.pulses import PulseShape, blackman, blackman_integral
 from spinberry.schedules import (ScheduleError, Segment, from_dict, from_file,
@@ -394,6 +393,18 @@ def test_cli_transverse(tmp_path):
     assert len(lines) == 4
 
 
+def test_cli_transverse_at_a_huge_coupling(tmp_path):
+    # gap**2 overflows only where C_xy underflows to 0 anyway: the rounded 0,
+    # a finite p2 and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["transverse", "--spin", "2", "--m", "0", "--n", "3",
+                              "--lambda-max", "1e200"], tmp_path, "tv.csv")
+    assert code == 0
+    lam, p2, c_xy = map(float, text.splitlines()[-1].split(","))
+    assert lam == 1e200 and np.isfinite(p2) and c_xy == 0.0
+
+
 @pytest.mark.parametrize("argv, solves", [
     (["transverse", "--spin", "2", "--m", "0", "--n", "7"], 14),
     (["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"], 1),
@@ -407,53 +418,29 @@ def test_cli_spectrum_solves(argv, solves, tmp_path, spectra_calls):
 
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
-_TRANSVERSE = ["transverse", "--spin", "2", "--lambda-min", "0.7",
-               "--lambda-max", "1.2", "--n", "51"]
-_MAGIC = ["magic", "--eta-min", "0", "--eta-max", "0.5", "--n", "11"]
-_RAMP = ["ramp", "--spin", "2", "--T", ",".join(f"{t:g}" for t in np.arange(5.0, 41.0, 1.0))]
-_TWO_LEVEL = ["--m", "-1", "--lambda0", "1.0"]
-_THREE_LEVEL = ["--m", "0", "--lambda0", "0.838"]
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("transverse_spin2_m0.csv", _TRANSVERSE + ["--m", "0"]),
-    ("transverse_spin2_mm1.csv", _TRANSVERSE + ["--m", "-1"]),
-    ("gauge_sphere_spin1_m1.csv", ["gauge-sphere", "--spin", "1", "--m", "1", "--n", "361"]),
-    ("gauge_sphere_spin2_m0.csv", ["gauge-sphere", "--spin", "2", "--m", "0", "--n", "361"]),
-    ("magic_spin2.csv", _MAGIC + ["--spin", "2"]),
-    ("magic_spin4.csv", _MAGIC + ["--spin", "4"]),
-    ("ramp_two_level_blackman.csv", _RAMP + _TWO_LEVEL + ["--shape", "blackman"]),
-    ("ramp_two_level_linear.csv", _RAMP + _TWO_LEVEL + ["--shape", "linear"]),
-    ("ramp_three_level_blackman.csv", _RAMP + _THREE_LEVEL + ["--shape", "blackman"]),
-    ("ramp_three_level_linear.csv", _RAMP + _THREE_LEVEL + ["--shape", "linear"]),
-    ("entangle_lambda_max.json", ["entangle", "--lambda0", f"{lambda_max_solve():.15g}",
-                                  "--T", "25", "--tune", "auto"]),
-])
-def test_cli_reproduces_results_files(name, argv, tmp_path):
-    # the arguments of scripts/scan_transverse.py, scan_gauge_sphere.py,
-    # scan_magic_coupling.py, scan_ramp_taming.py and run_entanglement.py,
-    # which wrote the committed files
-    out = tmp_path / name
-    assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (RESULTS / name).read_bytes()
-
-
-@pytest.mark.parametrize("script, names", [
-    ("scan_spectra.py", ["spectrum_spin2.csv", "spectrum_spin3.csv", "spectrum_spin4.csv"]),
-    ("scan_magic_coupling.py", ["magic_spin2.csv", "magic_spin4.csv",
-                                "q_kernel_spin2.csv", "q_kernel_spin4.csv"]),
-])
-def test_scripts_reproduce_results_files(script, names, tmp_path):
-    # the scan scripts that write spectrum_* and q_kernel_*, into tmp_path
+def _load_script(name):
     import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        script[:-3], RESULTS.parent / "scripts" / script)
+    spec = importlib.util.spec_from_file_location(name, RESULTS.parent / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.run(tmp_path)
-    assert sorted(path.name for path in tmp_path.iterdir()) == names
-    for name in names:
-        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes()
+    return module
+
+
+MAKE_RESULTS = _load_script("make_results")
+
+
+@pytest.mark.parametrize("name", MAKE_RESULTS.RECIPES)
+def test_recipe_reproduces_results_file(name, tmp_path):
+    # scripts/make_results.py's recipe of the committed file, into tmp_path
+    assert MAKE_RESULTS.make(name, tmp_path / name) == 0
+    assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes()
+
+
+def test_results_holds_exactly_the_recipe_table():
+    # no committed file without its recipe, and no recipe without its file
+    assert sorted(path.name for path in RESULTS.iterdir()) == sorted(MAKE_RESULTS.RECIPES)
 
 
 def test_cli_cycle(tmp_path):
@@ -573,6 +560,13 @@ _GRID_BOUND_ERRORS = {
                                                 "finite interval, got -inf and 0.5",
     ("magic", "--spin", "2", "--eta-min=-1e308", "--eta-max", "1e308"):
         "--eta-min and --eta-max must span a finite interval, got -1e+308 and 1e+308",
+    # finite, but twice lambda times a row sum of |Sigma_x^2| overflows at spin 2
+    ("spectrum", "--lambda-min", "1e308", "--lambda-max", "1.7e308"):
+        "--lambda-min and --lambda-max must lie within +-1.65e+307 at spin 2, "
+        "got 1e+308 and 1.7e+308",
+    ("transverse", "--lambda-min", "1e308", "--lambda-max", "1.7e308"):
+        "--lambda-min and --lambda-max must lie within +-1.65e+307 at spin 2, "
+        "got 1e+308 and 1.7e+308",
 }
 
 
@@ -674,16 +668,16 @@ def test_cli_entangle_short(tmp_path):
 
 
 def test_cli_entangle_leakage_exit_code(tmp_path, capsys):
-    # a too-fast cycle violates the sector-leakage contract -> exit 1
+    # a too-fast cycle violates the sector-leakage contract -> exit 1, with
+    # one line carrying the leakage and the bound, and no warning
     out = tmp_path / "fast.json"
-    with pytest.warns(UserWarning):
-        code = main(["entangle", "--lambda0", "-0.97", "--T", "3.0",
-                     "--out", str(out)])
+    code = main(["entangle", "--lambda0", "-0.97", "--T", "3.0",
+                 "--out", str(out)])
     assert code == 1
-    data = json.loads(out.read_text())
-    assert float(data["sector_leakage"]) > 1e-3
+    leakage = float(json.loads(out.read_text())["sector_leakage"])
+    assert leakage > 1e-3
     assert capsys.readouterr().err == ("adiabaticity contract failed: sector "
-                                       "leakage exceeds 1e-3\n")
+                                       f"leakage {leakage:.2e} exceeds 1e-3\n")
 
 
 def test_cli_cycle_leakage_exit_code(tmp_path, capsys):
@@ -693,12 +687,21 @@ def test_cli_cycle_leakage_exit_code(tmp_path, capsys):
                      "segment1.kind = rotate\n"
                      "segment1.duration = 4\n"
                      "segment1.alpha_half_turns = 2\n")
-    with pytest.warns(UserWarning):
-        code = main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0",
-                     "--out", str(tmp_path / "fast.json")])
+    code = main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0",
+                 "--out", str(tmp_path / "fast.json")])
     assert code == 1
+    # the worse of the cycle (0.220) and its image (0.059)
     assert capsys.readouterr().err == ("adiabaticity contract failed: leakage "
-                                       "exceeds 0.01\n")
+                                       "2.20e-01 exceeds 0.01\n")
+
+
+@pytest.mark.parametrize("command", ["cycle", "entangle"])
+def test_cli_bundles_take_no_format(command, capsys):
+    # the scalar bundles write JSON only: --format is not theirs to ignore
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *_COMMAND_ARGS[command], "--format", "csv"])
+    assert exit_info.value.code == 2
+    assert "error: unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_cli_json_format(tmp_path):
