@@ -28,37 +28,30 @@ def q_kernel(path, spin, lo, hi):
 
 
 RECIPES = {
-    # Energy and polarization curves for spins 2, 3, 4 over their usual
-    # coupling ranges.
+    # Energy and polarization curves for spins 2, 3, 4 over their usual coupling ranges.
     **{f"spectrum_spin{s}.csv": ["spectrum", "--spin", s, "--lambda-min", "0",
                                  "--lambda-max", hi, "--n", "201"]
        for s, hi in (("2", "2"), ("3", "1.4"), ("4", "1.2"))},
-    # Gauge field A_alpha on the spherical section: the dipole-like case
-    # (spin 1, m = 1) against the non-linear case (spin 2, m = 0).
+    # A_alpha on the sphere: dipole-like S = 1, m = 1 against non-linear S = 2, m = 0.
     **{f"gauge_sphere_spin{s}_m{m}.csv": ["gauge-sphere", "--spin", s, "--m", m,
                                           "--n", "361"]
        for s, m in (("1", "1"), ("2", "0"))},
-    # Leading correction kernel q(0, lambda) for spins 2 and 4, plus the
-    # magic couplings against the rotation-rate ratio.
+    # Correction kernel q(0, lambda) of spins 2 and 4; magic couplings versus eta.
     "q_kernel_spin2.csv": lambda path: q_kernel(path, 2, 0.3, 1.4),
     "q_kernel_spin4.csv": lambda path: q_kernel(path, 4, 0.2, 0.9),
     **{f"magic_spin{s}.csv": ["magic", "--spin", s, "--eta-min", "0",
                               "--eta-max", "0.5", "--n", "11"]
        for s in ("2", "4")},
-    # Second-order transverse coefficients p2 and C_xy for the spin-2
-    # levels m = 0 and m = -1 over the coupling window 0.7..1.2.
+    # Transverse coefficients p2 and C_xy of spin-2 levels m = 0, -1 over lambda 0.7..1.2.
     **{f"transverse_spin2_m{m.replace('-', 'm')}.csv": [
         "transverse", "--spin", "2", "--m", m, "--lambda-min", "0.7",
         "--lambda-max", "1.2", "--n", "51"] for m in ("0", "-1")},
-    # Oscillation taming by Blackman pulse shaping: final <S_z> deviation
-    # from the adiabatic prediction versus ramp time, linear versus
-    # Blackman, for the two-level (m = -1) and three-level (m = 0) cases.
+    # Blackman shaping tames ramp oscillations: <S_z> deviation versus T, against linear.
     **{f"ramp_{tag}_{shape}.csv": ["ramp", "--spin", "2", "--m", m, "--lambda0", lam0,
                                    "--shape", shape, "--T", T_GRID]
        for m, lam0, tag in (("-1", "1.0", "two_level"), ("0", "0.838", "three_level"))
        for shape in ("blackman", "linear")},
-    # Four-spin entangling cycle at the coupling where the sector phase
-    # difference is -pi, with auto-tuned ramp stretch.
+    # Four-spin entangling cycle where the sector phase difference is -pi, stretch tuned.
     "entangle_lambda_max.json": ["entangle", "--lambda0", f"{lambda_max_solve():.15g}",
                                  "--T", "25", "--tune", "auto"],
 }

@@ -224,7 +224,8 @@ def transverse_second_order(rep: SpinRep, m: float,
     g = np.divide(v, energies - energies[:, None], out=np.zeros_like(v),
                   where=same & ~np.eye(rep.dim, dtype=bool))
     dgap = v[i, i] - np.diagonal(v)[opposite]
-    with np.errstate(over="ignore"):  # only where the quotients underflow to 0
+    # gap**2 overflows only past |gap| ~ 1e154, where its quotients round to 0
+    with np.errstate(over="ignore"):
         gap_sq = gap**2
     terms = []  # (elements, shift, d shift / d lambda) for x, then y
     for op in (rep.sigma_x, (rep.sigma_y / 1j).real):  # Sigma_y = i * real
