@@ -24,6 +24,7 @@ from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretc
 from .hamiltonian import _spectra
 from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, delta_p,
                            magic_lambda, magic_lambda_fit, transverse_second_order)
+from .pulses import SHAPES
 from .schedules import ScheduleError, _number, from_file
 from .spin_algebra import spin_matrices
 
@@ -34,8 +35,6 @@ _STEPS_HELP = (f"integration steps per run, of equal width (default: "
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.15g}"
@@ -110,7 +109,7 @@ def _write_json(args, payload):
     with _output(args.out) as out:
         payload = {"tool": f"spinberry {__version__}",
                    "units": _HEADER_UNITS, **payload}
-        json.dump(payload, out, indent=2, default=_fmt)
+        json.dump(payload, out, indent=2)
         out.write("\n")
 
 
@@ -303,7 +302,7 @@ _COMMANDS = {
         ("--n", dict(dest="n_points", type=_count, default=11)))),
     "ramp": ("coupling-ramp fidelity vs ramp time", cmd_ramp, (
         _SPIN, _M, ("--lambda0", dict(type=float, required=True)),
-        ("--shape", dict(choices=("linear", "blackman"), default="blackman")),
+        ("--shape", dict(choices=SHAPES, default="blackman")),
         ("--T", dict(type=_float_list, required=True,
                      help="comma-separated ramp durations")), _STEPS)),
     "transverse": ("second-order transverse coefficients", cmd_transverse, (

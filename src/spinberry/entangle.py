@@ -64,7 +64,7 @@ class FourSpinState:
     """Unit vector over the four-qubit product basis.
 
     Basis order is lexicographic in (m1, m2, m3, m4) with +1/2 before
-    -1/2, i.e. index bit k set means spin k+1 is down.
+    -1/2, i.e. index bit 3 - k set means spin k+1 is down.
     """
 
     amplitudes: np.ndarray
@@ -103,12 +103,7 @@ def collective_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _one_flip_states() -> list[np.ndarray]:
     """Product states with a single down spin, Phi^(1)..Phi^(4)."""
-    states = []
-    for site in range(_N_SPINS):
-        vec = np.zeros(_DIM)
-        vec[1 << (_N_SPINS - 1 - site)] = 1.0
-        states.append(vec)
-    return states
+    return list(np.eye(_DIM)[[1 << (_N_SPINS - 1 - site) for site in range(_N_SPINS)]])
 
 
 @dataclass(frozen=True)
@@ -125,31 +120,25 @@ class SymmetricBasis:
     expansion: np.ndarray
 
 
+# a[i, j] of Phi^(i) = (sum_j a[i, j] Psi^j + Psi_21) / 2, so that
+# Psi^j = sum_i a[i, j] Phi^(i) / 2 and Psi_21 = sum_i Phi^(i) / 2.
+_TOWER_SIGNS = np.array([[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float)
+
+
+def _half_sum(signs) -> FourSpinState:
+    """sum_i signs[i] Phi^(i) / 2."""
+    return FourSpinState(0.5 * sum(a * phi for a, phi in zip(signs, _one_flip_states())))
+
+
 def symmetric_basis_m1() -> SymmetricBasis:
-    phi = _one_flip_states()
-    psi_21 = 0.5 * (phi[0] + phi[1] + phi[2] + phi[3])
-    psi_1 = 0.5 * (phi[0] - phi[1] + phi[2] - phi[3])
-    psi_2 = 0.5 * (phi[0] - phi[2] + phi[3] - phi[1])
-    psi_3 = 0.5 * (phi[0] - phi[3] + phi[1] - phi[2])
-    towers = (psi_1, psi_2, psi_3)
-    expansion = np.empty((4, 3))
-    for i in range(4):
-        for j in range(3):
-            a = 2.0 * float(towers[j] @ phi[i])
-            if abs(a - round(a)) > 1e-12 or int(round(a)) not in (-1, 1):
-                raise AssertionError("expansion coefficients must be +-1")
-            expansion[i, j] = round(a)
-    return SymmetricBasis(
-        psi_21=FourSpinState(psi_21.astype(complex)),
-        psi_11=tuple(FourSpinState(tower.astype(complex)) for tower in towers),
-        expansion=expansion)
+    return SymmetricBasis(psi_21=_half_sum(np.ones(_N_SPINS)),
+                          psi_11=tuple(_half_sum(signs) for signs in _TOWER_SIGNS.T),
+                          expansion=_TOWER_SIGNS.copy())
 
 
 def bp_target_state() -> FourSpinState:
     """Maximally entangled target Phi^(1) - (1/2) sum_j Phi^(j) (unit norm)."""
-    phi = _one_flip_states()
-    vec = phi[0] - 0.5 * (phi[0] + phi[1] + phi[2] + phi[3])
-    return FourSpinState(vec.astype(complex))
+    return _half_sum((1.0, -1.0, -1.0, -1.0))
 
 
 def _beta_alpha_only(b_sq: float, lam0: float) -> float:

@@ -68,7 +68,8 @@ class NearDegeneracyError(RuntimeError):
 
 
 class NoRootError(RuntimeError):
-    """The magic-coupling search bracket contains no sign change."""
+    """The magic-coupling objective has one sign at both ends of its bracket (no
+    root or an even number lie inside), is numerically zero there, or fails to polish."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,8 @@ def magic_lambda(rep: SpinRep, eta: float) -> float:
             f"no isolated magic coupling exists for this spin")
     if flo * fhi > 0.0:
         raise NoRootError(
-            f"no sign change of Delta_p(0, lambda, eta={eta}) in [{lo}, {hi}]")
+            f"Delta_p(0, lambda, eta={eta}) has one sign at both ends of [{lo}, {hi}], "
+            f"so the bracket holds no root or an even number of roots")
     from scipy.optimize import brentq  # on demand: keeps scipy off start-up
     root = brentq(objective, lo, hi, xtol=1e-13, rtol=8.9e-16)
     residual = abs(delta_p(rep, 0.0, root, eta))

@@ -19,6 +19,9 @@ import numpy as np
 
 BLACKMAN_MEAN = 0.42
 
+# The names of the pulse shapes, in the order that ``ramp --shape`` lists them.
+SHAPES = ("linear", "blackman")
+
 
 def _fractions(s) -> np.ndarray:
     """s as a float array, checked to lie in [0, 1] everywhere."""
@@ -44,12 +47,12 @@ def blackman_integral(s):
 
 @dataclass(frozen=True)
 class PulseShape:
-    """Normalized rate profile over a unit interval: ``linear`` or ``blackman``."""
+    """Normalized rate profile over a unit interval, named in :data:`SHAPES`."""
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("linear", "blackman"):
+        if self.kind not in SHAPES:
             raise ValueError(f"unknown pulse shape {self.kind!r}")
 
     def fraction(self, s):

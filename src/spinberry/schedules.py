@@ -21,6 +21,7 @@ step grid can end steps there.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable
@@ -96,13 +97,19 @@ class CycleSchedule:
         return replace(self, b=lambda t: xi * b(t))
 
 
+# Each numeric segment field's type, and the one kind that moves it (None: every kind).
+_SEGMENT_FIELDS = {"duration": (float, None), "lambda_to": (float, "ramp"),
+                  "phi_turns": (int, "rotate"), "alpha_half_turns": (int, "rotate")}
+
+
 @dataclass(frozen=True)
 class Segment:
-    """One stage of a piecewise schedule.
+    """One stage of a piecewise schedule: a ``duration``, a pulse ``shape``
+    and only the fields that its kind moves (any other is an error).
 
     kind ``ramp``  : lambda moves to ``lambda_to`` (shape-profiled).
     kind ``rotate``: phi advances by 2 pi ``phi_turns`` and alpha by
-                     pi ``alpha_half_turns`` (shape-profiled rates).
+                     pi ``alpha_half_turns`` (shape-profiled rates; 0 if omitted).
     kind ``hold``  : nothing changes.
     """
 
@@ -110,8 +117,8 @@ class Segment:
     duration: float
     shape: str = "blackman"
     lambda_to: float | None = None
-    phi_turns: int = 0
-    alpha_half_turns: int = 0
+    phi_turns: int | None = None
+    alpha_half_turns: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("ramp", "rotate", "hold"):
@@ -124,6 +131,9 @@ class Segment:
         if self.lambda_to is not None and not np.isfinite(self.lambda_to):
             raise ScheduleError(f"lambda_to must be finite, got {self.lambda_to}")
         PulseShape(self.shape)
+        for name, (_, mover) in _SEGMENT_FIELDS.items():
+            if mover not in (None, self.kind) and getattr(self, name) is not None:
+                raise ScheduleError(f"a {self.kind} segment takes no {name} (a {mover} does)")
 
 
 class _PiecewiseParam:
@@ -176,6 +186,8 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
             raise ScheduleError(f"{name} must be finite, got {value}")
     if not b > 0:
         raise ScheduleError(f"b must be positive, got {b}")
+    if not 0.0 <= theta0 <= np.pi:
+        raise ScheduleError(f"theta0 must be in [0, pi], got {theta0}")
     durations = [seg.duration for seg in segments]
     starts = list(accumulate(durations[:-1], initial=0.0))
     t = starts[-1] + durations[-1]
@@ -196,15 +208,12 @@ def from_segments(segments, theta0: float = 0.0, phi0: float = 0.0,
                                 [seg.shape for seg in segments])
         return param.value, param.rate
 
-    lam, lam_dot = build(lambda0, lambda seg, v: float(seg.lambda_to) - v
-                         if seg.kind == "ramp" else 0.0)
-    phi, phi_dot = build(phi0, lambda seg, v: 2 * np.pi * seg.phi_turns
-                         if seg.kind == "rotate" else 0.0)
-    alpha, alpha_dot = build(alpha0, lambda seg, v: np.pi * seg.alpha_half_turns
-                             if seg.kind == "rotate" else 0.0)
-
-    n_phi = sum(seg.phi_turns for seg in segments if seg.kind == "rotate")
-    n_alpha = sum(seg.alpha_half_turns for seg in segments if seg.kind == "rotate")
+    lam, lam_dot = build(lambda0, lambda seg, v: 0.0 if seg.lambda_to is None
+                         else float(seg.lambda_to) - v)
+    phi, phi_dot = build(phi0, lambda seg, v: 2 * np.pi * (seg.phi_turns or 0))
+    alpha, alpha_dot = build(alpha0, lambda seg, v: np.pi * (seg.alpha_half_turns or 0))
+    n_phi = sum(seg.phi_turns or 0 for seg in segments)
+    n_alpha = sum(seg.alpha_half_turns or 0 for seg in segments)
 
     return CycleSchedule(
         duration=t,
@@ -288,27 +297,23 @@ def from_dict(entries: dict) -> CycleSchedule:
         kind = f.get("kind")
         if kind is None:
             raise ScheduleError(f"segment{i} is missing its kind")
-        seg = Segment(
-            kind=kind,
-            duration=_number(f"segment{i}.duration", f.get("duration", 0.0)),
-            shape=f.get("shape", "blackman"),
-            lambda_to=(_number(f"segment{i}.lambda_to", f["lambda_to"])
-                       if "lambda_to" in f else None),
-            phi_turns=_number(f"segment{i}.phi_turns", f.get("phi_turns", 0), int),
-            alpha_half_turns=_number(f"segment{i}.alpha_half_turns",
-                                     f.get("alpha_half_turns", 0), int))
-        segments.append(seg)
+        numbers = {name: _number(f"segment{i}.{name}", f[name], type_)
+                   for name, (type_, _) in _SEGMENT_FIELDS.items() if name in f}
+        segments.append(Segment(kind, numbers.pop("duration", 0.0),
+                                f.get("shape", "blackman"), **numbers))
     return from_segments(segments, theta0=scalars["theta0"], phi0=scalars["phi0"],
                          alpha0=scalars["alpha0"], lambda0=scalars["lambda0"],
                          b=scalars["b"])
 
 
 def from_file(path) -> CycleSchedule:
-    """Load a schedule from a flat ``key = value`` text file.
+    """Load a schedule from a flat ``key = value`` UTF-8 text file.
 
     Every error names the file.  Lines starting with ``#`` (or inline ``#``
-    tails) are comments.  Keys:
-    ``theta0 phi0 alpha0 lambda0 b`` plus numbered segments, e.g.::
+    tails) are comments.  Keys: ``theta0 phi0 alpha0 lambda0 b`` (theta0 in
+    [0, pi], b > 0) plus numbered segments, each with a ``kind``, a
+    ``duration``, an optional ``shape`` and only the fields that its kind
+    moves (see :class:`Segment`), e.g.::
 
         lambda0 = 0.0
         segment1.kind = ramp
@@ -322,21 +327,22 @@ def from_file(path) -> CycleSchedule:
         segment3.duration = 25
         segment3.lambda_to = 0.0
     """
+    try:  # decoded whole, so that the error's position counts from the file's start
+        with open(path, "rb") as fh:
+            lines = io.StringIO(fh.read().decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise ScheduleError(f"{path}: not UTF-8 text ({exc})") from None
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ScheduleError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ScheduleError(f"{path}:{lineno}: expected 'key = value'")
-            if key in entries:
-                raise ScheduleError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, equals, value = (part.strip() for part in text.partition("="))
+        if not (key and equals and value):
+            raise ScheduleError(f"{path}:{lineno}: expected 'key = value'")
+        if key in entries:
+            raise ScheduleError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value
     try:
         return from_dict(entries)
     except ValueError as exc:  # a ScheduleError, a bad number or an unknown pulse shape

@@ -255,7 +255,8 @@ def test_magic_lambda_default_bracket():
     root = magic_lambda(s3, 0.3)
     assert root == pytest.approx(0.473533, abs=1e-6)
     assert abs(delta_p(s3, 0.0, root, 0.3)) <= 1e-10
-    # for S = 6, q keeps one sign across the default bracket
+    # for S = 6, q has one sign at both ends of the default bracket (it has
+    # two roots inside, near 0.375 and 0.853)
     s6 = spin_matrices(12)
     assert q_coefficient(s6, 0.0, 0.05) * q_coefficient(s6, 0.0, 2.0) > 0
     with pytest.raises(NoRootError):

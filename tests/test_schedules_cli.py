@@ -86,10 +86,26 @@ def test_segment_rejects_non_finite_or_non_positive_duration(duration):
 @pytest.mark.parametrize("field, value", [
     ("theta0", np.nan), ("phi0", np.inf), ("alpha0", -np.inf),
     ("lambda0", np.nan), ("b", np.inf), ("b", 0.0), ("b", -1.0),
+    ("theta0", 4.0), ("theta0", -0.5),
 ])
 def test_segment_schedule_rejects_bad_numbers(field, value):
     with pytest.raises(ScheduleError, match=f"{field} must be"):
         from_segments([Segment(kind="hold", duration=1.0)], **{field: value})
+
+
+@pytest.mark.parametrize("kind", ["ramp", "rotate", "hold"])
+@pytest.mark.parametrize("field", ["lambda_to", "phi_turns", "alpha_half_turns"])
+def test_segment_takes_exactly_the_fields_its_kind_moves(kind, field):
+    # a field that the kind does not move is an error, not dropped
+    moves = {"ramp": {"lambda_to"}, "rotate": {"phi_turns", "alpha_half_turns"},
+             "hold": set()}[kind]
+    given = {"lambda_to": 0.5} if kind == "ramp" else {}
+    given[field] = 1
+    if field in moves:
+        assert getattr(Segment(kind, 1.0, **given), field) == 1
+    else:
+        with pytest.raises(ScheduleError, match=f"a {kind} segment takes no {field}"):
+            Segment(kind, 1.0, **given)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -481,13 +497,25 @@ def test_cli_cycle(tmp_path):
      "segment1.alpha_half_turns = 1\n", "unknown schedule key 'segment1.shpe'"),
     ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turn = 1\n",
      "unknown schedule key 'segment1.alpha_half_turn'"),
+    (b"segment1.kind = rotate\nsegment1.duration = 4\xff\nsegment1.alpha_half_turns = 1\n",
+     "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 44"),
+    ("theta0 = 4\nsegment1.kind = rotate\nsegment1.duration = 4\n"
+     "segment1.alpha_half_turns = 1\n", "theta0 must be in [0, pi], got 4.0"),
+    ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n"
+     "segment1.lambda_to = 0.5\n", "a rotate segment takes no lambda_to"),
+    ("segment1.kind = ramp\nsegment1.duration = 4\nsegment1.lambda_to = 0\n"
+     "segment1.phi_turns = 1\n", "a ramp segment takes no phi_turns"),
 ], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field",
         "open-overflow", "fractional-turns", "non-numeric-scalar", "misspelt-shape",
-        "misspelt-turns"])
+        "misspelt-turns", "not-utf8", "theta0-above-pi", "rotate-lambda-to",
+        "ramp-phi-turns"])
 def test_cli_cycle_rejects_bad_schedule(text, named, tmp_path, capsys):
     # one error line, naming the file once and the offending key or condition
     sched = tmp_path / "bad.sched"
-    sched.write_text(text)
+    if isinstance(text, bytes):
+        sched.write_bytes(text)
+    else:
+        sched.write_text(text)
     out = tmp_path / "x.json"
     code = main(["cycle", "--schedule", str(sched), "--spin", "2", "--m", "0",
                  "--out", str(out)])
