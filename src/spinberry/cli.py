@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_adiabatic, gauge_field_sphere
-from .dynamics import (_LEAKAGE_BOUND, STEPS_PER_UNIT, LeakageWarning, _StepBoundError,
-                       mirror_phase_difference, ramp_fidelity)
+from .dynamics import (_LEAKAGE_BOUND, _MAX_STEPS, STEPS_PER_UNIT, LeakageWarning,
+                       _StepBoundError, mirror_phase_difference, ramp_fidelity)
 from .entangle import _SECTOR_LEAKAGE_BOUND, entangling_cycle, tune_stage_stretch
 from .hamiltonian import _spectra
 from .nonadiabatic import (_GAP_WARN, NearDegeneracyError, NoRootError, delta_p,
@@ -274,9 +274,12 @@ def _float_list(text: str) -> list[float]:
 
 
 def _count(text: str) -> int:
+    """A grid size: 1 to the _MAX_STEPS points that a run may step through."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > _MAX_STEPS:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_STEPS:,}, got {value}")
     return value
 
 
@@ -288,7 +291,9 @@ _FORMAT = ("--format", dict(choices=("csv", "json"), default="csv"))
 _BUNDLES = ("cycle", "entangle")  # write JSON only, so take no --format
 
 # Each command's help, handler and own arguments (--out follows, then
-# --format for every command but the bundles).
+# --format for every command but the bundles).  A flag takes only the
+# keywords that _read_table reads: type, choices, required, default, dest
+# and help.
 _COMMANDS = {
     "spectrum": ("energies and polarizations vs lambda", cmd_spectrum, (
         _SPIN, ("--lambda-min", dict(type=float, default=0.0)),
@@ -320,12 +325,10 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser, name):
-    _, handler, arguments = _COMMANDS[name]
-    for flag, kwargs in arguments + _COMMON + (() if name in _BUNDLES else (_FORMAT,)):
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=handler, command=name)
-    return parser
+def _arguments(name):
+    """``name``'s (flag, keywords) pairs: its own, then --out, then --format
+    for every command but the bundles."""
+    return _COMMANDS[name][2] + _COMMON + (() if name in _BUNDLES else (_FORMAT,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,28 +339,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"spinberry {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_), name)
+    for name, (help_, handler, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        for flag, kwargs in _arguments(name):
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=handler, command=name)
     return parser
 
 
 @lru_cache(maxsize=None)
-def _parser(command=None) -> argparse.ArgumentParser:
-    """Main's parser of ``command``, read as build_parser's sub-parser, or for
-    None the whole one; built once per process (no command mutates its args)."""
-    if command is None:
-        return build_parser()
-    return _add_command(argparse.ArgumentParser(prog=f"spinberry {command}"), command)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process (no command mutates its args)."""
+    return build_parser()
+
+
+def _is_value(text: str) -> bool:
+    r"""Whether argparse takes ``text`` after a flag as its value: a word not
+    led by a dash, "-" itself, or a negative number as argparse spells one
+    (^-\d+$|^-\d*\.\d+$, where \d is any decimal digit)."""
+    if not text.startswith("-") or text == "-":
+        return True
+    digits, dot, fraction = text[1:].partition(".")
+    if dot:
+        return (not digits or digits.isdecimal()) and fraction.isdecimal()
+    return digits.isdecimal()
+
+
+def _read_table(argv):
+    """build_parser's reading of ``<command> --flag value ...``, read from the
+    command's _COMMANDS entry: exact flags, each value converted by its type
+    and in its choices, every required flag given.  None for any argv that
+    argparse reads otherwise or must answer (help, errors, abbreviations,
+    --flag=value, a value that argparse takes for a flag)."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    arguments = dict(_arguments(argv[0]))
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = arguments.get(flag)
+        if kwargs is None or not _is_value(text):
+            return None
+        try:
+            value = kwargs["type"](text) if "type" in kwargs else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse words these
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given
+           for flag, kwargs in arguments.items()):
+        return None
+    return argparse.Namespace(func=_COMMANDS[argv[0]][1], command=argv[0], **{
+        kwargs.get("dest", flag[2:].replace("-", "_")): given.get(flag, kwargs.get("default"))
+        for flag, kwargs in arguments.items()})
 
 
 def _parse(argv):
-    """Parse with only the named command's parser; the whole parser takes
-    --help, --version, a bad command and unknown arguments, in its words."""
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return _parser().parse_args(argv)
+    """The table's reading of a well-formed command line; anything else goes
+    to the whole parser, so that help, usage, errors and exit codes are
+    argparse's."""
+    args = _read_table(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

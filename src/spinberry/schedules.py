@@ -131,9 +131,12 @@ class Segment:
         if self.lambda_to is not None and not np.isfinite(self.lambda_to):
             raise ScheduleError(f"lambda_to must be finite, got {self.lambda_to}")
         PulseShape(self.shape)
-        for name, (_, mover) in _SEGMENT_FIELDS.items():
-            if mover not in (None, self.kind) and getattr(self, name) is not None:
+        for name, (type_, mover) in _SEGMENT_FIELDS.items():
+            value = getattr(self, name)
+            if mover not in (None, self.kind) and value is not None:
                 raise ScheduleError(f"a {self.kind} segment takes no {name} (a {mover} does)")
+            if type_ is int and not isinstance(value, (int, np.integer, type(None))):
+                raise ScheduleError(f"{name} must be an integer, got {value}")
 
 
 class _PiecewiseParam:
@@ -299,8 +302,11 @@ def from_dict(entries: dict) -> CycleSchedule:
             raise ScheduleError(f"segment{i} is missing its kind")
         numbers = {name: _number(f"segment{i}.{name}", f[name], type_)
                    for name, (type_, _) in _SEGMENT_FIELDS.items() if name in f}
-        segments.append(Segment(kind, numbers.pop("duration", 0.0),
-                                f.get("shape", "blackman"), **numbers))
+        try:
+            segments.append(Segment(kind, numbers.pop("duration", 0.0),
+                                    f.get("shape", "blackman"), **numbers))
+        except ValueError as exc:  # a ScheduleError or an unknown pulse shape
+            raise ScheduleError(f"segment{i}: {exc}") from None
     return from_segments(segments, theta0=scalars["theta0"], phi0=scalars["phi0"],
                          alpha0=scalars["alpha0"], lambda0=scalars["lambda0"],
                          b=scalars["b"])

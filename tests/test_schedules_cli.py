@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import from_table
 from spinberry.cli import main
@@ -112,6 +114,22 @@ def test_segment_takes_exactly_the_fields_its_kind_moves(kind, field):
 def test_ramp_segment_rejects_non_finite_target(value):
     with pytest.raises(ScheduleError, match="lambda_to must be finite"):
         Segment(kind="ramp", duration=1.0, lambda_to=value)
+
+
+@pytest.mark.parametrize("field", ["phi_turns", "alpha_half_turns"])
+@pytest.mark.parametrize("value", [1.5, np.float64(-0.5), np.nan, np.inf])
+def test_segment_rejects_a_turn_count_that_is_not_whole(field, value):
+    # phi by 2 pi * 1.5 = 3 pi, or alpha by pi * 1.5, leaves the cycle open
+    with pytest.raises(ScheduleError, match=f"{field} must be an integer, got {value}"):
+        from_segments([Segment("rotate", 4.0, **{field: value})], theta0=1.0)
+
+
+@pytest.mark.parametrize("turns", [2, -1, np.int64(3), np.int32(-2)])
+def test_segment_takes_python_and_numpy_integer_turns(turns):
+    sched = from_segments([Segment("rotate", 4.0, phi_turns=turns, alpha_half_turns=turns)],
+                          theta0=1.0)
+    sched.validate()
+    assert sched.n_phi == sched.n_alpha == turns
 
 
 def test_mirror_and_scaled_field():
@@ -454,6 +472,14 @@ def test_recipe_reproduces_results_file(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes()
 
 
+def test_every_command_recipe_takes_the_table_path():
+    from spinberry import cli
+    argvs = [recipe for recipe in MAKE_RESULTS.RECIPES.values() if not callable(recipe)]
+    assert len(argvs) == 14
+    for argv in argvs:
+        assert cli._read_table([*argv, "--out", "x.csv"]) is not None, argv
+
+
 def test_results_holds_exactly_the_recipe_table():
     # no committed file without its recipe, and no recipe without its file
     assert sorted(path.name for path in RESULTS.iterdir()) == sorted(MAKE_RESULTS.RECIPES)
@@ -476,15 +502,18 @@ def test_cli_cycle(tmp_path):
     assert float(data["leakage"]) < 1e-3
 
 
+_ROTATION = "segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n"
+
+
 @pytest.mark.parametrize("text, named", [
     ("segment1.kind = rotate\nsegment1.duration = ten\nsegment1.alpha_half_turns = 1\n",
      "segment1.duration must be a number, got 'ten'"),
     ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.shape = welch\n"
-     "segment1.alpha_half_turns = 1\n", "unknown pulse shape 'welch'"),
+     "segment1.alpha_half_turns = 1\n", "segment1: unknown pulse shape 'welch'"),
     ("segment1.kind = ramp\nsegment1.duration = 10\nsegment1.lambda_to = 0.5\n",
      "boundary condition violated for lambda"),
     ("segment1.kind = rotate\nsegment1.duration = nan\nsegment1.alpha_half_turns = 1\n",
-     "got nan"),
+     "segment1: segment duration must be finite and positive, got nan"),
     ("b = 0\nsegment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n",
      "b must be positive"),
     ("segment1.kind = ramp\nsegment1.duration = 2\nsegment1.lambda_to = 1e200\n",
@@ -502,13 +531,25 @@ def test_cli_cycle(tmp_path):
     ("theta0 = 4\nsegment1.kind = rotate\nsegment1.duration = 4\n"
      "segment1.alpha_half_turns = 1\n", "theta0 must be in [0, pi], got 4.0"),
     ("segment1.kind = rotate\nsegment1.duration = 4\nsegment1.alpha_half_turns = 1\n"
-     "segment1.lambda_to = 0.5\n", "a rotate segment takes no lambda_to"),
+     "segment1.lambda_to = 0.5\n", "segment1: a rotate segment takes no lambda_to"),
     ("segment1.kind = ramp\nsegment1.duration = 4\nsegment1.lambda_to = 0\n"
-     "segment1.phi_turns = 1\n", "a ramp segment takes no phi_turns"),
+     "segment1.phi_turns = 1\n", "segment1: a ramp segment takes no phi_turns"),
+    # an error that the segment itself raises names its number
+    (_ROTATION + "segment2.kind = rotate\nsegment2.duration = 4\nsegment2.lambda_to = 0.5\n",
+     "segment2: a rotate segment takes no lambda_to (a ramp does)"),
+    (_ROTATION + "segment2.kind = hold\nsegment2.duration = 1\nsegment2.shape = welch\n",
+     "segment2: unknown pulse shape 'welch'"),
+    (_ROTATION + "segment2.kind = hold\nsegment2.duration = inf\n",
+     "segment2: segment duration must be finite and positive, got inf"),
+    (_ROTATION + "segment2.kind = ramp\nsegment2.duration = 2\nsegment2.lambda_to = nan\n",
+     "segment2: lambda_to must be finite, got nan"),
+    (_ROTATION + "segment2.kind = ramp\nsegment2.duration = 2\n",
+     "segment2: ramp segment needs lambda_to"),
 ], ids=["non-numeric", "unknown-shape", "open-cycle", "nan-duration", "zero-field",
         "open-overflow", "fractional-turns", "non-numeric-scalar", "misspelt-shape",
         "misspelt-turns", "not-utf8", "theta0-above-pi", "rotate-lambda-to",
-        "ramp-phi-turns"])
+        "ramp-phi-turns", "segment2-rotate-lambda-to", "segment2-unknown-shape",
+        "segment2-inf-duration", "segment2-nan-lambda-to", "segment2-ramp-no-target"])
 def test_cli_cycle_rejects_bad_schedule(text, named, tmp_path, capsys):
     # one error line, naming the file once and the offending key or condition
     sched = tmp_path / "bad.sched"
@@ -685,6 +726,33 @@ def test_cli_rejects_empty_grids(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_count_stops_at_the_step_ceiling():
+    # a grid may hold as many points as a run may take steps, and no more
+    import argparse
+
+    from spinberry import cli
+    assert cli._count("1") == 1 and cli._count("1000000") == 1_000_000
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="^must be at most 1,000,000, got 1000001$"):
+        cli._count("1000001")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--spin", "2"],
+    ["gauge-sphere", "--spin", "2", "--m", "0"],
+    ["magic", "--spin", "2"],
+    ["transverse", "--spin", "2", "--m", "0"],
+])
+def test_cli_rejects_a_huge_grid_before_allocating_it(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--n", "1000000000000000", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --n: must be at most 1,000,000, got 1000000000000000\n")
+    assert not out.exists()
+
+
 def test_cli_entangle_short(tmp_path):
     out = tmp_path / "ent.json"
     code = main(["entangle", "--lambda0", "0.0", "--T", "2.0",
@@ -749,24 +817,20 @@ def test_cli_entry_point_runs():
 
 
 def test_cli_builds_each_parser_once_per_command_per_process(tmp_path, capsys, monkeypatch):
-    # a call builds only its command's parser, the first time that command
-    # runs in the process; --version, --help and unknown commands build the
-    # whole parser, once; later calls exit as the first did
-    from collections import Counter
+    # a valid call builds no argparse parser: the command's table entry reads
+    # it; --version, --help and errors build the whole parser (the top level
+    # and one sub-parser per command), once per process; later calls exit as
+    # the first did
+    import argparse
 
     from spinberry import __version__, cli
-    build, add, built = cli.build_parser, cli._add_command, Counter()
+    built, init = [], argparse.ArgumentParser.__init__
 
-    def counted_build():
-        built["whole"] += 1
-        return build()
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    def counted_add(parser, name):
-        built[name] += 1
-        return add(parser, name)
-
-    monkeypatch.setattr(cli, "build_parser", counted_build)
-    monkeypatch.setattr(cli, "_add_command", counted_add)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     cli._parser.cache_clear()
     outcomes = []
     try:
@@ -774,7 +838,7 @@ def test_cli_builds_each_parser_once_per_command_per_process(tmp_path, capsys, m
             outcome = [main(["spectrum", "--spin", "1", "--n", "2",
                              "--out", str(tmp_path / "s.csv")])]
             if not outcomes:
-                assert built == {"spectrum": 1}
+                assert built == []
             for argv in (["--version"], ["--help"], ["spectrum", "--spin", "1/0"]):
                 with pytest.raises(SystemExit) as exit_info:
                     main(argv)
@@ -782,9 +846,7 @@ def test_cli_builds_each_parser_once_per_command_per_process(tmp_path, capsys, m
             outcomes.append(outcome)
     finally:
         cli._parser.cache_clear()
-    # the whole parser adds every command once, spectrum's as a sub-parser
-    assert built == {"whole": 1, "spectrum": 2, **{name: 1 for name in cli._COMMANDS
-                                                   if name != "spectrum"}}
+    assert built == ["spinberry", *(f"spinberry {name}" for name in cli._COMMANDS)]
     assert outcomes[0] == outcomes[1]
     code, version, help_, error = outcomes[0]
     assert code == 0
@@ -816,9 +878,9 @@ def _exit_of(parse, argv, capsys):
 
 @pytest.mark.parametrize("command", list(_COMMAND_ARGS))
 def test_command_parser_matches_the_whole_parsers_sub_parser(command, capsys):
-    # main parses a command with that command's parser alone: its help,
-    # usage, parsed arguments and argparse errors (exit 2) are those of the
-    # command's sub-parser in the whole parser
+    # main reads a valid command line from the command's table entry, as the
+    # whole parser reads it; help and argparse errors (exit 2) are the whole
+    # parser's own
     import argparse
 
     from spinberry import cli
@@ -826,17 +888,108 @@ def test_command_parser_matches_the_whole_parsers_sub_parser(command, capsys):
     sub_parsers = next(a for a in whole._actions
                        if isinstance(a, argparse._SubParsersAction))
     assert list(sub_parsers.choices) == list(_COMMAND_ARGS)
-    alone = cli._parser(command)
-    assert alone.format_help() == sub_parsers.choices[command].format_help()
-    assert alone.format_usage() == sub_parsers.choices[command].format_usage()
     argv = [command, *_COMMAND_ARGS[command]]
-    assert vars(cli._parse(argv)) == vars(whole.parse_args(argv))
+    assert vars(cli._read_table(argv)) == vars(whole.parse_args(argv))
     for trial in ([command, "--help"], [command], *(argv + bad for bad in (
             ["--spin", "1/0"], ["--lambda0", "x"], ["--n", "0"], ["--format", "xml"],
-            ["--bogus"], ["--version"], ["--", "x"]))):
+            ["--bogus"], ["--version"], ["--", "x"], ["--spin", "-1e-3"], ["--spin"],
+            ["--format=xml"], ["--o"]))):
         expected = _exit_of(whole.parse_args, trial, capsys)
         assert expected[0] == (0 if trial[1:] == ["--help"] else 2)
         assert _exit_of(main, trial, capsys) == expected
+
+
+# Values that argparse reads in different ways: as a value ("", "-" and
+# negative numbers as it spells them, "-١" among them since \d is any
+# decimal digit) or as a flag ("-1.", "-1e-3", "-inf", "-²", "--"); then a
+# few plain ones.
+_VALUES = ["", "-", "-3", "-.5", "-1.", "-1e-3", "-inf", "-١", "-²", "--", "-h",
+               "- 1", "-3\n", "nan", "1e400", "x", "0", "1", "3/2", "1,2", "json", "auto"]
+
+
+def _as_text(args):
+    """A namespace as comparable text: NaN equals NaN, -0.0 differs from 0.0."""
+    return repr(sorted(vars(args).items()))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, often its valid call, then its flags (each with its value
+    in that call, or one of _VALUES), misspelt flags and stray values."""
+    from spinberry import cli
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    base = _COMMAND_ARGS[command]
+    own = dict(zip(base[::2], base[1::2]))
+    flags = [flag for flag, _ in cli._arguments(command)]
+    variants = flags + [f"{flag}=1" for flag in flags] + [flag[:-1] for flag in flags] + [
+        "--help", "--version", "--bogus", "-"]
+    pairs = st.sampled_from(flags).flatmap(lambda flag: st.tuples(st.just(flag), st.one_of(
+        st.just(own.get(flag, "1")), st.sampled_from(_VALUES))))
+    tokens = st.one_of(*[pairs] * 6, st.tuples(st.sampled_from(variants)),
+                       st.tuples(st.sampled_from(_VALUES)))
+    argv = [command, *(base if draw(st.integers(0, 3)) else [])]
+    return argv + [t for group in draw(st.lists(tokens, max_size=4)) for t in group]
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_command_lines())
+def test_table_reads_what_argparse_reads(argv):
+    # wherever the table answers, argparse reads the same namespace and does
+    # not exit; everywhere else main asks argparse
+    import contextlib
+    import io
+
+    from spinberry import cli
+    table = cli._read_table(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            whole = cli._parser().parse_args(argv)
+        except SystemExit:
+            whole = None
+    if table is not None:
+        assert whole is not None and _as_text(table) == _as_text(whole)
+
+
+def test_table_path_answers_for_values_argparse_takes():
+    from spinberry import cli
+    for value, read in (("-3", -3.0), ("-.5", -0.5), ("-١", -1.0), ("-0.97", -0.97)):
+        args = cli._read_table(["entangle", "--lambda0", value])
+        assert args is not None and args.lambda0 == read
+    assert cli._read_table(["spectrum", "--spin", "2", "--out", "-"]).out == "-"
+    assert cli._read_table(["spectrum", "--spin", "2", "--out", ""]).out == ""
+    for value in ("-1.", "-1e-3", "-inf", "-²", "--", "-h"):
+        assert cli._read_table(["entangle", "--lambda0", value]) is None
+
+
+# The keywords of add_argument that the table path reads ("help" only renders).
+_TABLE_KEYWORDS = {"type", "choices", "required", "default", "dest", "help"}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_every_flag_uses_only_what_the_table_reads(command):
+    # a flag with nargs, action, const or another keyword would read argv in a
+    # way that the table path does not; a typed flag with a string default
+    # would have argparse convert that default, which the table does not
+    from spinberry import cli
+    for flag, kwargs in cli._arguments(command):
+        assert flag.startswith("--") and set(kwargs) <= _TABLE_KEYWORDS, (flag, kwargs)
+        assert not ("type" in kwargs and isinstance(kwargs.get("default"), str)), flag
+
+
+def test_readme_commands_take_the_table_path():
+    # each spinberry line of the README's command block is read by its
+    # command's table entry, as the whole parser reads it
+    import shlex
+
+    from spinberry import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = "spinberry " + readme.split("```\nspinberry ", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert [argv[0] for argv in commands] == list(cli._COMMANDS)
+    for argv in commands:
+        table = cli._read_table(argv)
+        assert table is not None, argv
+        assert vars(table) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_main_without_arguments_reads_the_command_line(tmp_path, monkeypatch):
