@@ -46,7 +46,7 @@ def _parse_spin(text: str) -> int:
     num, slash, den = text.partition("/")
     num, den = float(num), float(den) if slash else 1.0
     value = num / den if den != 0.0 and np.isfinite(den) else np.nan
-    two_s = round(2 * value) if np.isfinite(value) else -1
+    two_s = round(2 * value) if np.isfinite(2 * value) else -1
     if two_s < 0 or abs(2 * value - two_s) > 1e-9:
         raise argparse.ArgumentTypeError(
             f"spin must be a non-negative integer or half-integer, got {text!r}")
@@ -115,10 +115,10 @@ def _write_json(args, payload):
 
 def _grid_points(args, name: str) -> np.ndarray:
     """``args.n_points`` points from --<name>-min to --<name>-max, once both
-    bounds and their span are finite (numpy's linspace warns and makes NaN
-    points of an infinite bound or span)."""
+    bounds and their span are finite: numpy's linspace makes NaN points of a
+    NaN or infinite one, which would fail later naming no flag."""
     low, high = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
-    if np.isinf(low) or np.isinf(high) or np.isinf(high - low):
+    if not (np.isfinite(low) and np.isfinite(high) and np.isfinite(high - low)):
         raise ValueError(f"--{name}-min and --{name}-max must span a finite interval, "
                          f"got {low!r} and {high!r}")
     return np.linspace(low, high, args.n_points)

@@ -9,7 +9,8 @@ step matrices in one of three forms: closed-form SU(2) rotations times a
 phase on two levels (:func:`_two_level_steps`), a closed form at the roots
 of the characteristic cubic on three (:func:`_three_level_exponentials`),
 stacked ``eigh`` on more.  One kernel composes them for every run
-(:func:`_sweep`, every product one :func:`_compose`):
+(:func:`_sweep`, every product one :func:`_compose`), whose operators may
+carry run axes, so that the blocks of several spins step as one run:
 its up-sweep gives the run propagator (:func:`_run_propagator`), for the
 coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
 :mod:`spinberry.entangle`, each sampled from its schedule like every other
@@ -17,9 +18,10 @@ run (:func:`_ramp_run`), and its down-sweep every step-end state
 (:func:`_magnus_run`), for the runs tracked in the paper's co-rotating frame
 (:func:`_tracked_runs`): cycles and the four-spin cycle, whose references
 solve only the tracked level's parity block, a cycle and its mirror image
-stepped as one run.  Time is in units of 1/(gamma_S B0) throughout.
-Functions of time (and of couplings) take scalars or arrays; arrays give
-their matrices stacked along the leading axes.
+stepped as one run, with the four-spin cycle's multiplets alongside.  Time
+is in units of 1/(gamma_S B0) throughout.  Functions of time (and of
+couplings) take scalars or arrays; arrays give their matrices stacked along
+the leading axes.
 """
 
 from __future__ import annotations
@@ -148,13 +150,13 @@ def _step_grid(schedule: CycleSchedule, steps: int | None = None) -> _Grid:
 
 
 def _exponent_basis(ops):
-    """The basis (K, n**2) of :func:`_cf4_exponents` for operators ``ops`` (K,
-    n, n): on two levels their Pauli components (x0, x), O = x0 + x . sigma,
-    real where every O is Hermitian; on more the operators flattened."""
+    """The basis (..., K, n**2) of :func:`_cf4_exponents` for operators
+    ``ops`` (..., K, n, n): on two levels their Pauli components (x0, x),
+    O = x0 + x . sigma, real where every O is Hermitian; on more, flattened."""
     n = ops.shape[-1]
     if n != 2:
-        return ops.reshape(len(ops), n * n)
-    (o00, o01), (o10, o11) = np.moveaxis(ops, 0, -1)
+        return ops.reshape(ops.shape[:-2] + (n * n,))
+    (o00, o01), (o10, o11) = np.moveaxis(ops, (-2, -1), (0, 1))
     pauli = 0.5 * np.stack([o00 + o11, o01 + o10, 1j * (o01 - o10), o00 - o11], axis=-1)
     return pauli if pauli.imag.any() else pauli.real
 
@@ -176,10 +178,11 @@ def _cf4_exponents(basis, coeffs):
     """The CF4 step's two exponents (a+ H- + a- H+, a- H- + a+ H+), stacked
     (2, B, ...), the first applied first (see :func:`_cf4_propagators`), from
     the coefficients ``coeffs`` (..., 2, K) of its node Hamiltonians on
-    ``basis`` (K, B) (:func:`_exponent_basis`).  Weights and basis act as
-    one matrix on each run's steps apart: a product's rounding may depend on
-    its size."""
-    weights = np.einsum("en,kb->ebnk", _CF4_WEIGHTS, basis).reshape(2 * basis.shape[1], -1)
+    ``basis`` (..., K, B) (:func:`_exponent_basis`), whose leading axes
+    broadcast against the runs'.  Weights and basis act as one matrix on
+    each run's steps apart: a product's rounding may depend on its size."""
+    weights = np.einsum("en,...kb->...ebnk", _CF4_WEIGHTS, basis)
+    weights = weights.reshape(weights.shape[:-4] + (2 * basis.shape[-1], -1))
     runs = _compose(weights, np.swapaxes(coeffs.reshape(coeffs.shape[:-2] + (-1,)), -1, -2))
     return np.ascontiguousarray(
         np.moveaxis(runs.reshape(runs.shape[:-2] + (2, -1, runs.shape[-1])), (-3, -2), (0, 1)))
@@ -216,7 +219,7 @@ def _cf4_propagators(basis, coeffs, dts):
     the rounding of ||H|| dt.  A step of width 0 with H = 0 is the
     identity.
     """
-    n = round(basis.shape[1] ** 0.5)
+    n = round(basis.shape[-1] ** 0.5)
     if n == 2:  # z [[a, -conj(b)], [b, conj(a)]], z = exp(-i phase)
         phase, a, b = _two_level_steps(*_cf4_exponents(basis, coeffs), dts)
         z = np.exp(-1j * phase)
@@ -334,8 +337,11 @@ def _sweep(ops, coeffs, dts, initial=None):
     """States (..., steps + 1, n) at the step ends of runs from ``initial``
     (..., n), row k after k steps, or without ``initial`` the propagators
     (..., n, n), of CF4 steps of widths ``dts`` (..., steps) of
-    sum_k c_k O_k on ``ops`` (K, n, n), given by their coefficients
+    sum_k c_k O_k on ``ops`` (..., K, n, n), given by their coefficients
     ``coeffs`` (..., steps, 2, K) at the Gauss nodes (:func:`_cf4_propagators`).
+    Operators with run axes broadcast them against those of ``coeffs``, so
+    runs on operator sets of one size (the blocks of several spins) share
+    one call; sets that do not broadcast raise ValueError.
 
     The step matrices are formed a block at a time, a power of two near
     ``_STEP_RUNS`` steps of all runs on two levels (as many state entries on
@@ -359,23 +365,25 @@ def _sweep(ops, coeffs, dts, initial=None):
     ValueError (a NaN bound passes, for the leakage contracts to reject).
     """
     n, states = ops.shape[-1], initial is not None
+    runs = int(np.prod(np.broadcast_shapes(ops.shape[:-3], coeffs.shape[:-3])))
     with np.errstate(all="ignore"):  # sum_k |c_k| ||O_k|| at the nodes, times dt
-        node = np.abs(coeffs.reshape(-1, len(ops))) @ np.abs(ops).sum(axis=-1).max(axis=-1)
-        node = node.reshape(coeffs.shape[:-1])
+        norms = np.abs(ops).sum(axis=-1).max(axis=-1)[..., None, None, :]
+        node = np.einsum("...k,...k->...", np.abs(coeffs), norms)
         bound = np.max(np.maximum(node[..., 0], node[..., 1]) * dts, initial=0.0)
     del node  # not held through the sweep
     if not states:  # the identity's columns, as n vectors of every run
         coeffs, dts, initial = coeffs[..., None, :, :, :], dts[..., None, :], np.eye(n)
+        ops = ops[..., None, :, :, :]
     if bound > 2.0 ** 52:
         raise _StepBoundError(f"the step bound sum_k |c_k| ||O_k|| dt = {bound:.3g} is above "
                               f"2**52, where the float spacing of a step phase reaches 1 rad")
     steps = dts.shape[-1]
-    block = 1 << (max(1, 2 * _STEP_RUNS // (coeffs[..., 0, 0, 0].size * n)) - 1).bit_length()
+    block = 1 << (max(1, 2 * _STEP_RUNS // (runs * n)) - 1).bit_length()
     starts = range(0, steps, block)
     logger.debug("%s: %d runs of %d steps in %d blocks of %d steps, K = %d, "
                  "max ||H|| dt <= %.3g, %s (%s%s)",
                  "_magnus_run" if states else "_run_propagator",
-                 coeffs[..., 0, 0, 0].size, steps, len(starts), block, len(ops), bound,
+                 runs, steps, len(starts), block, ops.shape[-3], bound,
                  "states" if states else "propagators",
                  _step_form(n), " loop" if states else "")
     basis = _exponent_basis(ops)
@@ -416,9 +424,10 @@ def _magnus_run(ops, coeffs, dts, initial):
 
 
 def _norm_drift(states):
-    """Largest deviation of the norm from its initial value along a run."""
-    norms = np.linalg.norm(states, axis=1)
-    return float(np.abs(norms - norms[0]).max())
+    """Largest deviation of the norm from its initial value along each run
+    of states (..., steps + 1, n)."""
+    norms = np.linalg.norm(states, axis=-1)
+    return np.abs(norms - norms[..., :1]).max(axis=-1)
 
 
 def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
@@ -442,8 +451,7 @@ def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
     b, lam = schedules[0].b(nodes), schedules[0].lam(nodes)
     rates = [(s.alpha_dot(nodes), s.phi_dot(nodes), s.theta_dot(nodes)) for s in schedules]
     moving = any(np.any(rate[1:]) for rate in rates)
-    sel = np.arange(rep.dim) if moving else _block(rep, m)
-    ops = _block_operators(rep, sel) + ((rep.sigma_x, rep.sigma_y) if moving else ())
+    (sel,), (ops,) = _stacked_operators([rep], m, moving)
     coeffs = np.empty((len(schedules),) + np.shape(nodes) + (len(ops),))
     for c, s, (alpha_dot, phi_dot, theta_dot) in zip(coeffs, schedules, rates):
         c[..., 0], c[..., 1] = b - alpha_dot, b * lam
@@ -452,7 +460,16 @@ def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
             c[..., 0] -= phi_dot * np.cos(theta)
             c[..., 2] = phi_dot * np.sin(theta) * np.cos(alpha) - theta_dot * np.sin(alpha)
             c[..., 3] = -phi_dot * np.sin(theta) * np.sin(alpha) - theta_dot * np.cos(alpha)
-    return sel, np.stack(ops), coeffs
+    return sel, ops, coeffs
+
+
+def _stacked_operators(reps, m: float, moving: bool = False):
+    """Basis indices of each rep's block and the operators O_k of
+    :func:`_block_hamiltonian` on it, stacked (len(reps), K, n, n): level m's
+    parity block, or every index while phi or theta moves (one size, or ValueError)."""
+    sels = [np.arange(rep.dim) if moving else _block(rep, m) for rep in reps]
+    return sels, np.stack([_block_operators(rep, sel) + ((rep.sigma_x, rep.sigma_y) if moving
+                                                         else ()) for rep, sel in zip(reps, sels)])
 
 
 def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
@@ -473,35 +490,47 @@ def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
     return step_phases, refs
 
 
-def _tracked_runs(rep: SpinRep, m: float, schedules, steps: int | None = None):
-    """Co-rotating-frame runs from level m over ``schedules``, which share
-    lambda(t), b(t) and so the step grid and the :func:`_references`,
-    stepped as one stacked :func:`_magnus_run` on the basis indices of
-    :func:`_block_hamiltonian`.  Each run is tracked against the
-    references: each step turns the overlap by its dynamical phase plus a
-    rest taken within pi, so nothing wraps.  The geometric phase adds the
-    winding -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
+def _tracked_runs(reps, m: float, schedules, steps: int | None = None):
+    """Co-rotating-frame runs from level m, a list per rep of ``reps`` of one
+    result per schedule of ``schedules``, which share lambda(t) and b(t):
+    the step grid, each rep's :func:`_references` and the coefficients of
+    :func:`_block_hamiltonian` (the same for every rep) are formed once, and
+    every run steps in one :func:`_magnus_run` on its rep's block
+    (:func:`_stacked_operators`).  Each step turns a run's overlap with its
+    rep's references by its dynamical phase plus a rest taken within pi, so
+    nothing wraps.  The geometric phase adds the winding
+    -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
     U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
     initial eigenstate.  Final states are in the laboratory frame; a
-    non-finite run leaks NaN, which no bound accepts."""
+    non-finite run leaks NaN, which no bound accepts.  The runs are tracked
+    together, but each final norm alone: a stacked norm rounds apart."""
     grid = _step_grid(schedules[0], steps)
-    step_phases, refs = _references(rep, m, schedules[0], grid)
-    sel, ops, coeffs = _block_hamiltonian(rep, m, schedules, grid.nodes)
-    runs = _magnus_run(ops, coeffs, grid.dts,
-                       np.broadcast_to(refs[0, sel], (len(schedules), len(sel))))
-    dynamical = float(np.sum(step_phases))
+    _, ops, coeffs = _block_hamiltonian(reps[0], m, schedules, grid.nodes)
+    sels, ops = _stacked_operators(reps, m, moving=len(ops) > 2)  # K = 4 while phi or theta moves
+    phases, refs = zip(*(_references(rep, m, schedules[0], grid) for rep in reps))
+    refs = np.stack([ref[:, sel] for ref, sel in zip(refs, sels)])[:, None]  # real
+    shape = (len(reps), len(schedules), refs.shape[-1])
+    ops, initial = ops[:, None], np.broadcast_to(refs[..., 0, :], shape)
+    if len(reps) == 1:  # one rep's runs step on its operators alone
+        ops, initial = ops[0, 0], initial[0]
+    runs = _magnus_run(ops, coeffs, grid.dts, initial).reshape(shape[:2] + (-1, shape[2]))
+    tracked = np.ascontiguousarray(np.sum(refs * runs, axis=-1))  # rows sum as alone
+    turns = np.exp(-1j * np.array(phases))[:, None]
+    rests = np.sum(np.angle(tracked[..., 1:] / tracked[..., :-1] * turns), axis=-1)
     results = []
-    for schedule, states in zip(schedules, runs):
-        tracked = np.sum(refs[:, sel] * states, axis=-1)  # the references are real
-        leakage = np.maximum(1.0 - abs(tracked[-1]) ** 2 / np.linalg.norm(states[-1]) ** 2, 0.0)
-        rests = np.angle(tracked[1:] / tracked[:-1] * np.exp(-1j * step_phases))
-        winding = -m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
-        geometric = float(np.sum(rests)) + winding
-        psi = _frames(rep, schedule, schedule.duration)[:, sel] @ states[-1]
-        results.append(CycleResult(
-            final_state=psi, total_phase=dynamical + geometric, dynamical_phase=dynamical,
-            geometric_phase=geometric, leakage=float(leakage), norm_drift=_norm_drift(states),
-            sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi)))))
+    for rep, sel, step_phases, *rows in zip(reps, sels, phases, runs, tracked, rests,
+                                            _norm_drift(runs)):
+        dynamical = float(np.sum(step_phases))
+        results.append([])
+        for schedule, states, overlaps, rest, drift in zip(schedules, *rows):
+            norm = np.linalg.norm(states[-1])
+            leakage = np.maximum(1.0 - abs(overlaps[-1]) ** 2 / norm ** 2, 0.0)
+            geometric = float(rest) - m * (2 * schedule.n_phi + schedule.n_alpha) * np.pi
+            psi = _frames(rep, schedule, schedule.duration)[:, sel] @ states[-1]
+            results[-1].append(CycleResult(
+                final_state=psi, total_phase=dynamical + geometric, dynamical_phase=dynamical,
+                geometric_phase=geometric, leakage=float(leakage), norm_drift=float(drift),
+                sz_expectation=float(np.real(np.vdot(psi, rep.sigma_z @ psi)))))
     return results
 
 
@@ -509,7 +538,7 @@ def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
                  steps: int | None = None) -> CycleResult:
     """One co-rotating-frame run from level m over ``schedule``, tracked
     against its references (see :func:`_tracked_runs`)."""
-    return _tracked_runs(rep, m, [schedule], steps)[0]
+    return _tracked_runs([rep], m, [schedule], steps)[0][0]
 
 
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -537,7 +566,7 @@ def _mirror_pair(rep: SpinRep, m: float, schedule: CycleSchedule,
     the cycle and its image are stepped as one stacked run
     (:func:`_tracked_runs`)."""
     schedule.validate()
-    forward, mirrored = _tracked_runs(rep, m, [schedule, schedule.mirror()], steps)
+    (forward, mirrored), = _tracked_runs([rep], m, [schedule, schedule.mirror()], steps)
     return MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),
                         forward, mirrored)
 
@@ -606,11 +635,10 @@ def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
                       deviation=sz_final - sz_adiabatic, final_state=psi)
 
 
-def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float,
-                              duration: float, shape: str = "blackman",
-                              quad_points: int = 4097) -> float:
-    """-int E(m, lambda(t)) dt along a coupling ramp: the dynamical phase of
-    level m followed adiabatically (the stretch tuner's prediction takes it
-    on a ramp of unit duration)."""
+def _adiabatic_dynamical_phases(reps, m, lambda0, duration, shape, quad_points):
+    """-int E(m, lambda(t)) dt along a coupling ramp, the dynamical phase of
+    level m followed adiabatically, of each rep of ``reps`` on one sample of
+    the ramp (for the stretch tuner's prediction, of unit duration)."""
     ts = _quad_grid(duration, quad_points)
-    return _simpson(-_level(rep, m, _ramp(lambda0, duration, shape).lam(ts))[1], ts)
+    lams = _ramp(lambda0, duration, shape).lam(ts)
+    return [_simpson(-_level(rep, m, lams)[1], ts) for rep in reps]

@@ -21,12 +21,13 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .dynamics import (LeakageWarning, _block_hamiltonian, _mirror_pair, _ramp_run,
-                       _run_propagator, _step_grid, adiabatic_dynamical_phase)
+from .dynamics import (LeakageWarning, _adiabatic_dynamical_phases, _block_hamiltonian,
+                       _ramp_run, _run_propagator, _stacked_operators, _step_grid,
+                       _tracked_runs)
 from .hamiltonian import _label_index, _level
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
@@ -84,21 +85,10 @@ class FourSpinState:
 @lru_cache(maxsize=1)
 def collective_spin() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total spin components (Sx, Sy, Sz) on the four-qubit product space."""
-    half = spin_matrices(1)
-    singles = (half.sigma_x, half.sigma_y, half.sigma_z)
-    eye = np.eye(2)
-    totals = []
-    for op in singles:
-        total = np.zeros((_DIM, _DIM), dtype=op.dtype)
-        for site in range(_N_SPINS):
-            factors = [eye] * _N_SPINS
-            factors[site] = op
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            total = total + term
-        totals.append(total)
-    return tuple(totals)
+    half, eye = spin_matrices(1), np.eye(2)
+    return tuple(sum(reduce(np.kron, [op if k == site else eye for k in range(_N_SPINS)])
+                     for site in range(_N_SPINS))
+                 for op in (half.sigma_x, half.sigma_y, half.sigma_z))
 
 
 def _one_flip_states() -> list[np.ndarray]:
@@ -177,19 +167,14 @@ def _tower_embeddings():
 
     def lower_chain(top, s):
         cols = [top / np.linalg.norm(top)]
-        m = s
-        while m > -s + 0.5:
+        for _ in range(round(2 * s)):  # M = s - 1 down to -s
             nxt = s_minus @ cols[-1]
             cols.append(nxt / np.linalg.norm(nxt))
-            m -= 1.0
         return np.column_stack(cols)
 
-    top2 = np.zeros(_DIM, dtype=complex)
-    top2[0] = 1.0  # |++++>
-    w2 = lower_chain(top2, 2.0)
-    basis = symmetric_basis_m1()
-    w1 = [lower_chain(tower.amplitudes, 1.0) for tower in basis.psi_11]
-    return w2, w1
+    top2 = np.eye(_DIM, dtype=complex)[0]  # |++++>
+    return (lower_chain(top2, 2.0),
+            [lower_chain(tower.amplitudes, 1.0) for tower in symmetric_basis_m1().psi_11])
 
 
 @dataclass(frozen=True)
@@ -212,22 +197,25 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     """Run the ramp / rotate / ramp cycle on the four-spin M = 1 sector.
 
     The S = 2 multiplet and one of the three identical S = 1 towers each run
-    the cycle and its image from M = 1 (the parity-block runs of
-    :func:`spinberry.dynamics.mirror_phase_difference`, without its
-    warnings).  The sector phase difference is the difference of their
-    extracted phases; the final state embeds the lab-frame forward final
-    states into the 16-dim product space.  ``tune_factor`` stretches the two
-    ramp stages to steer the residual dynamical-phase difference (see
-    :func:`tune_stage_stretch`).
+    the cycle and its image from M = 1, as the parity-block runs of
+    :func:`spinberry.dynamics.mirror_phase_difference` (without its
+    warnings).  Both M = 1 blocks have two states, so the four runs step as
+    one stacked run (:func:`spinberry.dynamics._tracked_runs`).  The sector
+    phase difference is the difference of the two extracted phases, half a
+    cycle's geometric phase less its image's; the final state embeds the
+    lab-frame forward final states into the 16-dim product space.
+    ``tune_factor`` stretches the two ramp stages to steer the residual
+    dynamical-phase difference (see :func:`tune_stage_stretch`).
     """
     schedule = three_stage_cycle(lambda0, stage_duration, _N_ALPHA, tune_factor,
                                  _SHAPE)
-    pair2, pair1 = (_mirror_pair(spin_matrices(two_s), 1.0, schedule, steps)
-                    for two_s in (4, 2))
-    delta_measured = pair2.extracted_phase - pair1.extracted_phase
+    schedule.validate()
+    (forward2, mirrored2), (forward1, mirrored1) = _tracked_runs(
+        [spin_matrices(4), spin_matrices(2)], 1.0, [schedule, schedule.mirror()], steps)
+    delta_measured = (0.5 * (forward2.geometric_phase - mirrored2.geometric_phase)
+                      - 0.5 * (forward1.geometric_phase - mirrored1.geometric_phase))
     w2, w1 = _tower_embeddings()
-    state = 0.5 * (w2 @ pair2.forward.final_state
-                   + sum(w @ pair1.forward.final_state for w in w1))
+    state = 0.5 * (w2 @ forward2.final_state + sum(w @ forward1.final_state for w in w1))
     final = FourSpinState(state / np.linalg.norm(state))
 
     basis = symmetric_basis_m1()
@@ -250,20 +238,21 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
 
 
 def _rotation_blocks(lambda0: float, stage_duration: float):
-    """(rep, operators, U_rot, k) of the S = 2 and S = 1 multiplets: the
-    rotation stage's propagator on the M = 1 parity block, whose operators
-    (Sigma_z, Sigma_x^2) are the ramps' too, and M = 1's index k in it.
-    The stage does not depend on the stretch, so the tuner forms it once for
-    both its objective and its prediction."""
+    """(reps, operators, U_rot, k) of the S = 2 and S = 1 multiplets, each
+    stacked in that order: the rotation stage's propagators on the M = 1
+    parity blocks, whose operators (Sigma_z, Sigma_x^2) are the ramps' too,
+    and M = 1's index k in each.  Both blocks have two states and the
+    stage's coefficients do not depend on the spin, so the multiplets step
+    as one run.  The stage does not depend on the stretch, so the tuner
+    forms it once for both its objective and its prediction."""
     rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
     grid = _step_grid(rotation)
-    blocks = []
-    for rep in (spin_matrices(4), spin_matrices(2)):
-        _, ops, coeffs = _block_hamiltonian(rep, 1.0, [rotation], grid.nodes)
-        # the block is every other basis index, so M = 1 sits at index // 2
-        blocks.append((rep, ops, _run_propagator(ops, coeffs[0], grid.dts),
-                       _label_index(rep, 1.0) // 2))
-    return tuple(blocks)
+    reps = (spin_matrices(4), spin_matrices(2))
+    coeffs = _block_hamiltonian(reps[0], 1.0, [rotation], grid.nodes)[2]
+    ops = _stacked_operators(reps, 1.0)[1]
+    # the block is every other basis index, so M = 1 sits at index // 2
+    return (reps, ops, _run_propagator(ops, coeffs, grid.dts),
+            [_label_index(rep, 1.0) // 2 for rep in reps])
 
 
 def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
@@ -276,23 +265,18 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
     amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once, or taken
-    from ``blocks`` (:func:`_rotation_blocks`).  Each stretch's ramp is one
-    run propagator per spin, sampled once from its schedule for both
-    (:func:`spinberry.dynamics._ramp_run`): the S = 2 and S = 1 blocks share
-    its coefficients (1, lambda) and differ only in their operators.  The
-    target's overlap with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in
-    these amplitudes.
+    from ``blocks`` (:func:`_rotation_blocks`).  Each stretch's ramp is
+    sampled once from its schedule (:func:`spinberry.dynamics._ramp_run`):
+    the S = 2 and S = 1 blocks share its coefficients (1, lambda), so the
+    multiplets' ramp propagators step as one run.  The target's overlap
+    with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
-    blocks = blocks or _rotation_blocks(lambda0, stage_duration)
+    reps, ops, u_rot, ks = blocks or _rotation_blocks(lambda0, stage_duration)
 
     def one(stretch):
-        *_, coeffs, dts = _ramp_run(blocks[0][0], 1.0, lambda0, stage_duration * stretch,
-                                    _SHAPE)
-        amplitudes = []
-        for _, ops, u_rot, k in blocks:
-            up = _run_propagator(ops, coeffs, dts)[..., k]  # a one-row stack
-            amplitudes.append(np.einsum("sa,ab,sb->s", up, u_rot, up))
-        a21, a11 = amplitudes
+        *_, coeffs, dts = _ramp_run(reps[0], 1.0, lambda0, stage_duration * stretch, _SHAPE)
+        ups = _run_propagator(ops, coeffs, dts)[np.arange(len(ks)), :, ks][:, None]
+        a21, a11 = (np.einsum("sa,ab,sb->s", up, u, up) for up, u in zip(ups, u_rot))
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
 
     def fidelity(stretches):
@@ -307,22 +291,20 @@ def _adiabatic_fidelity(lambda0: float, stage_duration: float, blocks=None):
     A ramp of duration s T that follows the M = 1 level adiabatically takes
     |1> to exp(-i s T theta) psi, with psi the level at lambda0 and
     theta = int_0^1 E(M = 1, lambda0 f(tau)) dtau along the ramp's profile f,
-    the dynamical phase of the unit-length ramp with its sign turned
-    (:func:`spinberry.dynamics.adiabatic_dynamical_phase`; a real
-    Hamiltonian adds no Berry phase).  So a(S, 1) is
-    exp(-2 i s T theta_S) psi_S^T U_rot psi_S: one closed form per
-    multiplet, with no ramp integrated (U_rot as in :func:`_stretch_fidelity`).
+    the dynamical phase of the unit-length ramp with its sign turned, both
+    multiplets' on one sample of it (a real Hamiltonian adds no Berry
+    phase).  So a(S, 1) is exp(-2 i s T theta_S) psi_S^T U_rot psi_S: one
+    closed form per multiplet, with no ramp integrated (U_rot as in
+    :func:`_stretch_fidelity`).
     """
-    thetas, overlaps = [], []
-    for rep, _, u_rot, _ in blocks or _rotation_blocks(lambda0, stage_duration):
-        thetas.append(-adiabatic_dynamical_phase(rep, 1.0, lambda0, 1.0, _SHAPE,
-                                                 _PHASE_QUAD_POINTS))
-        psi = _level(rep, 1.0, lambda0)[2]
-        overlaps.append(psi @ u_rot @ psi)
+    reps, _, u_rot, _ = blocks or _rotation_blocks(lambda0, stage_duration)
+    phases = _adiabatic_dynamical_phases(reps, 1.0, lambda0, 1.0, _SHAPE, _PHASE_QUAD_POINTS)
+    levels = (_level(rep, 1.0, lambda0)[2] for rep in reps)
+    overlaps = [psi @ u @ psi for psi, u in zip(levels, u_rot)]
 
     def fidelity(stretches):
-        a21, a11 = (overlap * np.exp(-2j * stage_duration * theta * np.asarray(stretches))
-                    for theta, overlap in zip(thetas, overlaps))
+        a21, a11 = (overlap * np.exp(2j * stage_duration * phase * np.asarray(stretches))
+                    for phase, overlap in zip(phases, overlaps))
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
     return fidelity
 
@@ -331,9 +313,9 @@ def tune_stage_stretch(lambda0: float, stage_duration: float = 25.0) -> float:
     """Ramp-duration stretch that maximizes the entangled-state fidelity.
 
     The objective is the fidelity that :func:`entangling_cycle` reports at
-    its default step grid, evaluated from one ramp propagator per spin
-    (:func:`_stretch_fidelity`).  The stretch window spans more than one full
-    period of the relative dynamical phase.  Where its maxima lie comes from
+    its default step grid, evaluated from one ramp propagator of both
+    multiplets (:func:`_stretch_fidelity`).  The stretch window spans more
+    than one full period of the relative dynamical phase.  Where its maxima lie comes from
     the adiabatic prediction (:func:`_adiabatic_fidelity`) on a grid of 25
     stretches: every grid maximum (a window edge counts) whose predicted
     fidelity is within :func:`_candidate_margin` of the predicted best is

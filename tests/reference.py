@@ -10,7 +10,9 @@ its own path, kept here because only the tests use it:
   :func:`coriolis_operators`), against the co-rotating runs of
   :mod:`spinberry.dynamics`, which step on operator coefficients;
 - the tracked run of a coupling ramp (:func:`ramp_phase`), against
-  :func:`spinberry.dynamics.ramp_fidelity`'s run propagator;
+  :func:`spinberry.dynamics.ramp_fidelity`'s run propagator, and the
+  adiabatic dynamical phase of one spin's ramp
+  (:func:`adiabatic_dynamical_phase`), against that run's total phase;
 - the two-level doublet model of a ramp
   (:func:`two_level_rotating_hamiltonian`), against the runs of the
   doublet's parity block;
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinberry.dynamics import (CycleResult, _compose, _frames, _grid, _magnus_run, _norm_drift,
-                                _ramp, _tracked_run)
+from spinberry.dynamics import (CycleResult, _adiabatic_dynamical_phases, _compose, _frames,
+                                _grid, _magnus_run, _norm_drift, _ramp, _tracked_run)
 from spinberry.entangle import _DIM, _N_SPINS, collective_spin
 from spinberry.hamiltonian import _block, _block_operators, _energy_derivatives, _reduced
 from spinberry.schedules import CycleSchedule, ScheduleError, _const
@@ -123,6 +125,13 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
     """Exact phase bookkeeping of a coupling ramp 0 -> lambda0 with fixed
     field axes, whose level labeled m is tracked as in :func:`run_cycle`."""
     return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
+
+
+def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
+                              shape: str = "blackman", quad_points: int = 4097) -> float:
+    """-int E(m, lambda(t)) dt along a coupling ramp 0 -> lambda0: the
+    dynamical phase of level m followed adiabatically."""
+    return _adiabatic_dynamical_phases([rep], m, lambda0, duration, shape, quad_points)[0]
 
 
 def polarization_hellmann_feynman(rep: SpinRep, m: float, lam: float) -> float:

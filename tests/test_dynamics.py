@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from reference import (_stacked, lab_hamiltonian, propagate, ramp_phase,
-                       rotating_frame_hamiltonian, two_level_rotating_hamiltonian)
+from reference import (_stacked, adiabatic_dynamical_phase, lab_hamiltonian, propagate,
+                       ramp_phase, rotating_frame_hamiltonian, two_level_rotating_hamiltonian)
 from spinberry import (alpha_rotation_cycle, berry_phase_adiabatic, blackman,
                        labeled_spectrum, magic_lambda,
                        mirror_phase_difference, phi_rotation_cycle,
@@ -822,11 +822,13 @@ def test_stretch_fidelity_matches_eigh_steps(monkeypatch):
     calls = []
 
     def eigh_run(ops, coeffs, dts):
+        # each spin's operators (runs, K, n, n) on the shared coefficients and steps
         calls.append(dts.shape)
-        return _matmul_run_propagator(_matrices(ops, coeffs), dts, _eigh_cf4_steps)
+        h = np.einsum("...k,...kij->...ij", coeffs, ops[:, None, None])
+        return _matmul_run_propagator(h, np.broadcast_to(dts, h.shape[:-3]), _eigh_cf4_steps)
     monkeypatch.setattr(entangle, "_run_propagator", eigh_run)
     ref = entangle._stretch_fidelity(-0.97, 10.0)(stretches)
-    assert len(calls) == 2 * (1 + len(stretches))  # the rotation and each ramp, per spin
+    assert len(calls) == 1 + len(stretches)  # the rotation and each ramp, both spins stacked
     assert np.abs(ours - ref).max() < 1e-12
 
 
@@ -1259,7 +1261,6 @@ def test_ramp_phase_matches_argmax_tracking(duration, shape):
 
 def test_ramp_phase_consistency():
     res = ramp_phase(S2, -1.0, 1.0, 10.0, shape="blackman", steps=4000)
-    from spinberry.dynamics import adiabatic_dynamical_phase
     adiab = adiabatic_dynamical_phase(S2, -1.0, 1.0, 10.0, shape="blackman")
     assert res.total_phase == pytest.approx(adiab, abs=0.05)
     assert res.leakage < 0.01
@@ -1322,6 +1323,69 @@ def test_mirror_pair_is_two_tracked_runs(monkeypatch):
                 assert getattr(ours, field) == getattr(ref, field), field
         assert pair.extracted_phase == 0.5 * (pair.forward.geometric_phase
                                               - pair.mirrored.geometric_phase)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("levels", [2, 3, 5], ids=["cayley-klein", "closed-form", "eigh"])
+def test_stacked_operator_sets_match_each_set_alone(complex_, levels):
+    # three operator sets (3, 1, K, n, n), each over the same two schedules,
+    # step in one kernel call: each set's propagators and states are those
+    # of the set stepped alone, bit for bit, in every step form
+    from spinberry.dynamics import _magnus_run, _run_propagator, _step_form
+    rng = np.random.default_rng(60 + levels)
+    sets = rng.normal(size=(3, 2, levels, levels))
+    if complex_:
+        sets = sets + 1j * rng.normal(size=sets.shape)
+    sets = sets + sets.conj().swapaxes(-1, -2)
+    coeffs, dts = rng.normal(size=(2, 300, 2, 2)), rng.uniform(0.0, 0.05, 300)
+    initial = rng.normal(size=(3, 2, levels)) + 1j * rng.normal(size=(3, 2, levels))
+    props = _run_propagator(sets[:, None], coeffs, dts)
+    states = _magnus_run(sets[:, None], coeffs, dts, initial)
+    assert props.shape == (3, 2, levels, levels) and states.shape == (3, 2, 301, levels)
+    assert _step_form(levels) == {2: "Cayley-Klein", 3: "closed form", 5: "eigh"}[levels]
+    for k, ops in enumerate(sets):
+        assert props[k].tobytes() == _run_propagator(ops, coeffs, dts).tobytes()
+        assert states[k].tobytes() == _magnus_run(ops, coeffs, dts, initial[k]).tobytes()
+
+
+@pytest.mark.parametrize("two_s, others, m", [(4, (2,), 1.0), (4, (6,), 0.0)],
+                         ids=["S2-S1-m1", "S2-S3-m0"])
+def test_tracked_runs_of_several_spins_match_each_spin_alone(two_s, others, m):
+    # the four-spin cycle's S = 2 and S = 1 blocks (two states), and S = 2
+    # and S = 3 at m = 0 (three states), each rep with the cycle and its
+    # image, in one stacked run: every result is its rep's run alone, bit
+    # for bit
+    from spinberry import dynamics
+    sched = three_stage_cycle(-0.97, stage_duration=15.0)
+    pair = [sched, sched.mirror()]
+    reps = [spin_matrices(two_s)] + [spin_matrices(other) for other in others]
+    stacked = dynamics._tracked_runs(reps, m, pair)
+    assert [len(results) for results in stacked] == [2] * len(reps)
+    for rep, results in zip(reps, stacked):
+        (alone,) = dynamics._tracked_runs([rep], m, pair)
+        for ours, ref in zip(results, alone):
+            assert ours.final_state.tobytes() == ref.final_state.tobytes()
+            for field in ("total_phase", "dynamical_phase", "geometric_phase",
+                          "leakage", "norm_drift", "sz_expectation"):
+                assert getattr(ours, field) == getattr(ref, field), field
+
+
+def test_stacks_of_different_sizes_raise():
+    # blocks of different sizes do not stack, and operator sets that do not
+    # broadcast against the runs raise rather than pair runs silently
+    from spinberry import dynamics
+    sched = three_stage_cycle(-0.97, stage_duration=4.0)
+    with pytest.raises(ValueError):  # m = 1 of S = 2 has two states, of S = 3 four
+        dynamics._tracked_runs([spin_matrices(4), spin_matrices(6)], 1.0, [sched])
+    with pytest.raises(ValueError):
+        dynamics._stacked_operators([spin_matrices(4), spin_matrices(2)], 0.0)
+    dts = np.full(10, 0.1)
+    for levels in (2, 3, 5):
+        ops = np.broadcast_to(np.eye(levels), (2, 2, levels, levels))
+        with pytest.raises(ValueError):
+            dynamics._run_propagator(ops, np.zeros((3, 10, 2, 2)), dts)
+        with pytest.raises(ValueError):
+            dynamics._magnus_run(ops, np.zeros((3, 10, 2, 2)), dts, np.ones((3, levels)))
 
 
 def _cycle_solves(m, tmp_path, monkeypatch, spectra_calls):

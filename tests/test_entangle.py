@@ -499,3 +499,34 @@ def test_stretch_objective_samples_its_ramp_once(monkeypatch):
     assert fidelity(np.array([1.03])).tobytes() == expected.tobytes()
     assert len(built) == 1 and built[0].duration == 25.0 * 1.03
     assert samples == [dynamics._step_grid(built[0]).nodes.shape]
+
+
+def test_multiplets_step_as_one_run(monkeypatch, caplog):
+    # entangling_cycle steps the S = 2 and S = 1 cycles and their images in
+    # one _magnus_run; the tuner forms both rotation propagators in one
+    # _run_propagator and both ramps of each evaluation in one more
+    import logging
+
+    from spinberry import dynamics, entangle
+    calls = []
+
+    def counted(name, run):
+        def wrapped(ops, *args):
+            calls.append((name, ops.shape[:-3]))
+            return run(ops, *args)
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "_magnus_run", counted("states", dynamics._magnus_run))
+    monkeypatch.setattr(entangle, "_run_propagator",
+                        counted("propagators", entangle._run_propagator))
+    lam_max = lambda_max_solve()
+    entangling_cycle(lam_max, 15.0)
+    assert calls == [("states", (2, 1))]  # (S = 2, S = 1) by (cycle, image)
+    calls.clear()
+    entangle._stretch_fidelity(lam_max, 15.0)(np.array([0.9, 1.0, 1.1]))
+    assert calls == [("propagators", (2,))] * 4  # the rotation, then one per stretch
+    calls.clear()
+    with caplog.at_level(logging.DEBUG, logger="spinberry.entangle"):
+        tune_stage_stretch(lam_max, 15.0)
+    evaluations = int(caplog.records[-1].getMessage().split(":")[1].split()[0])
+    assert calls == [("propagators", (2,))] * (1 + evaluations)

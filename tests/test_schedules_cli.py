@@ -579,12 +579,13 @@ def test_cli_cycle_missing_schedule_file(tmp_path, capsys):
 
 
 def test_cli_magic_rejects_nan_eta(tmp_path, capsys):
-    # the message names eta, the bad value, not a lambda derived from it
+    # the message names the eta flags, not a lambda derived from the bad value
     out = tmp_path / "magic.csv"
     code = main(["magic", "--spin", "2", "--eta-min", "nan", "--eta-max", "0.3", "--n", "2",
                  "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == "error: |eta| <= 0.5 required, got nan\n"
+    assert capsys.readouterr().err == ("error: --eta-min and --eta-max must span a finite "
+                                       "interval, got nan and 0.3\n")
     assert not out.exists()
 
 
@@ -629,6 +630,13 @@ _GRID_BOUND_ERRORS = {
                                                 "finite interval, got -inf and 0.5",
     ("magic", "--spin", "2", "--eta-min=-1e308", "--eta-max", "1e308"):
         "--eta-min and --eta-max must span a finite interval, got -1e+308 and 1e+308",
+    # a NaN bound names both flags too, not the coupling or |eta| it becomes
+    ("spectrum", "--lambda-min", "nan"): "--lambda-min and --lambda-max must span a "
+                                         "finite interval, got nan and 2.0",
+    ("transverse", "--lambda-max", "nan"): "--lambda-min and --lambda-max must span a "
+                                           "finite interval, got 0.7 and nan",
+    ("magic", "--spin", "2", "--eta-min", "nan"): "--eta-min and --eta-max must span a "
+                                                  "finite interval, got nan and 0.5",
     # finite, but twice lambda times a row sum of |Sigma_x^2| overflows at spin 2
     ("spectrum", "--lambda-min", "1e308", "--lambda-max", "1.7e308"):
         "--lambda-min and --lambda-max must lie within +-1.65e+307 at spin 2, "
@@ -724,6 +732,19 @@ def test_cli_rejects_empty_grids(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: argument {argv[-2]}:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_rejects_a_spin_whose_double_overflows(capsys):
+    # 1e308 is finite but twice it is not: argparse's error, not a traceback
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", "--spin", "1e308", "--n", "2"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "spinberry spectrum: error: argument --spin: spin must be a non-negative "
+        "integer or half-integer, got '1e308'\n")
+    assert "Traceback" not in captured.err
 
 
 def test_count_stops_at_the_step_ceiling():
@@ -1136,7 +1157,8 @@ def test_cli_output_unchanged_by_tuner_logging():
     assert plain.returncode == debug.returncode == 0
     assert plain.stderr == ""
     assert "objective evaluations" in debug.stderr
-    assert "DEBUG:spinberry.dynamics:_run_propagator: 1 runs of" in debug.stderr
+    # the S = 2 and S = 1 ramps step as one stacked run
+    assert "DEBUG:spinberry.dynamics:_run_propagator: 2 runs of" in debug.stderr
     assert plain.stdout == debug.stdout
     assert json.loads(plain.stdout)["command"] == "entangle"
 
