@@ -2,24 +2,24 @@
 
 Every run's Hamiltonian is sum_k c_k(t) O_k over K <= 4 fixed operators:
 Sigma_z and Sigma_x^2 of a parity block, plus Sigma_x and Sigma_y while phi
-or theta moves.  The coefficients are sampled once at the Gauss nodes of
+or theta moves.  Every run is sampled in one place (:func:`_sampled`): its
+spin-free coefficients (:func:`_coefficients`) at the Gauss nodes of
 fourth-order Magnus steps (:func:`_cf4_propagators`), by default
-``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), as
-step matrices in one of three forms: closed-form SU(2) rotations times a
-phase on two levels (:func:`_two_level_steps`), a closed form at the roots
-of the characteristic cubic on three (:func:`_three_level_exponentials`),
-stacked ``eigh`` on more.  One kernel composes them for every run
-(:func:`_sweep`, every product one :func:`_compose`), whose operators may
-carry run axes, so that the blocks of several spins step as one run:
-its up-sweep gives the run propagator (:func:`_run_propagator`), for the
-coupling ramps of :func:`ramp_fidelity` and of the stretch tuner of
-:mod:`spinberry.entangle`, each sampled from its schedule like every other
-run (:func:`_ramp_run`), and its down-sweep every step-end state
-(:func:`_magnus_run`), for the runs tracked in the paper's co-rotating frame
-(:func:`_tracked_runs`): cycles and the four-spin cycle, whose references
-solve only the tracked level's parity block, a cycle and its mirror image
-stepped as one run, with the four-spin cycle's multiplets alongside.  Time
-is in units of 1/(gamma_S B0) throughout.  Functions of time (and of
+``STEPS_PER_UNIT`` per unit time of each stage (:func:`_step_grid`), and
+each spin's operators (:func:`_stacked_operators`).  Its step matrices take
+one of three forms: closed-form SU(2) rotations times a phase on two levels
+(:func:`_two_level_steps`), a closed form at the roots of the characteristic
+cubic on three (:func:`_three_level_exponentials`), stacked ``eigh`` on
+more.  One kernel composes them for every run (:func:`_sweep`, every
+product one :func:`_compose`), whose operators may carry run axes, so that
+the blocks of several spins step as one run: its up-sweep gives the run
+propagator (:func:`_run_propagator`), for the coupling ramps of
+:func:`ramp_fidelity` and of the stretch tuner of :mod:`spinberry.entangle`,
+and its down-sweep every step-end state (:func:`_magnus_run`), for the runs
+tracked in the paper's co-rotating frame (:func:`_tracked_runs`), whose
+references solve only the tracked level's parity block: cycles, and mirror
+pairs of one or more spins stepped as one run (:func:`_mirror_pairs`).
+Time is in units of 1/(gamma_S B0) throughout.  Functions of time (and of
 couplings) take scalars or arrays; arrays give their matrices stacked along
 the leading axes.
 """
@@ -437,22 +437,21 @@ def _frames(rep: SpinRep, schedule: CycleSchedule, t) -> np.ndarray:
                                              alpha=schedule.alpha(t)))
 
 
-def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
-    """Basis indices, operators O_k (K, n, n) and coefficients
-    (len(schedules), steps, 2, K) at ``nodes`` of the co-rotating-frame
-    Hamiltonians sum_k c_k O_k of runs from level m that share lambda(t) and
-    b(t), less each run's Coriolis term alpha_dot D_alpha + phi_dot D_phi
-    + theta_dot D_theta, with D_alpha = Sigma_z, D_phi = cos(theta) Sigma_z
-    + sin(theta) (sin(alpha) Sigma_y - cos(alpha) Sigma_x) and
-    D_theta = cos(alpha) Sigma_y + sin(alpha) Sigma_x.  While
-    phi and theta stand still at every node, that is (b - alpha_dot) Sigma_z
-    + b lambda Sigma_x^2, which conserves the parity (-1)^(S-m), and only
-    m's real block is kept; else phi and theta add Sigma_x and Sigma_y."""
+def _coefficients(schedules, nodes):
+    """Coefficients (len(schedules), steps, 2, K) at ``nodes`` of the
+    co-rotating-frame Hamiltonians sum_k c_k O_k (:func:`_stacked_operators`)
+    of runs that share lambda(t) and b(t), less each run's Coriolis term
+    alpha_dot D_alpha + phi_dot D_phi + theta_dot D_theta, with
+    D_alpha = Sigma_z, D_phi = cos(theta) Sigma_z + sin(theta) (sin(alpha)
+    Sigma_y - cos(alpha) Sigma_x) and D_theta = cos(alpha) Sigma_y
+    + sin(alpha) Sigma_x.  While phi and theta stand still at every node,
+    that is (b - alpha_dot) Sigma_z + b lambda Sigma_x^2 (K = 2), which
+    conserves the parity (-1)^(S-m); else phi and theta add Sigma_x and
+    Sigma_y (K = 4).  No coefficient depends on the spin."""
     b, lam = schedules[0].b(nodes), schedules[0].lam(nodes)
     rates = [(s.alpha_dot(nodes), s.phi_dot(nodes), s.theta_dot(nodes)) for s in schedules]
     moving = any(np.any(rate[1:]) for rate in rates)
-    (sel,), (ops,) = _stacked_operators([rep], m, moving)
-    coeffs = np.empty((len(schedules),) + np.shape(nodes) + (len(ops),))
+    coeffs = np.empty((len(schedules),) + np.shape(nodes) + (4 if moving else 2,))
     for c, s, (alpha_dot, phi_dot, theta_dot) in zip(coeffs, schedules, rates):
         c[..., 0], c[..., 1] = b - alpha_dot, b * lam
         if moving:
@@ -460,60 +459,69 @@ def _block_hamiltonian(rep: SpinRep, m: float, schedules, nodes):
             c[..., 0] -= phi_dot * np.cos(theta)
             c[..., 2] = phi_dot * np.sin(theta) * np.cos(alpha) - theta_dot * np.sin(alpha)
             c[..., 3] = -phi_dot * np.sin(theta) * np.sin(alpha) - theta_dot * np.cos(alpha)
-    return sel, ops, coeffs
+    return coeffs
 
 
 def _stacked_operators(reps, m: float, moving: bool = False):
     """Basis indices of each rep's block and the operators O_k of
-    :func:`_block_hamiltonian` on it, stacked (len(reps), K, n, n): level m's
+    :func:`_coefficients` on it, stacked (len(reps), K, n, n): level m's
     parity block, or every index while phi or theta moves (one size, or ValueError)."""
     sels = [np.arange(rep.dim) if moving else _block(rep, m) for rep in reps]
     return sels, np.stack([_block_operators(rep, sel) + ((rep.sigma_x, rep.sigma_y) if moving
                                                          else ()) for rep, sel in zip(reps, sels)])
 
 
-def _references(rep: SpinRep, m: float, schedule: CycleSchedule, grid: _Grid):
-    """Step phases and references of a run tracking level m, which depend on
-    lambda(t) and b(t) only: the labeled eigenvector psi_hat(m, lambda) at
-    each step end, made sign-continuous, and -int b E(m, lambda) dt over
-    each step by Simpson's rule on its ends and midpoint.  Only level m's
-    parity block is solved (:func:`spinberry.hamiltonian._level`)."""
-    sel, energies, vectors, _ = _level(rep, m, schedule.lam(grid.halves))
-    terms = schedule.b(grid.halves) * energies
-    step_phases = -grid.dts / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
-    refs = np.zeros((len(grid.dts) + 1, rep.dim))
-    refs[:, sel] = vectors[::2]
-    # the phase needs a continuous reference, and the per-lambda sign
-    # convention flips where the parent component passes through zero
-    overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
-    refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
-    return step_phases, refs
+def _sampled(reps, m: float, schedules, steps: int | None = None):
+    """The step grid, each rep's basis indices and operators and the
+    coefficients, the same for every rep, of runs from level m over
+    ``schedules``, which share lambda(t) and b(t)."""
+    grid = _step_grid(schedules[0], steps)
+    coeffs = _coefficients(schedules, grid.nodes)
+    sels, ops = _stacked_operators(reps, m, moving=coeffs.shape[-1] > 2)
+    return grid, sels, ops, coeffs
+
+
+def _references(reps, m: float, schedule: CycleSchedule, grid: _Grid):
+    """Step phases and references of runs tracking level m, one pair per rep
+    of ``reps``, which depend on lambda(t) and b(t) only, sampled once for
+    every rep: the labeled eigenvector psi_hat(m, lambda) at each step end,
+    made sign-continuous, and -int b E(m, lambda) dt over each step by
+    Simpson's rule on its ends and midpoint.  Only level m's parity block is
+    solved (:func:`spinberry.hamiltonian._level`)."""
+    lams, bs = schedule.lam(grid.halves), schedule.b(grid.halves)
+    pairs = []
+    for rep in reps:
+        sel, energies, vectors, _ = _level(rep, m, lams)
+        terms = bs * energies
+        step_phases = -grid.dts / 6.0 * (terms[:-1:2] + 4.0 * terms[1::2] + terms[2::2])
+        refs = np.zeros((len(grid.dts) + 1, rep.dim))
+        refs[:, sel] = vectors[::2]
+        # the phase needs a continuous reference, and the per-lambda sign
+        # convention flips where the parent component passes through zero
+        overlaps = np.sum(refs[1:] * refs[:-1], axis=-1)
+        refs[1:] *= np.cumprod(np.where(overlaps < 0.0, -1.0, 1.0))[:, None]
+        pairs.append((step_phases, refs))
+    return pairs
 
 
 def _tracked_runs(reps, m: float, schedules, steps: int | None = None):
     """Co-rotating-frame runs from level m, a list per rep of ``reps`` of one
     result per schedule of ``schedules``, which share lambda(t) and b(t):
-    the step grid, each rep's :func:`_references` and the coefficients of
-    :func:`_block_hamiltonian` (the same for every rep) are formed once, and
-    every run steps in one :func:`_magnus_run` on its rep's block
-    (:func:`_stacked_operators`).  Each step turns a run's overlap with its
-    rep's references by its dynamical phase plus a rest taken within pi, so
-    nothing wraps.  The geometric phase adds the winding
-    -m (2 n_phi + n_alpha) pi of the laboratory eigenstate
-    U(R(t)) psi_hat(m, lambda(t)), referring the total phase back to the
-    initial eigenstate.  Final states are in the laboratory frame; a
-    non-finite run leaks NaN, which no bound accepts.  The runs are tracked
-    together, but each final norm alone: a stacked norm rounds apart."""
-    grid = _step_grid(schedules[0], steps)
-    _, ops, coeffs = _block_hamiltonian(reps[0], m, schedules, grid.nodes)
-    sels, ops = _stacked_operators(reps, m, moving=len(ops) > 2)  # K = 4 while phi or theta moves
-    phases, refs = zip(*(_references(rep, m, schedules[0], grid) for rep in reps))
+    the runs (:func:`_sampled`) and every rep's :func:`_references` are
+    sampled once, and every run steps in one :func:`_magnus_run` on its
+    rep's block.  Each step turns a run's overlap with its rep's references
+    by its dynamical phase plus a rest taken within pi, so nothing wraps.
+    The geometric phase adds the winding -m (2 n_phi + n_alpha) pi of the
+    laboratory eigenstate U(R(t)) psi_hat(m, lambda(t)), referring the total
+    phase back to the initial eigenstate.  Final states are in the
+    laboratory frame; a non-finite run leaks NaN, which no bound accepts.
+    The runs are tracked together, but each final norm alone: a stacked norm
+    rounds apart."""
+    grid, sels, ops, coeffs = _sampled(reps, m, schedules, steps)
+    phases, refs = zip(*_references(reps, m, schedules[0], grid))
     refs = np.stack([ref[:, sel] for ref, sel in zip(refs, sels)])[:, None]  # real
     shape = (len(reps), len(schedules), refs.shape[-1])
-    ops, initial = ops[:, None], np.broadcast_to(refs[..., 0, :], shape)
-    if len(reps) == 1:  # one rep's runs step on its operators alone
-        ops, initial = ops[0, 0], initial[0]
-    runs = _magnus_run(ops, coeffs, grid.dts, initial).reshape(shape[:2] + (-1, shape[2]))
+    runs = _magnus_run(ops[:, None], coeffs, grid.dts, np.broadcast_to(refs[..., 0, :], shape))
     tracked = np.ascontiguousarray(np.sum(refs * runs, axis=-1))  # rows sum as alone
     turns = np.exp(-1j * np.array(phases))[:, None]
     rests = np.sum(np.angle(tracked[..., 1:] / tracked[..., :-1] * turns), axis=-1)
@@ -534,19 +542,12 @@ def _tracked_runs(reps, m: float, schedules, steps: int | None = None):
     return results
 
 
-def _tracked_run(rep: SpinRep, m: float, schedule: CycleSchedule,
-                 steps: int | None = None) -> CycleResult:
-    """One co-rotating-frame run from level m over ``schedule``, tracked
-    against its references (see :func:`_tracked_runs`)."""
-    return _tracked_runs([rep], m, [schedule], steps)[0][0]
-
-
 def run_cycle(rep: SpinRep, m: float, schedule: CycleSchedule,
               steps: int | None = None) -> CycleResult:
     """Integrate one closed cycle starting from the instantaneous eigenstate m
-    (see :func:`_tracked_run`)."""
+    (see :func:`_tracked_runs`)."""
     schedule.validate()
-    return _tracked_run(rep, m, schedule, steps)
+    return _tracked_runs([rep], m, [schedule], steps)[0][0]
 
 
 @dataclass(frozen=True)
@@ -558,17 +559,17 @@ class MirrorResult:
     mirrored: CycleResult
 
 
-def _mirror_pair(rep: SpinRep, m: float, schedule: CycleSchedule,
-                 steps: int | None = None) -> MirrorResult:
-    """:func:`mirror_phase_difference` without its warnings.  The image has
-    the same lambda(t) and b(t), hence the same step grid, references and
-    dynamical phase, which the extraction leaves out rather than subtracts;
-    the cycle and its image are stepped as one stacked run
-    (:func:`_tracked_runs`)."""
+def _mirror_pairs(reps, m: float, schedule: CycleSchedule,
+                  steps: int | None = None) -> list[MirrorResult]:
+    """:func:`mirror_phase_difference` without its warnings, one result per
+    rep of ``reps``.  The image has the same lambda(t) and b(t), hence the
+    same step grid, references and dynamical phase, which the extraction
+    leaves out rather than subtracts; every rep's cycle and image are
+    stepped as one stacked run (:func:`_tracked_runs`)."""
     schedule.validate()
-    (forward, mirrored), = _tracked_runs([rep], m, [schedule, schedule.mirror()], steps)
-    return MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),
-                        forward, mirrored)
+    runs = _tracked_runs(reps, m, [schedule, schedule.mirror()], steps)
+    return [MirrorResult(0.5 * (forward.geometric_phase - mirrored.geometric_phase),
+                         forward, mirrored) for forward, mirrored in runs]
 
 
 def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
@@ -579,7 +580,7 @@ def mirror_phase_difference(rep: SpinRep, m: float, schedule: CycleSchedule,
     in the subtraction; what survives is the geometric phase plus the
     odd-order non-adiabatic corrections.
     """
-    result = _mirror_pair(rep, m, schedule, steps)
+    result, = _mirror_pairs([rep], m, schedule, steps)
     for name, res in (("forward", result.forward), ("mirrored", result.mirrored)):
         if not res.leakage <= _LEAKAGE_BOUND:  # NaN leakage warns too
             warnings.warn(LeakageWarning(
@@ -605,30 +606,18 @@ def _ramp(lambda0: float, duration: float, shape: str) -> CycleSchedule:
     return from_segments([Segment("ramp", duration, shape, lambda_to=lambda0)])
 
 
-def _ramp_run(rep: SpinRep, m: float, lambda0: float, duration: float, shape: str,
-              steps: int | None = None):
-    """Basis indices, operators O_k, coefficients (1, steps, 2, K) and step
-    widths of the coupling ramp 0 -> lambda0 from level m, sampled as every
-    run is: the step grid (:func:`_step_grid`) and block Hamiltonian
-    (:func:`_block_hamiltonian`) of its schedule (:func:`_ramp`).  A ramp
-    keeps b = 1 and its field axes, so its coefficients are (1, lambda) on
-    every parity block."""
-    ramp = _ramp(lambda0, duration, shape)
-    grid = _step_grid(ramp, steps)
-    return (*_block_hamiltonian(rep, m, [ramp], grid.nodes), grid.dts)
-
-
 def ramp_fidelity(rep: SpinRep, m: float, lambda0: float, duration: float,
                   shape: str = "blackman", steps: int | None = None) -> RampResult:
     """Final <Sigma_z> of a coupling ramp 0 -> lambda0 from level m against
     the adiabatic polarization p(m, lambda0).
 
-    The final state is the ramp's propagator on level m's parity block
-    (:func:`_ramp_run`, :func:`_run_propagator`) applied to level m at
+    The final state is the propagator (:func:`_run_propagator`) of the
+    ramp's run on level m's parity block (:func:`_sampled`), whose
+    coefficients are (1, lambda) on every block, applied to level m at
     lambda = 0, with no references and no per-step states."""
-    sel, ops, coeffs, dts = _ramp_run(rep, m, lambda0, duration, shape, steps)
+    grid, (sel,), ops, coeffs = _sampled([rep], m, [_ramp(lambda0, duration, shape)], steps)
     psi = np.zeros(rep.dim, dtype=complex)
-    psi[sel] = _run_propagator(ops, coeffs, dts)[0] @ _level(rep, m, 0.0)[2]
+    psi[sel] = _run_propagator(ops, coeffs, grid.dts)[0] @ _level(rep, m, 0.0)[2]
     sz_final = float(np.real(np.vdot(psi, rep.sigma_z @ psi)))
     sz_adiabatic = polarization(rep, m, lambda0)
     return RampResult(sz_final=sz_final, sz_adiabatic=sz_adiabatic,

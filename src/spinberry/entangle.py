@@ -25,10 +25,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .dynamics import (LeakageWarning, _adiabatic_dynamical_phases, _block_hamiltonian,
-                       _ramp_run, _run_propagator, _stacked_operators, _step_grid,
-                       _tracked_runs)
-from .hamiltonian import _label_index, _level
+from .dynamics import (LeakageWarning, _adiabatic_dynamical_phases, _coefficients,
+                       _mirror_pairs, _ramp, _run_propagator, _sampled, _step_grid)
+from .hamiltonian import _level
 from .schedules import alpha_rotation_cycle, three_stage_cycle
 from .spin_algebra import spin_matrices
 
@@ -200,7 +199,7 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     the cycle and its image from M = 1, as the parity-block runs of
     :func:`spinberry.dynamics.mirror_phase_difference` (without its
     warnings).  Both M = 1 blocks have two states, so the four runs step as
-    one stacked run (:func:`spinberry.dynamics._tracked_runs`).  The sector
+    one stacked run (:func:`spinberry.dynamics._mirror_pairs`).  The sector
     phase difference is the difference of the two extracted phases, half a
     cycle's geometric phase less its image's; the final state embeds the
     lab-frame forward final states into the 16-dim product space.
@@ -209,13 +208,11 @@ def entangling_cycle(lambda0: float, stage_duration: float = 25.0,
     """
     schedule = three_stage_cycle(lambda0, stage_duration, _N_ALPHA, tune_factor,
                                  _SHAPE)
-    schedule.validate()
-    (forward2, mirrored2), (forward1, mirrored1) = _tracked_runs(
-        [spin_matrices(4), spin_matrices(2)], 1.0, [schedule, schedule.mirror()], steps)
-    delta_measured = (0.5 * (forward2.geometric_phase - mirrored2.geometric_phase)
-                      - 0.5 * (forward1.geometric_phase - mirrored1.geometric_phase))
+    pair2, pair1 = _mirror_pairs([spin_matrices(4), spin_matrices(2)], 1.0, schedule, steps)
+    delta_measured = pair2.extracted_phase - pair1.extracted_phase
     w2, w1 = _tower_embeddings()
-    state = 0.5 * (w2 @ forward2.final_state + sum(w @ forward1.final_state for w in w1))
+    state = 0.5 * (w2 @ pair2.forward.final_state
+                   + sum(w @ pair1.forward.final_state for w in w1))
     final = FourSpinState(state / np.linalg.norm(state))
 
     basis = symmetric_basis_m1()
@@ -241,18 +238,15 @@ def _rotation_blocks(lambda0: float, stage_duration: float):
     """(reps, operators, U_rot, k) of the S = 2 and S = 1 multiplets, each
     stacked in that order: the rotation stage's propagators on the M = 1
     parity blocks, whose operators (Sigma_z, Sigma_x^2) are the ramps' too,
-    and M = 1's index k in each.  Both blocks have two states and the
-    stage's coefficients do not depend on the spin, so the multiplets step
-    as one run.  The stage does not depend on the stretch, so the tuner
-    forms it once for both its objective and its prediction."""
+    and M = 1's index k in each block's basis indices.  Both blocks have two
+    states, so the multiplets step as one run.  The stage does not depend on
+    the stretch, so the tuner forms it once for both its objective and its
+    prediction."""
     rotation = alpha_rotation_cycle(lambda0, _N_ALPHA, 2.0 * stage_duration, _SHAPE)
-    grid = _step_grid(rotation)
     reps = (spin_matrices(4), spin_matrices(2))
-    coeffs = _block_hamiltonian(reps[0], 1.0, [rotation], grid.nodes)[2]
-    ops = _stacked_operators(reps, 1.0)[1]
-    # the block is every other basis index, so M = 1 sits at index // 2
+    grid, sels, ops, coeffs = _sampled(reps, 1.0, [rotation])
     return (reps, ops, _run_propagator(ops, coeffs, grid.dts),
-            [_label_index(rep, 1.0) // 2 for rep in reps])
+            [list(rep.m_values[sel]).index(1.0) for rep, sel in zip(reps, sels)])
 
 
 def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
@@ -265,17 +259,19 @@ def _stretch_fidelity(lambda0: float, stage_duration: float, blocks=None):
     is the step at the mirrored Gauss nodes.  The rotation stage does not
     depend on the stretch.  So each block run from M = 1 ends with the M = 1
     amplitude <1|U_up^T U_rot U_up|1>, where U_rot is formed once, or taken
-    from ``blocks`` (:func:`_rotation_blocks`).  Each stretch's ramp is
-    sampled once from its schedule (:func:`spinberry.dynamics._ramp_run`):
-    the S = 2 and S = 1 blocks share its coefficients (1, lambda), so the
-    multiplets' ramp propagators step as one run.  The target's overlap
+    from ``blocks`` (:func:`_rotation_blocks`).  Each stretch's ramp samples
+    only its coefficients (1, lambda) (:func:`spinberry.dynamics._coefficients`),
+    which the S = 2 and S = 1 blocks share, on the rotation's operators, so
+    the multiplets' ramp propagators step as one run.  The target's overlap
     with the cycled Phi^(1) is (3 a(1,1) - a(2,1)) / 4 in these amplitudes.
     """
     reps, ops, u_rot, ks = blocks or _rotation_blocks(lambda0, stage_duration)
 
     def one(stretch):
-        *_, coeffs, dts = _ramp_run(reps[0], 1.0, lambda0, stage_duration * stretch, _SHAPE)
-        ups = _run_propagator(ops, coeffs, dts)[np.arange(len(ks)), :, ks][:, None]
+        ramp = _ramp(lambda0, stage_duration * stretch, _SHAPE)
+        grid = _step_grid(ramp)
+        ups = _run_propagator(ops, _coefficients([ramp], grid.nodes),
+                              grid.dts)[np.arange(len(ks)), :, ks][:, None]
         a21, a11 = (np.einsum("sa,ab,sb->s", up, u, up) for up, u in zip(ups, u_rot))
         return np.abs(0.25 * (3.0 * a11 - a21)) ** 2
 

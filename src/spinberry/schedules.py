@@ -4,7 +4,7 @@ A :class:`CycleSchedule` bundles theta(t), phi(t), alpha(t), lambda(t) and
 the field magnitude b(t) = B(t)/B0 over [0, T], together with the winding
 integers of the two periodic angles.  Closed cycles obey
 
-    theta(T) = theta(0),  lambda(T) = lambda(0),
+    theta(T) = theta(0),  lambda(T) = lambda(0),  b(T) = b(0),
     phi(T) = phi(0) + 2 pi n_phi,  alpha(T) = alpha(0) + pi n_alpha.
 
 Time is measured in units of 1/(gamma_S B0) everywhere.
@@ -69,7 +69,7 @@ class CycleSchedule:
         checks = [(name, np.diff(f(ends))[0] - winding) for name, f, winding in (
             ("theta", self.theta, 0.0), ("lambda", self.lam, 0.0),
             ("phi", self.phi, 2 * np.pi * self.n_phi),
-            ("alpha", self.alpha, np.pi * self.n_alpha))]
+            ("alpha", self.alpha, np.pi * self.n_alpha), ("b", self.b, 0.0))]
         for name, residual in checks:
             if abs(residual) > _BOUNDARY_TOL:
                 raise ScheduleError(

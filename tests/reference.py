@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from spinberry.dynamics import (CycleResult, _adiabatic_dynamical_phases, _compose, _frames,
-                                _grid, _magnus_run, _norm_drift, _ramp, _tracked_run)
+                                _grid, _magnus_run, _norm_drift, _ramp, _tracked_runs)
 from spinberry.entangle import _DIM, _N_SPINS, collective_spin
 from spinberry.hamiltonian import _block, _block_operators, _energy_derivatives, _reduced
 from spinberry.schedules import CycleSchedule, ScheduleError, _const
@@ -124,7 +124,7 @@ def ramp_phase(rep: SpinRep, m: float, lambda0: float, duration: float,
                shape: str = "blackman", steps: int | None = None) -> CycleResult:
     """Exact phase bookkeeping of a coupling ramp 0 -> lambda0 with fixed
     field axes, whose level labeled m is tracked as in :func:`run_cycle`."""
-    return _tracked_run(rep, m, _ramp(lambda0, duration, shape), steps)
+    return _tracked_runs([rep], m, [_ramp(lambda0, duration, shape)], steps)[0][0]
 
 
 def adiabatic_dynamical_phase(rep: SpinRep, m: float, lambda0: float, duration: float,

@@ -198,7 +198,7 @@ def _reference_cycle(rep, m, sched, steps):
 def test_stepper_matches_per_step_loop(steps):
     # step counts around powers of two, so that odd elements pass up the
     # sweep's tree at many levels (block joins: test_scan_matches_step_loop)
-    from spinberry.dynamics import _block_hamiltonian, _magnus_run, _step_grid
+    from spinberry.dynamics import _magnus_run, _sampled
     psi0 = np.full(5, 1.0 / np.sqrt(5), dtype=complex)
     _, psi, _ = propagate(_smooth_h, psi0, 4.0, steps)
     ref = _reference_trajectory(_smooth_h, psi0, 4.0, steps)[-1]
@@ -224,8 +224,7 @@ def test_stepper_matches_per_step_loop(steps):
             start[rows[0]] = 1.0
             multiplet = np.array(_reference_trajectory(h, start, stages.duration,
                                                        steps))
-            grid = _step_grid(cycle, steps)
-            sel, ops, coeffs = _block_hamiltonian(rep, 1.0, [cycle], grid.nodes)
+            grid, (sel,), (ops,), coeffs = _sampled([rep], 1.0, [cycle], steps)
             block = _magnus_run(ops, coeffs, grid.dts, start[sel][None])[0]
             assert sel.tolist() == rows
             assert np.abs(block[-1] - multiplet[-1, rows]).max() < 1e-12
@@ -262,7 +261,7 @@ def test_parity_block_run_matches_full_dimension(monkeypatch):
     levels = [(two_s, m) for two_s in range(1, 13)
               for m in spin_matrices(two_s).m_values]
     dims = _magnus_dims(monkeypatch)
-    block = [dynamics._tracked_run(spin_matrices(two_s), m, sched, steps=100)
+    block = [dynamics._tracked_runs([spin_matrices(two_s)], m, [sched], steps=100)[0][0]
              for two_s, m in levels for sched in schedules]
     # the block Hamiltonian against the full co-rotating one, field b != 1
     ours = block[levels.index((4, 1.0)) * len(schedules) + 2]
@@ -274,7 +273,7 @@ def test_parity_block_run_matches_full_dimension(monkeypatch):
                 for two_s, m in levels for _ in schedules]
     assert dims == expected
     monkeypatch.setattr(dynamics, "_block", lambda rep, m: np.arange(rep.dim))
-    full = [dynamics._tracked_run(spin_matrices(two_s), m, sched, steps=100)
+    full = [dynamics._tracked_runs([spin_matrices(two_s)], m, [sched], steps=100)[0][0]
             for two_s, m in levels for sched in schedules]
     assert dims[len(block):] == [two_s + 1 for two_s, _ in levels
                                  for _ in schedules]
@@ -441,7 +440,11 @@ def _coefficients(h_nodes):
 
 
 def _matrices(ops, coeffs):
-    """The Hamiltonians sum_k c_k O_k (..., n, n) of coefficients (..., K)."""
+    """The Hamiltonians sum_k c_k O_k (..., n, n) of coefficients (..., K),
+    on operators (K, n, n), or with run axes (..., K, n, n) that broadcast
+    against the runs' (as :func:`spinberry.dynamics._sweep` takes them)."""
+    if ops.ndim > 3:
+        return np.einsum("...k,...kij->...ij", coeffs, ops[..., None, None, :, :, :])
     return np.tensordot(coeffs, ops, axes=(-1, 0))
 
 
@@ -621,10 +624,10 @@ def _step_loop(step_propagators, calls):
     """A ``_magnus_run`` that forms all steps of a run by
     ``step_propagators`` on the sampled matrices sum_k c_k O_k and applies
     them one ``prop @ psi`` at a time, as runs on more than two levels are
-    stepped; each call appends the shape of its initial states to
-    ``calls``."""
+    stepped; each call appends the shape (runs, n) of one rep's initial
+    states to ``calls``."""
     def run(ops, coeffs, dts, initial):
-        calls.append(np.shape(initial))
+        calls.append(np.shape(initial)[-2:])
         states = [np.asarray(initial, dtype=complex)[..., None]]
         for prop in np.moveaxis(step_propagators(_matrices(ops, coeffs), dts), -3, 0):
             states.append(prop @ states[-1])
@@ -785,12 +788,12 @@ def test_two_level_block_runs_match_eigh_steps(two_s, m, monkeypatch):
     from spinberry import dynamics
     rep = spin_matrices(two_s)
     schedules = [dynamics._ramp(-0.97, 12.0, "blackman"), alpha_rotation_cycle(0.8, 2, 6.0)]
-    ours = [dynamics._tracked_run(rep, m, sched) for sched in schedules]
+    ours = [dynamics._tracked_runs([rep], m, [sched])[0][0] for sched in schedules]
     calls = []
     monkeypatch.setattr(dynamics, "_magnus_run", _step_loop(_eigh_cf4_steps, calls))
     eigh_block_spectra = _recorded_block_spectra(monkeypatch, _eigh_block_spectra)
     for res, sched in zip(ours, schedules):
-        ref = dynamics._tracked_run(rep, m, sched)
+        ref = dynamics._tracked_runs([rep], m, [sched])[0][0]
         assert np.abs(res.final_state - ref.final_state).max() < 1e-12
         assert abs(res.total_phase - ref.total_phase) < 1e-12
         assert abs(res.geometric_phase - ref.geometric_phase) < 1e-12
@@ -915,7 +918,7 @@ def test_three_level_steps_match_eigh_steps(density):
     # them) with (b - alpha_dot) = 1, 0 (near-degenerate exponents) and
     # -0.5, and the whole S = 1 multiplet of a cycle on which phi and theta
     # both move (complex exponents on four operators)
-    from spinberry.dynamics import _block_hamiltonian, _cf4_propagators, _exponent_basis, _grid
+    from spinberry.dynamics import _cf4_propagators, _exponent_basis, _sampled
     from reference import from_table
     dt = 1.0 / density
     lams = np.append(np.linspace(-3.0, 3.0, 601), [0.43, 0.4317])
@@ -931,8 +934,7 @@ def test_three_level_steps_match_eigh_steps(density):
     s = 2 * np.pi * t / 4.0
     sched = from_table(t, theta=0.9 + 0.3 * np.sin(s), phi=s, alpha=0.5 * s,
                        lam=0.3 + 2.5 * np.sin(s), n_phi=1, n_alpha=1)
-    grid = _grid([0.0, sched.duration], [4 * density])
-    _, ops, coeffs = _block_hamiltonian(S1, 1.0, [sched], grid.nodes)
+    grid, _, (ops,), coeffs = _sampled([S1], 1.0, [sched], 4 * density)
     assert ops.shape == (4, 3, 3) and np.iscomplexobj(_exponent_basis(ops))
     runs.append(("S=1 phi and theta", ops, coeffs[0], grid.dts))
     for label, ops, coeffs, dts in runs:
@@ -1311,12 +1313,12 @@ def test_mirror_pair_is_two_tracked_runs(monkeypatch):
     from spinberry import dynamics
     cases = _mirror_cases()
     dims = _magnus_dims(monkeypatch)
-    pairs = [dynamics._mirror_pair(rep, m, sched) for rep, m, sched in cases]
+    pairs = [dynamics._mirror_pairs([rep], m, sched)[0] for rep, m, sched in cases]
     # one stepper call per pair; the phi-cycle keeps all five states
     assert dims == [2, 3, 2, 2, 2, 5, 3, 2]
     for (rep, m, sched), pair in zip(cases, pairs):
         for ours, cycle in ((pair.forward, sched), (pair.mirrored, sched.mirror())):
-            ref = dynamics._tracked_run(rep, m, cycle)
+            ref = dynamics._tracked_runs([rep], m, [cycle])[0][0]
             np.testing.assert_array_equal(ours.final_state, ref.final_state)
             for field in ("total_phase", "dynamical_phase", "geometric_phase",
                           "leakage", "norm_drift", "sz_expectation"):
@@ -1368,6 +1370,29 @@ def test_tracked_runs_of_several_spins_match_each_spin_alone(two_s, others, m):
             for field in ("total_phase", "dynamical_phase", "geometric_phase",
                           "leakage", "norm_drift", "sz_expectation"):
                 assert getattr(ours, field) == getattr(ref, field), field
+
+
+def _pair_bytes(pair):
+    """The bytes of a mirror pair's extracted phase and of both its runs."""
+    runs = (pair.forward, pair.mirrored)
+    fields = [pair.extracted_phase] + [
+        getattr(run, field) for run in runs for field in (
+            "total_phase", "dynamical_phase", "geometric_phase", "leakage", "norm_drift",
+            "sz_expectation")]
+    return b"".join(run.final_state.tobytes() for run in runs) + np.array(fields).tobytes()
+
+
+def test_mirror_pairs_of_several_spins_match_each_spin_alone():
+    # the four-spin cycle's S = 2 and S = 1 mirror pairs, extracted from one
+    # stacked run: each rep's pair is its pair alone, bit for bit
+    from spinberry import dynamics
+    sched = three_stage_cycle(-0.97, stage_duration=15.0)
+    reps = [S2, S1]
+    stacked = dynamics._mirror_pairs(reps, 1.0, sched)
+    assert len(stacked) == 2
+    for rep, pair in zip(reps, stacked):
+        (alone,) = dynamics._mirror_pairs([rep], 1.0, sched)
+        assert _pair_bytes(pair) == _pair_bytes(alone)
 
 
 def test_stacks_of_different_sizes_raise():
@@ -1483,7 +1508,7 @@ def test_stacked_runs_change_a_runs_states_only_where_blocks_join(two_s, m, capl
     _, _, vectors, _ = _level(rep, m, np.array([1.0]))
 
     def stacked(count):
-        sel, ops, coeffs = dynamics._block_hamiltonian(rep, m, [cycle] * count, grid.nodes)
+        _, (sel,), (ops,), coeffs = dynamics._sampled([rep], m, [cycle] * count)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="spinberry.dynamics"):
             runs = dynamics._magnus_run(ops, coeffs, grid.dts,
@@ -1506,8 +1531,8 @@ def test_stacked_runs_change_a_runs_states_only_where_blocks_join(two_s, m, capl
 def test_mirror_pair_samples_shared_fields_once():
     # the README cycle pair (S = 2, m = 0, 2,500 steps): lambda(t) and b(t)
     # are sampled once at the 5,000 Gauss nodes for both runs, once at the
-    # 5,001 step ends and midpoints of the references, and lambda twice more
-    # by validate(); each run samples its own rotation rates
+    # 5,001 step ends and midpoints of the references, and twice more by
+    # validate(); each run samples its own rotation rates
     import dataclasses
     sched = three_stage_cycle(-0.97, stage_duration=25.0)
     counts = {}
@@ -1523,8 +1548,44 @@ def test_mirror_pair_samples_shared_fields_once():
     names = ("lam", "b", "phi_dot", "theta_dot", "alpha_dot")
     sched = dataclasses.replace(sched, **{name: counted(name) for name in names})
     mirror_phase_difference(S2, 0.0, sched)
-    assert counts == {"lam": 10_003, "b": 10_001, "phi_dot": 10_000,
+    assert counts == {"lam": 10_003, "b": 10_003, "phi_dot": 10_000,
                       "theta_dot": 10_000, "alpha_dot": 10_000}
+
+
+def test_stacked_reps_sample_shared_fields_once():
+    # the four-spin cycle's S = 2 and S = 1 blocks and their images (T = 4,
+    # 300 steps): lambda(t) and b(t) are sampled once at the 600 Gauss nodes
+    # and once at the 601 step ends and midpoints for both reps' references
+    import dataclasses
+    from spinberry import dynamics
+    sched = three_stage_cycle(-0.97, stage_duration=4.0)
+    counts = {}
+
+    def counted(name):
+        field = getattr(sched, name)
+
+        def sample(t):
+            counts[name] = counts.get(name, 0) + np.size(t)
+            return field(t)
+        return sample
+
+    sched = dataclasses.replace(sched, lam=counted("lam"), b=counted("b"))
+    dynamics._tracked_runs([S2, S1], 1.0, [sched, sched.mirror()], steps=300)
+    assert counts == {"lam": 1_201, "b": 1_201}
+
+
+def test_open_field_magnitude_is_rejected():
+    # b from 1 to 2 leaves the cycle open, which every consumer of a
+    # schedule rejects (unchecked, run_cycle returned leakage 7.3e-7 and the
+    # adiabatic Berry phase -1.13039)
+    import dataclasses
+    from spinberry.schedules import ScheduleError
+    sched = dataclasses.replace(alpha_rotation_cycle(0.8, 1, 10.0), b=lambda t: 1 + t / 10)
+    for run in (sched.validate, lambda: run_cycle(S2, 1.0, sched),
+                lambda: berry_phase_adiabatic(S2, 1.0, sched)):
+        with pytest.raises(ScheduleError,
+                           match=r"^boundary condition violated for b: residual 1\.000e\+00$"):
+            run()
 
 
 def test_cycle_reference_continuous_through_parent_zero():
@@ -1764,14 +1825,13 @@ def test_coefficient_path_matches_matrix_path(two_s, lam):
         sel = _block(rep, m)
         sz, sxsq = _block_operators(rep, sel)
         for ramp in ramps:
-            ramp_grid = dynamics._step_grid(ramp, steps)
-            _, ops, coeffs = dynamics._block_hamiltonian(rep, m, [ramp], ramp_grid.nodes)
+            ramp_grid, _, (ops,), coeffs = dynamics._sampled([rep], m, [ramp], steps)
             ours = dynamics._run_propagator(ops, coeffs, ramp_grid.dts)[0]
             h_ramp = ramp.lam(ramp_grid.nodes)[..., None, None] * sxsq + sz
             worst = max(worst, np.abs(ours - _matrix_run_propagator(h_ramp, ramp_grid.dts)).max())
 
         pair = [cycle, cycle.mirror()]
-        block, ops, coeffs = dynamics._block_hamiltonian(rep, m, pair, grid.nodes)
+        _, (block,), (ops,), coeffs = dynamics._sampled([rep], m, pair, steps)
         assert np.array_equal(block, sel) and ops.shape == (2, len(sel), len(sel))
         h_pair = np.array([rotating_frame_hamiltonian(rep, s, grid.nodes)[..., sel[:, None], sel]
                            for s in pair])
@@ -1801,8 +1861,7 @@ def test_moving_coefficient_path_matches_matrix_path(lam):
                               theta0=0.9, alpha0=0.6, lambda0=lam)
     worst = 0.0
     for rep, cycle in ((HALF, phi_cycle), (S1, theta_cycle)):
-        grid = dynamics._step_grid(cycle, steps)
-        sel, ops, coeffs = dynamics._block_hamiltonian(rep, rep.s, [cycle], grid.nodes)
+        grid, (sel,), (ops,), coeffs = dynamics._sampled([rep], rep.s, [cycle], steps)
         assert len(sel) == rep.dim and ops.shape == (4, rep.dim, rep.dim)
         h = rotating_frame_hamiltonian(rep, cycle, grid.nodes)[None]
         initial = np.full((1, rep.dim), 1.0 / np.sqrt(rep.dim))

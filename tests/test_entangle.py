@@ -201,7 +201,7 @@ def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys, monkeypa
     # passes) leaks NaN, which no leakage bound accepts
     from spinberry import dynamics
     from spinberry.cli import main
-    from spinberry.dynamics import _mirror_pair
+    from spinberry.dynamics import _mirror_pairs
     from spinberry.spin_algebra import spin_matrices
     sched = tmp_path / "cycle.sched"
     sched.write_text("segment1.kind = ramp\nsegment1.duration = 2\n"
@@ -212,7 +212,7 @@ def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys, monkeypa
                      "segment3.lambda_to = 0\n")
     with np.errstate(all="ignore"):
         for run in (lambda: entangling_cycle(1e200, stage_duration=2.0),
-                    lambda: _mirror_pair(spin_matrices(4), 1.0, three_stage_cycle(1e200, 2.0))):
+                    lambda: _mirror_pairs([spin_matrices(4)], 1.0, three_stage_cycle(1e200, 2.0))):
             with pytest.raises(ValueError, match=r"step bound .* = 1\.\d+e\+199 is above 2\*\*52"):
                 run()
     assert closed_form_delta_beta(1e200).delta == 0.0
@@ -224,15 +224,14 @@ def test_non_finite_cycle_fails_the_leakage_contracts(tmp_path, capsys, monkeypa
         err = capsys.readouterr().err
         assert err.startswith(f"error: {what} overflows the step arithmetic (the step bound")
         assert "e+199 is above 2**52" in err and err.count("\n") == 1
-    block_hamiltonian = dynamics._block_hamiltonian
+    coefficients = dynamics._coefficients
 
     def nan_coefficients(*args):
-        sel, ops, coeffs = block_hamiltonian(*args)
-        return sel, ops, np.full_like(coeffs, np.nan)
-    monkeypatch.setattr(dynamics, "_block_hamiltonian", nan_coefficients)
+        return np.full_like(coefficients(*args), np.nan)
+    monkeypatch.setattr(dynamics, "_coefficients", nan_coefficients)
     with np.errstate(all="ignore"), pytest.warns(LeakageWarning) as record:
         res = entangling_cycle(-0.97, stage_duration=2.0)
-        pair = _mirror_pair(spin_matrices(4), 1.0, three_stage_cycle(-0.97, 2.0))
+        pair, = _mirror_pairs([spin_matrices(4)], 1.0, three_stage_cycle(-0.97, 2.0))
     assert np.isnan(res.sector_leakage) and np.isnan(record[0].message.leakage)
     assert np.isnan(pair.forward.leakage) and np.isnan(pair.mirrored.leakage)
 
@@ -319,7 +318,7 @@ def test_two_level_block_matches_multiplet():
     # odd-block 2x2 evolution in the tilted frame reproduces the M=+-1
     # amplitudes of the S = 2 parity-block run
     from reference import propagate, two_level_rotating_hamiltonian
-    from spinberry.dynamics import _block_hamiltonian, _magnus_run, _step_grid
+    from spinberry.dynamics import _magnus_run, _sampled
     from spinberry.spin_algebra import spin_matrices
     lam0, stage, steps = -0.9, 2.0, 4000
     sched = three_stage_cycle(lam0, stage, n_alpha=3)
@@ -339,8 +338,7 @@ def test_two_level_block_matches_multiplet():
     c, s = np.cos(zeta_end / 2), np.sin(zeta_end / 2)
     tilted_back = np.array([[c, -s], [s, c]]) @ rot
     start = np.eye(5)[1]  # M = 1
-    grid = _step_grid(sched, steps)
-    sel, ops, coeffs = _block_hamiltonian(spin_matrices(4), 1.0, [sched], grid.nodes)
+    grid, (sel,), (ops,), coeffs = _sampled([spin_matrices(4)], 1.0, [sched], steps)
     states = _magnus_run(ops, coeffs, grid.dts, start[sel][None])[0]
     psi2 = states[-1]
     assert abs(tilted_back[0] - psi2[0]) < 1e-6
@@ -359,9 +357,8 @@ def test_bp_target_structure():
 
 
 def _ramp_propagator(rep, m, ramp):
-    from spinberry.dynamics import _block_hamiltonian, _run_propagator, _step_grid
-    grid = _step_grid(ramp)
-    sel, ops, coeffs = _block_hamiltonian(rep, m, [ramp], grid.nodes)
+    from spinberry.dynamics import _run_propagator, _sampled
+    grid, (sel,), (ops,), coeffs = _sampled([rep], m, [ramp])
     return sel, _run_propagator(ops, coeffs[0], grid.dts)
 
 
@@ -495,7 +492,7 @@ def test_stretch_objective_samples_its_ramp_once(monkeypatch):
             return schedule.lam(t)
         return dataclasses.replace(schedule, lam=lam)
 
-    monkeypatch.setattr(dynamics, "_ramp", counted)
+    monkeypatch.setattr(entangle, "_ramp", counted)
     assert fidelity(np.array([1.03])).tobytes() == expected.tobytes()
     assert len(built) == 1 and built[0].duration == 25.0 * 1.03
     assert samples == [dynamics._step_grid(built[0]).nodes.shape]

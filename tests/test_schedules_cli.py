@@ -156,13 +156,13 @@ def test_validate_catches_open_cycles():
         replace(good, n_alpha=2).validate()
 
 
-@pytest.mark.parametrize("name", ["theta", "lambda", "phi", "alpha"])
+@pytest.mark.parametrize("name", ["theta", "lambda", "phi", "alpha", "b"])
 def test_validate_names_each_failing_parameter(name):
     # each parameter is sampled once, at t = 0 and T together, and an open
     # cycle in any one of them is reported by name with its residual
     from dataclasses import replace
     good = three_stage_cycle(0.5, stage_duration=2.0)
-    fields = {"theta": "theta", "lambda": "lam", "phi": "phi", "alpha": "alpha"}
+    fields = {"theta": "theta", "lambda": "lam", "phi": "phi", "alpha": "alpha", "b": "b"}
     samples = []
 
     def sampled(field, shift):

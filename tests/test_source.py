@@ -96,6 +96,15 @@ def _unreached_public(trees, outside):
                     yield node.name
 
 
+def test_only_dynamics_builds_run_operators():
+    # every run's operators come from the one run builder of
+    # spinberry.dynamics, so no other module calls _stacked_operators
+    callers = {filename for filename, tree in _trees(SRC).items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "_stacked_operators" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"src/spinberry/dynamics.py"}, callers
+
+
 def test_the_public_guard_sees_names_that_only_tests_read():
     trees = {"a.py": ast.parse("def used():\n    pass\n\n"
                                "def lonely(n):\n    return lonely(n - 1)\n\n"
